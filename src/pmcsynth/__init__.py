@@ -16,7 +16,6 @@ from .eqsys import (
     SynthResult,
     analyze,
     build_system,
-    check_pltl,
     parse_pltl,
     solve_concrete,
     synth_grid,
@@ -77,7 +76,6 @@ __all__ = [
     "atomic_props",
     "build_product",
     "build_system",
-    "check_pltl",
     "check_reverse_deterministic",
     "classify_locally_positive",
     "elementary",

@@ -25,11 +25,8 @@ from .eqsys import (
     Analysis,
     EqSysError,
     GridError,
-    IllDefinedEvaluationError,
-    InconsistentSystemError,
     PltlQuery,
     QuerySyntaxError,
-    SingularSystemError,
     SolveError,
     parse_pltl,
 )
@@ -83,11 +80,12 @@ def _stats_row(M: Pmc, analysis: Analysis, t_mc: float) -> dict[str, str]:
     t_g = sum(
         analysis.times.get(k, 0.0) for k in ("translate", "product", "scc", "classify")
     )
+    system = analysis.system
     return {
         "|S_M|": str(M.n_states()),
-        "|V_G|": str(analysis.graph.n_nodes()),
-        "SCC_G": str(len(analysis.partition.sccs)),
-        "SCC_pos": str(sum(1 for r in analysis.pos if r.reachable)),
+        "|V_G|": str(system.n_nodes()),
+        "SCC_G": str(len(system.partition.sccs)),
+        "SCC_pos": str(sum(1 for r in system.pos if r.reachable)),
         "T_G": f"{t_g:.4f}",
         "T_mc": f"{t_mc:.4f}",
     }
@@ -174,11 +172,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
         M,
         formula,
         max_nodes=args.max_product_nodes,
-        use_oracle=True if args.oracle else None,
+        use_oracle=args.oracle,
     )
     _print_stats(_stats_row(M, analysis, 0.0), args.report)
     if args.report == "text":
-        for r in analysis.partition.sccs:
+        for r in analysis.system.partition.sccs:
             if r.trivial or not r.reachable:
                 continue
             proj = ",".join(M.states[s] for s in sorted(r.projection))
@@ -312,12 +310,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IllDefinedEvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (SingularSystemError, InconsistentSystemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -13,9 +13,11 @@ acceptance probabilities of the subset states add up to one), and mu = 0 on
 every other bottom SCC of the product.  The probability of the property is
 the sum of mu over initial product nodes.
 
-Concrete evaluations are solved exactly over Fractions, block per SCC along
-the condensation (sinks first), substituting solved blocks into earlier
-ones; uniqueness and consistency are checked per block rather than assumed.
+The system reads its arcs straight off the product's CSR arrays: the
+coefficient of the arc (q,s) -> (q',s') is P(s,s').  Concrete evaluations
+are solved exactly over Fractions, block per SCC along the condensation
+(sinks first), substituting solved blocks into earlier ones; uniqueness and
+consistency are checked per block rather than assumed.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .gba import Gba, translate
+from .gba import translate
 from .ltl import LtlFormula, atomic_props, parse_formula
 from .pmc import Evaluation, Pmc, well_defined
 from .product import (
@@ -37,7 +39,6 @@ from .product import (
     classify_locally_positive,
     scc_decompose,
 )
-from .ratfunc import RationalFunction
 
 
 class EqSysError(Exception):
@@ -179,49 +180,27 @@ class EquationSystem:
     graph: ProductGraph
     partition: SccPartition
     pos: list[SccRecord]
-    neg: list[SccRecord]
-    # per node: ((P(s,s'), (successor nodes over s')), ...)
-    flow: list[tuple[tuple[RationalFunction, tuple[int, ...]], ...]]
     # per positive SCC and chain state: the member nodes over that state
     positives: list[tuple[int, int, tuple[int, ...]]]
     # nodes whose value is 0: everything that cannot reach a positive SCC
     zeros: tuple[int, ...]
-    targets: tuple[int, ...]
 
     def n_nodes(self) -> int:
-        return len(self.flow)
+        return self.graph.n_nodes()
 
 
 def build_system(
     G: ProductGraph,
     partition: SccPartition | None = None,
-    use_oracle: bool | None = None,
-    oracle_budget: int = 200_000,
+    use_oracle: bool = False,
 ) -> EquationSystem:
     """Assemble the full system (all nodes, all bottom SCCs, reachable or not)."""
     if partition is None:
         partition = scc_decompose(G)
-    pos, neg = classify_locally_positive(
-        G,
-        partition,
-        use_oracle=use_oracle,
-        include_unreachable=True,
-        oracle_budget=oracle_budget,
+    pos, _ = classify_locally_positive(
+        G, partition, use_oracle=use_oracle, include_unreachable=True
     )
-    A, M = G.gba, G.pmc
-    ns = M.n_states()
-    flow: list[tuple[tuple[RationalFunction, tuple[int, ...]], ...]] = []
-    for u in range(G.n_nodes()):
-        q, s = divmod(u, ns)
-        qsuccs = A.transitions.get((q, G.letters[s]), ())
-        if qsuccs:
-            flow.append(
-                tuple(
-                    (f, tuple(q2 * ns + t for q2 in qsuccs)) for t, f in M.succ(s)
-                )
-            )
-        else:
-            flow.append(())
+    ns = G.n_mc()
     positives = []
     for record in pos:
         per_state: dict[int, list[int]] = {}
@@ -248,7 +227,7 @@ def build_system(
         if not reaches_pos[record.index]
         for u in record.members
     )
-    return EquationSystem(G, partition, pos, neg, flow, positives, zeros, G.initial)
+    return EquationSystem(G, partition, pos, positives, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -300,39 +279,29 @@ def solve_concrete(
     which is what a full model for the emitted SMT system needs.
     """
     G = system.graph
-    M = G.pmc
-    report = well_defined(M, evaluation)
+    report = well_defined(G.pmc, evaluation)
     if not report.ok:
         raise IllDefinedEvaluationError(report.problems)
+    prob = report.values
+    ns = G.n_mc()
+    offsets, arcs = G.offsets, G.targets
 
-    prob: dict[tuple[int, int], Fraction] = {
-        key: f.evaluate(evaluation).value() for key, f in M.trans.items()
-    }
-    ns = M.n_states()
-
-    # numeric flow rows, built lazily per node
+    # numeric flow rows, built lazily per node from its CSR arcs
     def flow_terms(u: int) -> list[tuple[int, Fraction]]:
         s = u % ns
-        out = []
-        for f, targets_ in system.flow[u]:
-            t = targets_[0] % ns
-            c = prob[(s, t)]
-            for v in targets_:
-                out.append((v, c))
-        return out
+        return [(v, prob[(s, v % ns)]) for v in arcs[offsets[u] : offsets[u + 1]]]
 
     # restricted node set: forward closure of initial + positive members
     if restrict:
-        seeds = list(system.targets)
+        seeds = list(G.initial)
         for record in system.pos:
             seeds.extend(record.members)
         restricted: set[int] = set(seeds)
         stack = list(restricted)
-        offsets, targets_arr = G.offsets, G.targets
         while stack:
             u = stack.pop()
             for i in range(offsets[u], offsets[u + 1]):
-                v = targets_arr[i]
+                v = arcs[i]
                 if v not in restricted:
                     restricted.add(v)
                     stack.append(v)
@@ -395,7 +364,7 @@ def solve_concrete(
                 f"mu{G.node_name(u)} = {v} is outside [0,1]; the system is not "
                 "the one the theory promises — this is a bug, not an input error"
             )
-    target = sum((mu[u] for u in system.targets), Fraction(0))
+    target = sum((mu[u] for u in G.initial), Fraction(0))
     return SolveResult(mu, target, frozenset(restricted))
 
 
@@ -406,11 +375,6 @@ def solve_concrete(
 
 @dataclass
 class Analysis:
-    gba: Gba
-    graph: ProductGraph
-    partition: SccPartition
-    pos: list[SccRecord]
-    neg: list[SccRecord]
     system: EquationSystem
     times: dict[str, float]
 
@@ -419,15 +383,13 @@ def analyze(
     M: Pmc,
     formula: LtlFormula,
     max_nodes: int = 5_000_000,
-    el_cap: int = 20,
-    use_oracle: bool | None = None,
-    oracle_budget: int = 200_000,
+    use_oracle: bool = False,
 ) -> Analysis:
     """translate -> product -> SCCs -> classification -> equation system."""
     times: dict[str, float] = {}
     t0 = time.perf_counter()
     props = atomic_props(formula)
-    A = translate(formula, ap=tuple(sorted(props)), el_cap=el_cap)
+    A = translate(formula, ap=tuple(sorted(props)))
     times["translate"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     G = build_product(A, M, max_nodes=max_nodes)
@@ -436,24 +398,9 @@ def analyze(
     partition = scc_decompose(G)
     times["scc"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    system = build_system(G, partition, use_oracle=use_oracle, oracle_budget=oracle_budget)
+    system = build_system(G, partition, use_oracle=use_oracle)
     times["classify"] = time.perf_counter() - t0
-    return Analysis(A, G, partition, system.pos, system.neg, system, times)
-
-
-def check_pltl(
-    M: Pmc,
-    query: PltlQuery,
-    evaluation: Evaluation,
-    max_nodes: int = 5_000_000,
-    use_oracle: bool | None = None,
-) -> tuple[bool, Fraction, Analysis]:
-    """Decide the query under a total evaluation; returns (verdict, value, analysis)."""
-    analysis = analyze(M, query.formula, max_nodes=max_nodes, use_oracle=use_oracle)
-    t0 = time.perf_counter()
-    result = solve_concrete(analysis.system, evaluation)
-    analysis.times["solve"] = time.perf_counter() - t0
-    return query.admits(result.target), result.target, analysis
+    return Analysis(system, times)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +421,6 @@ def synth_grid(
     query: PltlQuery,
     resolution: int = 11,
     max_nodes: int = 5_000_000,
-    use_oracle: bool | None = None,
 ) -> SynthResult:
     """Scan a regular grid over the parameter box for an evaluation whose
     probability lies in the query interval.
@@ -504,15 +450,16 @@ def synth_grid(
             raise GridError(f"parameter {name}: no grid point inside the open range")
         axes.append(points)
 
-    analysis = analyze(M, query.formula, max_nodes=max_nodes, use_oracle=use_oracle)
+    analysis = analyze(M, query.formula, max_nodes=max_nodes)
     tried = admitted = 0
     for combo in itertools.product(*axes):
         evaluation = dict(zip(names, combo))
         tried += 1
-        if not well_defined(M, evaluation).ok:
+        try:
+            result = solve_concrete(analysis.system, evaluation)
+        except IllDefinedEvaluationError:
             continue
         admitted += 1
-        result = solve_concrete(analysis.system, evaluation)
         if query.admits(result.target):
             return SynthResult(evaluation, result.target, tried, admitted)
     return SynthResult(None, None, tried, admitted)

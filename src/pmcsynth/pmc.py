@@ -428,6 +428,8 @@ def parse_evaluation(text: str) -> dict[str, Fraction]:
 class WellDefinedReport:
     ok: bool
     problems: tuple[str, ...]
+    # every entry that evaluated without a vanishing denominator
+    values: dict[tuple[int, int], Fraction]
 
 
 def _check_evaluation_keys(M: Pmc, evaluation: Evaluation) -> None:
@@ -440,13 +442,15 @@ def well_defined(M: Pmc, evaluation: Evaluation) -> WellDefinedReport:
     """Does the total evaluation induce a genuine Markov chain on M's support?
 
     Checks every entry for range and nonzero support, and every row sum;
-    collects all violations instead of stopping at the first.
+    collects all violations instead of stopping at the first.  The report
+    carries the evaluated entries, so a caller need not evaluate them again.
     """
     _check_evaluation_keys(M, evaluation)
     missing = [p for p in M.params if p not in evaluation]
     if missing:
         raise ModelError(f"evaluation misses parameters: {', '.join(missing)}")
     problems: list[str] = []
+    values: dict[tuple[int, int], Fraction] = {}
     for s in range(M.n_states()):
         total = Fraction(0)
         for t, f in M.succ(s):
@@ -456,6 +460,7 @@ def well_defined(M: Pmc, evaluation: Evaluation) -> WellDefinedReport:
             except ZeroDenominatorError:
                 problems.append(f"entry {where}: denominator vanishes")
                 continue
+            values[(s, t)] = v
             total += v
             if v == 0:
                 problems.append(f"entry {where} evaluates to 0 but is in the support")
@@ -463,7 +468,7 @@ def well_defined(M: Pmc, evaluation: Evaluation) -> WellDefinedReport:
                 problems.append(f"entry {where} evaluates to {v}, outside [0,1]")
         if total != 1:
             problems.append(f"row {M.states[s]} sums to {total}, not 1")
-    return WellDefinedReport(not problems, tuple(problems))
+    return WellDefinedReport(not problems, tuple(problems), values)
 
 
 def instantiate(M: Pmc, evaluation: Evaluation) -> Pmc:

@@ -388,9 +388,8 @@ def chain_bottom_sccs(M: Pmc) -> tuple[list[frozenset[int]], dict[int, int], lis
 def classify_locally_positive(
     G: ProductGraph,
     partition: SccPartition,
-    use_oracle: bool | None = None,
+    use_oracle: bool = False,
     include_unreachable: bool = False,
-    oracle_budget: int = 200_000,
 ) -> tuple[list[SccRecord], list[SccRecord]]:
     """Fill the classification fields and return (pos, neg).
 
@@ -398,16 +397,11 @@ def classify_locally_positive(
     locally positive (their nodes carry probability zero).  By default only
     SCCs reachable from an initial product node are classified;
     ``include_unreachable`` classifies everything (used for the full
-    equation-system emission).  ``use_oracle``: None picks the SCC-comparison
-    check when the automaton supports it and the survivor-set oracle
-    otherwise; True forces the oracle; False forces the comparison check.
+    equation-system emission).  Completeness is decided by the SCC-comparison
+    check when the automaton supports it and by the survivor-set oracle
+    otherwise; ``use_oracle`` forces the oracle.
     """
-    if use_oracle is None:
-        use_rd = G.rd_report().exactly_one
-    elif use_oracle:
-        use_rd = False
-    else:
-        use_rd = True
+    use_rd = not use_oracle and G.rd_report().exactly_one
     m_sets, m_comp_of, m_bottom = chain_bottom_sccs(G.pmc)
     pos: list[SccRecord] = []
     neg: list[SccRecord] = []
@@ -423,7 +417,7 @@ def classify_locally_positive(
         if use_rd:
             record.complete = is_complete_rd(G, partition, record)
         else:
-            record.complete = is_complete_oracle(G, record, budget=oracle_budget)
+            record.complete = is_complete_oracle(G, record)
         record.locally_positive = (
             record.accepting and record.complete and record.projection_is_bottom
         )

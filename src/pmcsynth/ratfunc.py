@@ -220,19 +220,3 @@ class RationalFunction:
 
 RF_ZERO = RationalFunction(P_ZERO, P_ONE)
 RF_ONE = RationalFunction.make(P_ONE)
-
-
-def rf_add(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    return a + b
-
-
-def rf_mul(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    return a * b
-
-
-def rf_neg(a: RationalFunction) -> RationalFunction:
-    return -a
-
-
-def rf_evaluate(a: RationalFunction, assignment: Mapping[str, Fraction]) -> RationalFunction:
-    return a.evaluate(assignment)

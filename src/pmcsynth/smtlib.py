@@ -15,6 +15,7 @@ every assertion exactly — enough to validate a model without a solver.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -73,8 +74,10 @@ def _sum(terms: list[str]) -> str:
 
 
 def mu_name(system: EquationSystem, node: int) -> str:
+    """``mu_<q>.<state>``: no model identifier contains '.', so a mu symbol
+    never collides with a parameter name."""
     q, s = system.graph.pair(node)
-    return f"mu_{q}_{system.graph.pmc.states[s]}"
+    return f"mu_{q}.{system.graph.pmc.states[s]}"
 
 
 def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
@@ -112,11 +115,14 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
         out(f"(assert (= {_sum([_rf(f) for _, f in row])} 1))")
 
     out("; flow equations")
+    ns = M.n_states()
     for u in range(system.n_nodes()):
-        terms = []
-        for f, node_targets in system.flow[u]:
-            inner = _sum([names[v] for v in node_targets])
-            terms.append(f"(* {_rf(f)} {inner})")
+        s = u % ns
+        # build_product lays out a node's arcs grouped by chain successor
+        terms = [
+            f"(* {_rf(M.trans[(s, t)])} {_sum([names[v] for v in group])})"
+            for t, group in itertools.groupby(G.succ(u), key=lambda v: v % ns)
+        ]
         out(f"(assert (= {names[u]} {_sum(terms)}))")
 
     out("; normalization on locally positive SCCs")
@@ -133,7 +139,7 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
     for n in names:
         out(f"(assert (and (<= 0 {n}) (<= {n} 1)))")
 
-    target = _sum([names[u] for u in system.targets])
+    target = _sum([names[u] for u in G.initial])
     if query is not None:
         lo_op = "<" if query.lo_strict else "<="
         hi_op = "<" if query.hi_strict else "<="

@@ -10,7 +10,6 @@ from pmcsynth.eqsys import (
     QuerySyntaxError,
     analyze,
     build_system,
-    check_pltl,
     parse_pltl,
     solve_concrete,
     synth_grid,
@@ -100,7 +99,6 @@ def test_build_system_shape():
     M, system = branch_system()
     G = system.graph
     assert system.n_nodes() == G.n_nodes()
-    assert system.targets == G.initial
     # normalization rows all belong to locally positive SCCs and group
     # product nodes over a single chain state
     pos_indices = {r.index for r in system.pos}
@@ -236,20 +234,8 @@ def test_analyze_times_and_capacity():
     M = load("branch13.pmc")
     a = analyze(M, parse_formula("F success"))
     assert set(a.times) == {"translate", "product", "scc", "classify"}
-    assert a.system.graph is a.graph
     with pytest.raises(CapacityError):
         analyze(M, parse_formula("F success"), max_nodes=4)
-    with pytest.raises(CapacityError):
-        analyze(M, parse_formula("G F success"), el_cap=1)
-
-
-def test_check_pltl():
-    M = load("branch13.pmc")
-    ok, value, analysis = check_pltl(M, parse_pltl("P >= 1/4 [ F success ]"), {})
-    assert ok and value == F(1, 3)
-    assert "solve" in analysis.times
-    ok, value, _ = check_pltl(M, parse_pltl("P > 1/3 [ F success ]"), {})
-    assert not ok and value == F(1, 3)
 
 
 def test_synth_grid_finds_first_witness():

@@ -132,3 +132,26 @@ def test_mu_names_are_distinct():
     names = [mu_name(system, u) for u in range(system.n_nodes())]
     assert len(names) == len(set(names))
     assert all(n.startswith("mu_") for n in names)
+
+
+def test_parameter_named_like_a_mu_symbol():
+    # a parameter named like node (0, x) under a mu_<q>_<state> spelling
+    M = parse_model(
+        """pmc
+        param mu_0_x in (0, 1);
+        state x {};
+        state y {goal};
+        init x;
+        trans x -> y : mu_0_x;
+        trans x -> x : 1 - mu_0_x;
+        trans y -> y : 1;
+        """
+    )
+    A = translate(parse_formula("F goal"), ap=M.props())
+    system = build_system(build_product(A, M))
+    forms = check_wellformed(emit_smtlib(system, parse_pltl("P >= 1 [ F goal ]")))
+    point = {"mu_0_x": F(1, 2)}
+    result = solve_concrete(system, point, restrict=False)
+    assignment = {mu_name(system, u): v for u, v in result.mu.items()}
+    assert set(assignment).isdisjoint(point)
+    assert evaluate_assertions(forms, {**assignment, **point}) == []
