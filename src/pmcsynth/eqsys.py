@@ -197,9 +197,7 @@ def build_system(
     """Assemble the full system (all nodes, all bottom SCCs, reachable or not)."""
     if partition is None:
         partition = scc_decompose(G)
-    pos, _ = classify_locally_positive(
-        G, partition, use_oracle=use_oracle, include_unreachable=True
-    )
+    pos, _ = classify_locally_positive(G, partition, use_oracle=use_oracle)
     ns = G.n_mc()
     positives = []
     for record in pos:
@@ -239,7 +237,7 @@ def build_system(
 class SolveResult:
     mu: dict[int, Fraction]
     target: Fraction
-    restricted: frozenset[int]
+    restricted: frozenset[int]  # the nodes solved, the keys of mu
 
 
 def _gauss_consistent(rows: list[list[Fraction]], n_vars: int, what: str) -> list[Fraction]:
@@ -274,9 +272,10 @@ def solve_concrete(
 ) -> SolveResult:
     """Exact solution under a total evaluation.
 
-    By default only the forward closure of the initial and positive nodes is
-    solved — enough for the target.  ``restrict=False`` solves every node,
-    which is what a full model for the emitted SMT system needs.
+    By default only the SCCs marked reachable by ``scc_decompose`` are
+    solved — enough for the target, since their successors are reachable
+    too.  ``restrict=False`` solves every node, which is what a full model
+    for the emitted SMT system needs.
     """
     G = system.graph
     report = well_defined(G.pmc, evaluation)
@@ -291,23 +290,6 @@ def solve_concrete(
         s = u % ns
         return [(v, prob[(s, v % ns)]) for v in arcs[offsets[u] : offsets[u + 1]]]
 
-    # restricted node set: forward closure of initial + positive members
-    if restrict:
-        seeds = list(G.initial)
-        for record in system.pos:
-            seeds.extend(record.members)
-        restricted: set[int] = set(seeds)
-        stack = list(restricted)
-        while stack:
-            u = stack.pop()
-            for i in range(offsets[u], offsets[u + 1]):
-                v = arcs[i]
-                if v not in restricted:
-                    restricted.add(v)
-                    stack.append(v)
-    else:
-        restricted = set(range(G.n_nodes()))
-
     zero_set = set(system.zeros)
     pos_rows: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for scc_index, s, nodes in system.positives:
@@ -315,7 +297,7 @@ def solve_concrete(
 
     mu: dict[int, Fraction] = {}
     for record in reversed(system.partition.sccs):  # sinks first
-        if record.members[0] not in restricted:
+        if restrict and not record.reachable:
             continue
         if record.members[0] in zero_set:
             for u in record.members:
@@ -365,7 +347,7 @@ def solve_concrete(
                 "the one the theory promises — this is a bug, not an input error"
             )
     target = sum((mu[u] for u in G.initial), Fraction(0))
-    return SolveResult(mu, target, frozenset(restricted))
+    return SolveResult(mu, target, frozenset(mu))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ edge with letter a into V belongs to it iff (V, a) |= psi2 or (V, a) |= not
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .ltl import (
@@ -412,11 +412,3 @@ def dump(A: Gba) -> str:
         lines.append(f"acc {k}: " + " ".join(str(i) for i in ids))
     return "\n".join(lines) + "\n"
 
-
-def with_initial(A: Gba, states: Iterable[int]) -> Gba:
-    """Same automaton re-rooted at the given states."""
-    init = tuple(sorted(set(states)))
-    for q in init:
-        if not 0 <= q < len(A.states):
-            raise GbaError(f"no state {q}")
-    return replace(A, initial=init)

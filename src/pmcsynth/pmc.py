@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .ratfunc import (
     RationalFunction,
@@ -489,27 +489,6 @@ def instantiate(M: Pmc, evaluation: Evaluation) -> Pmc:
         trans[key] = g
     params = {k: v for k, v in M.params.items() if k not in evaluation}
     return Pmc(M.states, M.labels, M.initial, params, trans)
-
-
-def underlying_graph(M: Pmc) -> dict[int, tuple[int, ...]]:
-    """Support adjacency: s -> sorted tuple of t with a stored (s,t) entry."""
-    return {s: tuple(t for t, _ in M.succ(s)) for s in range(M.n_states())}
-
-
-def cylinder_prob(M: Pmc, evaluation: Evaluation, path: Sequence[str | int]) -> Fraction:
-    """Probability of the cylinder set of a finite path, from the initial state."""
-    ids = [p if isinstance(p, int) else M.index(p) for p in path]
-    if not ids:
-        return Fraction(1)
-    if ids[0] != M.initial:
-        return Fraction(0)
-    prob = Fraction(1)
-    for a, b in zip(ids, ids[1:]):
-        f = M.trans.get((a, b))
-        if f is None:
-            return Fraction(0)
-        prob *= f.evaluate(evaluation).value()
-    return prob
 
 
 def imc_to_pmc(I: Imc) -> Pmc:

@@ -14,6 +14,10 @@ An SCC C is classified
   * locally positive — accepting, complete, and H(C) is a bottom SCC of the
                       chain.
 
+Classification decides completeness only for SCCs that are accepting and
+project onto a bottom SCC of the chain, the only ones where it can change
+the verdict.
+
 Completeness has two deciders: ``is_complete_oracle`` (survivor-set subset
 construction, always correct, worst-case exponential, budgeted) and
 ``is_complete_rd`` (SCC comparison, linear, sound exactly when the
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable
 
 from .gba import CapacityError, Gba, RdReport, check_reverse_deterministic
 from .pmc import Pmc
@@ -137,6 +140,11 @@ def build_product(A: Gba, M: Pmc, max_nodes: int = 5_000_000) -> ProductGraph:
 
 @dataclass
 class SccRecord:
+    """One SCC of the product.  ``scc_decompose`` fills the structural
+    fields; ``classify_locally_positive`` fills the verdicts, leaving
+    ``complete`` None where the SCC is not accepting or its projection is
+    not a bottom SCC of the chain."""
+
     index: int  # position in topological order (arcs go to higher indices)
     members: tuple[int, ...]
     projection: frozenset[int]
@@ -389,46 +397,37 @@ def classify_locally_positive(
     G: ProductGraph,
     partition: SccPartition,
     use_oracle: bool = False,
-    include_unreachable: bool = False,
 ) -> tuple[list[SccRecord], list[SccRecord]]:
-    """Fill the classification fields and return (pos, neg).
+    """Fill the classification fields of every SCC and return (pos, neg).
 
     pos: locally positive SCCs; neg: bottom SCCs of the product that are not
-    locally positive (their nodes carry probability zero).  By default only
-    SCCs reachable from an initial product node are classified;
-    ``include_unreachable`` classifies everything (used for the full
-    equation-system emission).  Completeness is decided by the SCC-comparison
-    check when the automaton supports it and by the survivor-set oracle
-    otherwise; ``use_oracle`` forces the oracle.
+    locally positive (their nodes carry probability zero).  Both include
+    unreachable SCCs; filter on ``reachable`` for the initial state's view.
+    ``accepting`` and ``projection_is_bottom`` are decided for every SCC,
+    ``complete`` only where both hold (elsewhere it stays None): by the
+    SCC-comparison check when the automaton supports it and by the
+    survivor-set oracle otherwise; ``use_oracle`` forces the oracle.
     """
     use_rd = not use_oracle and G.rd_report().exactly_one
     m_sets, m_comp_of, m_bottom = chain_bottom_sccs(G.pmc)
     pos: list[SccRecord] = []
     neg: list[SccRecord] = []
     for record in partition.sccs:
-        if not (record.reachable or include_unreachable):
-            continue
         record.accepting = is_accepting(G, record)
         some_state = next(iter(record.projection))
         mci = m_comp_of[some_state]
         record.projection_is_bottom = (
             m_bottom[mci] and record.projection == m_sets[mci]
         )
-        if use_rd:
-            record.complete = is_complete_rd(G, partition, record)
-        else:
-            record.complete = is_complete_oracle(G, record)
-        record.locally_positive = (
-            record.accepting and record.complete and record.projection_is_bottom
-        )
+        record.locally_positive = False
+        if record.accepting and record.projection_is_bottom:
+            if use_rd:
+                record.complete = is_complete_rd(G, partition, record)
+            else:
+                record.complete = is_complete_oracle(G, record)
+            record.locally_positive = record.complete
         if record.locally_positive:
             pos.append(record)
         elif record.bottom:
             neg.append(record)
     return pos, neg
-
-
-def qualitative_nonzero(pos: Iterable[SccRecord]) -> bool:
-    """Is the measure of the automaton's language positive from the initial
-    state?  Exactly when some reachable locally positive SCC exists."""
-    return any(True for _ in pos)

@@ -8,7 +8,8 @@ remaining bottom SCCs, mu range bounds, and — when a query is given — the
 membership of the target sum in the probability interval.
 
 ``check_wellformed`` parses the script back (balanced s-expressions, known
-commands, every symbol declared before use, sane operator arities).
+commands, no reserved word declared, every symbol declared before use, sane
+operator arities).
 ``evaluate_assertions`` substitutes a full rational assignment and decides
 every assertion exactly — enough to validate a model without a solver.
 """
@@ -89,6 +90,8 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
     out(f"; product of {len(G.gba.states)} automaton states x {M.n_states()} chain states")
 
     for name in sorted(M.params):
+        if name in _RESERVED:
+            raise SmtlibError(f"parameter {name!r} is a reserved word of SMT-LIB")
         out(f"(declare-const {name} Real)")
     names = [mu_name(system, u) for u in range(system.n_nodes())]
     for n in names:
@@ -104,6 +107,7 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
             op = "<" if p.upper_strict else "<="
             out(f"(assert ({op} {name} {_frac(p.upper)}))")
 
+    rendered = {key: _rf(f) for key, f in M.trans.items()}
     out("; support positivity and row sums")
     for s in range(M.n_states()):
         row = M.succ(s)
@@ -111,8 +115,8 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
             continue
         for t, f in row:
             if not f.is_const:
-                out(f"(assert (> {_rf(f)} 0))")
-        out(f"(assert (= {_sum([_rf(f) for _, f in row])} 1))")
+                out(f"(assert (> {rendered[(s, t)]} 0))")
+        out(f"(assert (= {_sum([rendered[(s, t)] for t, _ in row])} 1))")
 
     out("; flow equations")
     ns = M.n_states()
@@ -120,7 +124,7 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
         s = u % ns
         # build_product lays out a node's arcs grouped by chain successor
         terms = [
-            f"(* {_rf(M.trans[(s, t)])} {_sum([names[v] for v in group])})"
+            f"(* {rendered[(s, t)]} {_sum([names[v] for v in group])})"
             for t, group in itertools.groupby(G.succ(u), key=lambda v: v % ns)
         ]
         out(f"(assert (= {names[u]} {_sum(terms)}))")
@@ -207,6 +211,12 @@ def parse_script(text: str) -> list[Sexpr]:
 
 
 _OPERATORS = {"+", "-", "*", "/", "=", "<", "<=", ">", ">=", "and", "or", "not", "ite"}
+# symbols a script may not declare: the operators, SMT-LIB's reserved words
+# and the other predefined symbols of its core theory
+_RESERVED = _OPERATORS | {
+    "true", "false", "let", "forall", "exists", "match", "par", "as", "_", "!", "xor", "=>",
+    "distinct",
+}
 _COMMANDS = {
     "set-logic",
     "set-info",
@@ -268,20 +278,15 @@ def check_wellformed(text: str) -> list[Sexpr]:
         cmd = form[0]
         if cmd not in _COMMANDS:
             raise SmtlibError(f"unknown command {cmd!r}")
-        if cmd == "declare-const":
-            if len(form) != 3 or not isinstance(form[1], str) or form[2] != "Real":
-                raise SmtlibError(f"malformed declare-const: {form!r}")
-            if form[1] in declared:
-                raise SmtlibError(f"{form[1]!r} declared twice")
-            declared.add(form[1])
-        elif cmd == "declare-fun":
-            if (
-                len(form) != 4
-                or not isinstance(form[1], str)
-                or form[2] != []
-                or form[3] != "Real"
-            ):
-                raise SmtlibError(f"malformed declare-fun: {form!r}")
+        if cmd in ("declare-const", "declare-fun"):
+            if cmd == "declare-const":
+                ok = len(form) == 3 and form[2] == "Real"
+            else:
+                ok = len(form) == 4 and form[2] == [] and form[3] == "Real"
+            if not ok or not isinstance(form[1], str):
+                raise SmtlibError(f"malformed {cmd}: {form!r}")
+            if form[1] in _RESERVED:
+                raise SmtlibError(f"{cmd} of the reserved symbol {form[1]!r}")
             if form[1] in declared:
                 raise SmtlibError(f"{form[1]!r} declared twice")
             declared.add(form[1])

@@ -217,6 +217,21 @@ def test_synth_emit_only(capsys, tmp_path):
     assert "(check-sat)" in text
 
 
+def test_synth_emit_rejects_reserved_parameter(capsys, tmp_path):
+    model = tmp_path / "reserved.pmc"
+    model.write_text(
+        "pmc\nparam true in (0, 1);\nstate s;\nstate t {goal};\ninit s;\n"
+        "trans s -> t : true;\ntrans s -> s : 1 - true;\ntrans t -> t : 1;\n"
+    )
+    target = tmp_path / "sys.smt2"
+    code, _, err = run(
+        capsys, "synth", "-m", str(model), "-q", "P >= 1 [ F goal ]", "-o", str(target)
+    )
+    assert code == 3
+    assert "'true'" in err
+    assert not target.exists()
+
+
 def _fake_solver(tmp_path, body):
     path = tmp_path / "solver.sh"
     path.write_text("#!/bin/sh\n" + body)

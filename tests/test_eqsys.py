@@ -146,6 +146,9 @@ def test_restrict_false_extends_restricted_solution():
     assert len(full.mu) == system.n_nodes()
     for u, v in partial.mu.items():
         assert full.mu[u] == v
+    assert partial.restricted == {
+        u for r in system.partition.sccs if r.reachable for u in r.members
+    }
 
 
 def test_degenerate_self_loop_over_absorbing_state():

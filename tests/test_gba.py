@@ -13,7 +13,6 @@ from pmcsynth.gba import (
     make_gba,
     sat_relation,
     translate,
-    with_initial,
 )
 from pmcsynth.ltl import (
     LassoWord,
@@ -204,15 +203,6 @@ def test_accepts_lasso_agrees_with_semantics():
         for _ in range(8):
             w = random_lasso(rng)
             assert accepts_lasso(A, w) == eval_lasso(f, w), (f, w)
-
-
-def test_with_initial():
-    A = _loop_automaton()
-    B = with_initial(A, [2])
-    assert B.initial == (2,)
-    assert B.transitions == A.transitions
-    with pytest.raises(GbaError):
-        with_initial(A, [99])
 
 
 def test_dump_shape():

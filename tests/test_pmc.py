@@ -10,12 +10,10 @@ from pmcsynth.pmc import (
     Param,
     Pmc,
     SupportError,
-    cylinder_prob,
     imc_to_pmc,
     instantiate,
     parse_evaluation,
     parse_model,
-    underlying_graph,
     well_defined,
 )
 
@@ -236,18 +234,3 @@ def test_instantiate_support_error():
         instantiate(M, {"eps": Fraction(1, 2)})
     N = instantiate(M, {"eps": Fraction(1, 4)})
     assert N.trans[(0, 1)].value() == Fraction(3, 4)
-
-
-def test_underlying_graph():
-    M = parse_model(COIN)
-    assert underlying_graph(M) == {0: (1, 2), 1: (1,), 2: (2,)}
-
-
-def test_cylinder_prob():
-    M = parse_model(COIN)
-    ev = {"p": Fraction(1, 3)}
-    assert cylinder_prob(M, ev, []) == 1
-    assert cylinder_prob(M, ev, ["s", "h"]) == Fraction(1, 3)
-    assert cylinder_prob(M, ev, ["s", "t", "t"]) == Fraction(2, 3)
-    assert cylinder_prob(M, ev, ["h"]) == 0  # not the initial state
-    assert cylinder_prob(M, ev, ["s", "s"]) == 0  # no such edge

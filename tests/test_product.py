@@ -15,7 +15,6 @@ from pmcsynth.product import (
     is_accepting,
     is_complete_oracle,
     is_complete_rd,
-    qualitative_nonzero,
     scc_decompose,
 )
 
@@ -132,8 +131,8 @@ def test_classification_on_branching_chain():
     part = scc_decompose(G)
     pos, neg = classify_locally_positive(G, part)
     ok = M.index("ok")
-    assert [r.projection for r in pos] == [frozenset({ok})]
-    assert qualitative_nonzero(pos)
+    assert [r.projection for r in pos if r.reachable] == [frozenset({ok})]
+    assert any(r.reachable for r in pos)
     # the failure state's bottom SCC is not accepting
     bad = M.index("bad")
     assert any(r.projection == frozenset({bad}) for r in neg)
@@ -155,6 +154,14 @@ def test_rd_and_survivor_deciders_agree_on_tableau_products(rng):
                         text,
                         r.members,
                     )
+                # completeness is decided exactly where the verdict needs it
+                classify_locally_positive(G, part)
+                for r in part.sccs:
+                    assert r.locally_positive == (
+                        r.accepting and r.projection_is_bottom and is_complete_oracle(G, r)
+                    ), (text, r.members)
+                    if not (r.accepting and r.projection_is_bottom):
+                        assert r.complete is None, (text, r.members)
 
 
 def loop_pair_product():
@@ -196,7 +203,7 @@ def test_classify_falls_back_to_survivor_oracle():
     G, part = loop_pair_product()
     pos, neg = classify_locally_positive(G, part)
     assert pos == []
-    assert not qualitative_nonzero(pos)
+    assert not any(r.reachable for r in pos)
     c1 = _scc_by_projection(G, part, ["x", "y"])
     assert c1.accepting and not c1.complete and not c1.projection_is_bottom
     c2 = _scc_by_projection(G, part, ["z", "w"])
@@ -212,7 +219,7 @@ def test_is_accepting_covers_all_sets():
     # x and y recur only in the chain SCC {x, y}, which is not bottom, so
     # nothing is locally positive; but some SCC still satisfies both
     # acceptance sets in its cycles
-    assert pos == []
+    assert [r for r in pos if r.reachable] == []
     assert any(r.accepting for r in part.nontrivial() if r.reachable is not None)
     # classified records carry the same verdict as the standalone decider
     for r in part.sccs:

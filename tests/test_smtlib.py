@@ -47,6 +47,9 @@ def test_check_wellformed_rejects_garbage():
         "(declare-const x Real) (assert (not x x))",  # 'not' arity
         "(declare-const x Real) (assert (/ x))",  # '/' arity
         "(declare-const x Real) (assert (ite x x))",  # 'ite' arity
+        "(declare-const and Real)",  # an operator
+        "(declare-fun true () Real)",  # a core constant
+        "(declare-const distinct Real)",  # a core symbol
     ]
     for text in cases:
         with pytest.raises(SmtlibError):
