@@ -7,6 +7,13 @@ ill-defined, so every admitted evaluation induces a chain with the same
 underlying graph.  An IMC gives closed probability intervals per transition
 and converts to a PMC with one parameter per interval.
 
+``parse_model`` reads a file in one pass: the tokenizer is one compiled
+regular expression whose matches stream to the parser with one token of
+lookahead, so no token list is kept.  Every ``.pmc`` row is checked to sum to
+1 as a rational function (constant rows as Fractions, the others by an exact
+symbolic sum grouped by denominator); ``imc_to_pmc`` rows are range
+constraints and are not checked that way.
+
 File format (line comments with #, statements end with ';'):
 
     pmc
@@ -23,11 +30,17 @@ File format (line comments with #, statements end with ';'):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .ratfunc import (
+    P_ONE,
+    RF_ONE,
+    RF_ZERO,
+    Monomial,
+    Polynomial,
     RationalFunction,
     RatFuncError,
     ZeroDenominatorError,
@@ -136,61 +149,45 @@ class Imc:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = ("->", ";", ":", ",", "{", "}", "(", ")", "[", "]", "+", "-", "*", "/")
+_TOKEN = re.compile(
+    r"(?P<skip>(?:\s|#[^\n]*)+)"
+    r"|(?P<sym>->|[;:,{}()\[\]+\-*/])"
+    r"|(?P<num>\d+(?:\.\d*)?)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(text: str) -> Iterator[tuple[str, str]]:
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("->", i):
-            yield ("sym", "->")
-            i += 2
-            continue
-        if c in ";:,{}()[]+-*/":
-            yield ("sym", c)
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            yield ("num", text[i:j])
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            yield ("ident", text[i:j])
-            i = j
-            continue
-        raise ModelSyntaxError(f"unexpected character {c!r}")
+        v = m.group()
+        # [^\W\d] also admits numeric characters such as '½'; a name starts
+        # with a letter or '_'
+        if kind == "bad" or (kind == "ident" and not (v[0].isalpha() or v[0] == "_")):
+            raise ModelSyntaxError(f"unexpected character {v[0]!r}")
+        yield (kind, v)
     yield ("eof", "")
 
 
 class _Tokens:
+    """The token stream with one token of lookahead; at the end, every
+    further take() returns eof again."""
+
     def __init__(self, text: str):
-        self.toks = list(_tokenize(text))
-        self.pos = 0
+        self._toks = _tokenize(text)
+        self._next = next(self._toks)
 
     def peek(self) -> tuple[str, str]:
-        return self.toks[self.pos]
+        return self._next
 
     def take(self) -> tuple[str, str]:
-        t = self.toks[self.pos]
-        self.pos += 1
+        t = self._next
+        if t[0] != "eof":
+            self._next = next(self._toks)
         return t
 
     def expect(self, value: str) -> None:
@@ -260,6 +257,7 @@ def parse_model(text: str) -> Pmc | Imc:
 
     params: dict[str, Param] = {}
     states: list[str] = []
+    idx: dict[str, int] = {}
     labels: list[frozenset[str]] = []
     init_name: str | None = None
     # raw transition statements, processed after all declarations are known
@@ -278,20 +276,20 @@ def parse_model(text: str) -> Pmc | Imc:
             if kw != "in":
                 raise ModelSyntaxError(f"expected 'in', found {kw!r}")
             open_b = tk.take()[1]
-            if open_b not in "([":
+            if open_b not in ("(", "["):
                 raise ModelSyntaxError("expected '(' or '[' for the parameter range")
             lo = _parse_const(tk)
             tk.expect(",")
             hi = _parse_const(tk)
             close_b = tk.take()[1]
-            if close_b not in ")]":
+            if close_b not in (")", "]"):
                 raise ModelSyntaxError("expected ')' or ']' after the parameter range")
             if lo > hi or (lo == hi and (open_b == "(" or close_b == ")")):
                 raise ModelSyntaxError(f"empty range for parameter {name!r}")
             params[name] = Param(name, lo, hi, open_b == "(", close_b == ")")
         elif word == "state":
             name = tk.ident()
-            if name in states:
+            if name in idx:
                 raise ModelSyntaxError(f"state {name!r} declared twice")
             props: set[str] = set()
             if tk.peek()[1] == "{":
@@ -301,6 +299,7 @@ def parse_model(text: str) -> Pmc | Imc:
                     if tk.peek()[1] == ",":
                         tk.take()
                 tk.expect("}")
+            idx[name] = len(states)
             states.append(name)
             labels.append(frozenset(props))
         elif word == "init":
@@ -329,9 +328,8 @@ def parse_model(text: str) -> Pmc | Imc:
         raise ModelSyntaxError("no states declared")
     if init_name is None:
         raise ModelSyntaxError("missing init statement")
-    if init_name not in states:
+    if init_name not in idx:
         raise ModelSyntaxError(f"init state {init_name!r} not declared")
-    idx = {name: i for i, name in enumerate(states)}
 
     if kind == "pmc":
         trans: dict[tuple[int, int], RationalFunction] = {}
@@ -372,8 +370,7 @@ def parse_model(text: str) -> Pmc | Imc:
             continue  # certainly-zero transition: same as absent
         lower[key], upper[key] = lo, hi
     imc = Imc(tuple(states), tuple(labels), idx[init_name], lower, upper)
-    for s in range(len(states)):
-        row = [(a, b) for (a, b) in upper if a == s]
+    for s, row in enumerate(_rows(len(states), upper)):
         if not row:
             raise ModelSyntaxError(f"state {states[s]} has no outgoing transition")
         lo_sum = sum((lower[k] for k in row), Fraction(0))
@@ -384,6 +381,14 @@ def parse_model(text: str) -> Pmc | Imc:
                 f"(lower sum {lo_sum}, upper sum {hi_sum})"
             )
     return imc
+
+
+def _rows(n: int, keys: Iterable[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """The transition keys grouped by source state, each row sorted."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for key in sorted(keys):
+        rows[key[0]].append(key)
+    return rows
 
 
 def _validate_rows(M: Pmc) -> None:
@@ -397,6 +402,29 @@ def _validate_rows(M: Pmc) -> None:
                 raise ModelSyntaxError(
                     f"state {M.states[s]}: constant row sums to {total}, not 1"
                 )
+        elif _row_sum(f for _, f in row) != RF_ONE:
+            raise ModelSyntaxError(f"state {M.states[s]}: row does not sum to 1")
+
+
+def _row_sum(fs: Iterable[RationalFunction]) -> RationalFunction:
+    """Sum of the entries, grouped by denominator.
+
+    Numerators over one denominator are added term by term in one dict, and
+    constant denominators join the group over 1 by scaling their numerators,
+    so a row of n entries over one denominator costs no polynomial product.
+    """
+    groups: dict[Polynomial, dict[Monomial, Fraction]] = {}
+    for f in fs:
+        num, den = f.num, f.den
+        if den.is_const:
+            num, den = num.scale(1 / den.const_value()), P_ONE
+        acc = groups.setdefault(den, {})
+        for m, c in num.terms:
+            acc[m] = acc.get(m, 0) + c
+    total = RF_ZERO
+    for den, acc in groups.items():
+        total = total + RationalFunction.make(Polynomial._from_dict(acc), den)
+    return total
 
 
 def parse_evaluation(text: str) -> dict[str, Fraction]:
@@ -495,8 +523,7 @@ def imc_to_pmc(I: Imc) -> Pmc:
     """One closed-interval parameter per transition; row feasibility rechecked."""
     params: dict[str, Param] = {}
     trans: dict[tuple[int, int], RationalFunction] = {}
-    for s in range(I.n_states()):
-        row = sorted(k for k in I.upper if k[0] == s)
+    for s, row in enumerate(_rows(I.n_states(), I.upper)):
         lo_sum = sum((I.lower[k] for k in row), Fraction(0))
         hi_sum = sum((I.upper[k] for k in row), Fraction(0))
         if lo_sum > 1 or hi_sum < 1:

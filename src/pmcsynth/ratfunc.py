@@ -7,14 +7,15 @@ function is a pair of polynomials normalized by the scalar content (the gcd
 of all coefficients of numerator and denominator together) and by the sign
 of the denominator's leading term; no polynomial gcd is computed, so two
 representations of the same function may differ structurally — equality is
-decided by cross-multiplication.
+decided by cross-multiplication.  The content is divided out by scaling each
+coefficient (``Polynomial.scale``), which keeps the monomials and their order,
+and not at all when it is already 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from typing import Mapping
 
@@ -83,7 +84,17 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
+    def scale(self, c: Fraction) -> "Polynomial":
+        """Every coefficient times c; the monomials and their order stay."""
+        if not c:
+            return P_ZERO
+        return Polynomial(tuple((m, a * c) for m, a in self.terms))
+
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        if len(self.terms) == 1 and self.terms[0][0] == ():
+            return other.scale(self.terms[0][1])
+        if len(other.terms) == 1 and other.terms[0][0] == ():
+            return self.scale(other.terms[0][1])
         d: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
@@ -127,15 +138,6 @@ P_ZERO = Polynomial(())
 P_ONE = Polynomial.const(1)
 
 
-def _content(p: Polynomial) -> Fraction:
-    """gcd of |coefficients| as a positive rational; 0 for the zero polynomial."""
-    if p.is_zero:
-        return Fraction(0)
-    g = reduce(gcd, (c.numerator for _, c in p.terms))
-    l = reduce(lcm, (c.denominator for _, c in p.terms))
-    return Fraction(abs(g), l)
-
-
 @dataclass(frozen=True, eq=False)
 class RationalFunction:
     num: Polynomial
@@ -143,16 +145,24 @@ class RationalFunction:
 
     @staticmethod
     def make(num: Polynomial, den: Polynomial = P_ONE) -> "RationalFunction":
+        """num/den with the joint content divided out and den's leading
+        coefficient positive; both are scaled coefficient by coefficient, and
+        returned as given when that factor is already 1."""
         if den.is_zero:
             raise ZeroDenominatorError("rational function with zero denominator")
         if num.is_zero:
             return RationalFunction(P_ZERO, P_ONE)
-        cn, cd = _content(num), _content(den)
-        g = Fraction(gcd(cn.numerator, cd.numerator), lcm(cn.denominator, cd.denominator))
+        coeffs = [c for _, c in num.terms] + [c for _, c in den.terms]
+        # the joint content is top/bottom, in lowest terms since every
+        # coefficient is
+        top = gcd(*(c.numerator for c in coeffs))
+        bottom = lcm(*(c.denominator for c in coeffs))
         if den.terms[0][1] < 0:
-            g = -g
-        inv = Polynomial.const(1 / g)
-        return RationalFunction(num * inv, den * inv)
+            bottom = -bottom
+        if top == 1 and bottom == 1:
+            return RationalFunction(num, den)
+        inv = Fraction(bottom, top)
+        return RationalFunction(num.scale(inv), den.scale(inv))
 
     @staticmethod
     def const(value) -> "RationalFunction":

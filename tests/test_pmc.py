@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from pmcsynth.modelgen import crowds_like, random_mc
 from pmcsynth.pmc import (
     Imc,
     InfeasibleRowError,
@@ -15,7 +19,10 @@ from pmcsynth.pmc import (
     parse_evaluation,
     parse_model,
     well_defined,
+    _Tokens,
+    _tokenize,
 )
+from pmcsynth.ratfunc import RF_ONE, RationalFunction
 
 COIN = """
 pmc
@@ -77,6 +84,13 @@ def test_parse_comments_and_fractions():
         ("pmc\nstate s;\ninit s;\ntrans s -> s : 1;\ntrans s -> s : 1;", "given twice"),
         ("pmc\nstate s;\ninit s;\ninit s;\ntrans s -> s : 1;", "more than one init"),
         ("imc\nparam p in (0,1);\nstate s;\ninit s;", "do not declare"),
+        (
+            "pmc\nparam e in (-1/2, 1/2);\nstate s;\nstate t;\ninit s;\n"
+            "trans s -> t : 1/2 + e;\ntrans s -> s : 1/2;\ntrans t -> t : 1;",
+            "state s: row does not sum to 1",
+        ),
+        ("pmc\nparam p in", "for the parameter range"),
+        ("pmc\nstate s;\ninit s;\ntrans s -> s : 1; !", "unexpected character '!'"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -144,7 +158,8 @@ def test_imc_to_pmc():
         """
     )
     M = imc_to_pmc(I)
-    assert set(M.params) == {"p_s_t", "p_s_s", "p_t_t"}
+    # rows in state order, each sorted by target: s -> s before s -> t
+    assert list(M.params) == ["p_s_s", "p_s_t", "p_t_t"]
     p = M.params["p_s_t"]
     assert (p.lower, p.upper) == (Fraction(1, 5), Fraction(7, 10))
     assert not p.lower_strict and not p.upper_strict
@@ -187,18 +202,36 @@ def test_well_defined():
         well_defined(M, {"p": Fraction(1, 2), "q": Fraction(1, 2)})
 
 
-def test_well_defined_row_sum():
+def test_symbolic_row_sums_accepted():
     M = parse_model(
         """
         pmc
         param p in (0, 1);
+        param q in (0, 1);
         state s;
         state t;
+        state u;
         init s;
-        trans s -> t : p;
-        trans s -> s : p;
-        trans t -> t : 1;
+        trans s -> t : p / (1 + p) - q / 4;
+        trans s -> u : 1 / (2 + 2*p);
+        trans s -> s : 1 / (2 + 2*p) + 1/8*q + (q)/(8);
+        trans t -> t : 1/3 + 2*p/3 - 2/3*p;
+        trans t -> u : (2 - p*p) / 3 + p*p / 3;
+        trans u -> u : 1;
         """
+    )
+    assert len(M.trans) == 6
+
+
+def test_well_defined_row_sum():
+    # a row of p + p breaks the parse-time row-sum check, so build it directly
+    p = RationalFunction.var("p")
+    M = Pmc(
+        ("s", "t"),
+        (frozenset(), frozenset()),
+        0,
+        {"p": Param("p", Fraction(0), Fraction(1), True, True)},
+        {(0, 1): p, (0, 0): p, (1, 1): RF_ONE},
     )
     rep = well_defined(M, {"p": Fraction(1, 3)})
     assert not rep.ok
@@ -234,3 +267,116 @@ def test_instantiate_support_error():
         instantiate(M, {"eps": Fraction(1, 2)})
     N = instantiate(M, {"eps": Fraction(1, 4)})
     assert N.trans[(0, 1)].value() == Fraction(3, 4)
+
+
+def _reference_tokenize(text):
+    """The character-by-character tokenizer that the regex one replaced."""
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c.isspace():
+            i += 1
+            continue
+        if text.startswith("->", i):
+            yield ("sym", "->")
+            i += 2
+            continue
+        if c in ";:,{}()[]+-*/":
+            yield ("sym", c)
+            i += 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == ".":
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            yield ("num", text[i:j])
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            yield ("ident", text[i:j])
+            i = j
+            continue
+        raise ModelSyntaxError(f"unexpected character {c!r}")
+    yield ("eof", "")
+
+
+def _tokens_then_error(tokenize, text):
+    out = []
+    try:
+        for tok in tokenize(text):
+            out.append(tok)
+    except ModelSyntaxError as exc:
+        out.append(str(exc))
+    return out
+
+
+# pieces of tokens, every symbol, whitespace (also Unicode's), comments, a
+# non-ASCII letter and decimal digit, and characters no token starts with
+_TEXT = st.lists(
+    st.sampled_from(
+        ["0", "12", "3.", "4.5", "1.2.3", ".", "a", "b_2", "p.q", "_", "Zé", "٣", "->"]
+        + list(";:,{}()[]+-*/>")
+        + [" ", "\t", "\n", "\r", "\u00a0", "\u2028", "#", "# c;"]
+        + ["!", "½", "$"]
+    ),
+    max_size=30,
+).map("".join)
+
+
+@given(_TEXT)
+@example("x 3.;p.q ½a 1.2.3")
+@example("a#b\n->-> ٣é")
+def test_tokenize_matches_reference(text):
+    assert _tokens_then_error(_tokenize, text) == _tokens_then_error(_reference_tokenize, text)
+
+
+def test_non_decimal_digits_are_unexpected_characters():
+    # the old tokenizer read '²' as a number, which Fraction then refused
+    # with a ValueError; it is now a syntax error like any stray character
+    assert list(_reference_tokenize("1²")) == [("num", "1²"), ("eof", "")]
+    with pytest.raises(ModelSyntaxError, match="unexpected character '²'"):
+        list(_tokenize("1²"))
+
+
+def test_tokens_stream_with_one_lookahead():
+    tk = _Tokens("state s ; ! never read")
+    assert tk.take() == ("ident", "state")
+    assert tk.peek() == ("ident", "s")
+    assert tk.take() == ("ident", "s")  # the lookahead moves onto ';'
+    with pytest.raises(ModelSyntaxError, match="unexpected character '!'"):
+        tk.take()  # ';', and the lookahead would move onto '!'
+    tk = _Tokens("x")
+    assert [tk.take() for _ in range(3)] == [("ident", "x"), ("eof", ""), ("eof", "")]
+
+
+def _pmc_text(M: Pmc) -> str:
+    lines = ["pmc"] + [f"param {p.name} in {p.bounds_str()};" for p in M.params.values()]
+    lines += [f"state {s} {{{', '.join(sorted(ls))}}};" for s, ls in zip(M.states, M.labels)]
+    lines.append(f"init {M.states[M.initial]};")
+    lines += [f"trans {M.states[a]} -> {M.states[b]} : {f};" for (a, b), f in M.trans.items()]
+    return "\n".join(lines)
+
+
+@given(st.integers(0, 2**32), st.booleans())
+def test_written_models_parse_back(seed, crowds):
+    rng = random.Random(seed)
+    if crowds:
+        M = crowds_like(rng.randint(1, 3), rng.randint(1, 4), 1)
+    else:
+        M = random_mc(rng, rng.randint(1, 12), max_branching=4)
+    N = parse_model(_pmc_text(M))
+    assert (N.states, N.labels, N.initial, N.params) == (M.states, M.labels, M.initial, M.params)
+    assert list(N.trans) == list(M.trans)
+    for key, f in M.trans.items():
+        assert (N.trans[key].num.terms, N.trans[key].den.terms) == (f.num.terms, f.den.terms)

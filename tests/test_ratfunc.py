@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from pmcsynth.ratfunc import (
     RationalFunction,
     RatFuncError,
     ZeroDenominatorError,
+    _merge,
 )
 
 
@@ -126,3 +129,61 @@ def test_str_forms():
     assert str(x * x - P_ONE) == "-1 + x^2"
     r = RationalFunction.make(P_ONE, x)
     assert str(r) == "(1)/(x)"
+
+
+def _reference_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """The general dict/merge/sort product, with no constant shortcut."""
+    d = {}
+    for m1, c1 in p.terms:
+        for m2, c2 in q.terms:
+            m = _merge(m1, m2)
+            d[m] = d.get(m, Fraction(0)) + c1 * c2
+    return Polynomial(tuple(sorted((m, c) for m, c in d.items() if c != 0)))
+
+
+def _reference_content(p: Polynomial) -> Fraction:
+    """gcd of |coefficients| as a positive rational, polynomial by polynomial."""
+    top = reduce(gcd, (c.numerator for _, c in p.terms))
+    bottom = reduce(lcm, (c.denominator for _, c in p.terms))
+    return Fraction(abs(top), bottom)
+
+
+def _reference_make(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """Normalisation by multiplying both sides with the constant 1/g."""
+    if num.is_zero:
+        return RationalFunction(P_ZERO, P_ONE)
+    cn, cd = _reference_content(num), _reference_content(den)
+    g = Fraction(gcd(cn.numerator, cd.numerator), lcm(cn.denominator, cd.denominator))
+    if den.terms[0][1] < 0:
+        g = -g
+    inv = Polynomial.const(1 / g)
+    return RationalFunction(_reference_mul(num, inv), _reference_mul(den, inv))
+
+
+def _structure(p: Polynomial):
+    assert all(type(c) is Fraction for _, c in p.terms)
+    return p.terms
+
+
+_SCALES = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+_Y = Polynomial.var("y")
+
+
+@given(st.data())
+def test_make_matches_reference_normalisation(data):
+    f, g = _rf(data), _rf(data)
+    a, b = data.draw(_SCALES), data.draw(_SCALES.filter(bool))
+    num = _reference_mul(_reference_mul(f.num, g.num + _Y), Polynomial.const(a))
+    den = _reference_mul(_reference_mul(f.den, g.den), Polynomial.const(b))
+    got, want = RationalFunction.make(num, den), _reference_make(num, den)
+    assert _structure(got.num) == _structure(want.num)
+    assert _structure(got.den) == _structure(want.den)
+
+
+@given(st.data())
+def test_product_matches_reference(data):
+    f, g = _rf(data), _rf(data)
+    c = Polynomial.const(data.draw(_SCALES))
+    pairs = ((f.num, g.den + _Y), (f.den, g.num), (c, f.den + _Y), (g.num, c), (c, c))
+    for p, q in pairs:
+        assert _structure(p * q) == _structure(_reference_mul(p, q))
