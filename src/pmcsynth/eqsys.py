@@ -16,19 +16,25 @@ the sum of mu over initial product nodes.
 The system reads its arcs straight off the product's CSR arrays: the
 coefficient of the arc (q,s) -> (q',s') is P(s,s').  Concrete evaluations
 are solved exactly over Fractions, block per SCC along the condensation
-(sinks first), substituting solved blocks into earlier ones; uniqueness and
-consistency are checked per block rather than assumed.
+(sinks first), substituting solved blocks into earlier ones.  A single
+transient node is solved directly from its self-loop.  Every other block is
+a sparse system of {column: coefficient} rows, eliminated in Markowitz
+order (the row with the fewest entries, then its column shared by the
+fewest rows) and finished by back substitution.  Uniqueness and consistency
+are checked per block rather than assumed, and a block whose fill-in would
+pass ``FILL_BUDGET`` entries stops with ``CapacityError``.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .gba import translate
+from .gba import CapacityError, translate
 from .ltl import LtlFormula, atomic_props, parse_formula
 from .pmc import Evaluation, Pmc, well_defined
 from .product import (
@@ -240,31 +246,93 @@ class SolveResult:
     restricted: frozenset[int]  # the nodes solved, the keys of mu
 
 
-def _gauss_consistent(rows: list[list[Fraction]], n_vars: int, what: str) -> list[Fraction]:
-    """Solve a possibly overdetermined system [A | b]; require a unique,
-    consistent solution."""
-    m = len(rows)
-    pivot_row = 0
-    where = [-1] * n_vars
-    for col in range(n_vars):
-        p = next((r for r in range(pivot_row, m) if rows[r][col] != 0), None)
-        if p is None:
-            continue
-        rows[pivot_row], rows[p] = rows[p], rows[pivot_row]
-        inv = 1 / rows[pivot_row][col]
-        rows[pivot_row] = [v * inv for v in rows[pivot_row]]
-        for r in range(m):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[pivot_row])]
-        where[col] = pivot_row
-        pivot_row += 1
-    if any(w < 0 for w in where):
+# Upper bound on the coefficients held while eliminating one block: the
+# active rows plus the pivot rows kept for back substitution.  The largest
+# block of crowds_like() (2,145 nodes) starts at 45,100 entries and never
+# grows past them, and its solve peaks at about 210 bytes an entry, so the
+# bound holds one block near 100 MB.  A block that would pass it stops with
+# CapacityError instead of filling memory.
+FILL_BUDGET = 500_000
+
+
+def _eliminate(
+    rows: list[tuple[dict[int, Fraction], Fraction]], n_vars: int, what: str
+) -> list[Fraction]:
+    """Solve the sparse system whose rows are ({column: coefficient}, rhs)
+    over the columns 0..n_vars-1; require a unique, consistent solution.
+
+    Markowitz order: the pivot is taken from the active row with the fewest
+    entries, in the column of that row which occurs in the fewest active
+    rows, so fill-in only touches the rows holding the pivot column.  Values
+    follow by back substitution in reverse pivot order.  Rows are consumed.
+    """
+    col_rows: list[set[int]] = [set() for _ in range(n_vars)]
+    live = 0
+    for r, (row, _) in enumerate(rows):
+        for j in row:
+            col_rows[j].add(r)
+        live += len(row)
+    rhs = [b for _, b in rows]
+    active = [bool(row) for row, _ in rows]
+    inconsistent = any(not row and b for row, b in rows)
+    heap = [(len(row), r) for r, (row, _) in enumerate(rows) if row]
+    heapq.heapify(heap)
+    pivots: list[tuple[int, dict[int, Fraction], Fraction]] = []
+    budget = FILL_BUDGET
+    while heap:
+        length, p = heapq.heappop(heap)
+        prow = rows[p][0]
+        if not active[p] or len(prow) != length:
+            continue  # a stale heap entry
+        if live > budget:
+            raise CapacityError(
+                f"{what}: elimination of a {n_vars}-node block exceeds the fill "
+                f"budget of {budget} entries"
+            )
+        active[p] = False
+        c = min(prow, key=lambda j: len(col_rows[j]))
+        for j in prow:
+            col_rows[j].discard(p)
+        inv = 1 / Fraction(prow.pop(c))
+        live -= 1
+        for j in prow:
+            prow[j] *= inv
+        bp = rhs[p] * inv
+        pivots.append((c, prow, bp))
+        for r in col_rows[c]:
+            row = rows[r][0]
+            f = row.pop(c)
+            live -= 1
+            for j, v in prow.items():
+                w = row.get(j)
+                if w is None:
+                    row[j] = -f * v
+                    col_rows[j].add(r)
+                    live += 1
+                else:
+                    w -= f * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+                        col_rows[j].discard(r)
+                        live -= 1
+            rhs[r] -= f * bp
+            if row:
+                heapq.heappush(heap, (len(row), r))
+            else:
+                active[r] = False
+                if rhs[r]:
+                    inconsistent = True
+        col_rows[c] = set()
+    if len(pivots) < n_vars:
         raise SingularSystemError(f"{what}: system does not determine all unknowns")
-    for r in range(pivot_row, m):
-        if rows[r][n_vars] != 0:
-            raise InconsistentSystemError(f"{what}: equations are inconsistent")
-    return [rows[where[c]][n_vars] for c in range(n_vars)]
+    if inconsistent:
+        raise InconsistentSystemError(f"{what}: equations are inconsistent")
+    x: list[Fraction] = [Fraction(0)] * n_vars
+    for c, prow, bp in reversed(pivots):
+        x[c] = bp - sum(v * x[j] for j, v in prow.items())
+    return x
 
 
 def solve_concrete(
@@ -285,7 +353,7 @@ def solve_concrete(
     ns = G.n_mc()
     offsets, arcs = G.offsets, G.targets
 
-    # numeric flow rows, built lazily per node from its CSR arcs
+    # the arcs of node u with their evaluated coefficients, off the CSR slice
     def flow_terms(u: int) -> list[tuple[int, Fraction]]:
         s = u % ns
         return [(v, prob[(s, v % ns)]) for v in arcs[offsets[u] : offsets[u + 1]]]
@@ -318,25 +386,21 @@ def solve_concrete(
             mu[u] = rhs / (1 - self_c)
             continue
         index_of = {u: i for i, u in enumerate(members)}
-        k = len(members)
         rows = []
         for u in members:
-            row = [Fraction(0)] * (k + 1)
-            row[index_of[u]] = Fraction(1)
+            row = {index_of[u]: Fraction(1)}
+            b = Fraction(0)
             for v, c in flow_terms(u):
-                if v in index_of:
-                    row[index_of[v]] -= c
+                i = index_of.get(v)
+                if i is None:
+                    b += c * mu[v]
                 else:
-                    row[k] += c * mu[v]
-            rows.append(row)
+                    row[i] = row.get(i, 0) - c
+            rows.append(({i: c for i, c in row.items() if c}, b))
         if record.locally_positive:
             for s, nodes in pos_rows.get(record.index, ()):
-                row = [Fraction(0)] * (k + 1)
-                for u in nodes:
-                    row[index_of[u]] = Fraction(1)
-                row[k] = Fraction(1)
-                rows.append(row)
-        sol = _gauss_consistent(rows, k, f"SCC {record.index}")
+                rows.append(({index_of[u]: Fraction(1) for u in nodes}, Fraction(1)))
+        sol = _eliminate(rows, len(members), f"SCC {record.index}")
         for u, i in index_of.items():
             mu[u] = sol[i]
 

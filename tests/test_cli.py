@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from pmcsynth import cli
+from pmcsynth import cli, eqsys
+from pmcsynth.ltl import parse_formula
+from pmcsynth.pmc import parse_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 BRANCH = str(MODELS / "branch13.pmc")
@@ -125,6 +127,20 @@ def test_check_error_codes(capsys, argv, expected):
     code, _, err = run(capsys, *argv)
     assert code == expected
     assert err.strip()
+
+
+def test_check_fill_budget_exit_4(capsys, monkeypatch):
+    M = parse_model(Path(SPLIT_CYCLE).read_text())
+    system = eqsys.analyze(M, parse_formula("G F y")).system
+    [block] = [r for r in system.partition.sccs if r.reachable and len(r.members) > 1]
+    monkeypatch.setattr(eqsys, "FILL_BUDGET", 3)
+    code, out, err = run(capsys, "check", "-m", SPLIT_CYCLE, "-f", "G F y", "-e", "eps=1/4")
+    assert code == 4
+    assert "probability" not in out
+    assert (
+        f"error: SCC {block.index}: elimination of a {len(block.members)}-node block "
+        "exceeds the fill budget of 3 entries"
+    ) in err
 
 
 def test_check_malformed_model(capsys, tmp_path):

@@ -2,12 +2,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pmcsynth.eqsys import (
     GridError,
     IllDefinedEvaluationError,
+    InconsistentSystemError,
     PltlQuery,
     QuerySyntaxError,
+    SingularSystemError,
+    _eliminate,
     analyze,
     build_system,
     parse_pltl,
@@ -16,7 +21,7 @@ from pmcsynth.eqsys import (
 )
 from pmcsynth.gba import CapacityError, translate
 from pmcsynth.ltl import parse_formula
-from pmcsynth.modelgen import random_mc
+from pmcsynth.modelgen import crowds_like, random_mc
 from pmcsynth.oracle import ConcreteMc, prob_of_formula
 from pmcsynth.pmc import parse_model
 from pmcsynth.product import build_product
@@ -226,6 +231,116 @@ def test_ill_defined_evaluation():
     system = build_system(build_product(A, M))
     with pytest.raises(IllDefinedEvaluationError):
         solve_concrete(system, {"eps": F(1, 2)})  # kills the x -> z entry
+
+
+def test_large_crowds_blocks_solve_exactly():
+    # the 300- and 200-node blocks that dense elimination took 38-48 s on
+    M = crowds_like(20, 8, 4)
+    evaluation = {name: F(1, 2) for name in M.params}
+    for text, block, want in (("! observed U delivered", 300, F(1, 3)), ("G F fresh", 200, F(1))):
+        system = analyze(M, parse_formula(text)).system
+        sizes = [len(r.members) for r in system.partition.sccs if r.reachable]
+        assert max(sizes) == block
+        assert solve_concrete(system, evaluation).target == want
+
+
+# ---------------------------------------------------------------------------
+# Sparse elimination
+# ---------------------------------------------------------------------------
+
+
+def _reference_gauss(rows: list[list[Fraction]], n_vars: int, what: str) -> list[Fraction]:
+    """The dense elimination the sparse one replaced, kept as a reference:
+    solve a possibly overdetermined system [A | b]; require a unique,
+    consistent solution."""
+    m = len(rows)
+    pivot_row = 0
+    where = [-1] * n_vars
+    for col in range(n_vars):
+        p = next((r for r in range(pivot_row, m) if rows[r][col] != 0), None)
+        if p is None:
+            continue
+        rows[pivot_row], rows[p] = rows[p], rows[pivot_row]
+        inv = 1 / rows[pivot_row][col]
+        rows[pivot_row] = [v * inv for v in rows[pivot_row]]
+        for r in range(m):
+            if r != pivot_row and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[pivot_row])]
+        where[col] = pivot_row
+        pivot_row += 1
+    if any(w < 0 for w in where):
+        raise SingularSystemError(f"{what}: system does not determine all unknowns")
+    for r in range(pivot_row, m):
+        if rows[r][n_vars] != 0:
+            raise InconsistentSystemError(f"{what}: equations are inconsistent")
+    return [rows[where[c]][n_vars] for c in range(n_vars)]
+
+
+def _sparse(dense: list[list[Fraction]], n_vars: int):
+    return [({j: v for j, v in enumerate(row[:n_vars]) if v}, row[n_vars]) for row in dense]
+
+
+def _outcome(solve, rows, n_vars):
+    try:
+        return solve(rows, n_vars, "block")
+    except (SingularSystemError, InconsistentSystemError) as exc:
+        return type(exc)
+
+
+def test_eliminate_duplicate_rows_are_singular():
+    row = {0: F(1), 1: F(-1, 2)}
+    with pytest.raises(SingularSystemError, match="^SCC 7: system does not determine all unknowns$"):
+        _eliminate([(dict(row), F(1, 2)), (dict(row), F(1, 2))], 2, "SCC 7")
+
+
+def test_eliminate_contradiction_is_inconsistent():
+    with pytest.raises(InconsistentSystemError, match="^SCC 3: equations are inconsistent$"):
+        _eliminate([({0: F(1)}, F(1)), ({0: F(1)}, F(2))], 1, "SCC 3")
+
+
+def test_eliminate_overdetermined_consistent_system():
+    # x + y = 3, x - y = 1, 2x + y = 5, and y alone = 1
+    rows = [
+        ({0: F(1), 1: F(1)}, F(3)),
+        ({0: F(1), 1: F(-1)}, F(1)),
+        ({0: F(2), 1: F(1)}, F(5)),
+        ({1: F(1)}, F(1)),
+    ]
+    x = _eliminate(rows, 2, "SCC 0")
+    assert x == [F(2), F(1)]
+    assert all(type(v) is Fraction for v in x)
+
+
+_ENTRY = st.sampled_from([F(0)] * 4 + [F(1), F(-1), F(1, 2), F(-1, 3), F(2), F(3, 4)])
+
+
+@given(
+    st.sampled_from(["square", "overdetermined", "deficient", "inconsistent"]),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_eliminate_matches_dense_reference(kind, n, data):
+    m = n + data.draw(st.integers(1, 3)) if kind in ("overdetermined", "inconsistent") else n
+    A = [[data.draw(_ENTRY) for _ in range(n)] for _ in range(m)]
+    x = [data.draw(_ENTRY) for _ in range(n)]
+    if kind == "deficient":
+        # the last row repeats a multiple of the first (or is zero if alone)
+        c = data.draw(_ENTRY) if m > 1 else F(0)
+        A[-1] = [c * a for a in A[0]]
+    b = [sum((a * v for a, v in zip(row, x)), F(0)) for row in A]
+    if kind == "inconsistent":
+        b[data.draw(st.integers(0, m - 1))] += 1
+    dense = [row + [rhs] for row, rhs in zip(A, b)]
+    want = _outcome(_reference_gauss, [row[:] for row in dense], n)
+    got = _outcome(_eliminate, _sparse(dense, n), n)
+    assert got == want
+    if kind == "deficient":
+        assert got is SingularSystemError
+    if isinstance(got, list):
+        assert all(type(v) is Fraction for v in got)
+        if kind != "inconsistent":
+            assert got == x  # a unique solution is the one the system was built from
 
 
 # ---------------------------------------------------------------------------
