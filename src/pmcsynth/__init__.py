@@ -40,7 +40,6 @@ from .pmc import (
     Imc,
     Pmc,
     imc_to_pmc,
-    instantiate,
     parse_evaluation,
     parse_model,
     well_defined,
@@ -82,7 +81,6 @@ __all__ = [
     "emit_smtlib",
     "eval_lasso",
     "imc_to_pmc",
-    "instantiate",
     "make_gba",
     "parse_evaluation",
     "parse_formula",

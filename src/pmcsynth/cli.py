@@ -23,7 +23,6 @@ from pathlib import Path
 from . import eqsys, oracle, smtlib
 from .eqsys import (
     Analysis,
-    EqSysError,
     GridError,
     PltlQuery,
     QuerySyntaxError,
@@ -52,6 +51,7 @@ _INPUT_ERRORS = (
     ProductError,
     smtlib.SmtlibError,
     oracle.OracleError,
+    FileNotFoundError,
 )
 _NUMERIC_ERRORS = (SolveError, RatFuncError)
 
@@ -319,15 +319,9 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except subprocess.TimeoutExpired as exc:
         print(f"error: solver timed out: {exc}", file=sys.stderr)
         return 5
-    except EqSysError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

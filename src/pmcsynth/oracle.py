@@ -45,9 +45,7 @@ class ConcreteMc:
 
     @staticmethod
     def from_pmc(M: Pmc, evaluation: Evaluation) -> "ConcreteMc":
-        trans = {
-            key: f.evaluate(evaluation).value() for key, f in M.trans.items()
-        }
+        trans = {key: f.evaluate(evaluation) for key, f in M.trans.items()}
         return ConcreteMc(M.states, M.labels, M.initial, trans)
 
     def succ(self, s: int) -> list[tuple[int, Fraction]]:

@@ -55,10 +55,6 @@ class ModelSyntaxError(ModelError):
     pass
 
 
-class SupportError(ModelError):
-    """An operation would zero out a stored transition."""
-
-
 class InfeasibleRowError(ModelError):
     """An IMC row admits no probability distribution."""
 
@@ -137,12 +133,6 @@ class Imc:
 
     def n_states(self) -> int:
         return len(self.states)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.states.index(name)
-        except ValueError:
-            raise ModelError(f"no state named {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -460,20 +450,19 @@ class WellDefinedReport:
     values: dict[tuple[int, int], Fraction]
 
 
-def _check_evaluation_keys(M: Pmc, evaluation: Evaluation) -> None:
-    for name in evaluation:
-        if name not in M.params:
-            raise ModelError(f"unknown parameter {name!r}")
-
-
 def well_defined(M: Pmc, evaluation: Evaluation) -> WellDefinedReport:
     """Does the total evaluation induce a genuine Markov chain on M's support?
 
-    Checks every entry for range and nonzero support, and every row sum;
-    collects all violations instead of stopping at the first.  The report
-    carries the evaluated entries, so a caller need not evaluate them again.
+    The evaluation must assign exactly M's parameters (ModelError otherwise).
+    Every entry is evaluated to a Fraction and checked for a vanishing
+    denominator, for range and for nonzero support, and every row for its
+    sum; all violations are collected instead of stopping at the first.  The
+    report carries the evaluated entries, so a caller need not evaluate them
+    again.
     """
-    _check_evaluation_keys(M, evaluation)
+    for name in evaluation:
+        if name not in M.params:
+            raise ModelError(f"unknown parameter {name!r}")
     missing = [p for p in M.params if p not in evaluation]
     if missing:
         raise ModelError(f"evaluation misses parameters: {', '.join(missing)}")
@@ -482,41 +471,23 @@ def well_defined(M: Pmc, evaluation: Evaluation) -> WellDefinedReport:
     for s in range(M.n_states()):
         total = Fraction(0)
         for t, f in M.succ(s):
-            where = f"{M.states[s]} -> {M.states[t]}"
             try:
-                v = f.evaluate(evaluation).value()
+                v = f.evaluate(evaluation)
             except ZeroDenominatorError:
-                problems.append(f"entry {where}: denominator vanishes")
-                continue
-            values[(s, t)] = v
-            total += v
-            if v == 0:
-                problems.append(f"entry {where} evaluates to 0 but is in the support")
-            elif v < 0 or v > 1:
-                problems.append(f"entry {where} evaluates to {v}, outside [0,1]")
+                problem = ": denominator vanishes"
+            else:
+                values[(s, t)] = v
+                total += v
+                if v == 0:
+                    problem = " evaluates to 0 but is in the support"
+                elif v < 0 or v > 1:
+                    problem = f" evaluates to {v}, outside [0,1]"
+                else:
+                    continue
+            problems.append(f"entry {M.states[s]} -> {M.states[t]}{problem}")
         if total != 1:
             problems.append(f"row {M.states[s]} sums to {total}, not 1")
     return WellDefinedReport(not problems, tuple(problems), values)
-
-
-def instantiate(M: Pmc, evaluation: Evaluation) -> Pmc:
-    """Substitute some parameters, keeping the rest symbolic.
-
-    Raises SupportError if a stored entry would become identically zero —
-    the support is part of the model and must survive instantiation.
-    """
-    _check_evaluation_keys(M, evaluation)
-    trans: dict[tuple[int, int], RationalFunction] = {}
-    for key, f in M.trans.items():
-        g = f.evaluate(evaluation)
-        if g.is_zero:
-            a, b = key
-            raise SupportError(
-                f"entry {M.states[a]} -> {M.states[b]} vanishes under the evaluation"
-            )
-        trans[key] = g
-    params = {k: v for k, v in M.params.items() if k not in evaluation}
-    return Pmc(M.states, M.labels, M.initial, params, trans)
 
 
 def imc_to_pmc(I: Imc) -> Pmc:

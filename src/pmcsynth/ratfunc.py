@@ -10,6 +10,9 @@ representations of the same function may differ structurally — equality is
 decided by cross-multiplication.  The content is divided out by scaling each
 coefficient (``Polynomial.scale``), which keeps the monomials and their order,
 and not at all when it is already 1.
+
+Evaluation is numeric and total: ``evaluate`` needs a value for every
+variable and returns a Fraction, building no polynomial on the way.
 """
 
 from __future__ import annotations
@@ -69,9 +72,6 @@ class Polynomial:
             raise RatFuncError(f"polynomial {self} is not constant")
         return self.terms[0][1]
 
-    def variables(self) -> frozenset[str]:
-        return frozenset(name for m, _ in self.terms for name, _ in m)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         d = dict(self.terms)
         for m, c in other.terms:
@@ -102,20 +102,16 @@ class Polynomial:
                 d[m] = d.get(m, Fraction(0)) + c1 * c2
         return Polynomial._from_dict(d)
 
-    def evaluate(self, assignment: Mapping[str, Fraction]) -> "Polynomial":
-        """Substitute the given variables; unmentioned variables stay symbolic."""
-        d: dict[Monomial, Fraction] = {}
+    def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
+        """The value under an assignment of every variable."""
+        total = Fraction(0)
         for m, c in self.terms:
-            kept: list[tuple[str, int]] = []
             for name, e in m:
-                if name in assignment:
-                    c = c * Fraction(assignment[name]) ** e
-                else:
-                    kept.append((name, e))
-            if c != 0:
-                key = tuple(kept)
-                d[key] = d.get(key, Fraction(0)) + c
-        return Polynomial._from_dict(d)
+                if name not in assignment:
+                    raise RatFuncError(f"no value for variable {name!r}")
+                c *= Fraction(assignment[name]) ** e
+            total += c
+        return total
 
     def __str__(self) -> str:
         if not self.terms:
@@ -185,9 +181,6 @@ class RationalFunction:
             raise RatFuncError(f"rational function {self} is not constant")
         return self.num.const_value() / self.den.const_value()
 
-    def variables(self) -> frozenset[str]:
-        return self.num.variables() | self.den.variables()
-
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction.make(
             self.num * other.den + other.num * self.den, self.den * other.den
@@ -207,13 +200,14 @@ class RationalFunction:
             raise ZeroDenominatorError("division by the zero rational function")
         return RationalFunction.make(self.num * other.den, self.den * other.num)
 
-    def evaluate(self, assignment: Mapping[str, Fraction]) -> "RationalFunction":
+    def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
+        """The value under an assignment of every variable."""
         den = self.den.evaluate(assignment)
-        if den.is_zero:
+        if not den:
             raise ZeroDenominatorError(
                 f"denominator of {self} vanishes under {dict(assignment)}"
             )
-        return RationalFunction.make(self.num.evaluate(assignment), den)
+        return self.num.evaluate(assignment) / den
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFunction):

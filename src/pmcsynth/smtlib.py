@@ -8,8 +8,10 @@ remaining bottom SCCs, mu range bounds, and — when a query is given — the
 membership of the target sum in the probability interval.
 
 ``check_wellformed`` parses the script back (balanced s-expressions, known
-commands, no reserved word declared, every symbol declared before use, sane
-operator arities).
+commands, every declared name a simple symbol and no reserved word, every
+symbol declared before use, ASCII numerals, sane operator arities).
+Emission fails with SmtlibError on a parameter or state name that is not a
+simple symbol, so an emitted script always passes that check.
 ``evaluate_assertions`` substitutes a full rational assignment and decides
 every assertion exactly — enough to validate a model without a solver.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -92,7 +95,12 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
     for name in sorted(M.params):
         if name in _RESERVED:
             raise SmtlibError(f"parameter {name!r} is a reserved word of SMT-LIB")
+        if not _SIMPLE_SYMBOL.fullmatch(name):
+            raise SmtlibError(f"parameter {name!r} is not an SMT-LIB simple symbol")
         out(f"(declare-const {name} Real)")
+    for name in M.states:
+        if not _SIMPLE_SYMBOL.fullmatch(name):
+            raise SmtlibError(f"state {name!r} is not an SMT-LIB simple symbol")
     names = [mu_name(system, u) for u in range(system.n_nodes())]
     for n in names:
         out(f"(declare-const {n} Real)")
@@ -232,13 +240,15 @@ _COMMANDS = {
 }
 
 
+# SMT-LIB's numerals and decimals, in ASCII digits with no leading 0
+_NUMERAL = re.compile(r"(?:0|[1-9][0-9]*)(?:\.[0-9]+)?")
+# a simple symbol: ASCII letters, digits and ~!@$%^&*_-+=<>.?/, not starting
+# with a digit
+_SIMPLE_SYMBOL = re.compile(r"[A-Za-z~!@$%^&*_\-+=<>.?/][0-9A-Za-z~!@$%^&*_\-+=<>.?/]*")
+
+
 def _is_numeral(tok: str) -> bool:
-    body = tok
-    if not body:
-        return False
-    if body.count(".") > 1:
-        return False
-    return body.replace(".", "", 1).isdigit()
+    return _NUMERAL.fullmatch(tok) is not None
 
 
 def _check_term(term: Sexpr, declared: set[str]) -> None:
@@ -287,6 +297,8 @@ def check_wellformed(text: str) -> list[Sexpr]:
                 raise SmtlibError(f"malformed {cmd}: {form!r}")
             if form[1] in _RESERVED:
                 raise SmtlibError(f"{cmd} of the reserved symbol {form[1]!r}")
+            if not _SIMPLE_SYMBOL.fullmatch(form[1]):
+                raise SmtlibError(f"{cmd} of {form[1]!r}, not a simple symbol")
             if form[1] in declared:
                 raise SmtlibError(f"{form[1]!r} declared twice")
             declared.add(form[1])

@@ -248,6 +248,26 @@ def test_synth_emit_rejects_reserved_parameter(capsys, tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "param, state, culprit",
+    [("pé", "s", "parameter 'pé'"), ("p", "é", "state 'é'")],
+)
+def test_synth_emit_rejects_non_ascii_names(capsys, tmp_path, param, state, culprit):
+    model = tmp_path / "names.pmc"
+    model.write_text(
+        f"pmc\nparam {param} in (0, 1);\nstate {state};\nstate t {{goal}};\n"
+        f"init {state};\ntrans {state} -> t : {param};\n"
+        f"trans {state} -> {state} : 1 - {param};\ntrans t -> t : 1;\n"
+    )
+    target = tmp_path / "sys.smt2"
+    code, _, err = run(
+        capsys, "synth", "-m", str(model), "-q", "P >= 1 [ F goal ]", "-o", str(target)
+    )
+    assert code == 3
+    assert culprit in err and "simple symbol" in err
+    assert not target.exists()
+
+
 def _fake_solver(tmp_path, body):
     path = tmp_path / "solver.sh"
     path.write_text("#!/bin/sh\n" + body)

@@ -13,9 +13,7 @@ from pmcsynth.pmc import (
     ModelSyntaxError,
     Param,
     Pmc,
-    SupportError,
     imc_to_pmc,
-    instantiate,
     parse_evaluation,
     parse_model,
     well_defined,
@@ -239,34 +237,41 @@ def test_well_defined_row_sum():
     assert well_defined(M, {"p": Fraction(1, 2)}).ok
 
 
-def test_instantiate():
-    M = parse_model(COIN)
-    N = instantiate(M, {"p": Fraction(1, 4)})
-    assert N.params == {}
-    assert N.trans[(0, 1)].value() == Fraction(1, 4)
-    assert N.trans[(0, 2)].value() == Fraction(3, 4)
-    # partial instantiation keeps the rest symbolic
-    same = instantiate(M, {})
-    assert set(same.params) == {"p"}
+VANISHING = """
+pmc
+param p in [0, 1];
+state s;
+state t {goal};
+state u;
+init s;
+trans s -> t : p / (2*p - 1);
+trans s -> u : (p - 1) / (2*p - 1);
+trans t -> t : 1;
+trans u -> u : 1;
+"""
 
 
-def test_instantiate_support_error():
-    M = parse_model(
-        """
-        pmc
-        param eps in (-1/2, 1/2);
-        state x;
-        state y;
-        init x;
-        trans x -> y : 1/2 + eps;
-        trans x -> x : 1/2 - eps;
-        trans y -> y : 1;
-        """
+def test_well_defined_reports_every_problem():
+    # the row sums to 1 as a rational function, so it parses
+    M = parse_model(VANISHING)
+    assert well_defined(M, {"p": Fraction(1, 2)}).problems == (
+        "entry s -> t: denominator vanishes",
+        "entry s -> u: denominator vanishes",
+        "row s sums to 0, not 1",
     )
-    with pytest.raises(SupportError):
-        instantiate(M, {"eps": Fraction(1, 2)})
-    N = instantiate(M, {"eps": Fraction(1, 4)})
-    assert N.trans[(0, 1)].value() == Fraction(3, 4)
+    rep = well_defined(M, {"p": Fraction(3, 4)})
+    assert rep.problems == (
+        "entry s -> t evaluates to 3/2, outside [0,1]",
+        "entry s -> u evaluates to -1/2, outside [0,1]",
+    )
+    assert rep.values[(0, 1)] == Fraction(3, 2)
+    assert well_defined(M, {"p": Fraction(0)}).problems == (
+        "entry s -> t evaluates to 0 but is in the support",
+    )
+    with pytest.raises(ModelError, match="misses parameters: p"):
+        well_defined(M, {})
+    with pytest.raises(ModelError, match="unknown parameter 'q'"):
+        well_defined(M, {"p": Fraction(1, 3), "q": Fraction(1)})
 
 
 def _reference_tokenize(text):

@@ -24,7 +24,6 @@ def test_polynomial_construction():
     p = x * x + Polynomial.const(2) * x * y + y * y
     q = (x + y) * (x + y)
     assert p == q
-    assert p.variables() == {"x", "y"}
     assert (p - q).is_zero
 
 
@@ -35,13 +34,14 @@ def test_polynomial_const_value():
         Polynomial.var("x").const_value()
 
 
-def test_polynomial_evaluate_partial():
+def test_polynomial_evaluate():
     x, y = Polynomial.var("x"), Polynomial.var("y")
     p = x * y + y
-    assert p.evaluate({"x": Fraction(2)}) == Polynomial.const(3) * y
-    assert p.evaluate({"x": Fraction(2), "y": Fraction(1, 3)}) == Polynomial.const(1)
-    # untouched variables survive
-    assert p.evaluate({}) == p
+    got = p.evaluate({"x": 2, "y": Fraction(1, 3)})
+    assert got == 1 and type(got) is Fraction
+    assert type(P_ZERO.evaluate({})) is Fraction
+    with pytest.raises(RatFuncError, match="'y'"):
+        p.evaluate({"x": Fraction(2)})
 
 
 def test_ratfunc_normalization():
@@ -87,7 +87,12 @@ def test_ratfunc_evaluate():
     p = RationalFunction.var("p")
     f = p / (RationalFunction.const(1) + p)
     got = f.evaluate({"p": Fraction(1, 3)})
-    assert got.value() == Fraction(1, 4)
+    assert got == Fraction(1, 4) and type(got) is Fraction
+    got = f.evaluate({"p": 1})
+    assert got == Fraction(1, 2) and type(got) is Fraction
+    with pytest.raises(RatFuncError, match="'p'"):
+        f.evaluate({})
+    assert RationalFunction.const(Fraction(2, 3)).evaluate({}) == Fraction(2, 3)
 
 
 def _rf(data) -> RationalFunction:
@@ -187,3 +192,51 @@ def test_product_matches_reference(data):
     pairs = ((f.num, g.den + _Y), (f.den, g.num), (c, f.den + _Y), (g.num, c), (c, c))
     for p, q in pairs:
         assert _structure(p * q) == _structure(_reference_mul(p, q))
+
+
+def _reference_poly_substitute(p: Polynomial, assignment) -> Polynomial:
+    """Symbolic substitution: assigned variables are replaced, the rest stay."""
+    d = {}
+    for m, c in p.terms:
+        kept = []
+        for name, e in m:
+            if name in assignment:
+                c = c * Fraction(assignment[name]) ** e
+            else:
+                kept.append((name, e))
+        if c != 0:
+            key = tuple(kept)
+            d[key] = d.get(key, Fraction(0)) + c
+    return Polynomial._from_dict(d)
+
+
+def _reference_evaluate(f: RationalFunction, assignment) -> Fraction:
+    """The symbolic round trip that numeric evaluation replaced: substitute,
+    normalise with ``make``, then read the constant back."""
+    den = _reference_poly_substitute(f.den, assignment)
+    if den.is_zero:
+        raise ZeroDenominatorError("denominator vanishes")
+    return RationalFunction.make(_reference_poly_substitute(f.num, assignment), den).value()
+
+
+_POINTS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(st.data())
+def test_evaluate_matches_symbolic_reference(data):
+    f, g = _rf(data), _rf(data)
+    y = RationalFunction.var("y")
+    c = RationalFunction.const(data.draw(_SCALES))
+    h = f * (g + y) - c * y * y
+    if not g.is_zero:
+        h = h / (g - y)  # a denominator that vanishes where y = g(x)
+    assignment = {"x": data.draw(_POINTS), "y": data.draw(_POINTS)}
+    try:
+        want = _reference_evaluate(h, assignment)
+    except ZeroDenominatorError:
+        with pytest.raises(ZeroDenominatorError):
+            h.evaluate(assignment)
+        return
+    got = h.evaluate(assignment)
+    assert type(got) is Fraction
+    assert got == want

@@ -50,6 +50,12 @@ def test_check_wellformed_rejects_garbage():
         "(declare-const and Real)",  # an operator
         "(declare-fun true () Real)",  # a core constant
         "(declare-const distinct Real)",  # a core symbol
+        "(declare-const é Real)",  # letters of a simple symbol are ASCII
+        "(declare-const 1x Real)",  # a simple symbol starts with no digit
+        "(declare-const x Real) (assert (= x ²))",  # numerals are ASCII digits
+        "(declare-const x Real) (assert (= x ٣))",
+        "(declare-const x Real) (assert (= x 01))",  # no leading 0
+        "(declare-const x Real) (assert (= x 1.))",  # a decimal has digits after '.'
     ]
     for text in cases:
         with pytest.raises(SmtlibError):
@@ -57,6 +63,9 @@ def test_check_wellformed_rejects_garbage():
     # and a well-formed one passes, returning the parsed forms
     forms = check_wellformed("(set-logic QF_NRA) (declare-const x Real) (assert (< 0 x)) (check-sat)")
     assert len(forms) == 4
+    # mu symbols and decimals pass too
+    forms = check_wellformed("(declare-const mu_0.s Real) (assert (< 0 mu_0.s 0.75 10))")
+    assert evaluate_assertions(forms, {"mu_0.s": F(1, 2)}) == []
 
 
 def test_evaluate_assertions_arithmetic():
