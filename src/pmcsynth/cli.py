@@ -17,7 +17,6 @@ import argparse
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import eqsys, oracle, smtlib
@@ -30,7 +29,7 @@ from .eqsys import (
     parse_pltl,
 )
 from .gba import CapacityError, GbaError, dump, translate
-from .ltl import LtlError, parse_formula
+from .ltl import LtlError, LtlFormula, parse_formula
 from .pmc import (
     Imc,
     ModelError,
@@ -56,24 +55,27 @@ _INPUT_ERRORS = (
 _NUMERIC_ERRORS = (SolveError, RatFuncError)
 
 
-def _load_model(path: str) -> tuple[Pmc, bool]:
-    text = Path(path).read_text()
-    model = parse_model(text)
-    if isinstance(model, Imc):
-        return imc_to_pmc(model), True
-    return model, False
+def _load_model(path: str) -> Pmc:
+    model = parse_model(Path(path).read_text())
+    return imc_to_pmc(model) if isinstance(model, Imc) else model
 
 
 def _query_from_args(args: argparse.Namespace) -> PltlQuery | None:
-    if getattr(args, "pltl", None):
-        return parse_pltl(args.pltl)
-    return None
+    return parse_pltl(args.pltl) if args.pltl else None
 
 
-def _evaluation(args: argparse.Namespace) -> dict[str, Fraction]:
-    if getattr(args, "evaluation", None):
-        return parse_evaluation(args.evaluation)
-    return {}
+def _query_and_formula(
+    args: argparse.Namespace,
+) -> tuple[PltlQuery | None, LtlFormula | None]:
+    """The -q query and its formula, else no query and the -f formula; with
+    neither, prints the usage message and returns no formula (exit 2)."""
+    query = _query_from_args(args)
+    if query is not None:
+        return query, query.formula
+    if args.formula:
+        return None, parse_formula(args.formula)
+    print(f"{args.command} needs -q or -f", file=sys.stderr)
+    return None, None
 
 
 def _stats_row(M: Pmc, analysis: Analysis, t_mc: float) -> dict[str, str]:
@@ -119,16 +121,11 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    M, _ = _load_model(args.model)
-    query = _query_from_args(args)
-    if query is not None:
-        formula = query.formula
-    elif args.formula:
-        formula = parse_formula(args.formula)
-    else:
-        print("check needs -q or -f", file=sys.stderr)
+    M = _load_model(args.model)
+    query, formula = _query_and_formula(args)
+    if formula is None:
         return 2
-    evaluation = _evaluation(args)
+    evaluation = parse_evaluation(args.evaluation) if args.evaluation else {}
     analysis = eqsys.analyze(M, formula, max_nodes=args.max_product_nodes)
     t0 = time.perf_counter()
     result = eqsys.solve_concrete(analysis.system, evaluation)
@@ -159,14 +156,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    M, _ = _load_model(args.model)
-    query = _query_from_args(args)
-    if query is not None:
-        formula = query.formula
-    elif args.formula:
-        formula = parse_formula(args.formula)
-    else:
-        print("classify needs -q or -f", file=sys.stderr)
+    M = _load_model(args.model)
+    _, formula = _query_and_formula(args)
+    if formula is None:
         return 2
     analysis = eqsys.analyze(
         M,
@@ -190,7 +182,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    M, _ = _load_model(args.model)
+    M = _load_model(args.model)
     query = _query_from_args(args)
     if query is None:
         print("synth needs -q", file=sys.stderr)
@@ -250,15 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, model: bool = True) -> None:
-        if model:
-            p.add_argument("-m", "--model", required=True, help="model file (.pmc or .imc)")
-            p.add_argument(
-                "--max-product-nodes",
-                type=int,
-                default=5_000_000,
-                help="refuse to build products larger than this (default 5000000)",
-            )
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("-m", "--model", required=True, help="model file (.pmc or .imc)")
+        p.add_argument(
+            "--max-product-nodes",
+            type=int,
+            default=5_000_000,
+            help="refuse to build products larger than this (default 5000000)",
+        )
         p.add_argument(
             "--report",
             choices=("text", "tsv"),

@@ -16,9 +16,8 @@ the sum of mu over initial product nodes.
 The system reads its arcs straight off the product's CSR arrays: the
 coefficient of the arc (q,s) -> (q',s') is P(s,s').  Concrete evaluations
 are solved exactly over Fractions, block per SCC along the condensation
-(sinks first), substituting solved blocks into earlier ones.  A single
-transient node is solved directly from its self-loop.  Every other block is
-a sparse system of {column: coefficient} rows, eliminated in Markowitz
+(sinks first), substituting solved blocks into earlier ones.  Every block
+is a sparse system of {column: coefficient} rows, eliminated in Markowitz
 order (the row with the fewest entries, then its column shared by the
 fewest rows) and finished by back substitution.  Uniqueness and consistency
 are checked per block rather than assumed, and a block whose fill-in would
@@ -29,10 +28,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import KeysView, Sequence
 
 from .gba import CapacityError, translate
 from .ltl import LtlFormula, atomic_props, parse_formula
@@ -186,8 +186,9 @@ class EquationSystem:
     graph: ProductGraph
     partition: SccPartition
     pos: list[SccRecord]
-    # per positive SCC and chain state: the member nodes over that state
-    positives: list[tuple[int, int, tuple[int, ...]]]
+    # per positive SCC index, one group per chain state of its projection:
+    # the member nodes over that state, whose mu values sum to 1
+    positives: dict[int, list[tuple[int, ...]]]
     # nodes whose value is 0: everything that cannot reach a positive SCC
     zeros: tuple[int, ...]
 
@@ -205,13 +206,12 @@ def build_system(
         partition = scc_decompose(G)
     pos, _ = classify_locally_positive(G, partition, use_oracle=use_oracle)
     ns = G.n_mc()
-    positives = []
+    positives: dict[int, list[tuple[int, ...]]] = {}
     for record in pos:
         per_state: dict[int, list[int]] = {}
         for u in record.members:
             per_state.setdefault(u % ns, []).append(u)
-        for s in sorted(per_state):
-            positives.append((record.index, s, tuple(sorted(per_state[s]))))
+        positives[record.index] = [tuple(sorted(per_state[s])) for s in sorted(per_state)]
 
     # A node has value 0 exactly when no positive SCC is reachable from it
     # (the node-level form of the emptiness criterion).  Zeroing only the
@@ -243,7 +243,11 @@ def build_system(
 class SolveResult:
     mu: dict[int, Fraction]
     target: Fraction
-    restricted: frozenset[int]  # the nodes solved, the keys of mu
+
+    @property
+    def restricted(self) -> KeysView[int]:
+        """The nodes solved: a live, set-like view of the keys of ``mu``."""
+        return self.mu.keys()
 
 
 # Upper bound on the coefficients held while eliminating one block: the
@@ -352,54 +356,35 @@ def solve_concrete(
     prob = report.values
     ns = G.n_mc()
     offsets, arcs = G.offsets, G.targets
-
-    # the arcs of node u with their evaluated coefficients, off the CSR slice
-    def flow_terms(u: int) -> list[tuple[int, Fraction]]:
-        s = u % ns
-        return [(v, prob[(s, v % ns)]) for v in arcs[offsets[u] : offsets[u + 1]]]
-
     zero_set = set(system.zeros)
-    pos_rows: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for scc_index, s, nodes in system.positives:
-        pos_rows.setdefault(scc_index, []).append((s, nodes))
 
     mu: dict[int, Fraction] = {}
     for record in reversed(system.partition.sccs):  # sinks first
         if restrict and not record.reachable:
             continue
-        if record.members[0] in zero_set:
-            for u in record.members:
+        members = record.members
+        if members[0] in zero_set:
+            for u in members:
                 mu[u] = Fraction(0)
             continue
-        members = record.members
-        if len(members) == 1 and not record.locally_positive:
-            u = members[0]
-            self_c = Fraction(0)
-            rhs = Fraction(0)
-            for v, c in flow_terms(u):
-                if v == u:
-                    self_c += c
-                else:
-                    rhs += c * mu[v]
-            if self_c == 1:
-                raise SingularSystemError(f"node {G.node_name(u)}: flow is degenerate")
-            mu[u] = rhs / (1 - self_c)
-            continue
+        # flow rows off the CSR slices: mu(u) - sum_{v in block} P(u,v) mu(v)
+        # = sum of P(u,v) mu(v) over the solved successors v outside it
         index_of = {u: i for i, u in enumerate(members)}
         rows = []
         for u in members:
+            s = u % ns
             row = {index_of[u]: Fraction(1)}
             b = Fraction(0)
-            for v, c in flow_terms(u):
+            for v in arcs[offsets[u] : offsets[u + 1]]:
+                c = prob[(s, v % ns)]
                 i = index_of.get(v)
                 if i is None:
                     b += c * mu[v]
                 else:
                     row[i] = row.get(i, 0) - c
             rows.append(({i: c for i, c in row.items() if c}, b))
-        if record.locally_positive:
-            for s, nodes in pos_rows.get(record.index, ()):
-                rows.append(({index_of[u]: Fraction(1) for u in nodes}, Fraction(1)))
+        for nodes in system.positives.get(record.index, ()):
+            rows.append(({index_of[u]: Fraction(1) for u in nodes}, Fraction(1)))
         sol = _eliminate(rows, len(members), f"SCC {record.index}")
         for u, i in index_of.items():
             mu[u] = sol[i]
@@ -411,7 +396,7 @@ def solve_concrete(
                 "the one the theory promises — this is a bug, not an input error"
             )
     target = sum((mu[u] for u in G.initial), Fraction(0))
-    return SolveResult(mu, target, frozenset(mu))
+    return SolveResult(mu, target)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +439,13 @@ def analyze(
 # ---------------------------------------------------------------------------
 
 
+# Upper bound on the points of one grid scan.  The lattice has
+# resolution^k points over k free parameters, so a fine grid over a few
+# axes would scan for hours; past this count it stops with CapacityError
+# before the product is built.
+GRID_BUDGET = 1_000_000
+
+
 @dataclass
 class SynthResult:
     witness: dict[str, Fraction] | None
@@ -473,28 +465,32 @@ def synth_grid(
 
     Classification is done once — admitted evaluations all induce the same
     support.  Grid points that are not well-defined (zero entries, row sums
-    off 1) are skipped but counted in ``tried``.
+    off 1) are skipped but counted in ``tried``.  A grid of more than
+    ``GRID_BUDGET`` points raises CapacityError before anything is built.
     """
     if resolution < 2:
         raise GridError("grid resolution must be at least 2")
-    axes: list[list[Fraction]] = []
+    # per parameter: its lower end, the grid step and the indices kept, so
+    # the point count is known before any point is built
+    spans: list[tuple[Fraction, Fraction, range]] = []
     names = list(M.params)
     for name in names:
         p = M.params[name]
         if p.lower is None or p.upper is None:
             raise GridError(f"parameter {name} has an unbounded range; grid synthesis needs a box")
         if p.lower == p.upper:
-            axes.append([p.lower])
+            spans.append((p.lower, Fraction(0), range(1)))
             continue
-        step = (p.upper - p.lower) / (resolution - 1)
-        points = [p.lower + i * step for i in range(resolution)]
-        if p.lower_strict:
-            points = points[1:]
-        if p.upper_strict:
-            points = points[:-1]
-        if not points:
+        indices = range(int(p.lower_strict), resolution - int(p.upper_strict))
+        if not indices:
             raise GridError(f"parameter {name}: no grid point inside the open range")
-        axes.append(points)
+        spans.append((p.lower, (p.upper - p.lower) / (resolution - 1), indices))
+    n_points = math.prod(len(indices) for _, _, indices in spans)
+    if n_points > GRID_BUDGET:
+        raise CapacityError(
+            f"grid of {n_points} points exceeds the grid budget of {GRID_BUDGET} points"
+        )
+    axes = [[lower + i * step for i in indices] for lower, step, indices in spans]
 
     analysis = analyze(M, query.formula, max_nodes=max_nodes)
     tried = admitted = 0

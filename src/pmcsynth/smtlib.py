@@ -140,8 +140,9 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
     out("; normalization on locally positive SCCs")
     if not system.pos:
         out("; target provably 0: no locally positive SCC")
-    for _, s, nodes in system.positives:
-        out(f"(assert (= {_sum([names[u] for u in nodes])} 1))")
+    for groups in system.positives.values():
+        for nodes in groups:
+            out(f"(assert (= {_sum([names[u] for u in nodes])} 1))")
 
     out("; zeros on other bottom SCCs")
     for u in system.zeros:

@@ -107,9 +107,11 @@ def test_check_tsv_report(capsys):
 
 
 def test_check_requires_query_or_formula(capsys):
-    code, _, err = run(capsys, "check", "-m", BRANCH)
-    assert code == 2
-    assert "needs -q or -f" in err
+    # classify shares the rule and the message
+    for command in ("check", "classify"):
+        code, out, err = run(capsys, command, "-m", BRANCH)
+        assert (code, out) == (2, "")
+        assert err == f"{command} needs -q or -f\n"
 
 
 @pytest.mark.parametrize(
@@ -219,6 +221,24 @@ def test_synth_interval_model(capsys):
     assert "p_s_t=7/10" in out
     # the scan stops at the first witness, 111 combinations in
     assert "tried 111 points, 3 admitted" in out
+
+
+def test_synth_grid_budget_exit_4(capsys):
+    # two free axes of 1001 points each: 1,002,001 points, past GRID_BUDGET
+    code, out, err = run(
+        capsys, "synth", "-m", INTERVAL_ROW, "-q", "P > 3/5 [ F goal ]", "--solve", "grid:1001"
+    )
+    assert code == 4
+    assert out == ""
+    assert err == (
+        f"error: grid of 1002001 points exceeds the grid budget of {eqsys.GRID_BUDGET} points\n"
+    )
+    # one axis far past the budget is refused before its points are built
+    code, out, err = run(
+        capsys, "synth", "-m", SPLIT_CYCLE, "-q", "P >= 1/2 [ X y ]", "--solve", "grid:1000000000"
+    )
+    assert (code, out) == (4, "")
+    assert "grid of 999999998 points" in err
 
 
 def test_synth_emit_only(capsys, tmp_path):

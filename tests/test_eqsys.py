@@ -104,12 +104,15 @@ def test_build_system_shape():
     M, system = branch_system()
     G = system.graph
     assert system.n_nodes() == G.n_nodes()
-    # normalization rows all belong to locally positive SCCs and group
-    # product nodes over a single chain state
-    pos_indices = {r.index for r in system.pos}
-    for scc_index, s, nodes in system.positives:
-        assert scc_index in pos_indices
-        assert all(u % G.n_mc() == s for u in nodes)
+    # normalization rows are keyed by locally positive SCC, one group of
+    # member nodes per chain state of its projection
+    assert list(system.positives) == [r.index for r in system.pos] != []
+    for scc_index, groups in system.positives.items():
+        record = system.partition.sccs[scc_index]
+        assert record.locally_positive
+        assert sorted(u for nodes in groups for u in nodes) == sorted(record.members)
+        for nodes in groups:
+            assert len({u % G.n_mc() for u in nodes}) == 1
 
 
 def test_zeros_cannot_reach_positive_sccs():
@@ -139,8 +142,11 @@ def test_solve_branching_probability():
 def test_positivity_rows_hold_in_solution():
     M, system = branch_system()
     result = solve_concrete(system, {}, restrict=False)
-    for _, _, nodes in system.positives:
-        assert sum(result.mu[u] for u in nodes) == 1
+    for scc_index, groups in system.positives.items():
+        assert system.partition.sccs[scc_index].locally_positive
+        for nodes in groups:
+            assert len({u % system.graph.n_mc() for u in nodes}) == 1
+            assert sum(result.mu[u] for u in nodes) == 1
 
 
 def test_restrict_false_extends_restricted_solution():

@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import formula_corpus
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pmcsynth.eqsys import build_system, parse_pltl, solve_concrete
+from pmcsynth.eqsys import PltlQuery, analyze, build_system, parse_pltl, solve_concrete
 from pmcsynth.gba import translate
 from pmcsynth.ltl import parse_formula
+from pmcsynth.modelgen import crowds_like, random_mc
 from pmcsynth.pmc import parse_model
 from pmcsynth.product import build_product
 from pmcsynth.smtlib import (
@@ -167,3 +172,38 @@ def test_parameter_named_like_a_mu_symbol():
     assignment = {mu_name(system, u): v for u, v in result.mu.items()}
     assert set(assignment).isdisjoint(point)
     assert evaluate_assertions(forms, {**assignment, **point}) == []
+
+
+@st.composite
+def chains_with_points(draw):
+    """A seeded random_mc chain (transient self-loops, single-node blocks,
+    several bottom SCCs) or a small crowds_like model at a grid value of p."""
+    if draw(st.booleans()):
+        M = random_mc(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, 8)))
+        return M, {}, ("a", "b")
+    members = draw(st.integers(2, 4))
+    M = crowds_like(draw(st.integers(1, 3)), members, draw(st.integers(1, members)))
+    lo, hi = M.params["p"].lower, M.params["p"].upper
+    p = lo + draw(st.integers(0, 10)) * (hi - lo) / 10
+    return M, {"p": p}, ("fresh", "observed", "delivered")
+
+
+@given(chains_with_points(), st.integers(0, 2**32 - 1))
+def test_emit_check_evaluate_round_trip(model, formula_seed):
+    M, point, ap = model
+    for formula in formula_corpus(random.Random(formula_seed), 3, 3, ap):
+        system = analyze(M, formula).system
+        result = solve_concrete(system, point, restrict=False)
+        target = result.target
+        assert solve_concrete(system, point).target == target
+        assignment = {mu_name(system, u): v for u, v in result.mu.items()} | point
+
+        forms = check_wellformed(emit_smtlib(system, PltlQuery(formula, target, target)))
+        assert evaluate_assertions(forms, assignment) == []
+
+        # pinned anywhere else, only the target's bound is refuted
+        other = target + Fraction(1, 2) if target <= Fraction(1, 2) else target - Fraction(1, 2)
+        forms = check_wellformed(emit_smtlib(system, PltlQuery(formula, other, other)))
+        n_asserts = sum(1 for form in forms if form[0] == "assert")
+        failures = evaluate_assertions(forms, assignment)
+        assert len(failures) == 1 and failures[0] >= n_asserts - 2
