@@ -108,10 +108,14 @@ class PltlQuery:
 
 
 def _fraction_literal(text: str) -> Fraction:
+    text = text.strip()
     try:
-        return Fraction(text.strip())
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise QuerySyntaxError(f"bad probability bound {text.strip()!r}: {exc}") from None
+        raise QuerySyntaxError(f"bad probability bound {text!r}: {exc}") from None
+    if not 0 <= value <= 1:
+        raise QuerySyntaxError(f"probability bound {text!r} is outside [0, 1]")
+    return value
 
 
 def parse_pltl(text: str) -> PltlQuery:
@@ -211,18 +215,17 @@ def build_system(
         per_state: dict[int, list[int]] = {}
         for u in record.members:
             per_state.setdefault(u % ns, []).append(u)
-        positives[record.index] = [tuple(sorted(per_state[s])) for s in sorted(per_state)]
+        positives[record.index] = [tuple(per_state[s]) for s in sorted(per_state)]
 
     # A node has value 0 exactly when no positive SCC is reachable from it
     # (the node-level form of the emptiness criterion).  Zeroing only the
     # bottom SCCs is not enough: a non-accepting self-loop over an absorbing
     # chain state leaves its flow row degenerate (0 = 0) even though every
     # sibling below it is 0, so the value has to be pinned here.
-    pos_indices = {record.index for record in pos}
     reaches_pos = [False] * len(partition.sccs)
     for record in reversed(partition.sccs):
         i = record.index
-        reaches_pos[i] = i in pos_indices or any(
+        reaches_pos[i] = i in positives or any(
             reaches_pos[j] for j in partition.succ[i]
         )
     zeros = tuple(

@@ -454,9 +454,10 @@ def well_defined(M: Pmc, evaluation: Evaluation) -> WellDefinedReport:
     """Does the total evaluation induce a genuine Markov chain on M's support?
 
     The evaluation must assign exactly M's parameters (ModelError otherwise).
-    Every entry is evaluated to a Fraction and checked for a vanishing
-    denominator, for range and for nonzero support, and every row for its
-    sum; all violations are collected instead of stopping at the first.  The
+    Every parameter value is checked against its declared range, every entry
+    is evaluated to a Fraction and checked for a vanishing denominator, for
+    range and for nonzero support, and every row for its sum; all violations
+    are collected, parameters first, instead of stopping at the first.  The
     report carries the evaluated entries, so a caller need not evaluate them
     again.
     """
@@ -466,7 +467,12 @@ def well_defined(M: Pmc, evaluation: Evaluation) -> WellDefinedReport:
     missing = [p for p in M.params if p not in evaluation]
     if missing:
         raise ModelError(f"evaluation misses parameters: {', '.join(missing)}")
-    problems: list[str] = []
+    evaluation = {name: Fraction(evaluation[name]) for name in M.params}
+    problems = [
+        f"parameter {name} = {v} is outside its range {M.params[name].bounds_str()}"
+        for name, v in evaluation.items()
+        if not M.params[name].admits(v)
+    ]
     values: dict[tuple[int, int], Fraction] = {}
     for s in range(M.n_states()):
         total = Fraction(0)

@@ -104,31 +104,14 @@ def build_product(A: Gba, M: Pmc, max_nodes: int = 5_000_000) -> ProductGraph:
     letters = tuple(A.letter_mask(M.labels[s]) for s in range(ns))
     mc_succ = [[t for t, _ in M.succ(s)] for s in range(ns)]
 
-    counts = array("q", bytes(8 * (n_nodes + 1)))
+    offsets = array("q", [0])
+    targets = array("q")
     for q in range(nq):
-        base = q * ns
         for s in range(ns):
             succs = A.transitions.get((q, letters[s]), ())
             if succs:
-                counts[base + s + 1] = len(succs) * len(mc_succ[s])
-    offsets = counts
-    for i in range(1, n_nodes + 1):
-        offsets[i] += offsets[i - 1]
-    targets = array("q", bytes(8 * offsets[n_nodes]))
-    fill = array("q", offsets)
-    for q in range(nq):
-        base = q * ns
-        for s in range(ns):
-            succs = A.transitions.get((q, letters[s]), ())
-            if not succs:
-                continue
-            u = base + s
-            pos = fill[u]
-            for t in mc_succ[s]:
-                for q2 in succs:
-                    targets[pos] = q2 * ns + t
-                    pos += 1
-            fill[u] = pos
+                targets.extend([q2 * ns + t for t in mc_succ[s] for q2 in succs])
+            offsets.append(len(targets))
     init = tuple(sorted(q0 * ns + M.initial for q0 in A.initial))
     return ProductGraph(A, M, letters, offsets, targets, init)
 
@@ -181,11 +164,7 @@ class SccPartition:
 def scc_decompose(G: ProductGraph) -> SccPartition:
     n = G.n_nodes()
     offsets, targets = G.offsets, G.targets
-
-    def succ_of(u: int):
-        return targets[offsets[u] : offsets[u + 1]]
-
-    comps = tarjan(n, succ_of)
+    comps = tarjan(n, G.succ)
     comps.reverse()  # topological: arcs point to later components
     comp_of = [0] * n
     for ci, comp in enumerate(comps):
@@ -221,18 +200,15 @@ def scc_decompose(G: ProductGraph) -> SccPartition:
         cond_succ.append(tuple(sorted(out)))
 
     # mark reachability from the initial nodes along the condensation
-    seen = [False] * len(records)
     stack = [comp_of[u] for u in G.initial]
     for c in stack:
-        seen[c] = True
+        records[c].reachable = True
     while stack:
         c = stack.pop()
         for d in cond_succ[c]:
-            if not seen[d]:
-                seen[d] = True
+            if not records[d].reachable:
+                records[d].reachable = True
                 stack.append(d)
-    for r in records:
-        r.reachable = seen[r.index]
     return SccPartition(records, comp_of, cond_succ)
 
 
@@ -289,20 +265,17 @@ def is_complete_rd(G: ProductGraph, partition: SccPartition, record: SccRecord) 
         if i < record.index  # condensation arcs only go forward
         and all(u // ns in reent for u in partition.sccs[i].members)
     ]
-    if not candidates:
-        return True
     target = record.index
-    for start in candidates:
-        seen = {start}
-        stack = [start]
-        while stack:
-            c = stack.pop()
-            for d in partition.succ[c]:
-                if d == target:
-                    return False
-                if d not in seen and d <= target:
-                    seen.add(d)
-                    stack.append(d)
+    seen = set(candidates)
+    stack = candidates
+    while stack:
+        c = stack.pop()
+        for d in partition.succ[c]:
+            if d == target:
+                return False
+            if d not in seen and d < target:
+                seen.add(d)
+                stack.append(d)
     return True
 
 
@@ -374,23 +347,16 @@ def is_complete_oracle(
 # ---------------------------------------------------------------------------
 
 
-def chain_bottom_sccs(M: Pmc) -> tuple[list[frozenset[int]], dict[int, int], list[bool]]:
-    """SCCs of the chain's support graph: (component sets, state -> comp id,
-    per-comp bottom flag)."""
+def chain_bottom_sccs(M: Pmc) -> set[frozenset[int]]:
+    """The bottom SCCs of the chain's support graph, as state sets."""
     n = M.n_states()
     succ_lists = [[t for t, _ in M.succ(s)] for s in range(n)]
-    comps = tarjan(n, lambda u: succ_lists[u])
-    comp_of: dict[int, int] = {}
-    for ci, comp in enumerate(comps):
-        for u in comp:
-            comp_of[u] = ci
-    bottom = []
-    sets = []
-    for ci, comp in enumerate(comps):
-        members = set(comp)
-        bottom.append(all(t in members for u in comp for t in succ_lists[u]))
-        sets.append(frozenset(comp))
-    return sets, comp_of, bottom
+    bottoms: set[frozenset[int]] = set()
+    for comp in tarjan(n, succ_lists.__getitem__):
+        members = frozenset(comp)
+        if all(t in members for u in comp for t in succ_lists[u]):
+            bottoms.add(members)
+    return bottoms
 
 
 def classify_locally_positive(
@@ -409,16 +375,12 @@ def classify_locally_positive(
     survivor-set oracle otherwise; ``use_oracle`` forces the oracle.
     """
     use_rd = not use_oracle and G.rd_report().exactly_one
-    m_sets, m_comp_of, m_bottom = chain_bottom_sccs(G.pmc)
+    bottoms = chain_bottom_sccs(G.pmc)
     pos: list[SccRecord] = []
     neg: list[SccRecord] = []
     for record in partition.sccs:
         record.accepting = is_accepting(G, record)
-        some_state = next(iter(record.projection))
-        mci = m_comp_of[some_state]
-        record.projection_is_bottom = (
-            m_bottom[mci] and record.projection == m_sets[mci]
-        )
+        record.projection_is_bottom = record.projection in bottoms
         record.locally_positive = False
         if record.accepting and record.projection_is_bottom:
             if use_rd:

@@ -103,13 +103,16 @@ class Polynomial:
         return Polynomial._from_dict(d)
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        """The value under an assignment of every variable."""
+        """The value under an assignment of every variable.  The values are
+        multiplied as given, so they must be Fractions or ints."""
         total = Fraction(0)
         for m, c in self.terms:
             for name, e in m:
-                if name not in assignment:
-                    raise RatFuncError(f"no value for variable {name!r}")
-                c *= Fraction(assignment[name]) ** e
+                try:
+                    v = assignment[name]
+                except KeyError:
+                    raise RatFuncError(f"no value for variable {name!r}") from None
+                c *= v if e == 1 else v ** e
             total += c
         return total
 

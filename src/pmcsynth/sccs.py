@@ -25,42 +25,36 @@ def tarjan(n: int, successors: Callable[[int], Sequence[int]]) -> list[list[int]
     for root in range(n):
         if index[root] != -1:
             continue
-        # each work item: (node, iterator position over its successor list)
-        succ_cache: dict[int, Sequence[int]] = {}
-        work = [(root, 0)]
+        # work items: (node, its successors or None before its visit, position)
+        work: list[tuple[int, Sequence[int] | None, int]] = [(root, None, 0)]
         while work:
-            u, i = work.pop()
-            if i == 0:
+            u, succs, i = work.pop()
+            if succs is None:
                 index[u] = low[u] = counter
                 counter += 1
                 stack.append(u)
                 on_stack[u] = 1
-                succ_cache[u] = successors(u)
-            succs = succ_cache[u]
-            advanced = False
+                succs = successors(u)
             while i < len(succs):
                 v = succs[i]
                 i += 1
                 if index[v] == -1:
-                    work.append((u, i))
-                    work.append((v, 0))
-                    advanced = True
+                    work.append((u, succs, i))
+                    work.append((v, None, 0))
                     break
                 if on_stack[v]:
                     low[u] = min(low[u], index[v])
-            if advanced:
-                continue
-            if low[u] == index[u]:
-                comp = []
-                while True:
-                    v = stack.pop()
-                    on_stack[v] = 0
-                    comp.append(v)
-                    if v == u:
-                        break
-                sccs.append(comp)
-            del succ_cache[u]
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[u])
+            else:  # every successor is done, so u is finished
+                if low[u] == index[u]:
+                    comp = []
+                    while True:
+                        v = stack.pop()
+                        on_stack[v] = 0
+                        comp.append(v)
+                        if v == u:
+                            break
+                    sccs.append(comp)
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[u])
     return sccs

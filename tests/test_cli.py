@@ -119,6 +119,9 @@ def test_check_requires_query_or_formula(capsys):
     [
         (("check", "-m", "no-such-file.pmc", "-f", "F a"), 3),
         (("check", "-m", BRANCH, "-q", "P ~ 1 [ F a ]"), 3),
+        (("check", "-m", BRANCH, "-q", "P >= -1 [ F a ]"), 3),  # bounds lie in [0, 1]
+        (("check", "-m", BRANCH, "-q", "P <= 3/2 [ F a ]"), 3),
+        (("check", "-m", BRANCH, "-q", "P in [-1/2, 2] [ F a ]"), 3),
         (("check", "-m", BRANCH, "-f", "F ("), 3),
         (("check", "-m", SPLIT_CYCLE, "-f", "X y"), 3),  # missing evaluation
         (("check", "-m", SPLIT_CYCLE, "-f", "X y", "-e", "eps=1/2"), 5),  # kills an entry
@@ -129,6 +132,26 @@ def test_check_error_codes(capsys, argv, expected):
     code, _, err = run(capsys, *argv)
     assert code == expected
     assert err.strip()
+
+
+def test_check_parameter_outside_range_exit_5(capsys):
+    # the row sums to 1, but p_s_t = 9/10 lies outside [1/5, 7/10] (and
+    # p_s_w = 1/10 outside [3/10, 1/2]): no chain of the interval model has it
+    code, out, err = run(
+        capsys, "check", "-m", INTERVAL_ROW, "-q", "P > 3/4 [ F goal ]",
+        "-e", "p_s_t=9/10,p_s_w=1/10,p_t_t=1,p_w_w=1",
+    )
+    assert (code, out) == (5, "")
+    assert err.splitlines() == [
+        "error: evaluation does not induce a Markov chain:",
+        "  parameter p_s_t = 9/10 is outside its range [1/5, 7/10]",
+        "  parameter p_s_w = 1/10 is outside its range [3/10, 1/2]",
+    ]
+    code, out, _ = run(
+        capsys, "check", "-m", INTERVAL_ROW, "-q", "P > 3/4 [ F goal ]",
+        "-e", "p_s_t=7/10,p_s_w=3/10,p_t_t=1,p_w_w=1",
+    )
+    assert code == 1 and "probability = 7/10" in out
 
 
 def test_check_fill_budget_exit_4(capsys, monkeypatch):

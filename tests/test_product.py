@@ -17,6 +17,7 @@ from pmcsynth.product import (
     is_complete_rd,
     scc_decompose,
 )
+from pmcsynth.sccs import tarjan
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -229,10 +230,8 @@ def test_is_accepting_covers_all_sets():
 
 def test_chain_bottom_sccs():
     M = load("loop_pair.pmc")
-    sets, comp_of, bottom = chain_bottom_sccs(M)
     x, y, z, w = (M.index(n) for n in "xyzw")
-    assert comp_of[x] == comp_of[y]
-    assert comp_of[z] == comp_of[w]
-    assert not bottom[comp_of[x]]
-    assert bottom[comp_of[z]]
-    assert sets[comp_of[z]] == {z, w}
+    comps = tarjan(M.n_states(), lambda s: [t for t, _ in M.succ(s)])
+    assert {frozenset(c) for c in comps} == {frozenset({x, y}), frozenset({z, w})}
+    # {x, y} is a component but not a bottom one
+    assert chain_bottom_sccs(M) == {frozenset({z, w})}
