@@ -119,9 +119,6 @@ def test_check_requires_query_or_formula(capsys):
     [
         (("check", "-m", "no-such-file.pmc", "-f", "F a"), 3),
         (("check", "-m", BRANCH, "-q", "P ~ 1 [ F a ]"), 3),
-        (("check", "-m", BRANCH, "-q", "P >= -1 [ F a ]"), 3),  # bounds lie in [0, 1]
-        (("check", "-m", BRANCH, "-q", "P <= 3/2 [ F a ]"), 3),
-        (("check", "-m", BRANCH, "-q", "P in [-1/2, 2] [ F a ]"), 3),
         (("check", "-m", BRANCH, "-f", "F ("), 3),
         (("check", "-m", SPLIT_CYCLE, "-f", "X y"), 3),  # missing evaluation
         (("check", "-m", SPLIT_CYCLE, "-f", "X y", "-e", "eps=1/2"), 5),  # kills an entry
@@ -131,6 +128,17 @@ def test_check_requires_query_or_formula(capsys):
 def test_check_error_codes(capsys, argv, expected):
     code, _, err = run(capsys, *argv)
     assert code == expected
+    assert err.strip()
+
+
+@pytest.mark.parametrize(
+    "query",
+    ["P >= -1 [ F a ]", "P <= 3/2 [ F a ]", "P in [-1/2, 2] [ F a ]"],
+)
+def test_check_query_bound_outside_unit_interval_exit_3(capsys, query):
+    # probability bounds lie in [0, 1]
+    code, out, err = run(capsys, "check", "-m", BRANCH, "-q", query)
+    assert (code, out) == (3, "")
     assert err.strip()
 
 
