@@ -7,8 +7,9 @@
 
 Exit codes: 0 success (and positive verdict where applicable); 1 completed
 with a negative answer (verdict false, no witness, solver unsat); 2 usage;
-3 malformed input; 4 a size cap or search budget was exceeded; 5 numeric or
-semantic failure (ill-defined evaluation, singular system, oracle mismatch).
+3 malformed or unreadable input; 4 a size cap, search budget or nesting depth
+was exceeded; 5 numeric or semantic failure (ill-defined evaluation,
+singular system, oracle mismatch).
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ _INPUT_ERRORS = (
     ProductError,
     smtlib.SmtlibError,
     oracle.OracleError,
-    FileNotFoundError,
+    OSError,
+    UnicodeDecodeError,
 )
 _NUMERIC_ERRORS = (SolveError, RatFuncError)
 
@@ -87,7 +89,7 @@ def _stats_row(M: Pmc, analysis: Analysis, t_mc: float) -> dict[str, str]:
         "|S_M|": str(M.n_states()),
         "|V_G|": str(system.n_nodes()),
         "SCC_G": str(len(system.partition.sccs)),
-        "SCC_pos": str(sum(1 for r in system.pos if r.reachable)),
+        "SCC_pos": str(len(system.positives)),
         "T_G": f"{t_g:.4f}",
         "T_mc": f"{t_mc:.4f}",
     }
@@ -303,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return 4
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

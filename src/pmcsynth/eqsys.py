@@ -2,26 +2,28 @@
 
 For a product node (q, s) the variable mu(q, s) is the probability that the
 chain started in s emits a word accepted by the automaton started in q.  The
-system asserts, for every node,
+system covers the nodes reachable from an initial node (their successors
+are reachable too) and asserts, for every one of them,
 
     mu(q,s)  =  sum_{s'} P(s,s') * sum_{q' in T(q, L(s))} mu(q',s')     (flow)
 
-together with, for every locally positive SCC C and chain state s in its
-projection,  sum_{q : (q,s) in C} mu(q,s) = 1  (the automaton is almost
-fully partitioned, so from a state of a positive bottom component the
+together with, for every locally positive SCC C among them and chain state
+s in its projection,  sum_{q : (q,s) in C} mu(q,s) = 1  (the automaton is
+almost fully partitioned, so from a state of a positive bottom component the
 acceptance probabilities of the subset states add up to one), and mu = 0 on
-every other bottom SCC of the product.  The probability of the property is
-the sum of mu over initial product nodes.
+every node that cannot reach such an SCC.  The probability of the property
+is the sum of mu over initial product nodes.  ``solve_concrete`` solves
+this system and ``smtlib.emit_smtlib`` writes it.
 
 The system reads its arcs straight off the product's CSR arrays: the
 coefficient of the arc (q,s) -> (q',s') is P(s,s').  Concrete evaluations
 are solved exactly over Fractions, block per SCC along the condensation
-(sinks first), substituting solved blocks into earlier ones.  Every block
-is a sparse system of {column: coefficient} rows, eliminated in Markowitz
-order (the row with the fewest entries, then its column shared by the
-fewest rows) and finished by back substitution.  Uniqueness and consistency
-are checked per block rather than assumed, and a block whose fill-in would
-pass ``FILL_BUDGET`` entries stops with ``CapacityError``.
+(sinks first), so a successor outside a block is already solved.  Every
+block is a sparse system of {node: coefficient} rows, eliminated in
+Markowitz order (the row with the fewest entries, then its column shared by
+the fewest rows) and finished by back substitution.  Uniqueness and
+consistency are checked per block rather than assumed, and a block whose
+fill-in would pass ``FILL_BUDGET`` entries stops with ``CapacityError``.
 """
 
 from __future__ import annotations
@@ -34,14 +36,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import KeysView, Sequence
 
-from .gba import CapacityError, translate
-from .ltl import LtlFormula, atomic_props, parse_formula
+from .gba import CapacityError, elementary, translate
+from .ltl import LtlFormula, parse_formula
 from .pmc import Evaluation, Pmc, well_defined
 from .product import (
     ProductGraph,
     SccPartition,
     SccRecord,
     build_product,
+    check_product_size,
     classify_locally_positive,
     scc_decompose,
 )
@@ -189,12 +192,16 @@ def parse_pltl(text: str) -> PltlQuery:
 class EquationSystem:
     graph: ProductGraph
     partition: SccPartition
-    pos: list[SccRecord]
-    # per positive SCC index, one group per chain state of its projection:
-    # the member nodes over that state, whose mu values sum to 1
+    # per reachable positive SCC index, one group per chain state of its
+    # projection: the member nodes over that state, whose mu values sum to 1
     positives: dict[int, list[tuple[int, ...]]]
-    # nodes whose value is 0: everything that cannot reach a positive SCC
+    # reachable nodes whose value is 0: those that cannot reach a positive SCC
     zeros: tuple[int, ...]
+
+    @property
+    def pos(self) -> list[SccRecord]:
+        """The reachable locally positive SCCs."""
+        return [self.partition.sccs[i] for i in self.positives]
 
     def n_nodes(self) -> int:
         return self.graph.n_nodes()
@@ -205,13 +212,15 @@ def build_system(
     partition: SccPartition | None = None,
     use_oracle: bool = False,
 ) -> EquationSystem:
-    """Assemble the full system (all nodes, all bottom SCCs, reachable or not)."""
+    """Classify every SCC and assemble the system of the reachable ones."""
     if partition is None:
         partition = scc_decompose(G)
     pos, _ = classify_locally_positive(G, partition, use_oracle=use_oracle)
     ns = G.n_mc()
     positives: dict[int, list[tuple[int, ...]]] = {}
     for record in pos:
+        if not record.reachable:
+            continue
         per_state: dict[int, list[int]] = {}
         for u in record.members:
             per_state.setdefault(u % ns, []).append(u)
@@ -225,16 +234,15 @@ def build_system(
     reaches_pos = [False] * len(partition.sccs)
     for record in reversed(partition.sccs):
         i = record.index
-        reaches_pos[i] = i in positives or any(
-            reaches_pos[j] for j in partition.succ[i]
-        )
+        if record.reachable:
+            reaches_pos[i] = i in positives or any(reaches_pos[j] for j in partition.succ[i])
     zeros = tuple(
         u
         for record in partition.sccs
-        if not reaches_pos[record.index]
+        if record.reachable and not reaches_pos[record.index]
         for u in record.members
     )
-    return EquationSystem(G, partition, pos, positives, zeros)
+    return EquationSystem(G, partition, positives, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +271,17 @@ FILL_BUDGET = 500_000
 
 
 def _eliminate(
-    rows: list[tuple[dict[int, Fraction], Fraction]], n_vars: int, what: str
-) -> list[Fraction]:
-    """Solve the sparse system whose rows are ({column: coefficient}, rhs)
-    over the columns 0..n_vars-1; require a unique, consistent solution.
+    rows: list[tuple[dict[int, Fraction], Fraction]], unknowns: Sequence[int], what: str
+) -> dict[int, Fraction]:
+    """Solve the sparse system whose rows are ({unknown: coefficient}, rhs)
+    and return {unknown: value}; require a unique, consistent solution.
 
     Markowitz order: the pivot is taken from the active row with the fewest
     entries, in the column of that row which occurs in the fewest active
     rows, so fill-in only touches the rows holding the pivot column.  Values
     follow by back substitution in reverse pivot order.  Rows are consumed.
     """
-    col_rows: list[set[int]] = [set() for _ in range(n_vars)]
+    col_rows: dict[int, set[int]] = {u: set() for u in unknowns}
     live = 0
     for r, (row, _) in enumerate(rows):
         for j in row:
@@ -293,7 +301,7 @@ def _eliminate(
             continue  # a stale heap entry
         if live > budget:
             raise CapacityError(
-                f"{what}: elimination of a {n_vars}-node block exceeds the fill "
+                f"{what}: elimination of a {len(col_rows)}-node block exceeds the fill "
                 f"budget of {budget} entries"
             )
         active[p] = False
@@ -332,26 +340,19 @@ def _eliminate(
                 if rhs[r]:
                     inconsistent = True
         col_rows[c] = set()
-    if len(pivots) < n_vars:
+    if len(pivots) < len(col_rows):
         raise SingularSystemError(f"{what}: system does not determine all unknowns")
     if inconsistent:
         raise InconsistentSystemError(f"{what}: equations are inconsistent")
-    x: list[Fraction] = [Fraction(0)] * n_vars
+    x: dict[int, Fraction] = {}
     for c, prow, bp in reversed(pivots):
         x[c] = bp - sum(v * x[j] for j, v in prow.items())
     return x
 
 
-def solve_concrete(
-    system: EquationSystem, evaluation: Evaluation, restrict: bool = True
-) -> SolveResult:
-    """Exact solution under a total evaluation.
-
-    By default only the SCCs marked reachable by ``scc_decompose`` are
-    solved — enough for the target, since their successors are reachable
-    too.  ``restrict=False`` solves every node, which is what a full model
-    for the emitted SMT system needs.
-    """
+def solve_concrete(system: EquationSystem, evaluation: Evaluation) -> SolveResult:
+    """Exact solution of the system under a total evaluation: one value per
+    reachable node, a model of the emitted SMT-LIB script at that point."""
     G = system.graph
     report = well_defined(G.pmc, evaluation)
     if not report.ok:
@@ -363,7 +364,7 @@ def solve_concrete(
 
     mu: dict[int, Fraction] = {}
     for record in reversed(system.partition.sccs):  # sinks first
-        if restrict and not record.reachable:
+        if not record.reachable:
             continue
         members = record.members
         if members[0] in zero_set:
@@ -371,26 +372,23 @@ def solve_concrete(
                 mu[u] = Fraction(0)
             continue
         # flow rows off the CSR slices: mu(u) - sum_{v in block} P(u,v) mu(v)
-        # = sum of P(u,v) mu(v) over the solved successors v outside it
-        index_of = {u: i for i, u in enumerate(members)}
+        # = sum of P(u,v) mu(v) over the successors v already solved
         rows = []
         for u in members:
             s = u % ns
-            row = {index_of[u]: Fraction(1)}
+            row = {u: Fraction(1)}
             b = Fraction(0)
             for v in arcs[offsets[u] : offsets[u + 1]]:
                 c = prob[(s, v % ns)]
-                i = index_of.get(v)
-                if i is None:
-                    b += c * mu[v]
+                value = mu.get(v)
+                if value is None:
+                    row[v] = row.get(v, 0) - c
                 else:
-                    row[i] = row.get(i, 0) - c
-            rows.append(({i: c for i, c in row.items() if c}, b))
+                    b += c * value
+            rows.append(({v: c for v, c in row.items() if c}, b))
         for nodes in system.positives.get(record.index, ()):
-            rows.append(({index_of[u]: Fraction(1) for u in nodes}, Fraction(1)))
-        sol = _eliminate(rows, len(members), f"SCC {record.index}")
-        for u, i in index_of.items():
-            mu[u] = sol[i]
+            rows.append(({u: Fraction(1) for u in nodes}, Fraction(1)))
+        mu.update(_eliminate(rows, members, f"SCC {record.index}"))
 
     for u, v in mu.items():
         if v < 0 or v > 1:
@@ -420,10 +418,11 @@ def analyze(
     use_oracle: bool = False,
 ) -> Analysis:
     """translate -> product -> SCCs -> classification -> equation system."""
+    # the tableau has 2^|el| + 1 states: refuse a product over the cap first
+    check_product_size((1 << len(elementary(formula))) + 1, M.n_states(), max_nodes)
     times: dict[str, float] = {}
     t0 = time.perf_counter()
-    props = atomic_props(formula)
-    A = translate(formula, ap=tuple(sorted(props)))
+    A = translate(formula)
     times["translate"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     G = build_product(A, M, max_nodes=max_nodes)

@@ -68,7 +68,6 @@ class Gba:
     transitions: dict[tuple[int, int], tuple[int, ...]]
     acceptance: tuple[frozenset[tuple[int, int, int]], ...]
     el: tuple[LtlFormula, ...] = ()
-    formula: LtlFormula | None = None
     n_el: int | None = None
 
     def letter_mask(self, letter: frozenset[str]) -> int:
@@ -256,7 +255,6 @@ def translate(
         transitions={k: tuple(sorted(v)) for k, v in transitions.items()},
         acceptance=tuple(frozenset(s) for s in acc_sets),
         el=el,
-        formula=formula,
         n_el=n,
     )
 

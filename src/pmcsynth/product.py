@@ -88,6 +88,12 @@ class ProductGraph:
         return self._rd
 
 
+def check_product_size(nq: int, ns: int, max_nodes: int) -> None:
+    """Raise CapacityError if ``nq * ns`` product nodes would exceed ``max_nodes``."""
+    if nq * ns > max_nodes:
+        raise CapacityError(f"product would have {nq * ns} nodes, above the cap of {max_nodes}")
+
+
 def build_product(A: Gba, M: Pmc, max_nodes: int = 5_000_000) -> ProductGraph:
     """A x M on all state pairs, arcs in CSR form.
 
@@ -96,11 +102,7 @@ def build_product(A: Gba, M: Pmc, max_nodes: int = 5_000_000) -> ProductGraph:
     """
     nq = len(A.states)
     ns = M.n_states()
-    n_nodes = nq * ns
-    if n_nodes > max_nodes:
-        raise CapacityError(
-            f"product would have {n_nodes} nodes, above the cap of {max_nodes}"
-        )
+    check_product_size(nq, ns, max_nodes)
     letters = tuple(A.letter_mask(M.labels[s]) for s in range(ns))
     mc_succ = [[t for t, _ in M.succ(s)] for s in range(ns)]
 
@@ -132,7 +134,6 @@ class SccRecord:
     members: tuple[int, ...]
     projection: frozenset[int]
     trivial: bool  # single node without a self-arc
-    bottom: bool  # no arc leaves the SCC
     reachable: bool  # from an initial product node
     accepting: bool | None = None
     complete: bool | None = None
@@ -143,8 +144,7 @@ class SccRecord:
 @dataclass
 class SccPartition:
     sccs: list[SccRecord]  # topological order: arcs go index -> higher index
-    comp_of: list[int]
-    succ: list[tuple[int, ...]]  # condensation arcs, per scc index
+    succ: list[tuple[int, ...]]  # condensation arcs, per scc index; () if bottom
 
     def __post_init__(self) -> None:
         self._by_projection: dict[frozenset[int], list[int]] | None = None
@@ -171,6 +171,11 @@ def scc_decompose(G: ProductGraph) -> SccPartition:
         for u in comp:
             comp_of[u] = ci
 
+    # every arc into a component comes from an earlier one, so one forward
+    # pass settles reachability from the initial nodes
+    reached = [False] * len(comps)
+    for u in G.initial:
+        reached[comp_of[u]] = True
     ns = G.n_mc()
     records: list[SccRecord] = []
     cond_succ: list[tuple[int, ...]] = []
@@ -185,31 +190,20 @@ def scc_decompose(G: ProductGraph) -> SccPartition:
                     out.add(cj)
                 elif targets[i] == u:
                     self_arc = True
-        projection = frozenset(u % ns for u in members)
-        trivial = len(members) == 1 and not self_arc
+        if reached[ci]:
+            for cj in out:
+                reached[cj] = True
         records.append(
             SccRecord(
                 index=ci,
                 members=members,
-                projection=projection,
-                trivial=trivial,
-                bottom=not out,
-                reachable=False,
+                projection=frozenset(u % ns for u in members),
+                trivial=len(members) == 1 and not self_arc,
+                reachable=reached[ci],
             )
         )
         cond_succ.append(tuple(sorted(out)))
-
-    # mark reachability from the initial nodes along the condensation
-    stack = [comp_of[u] for u in G.initial]
-    for c in stack:
-        records[c].reachable = True
-    while stack:
-        c = stack.pop()
-        for d in cond_succ[c]:
-            if not records[d].reachable:
-                records[d].reachable = True
-                stack.append(d)
-    return SccPartition(records, comp_of, cond_succ)
+    return SccPartition(records, cond_succ)
 
 
 def is_accepting(G: ProductGraph, record: SccRecord) -> bool:
@@ -390,6 +384,6 @@ def classify_locally_positive(
             record.locally_positive = record.complete
         if record.locally_positive:
             pos.append(record)
-        elif record.bottom:
+        elif not partition.succ[record.index]:
             neg.append(record)
     return pos, neg

@@ -2,10 +2,11 @@
 checker and a ground evaluator for the emitted scripts.
 
 The emission is self-contained text: parameter declarations and range
-assertions, one mu variable per product node, the flow equation of every
-node, the normalization row of every locally positive SCC, zeros on the
-remaining bottom SCCs, mu range bounds, and — when a query is given — the
-membership of the target sum in the probability interval.
+assertions, and the equation system of ``eqsys`` — one mu variable and flow
+equation per product node reachable from an initial node, normalization
+rows, zeros and mu range bounds — so ``solve_concrete``'s ``mu`` is a full
+model of the mu variables; when a query is given, the membership of the
+target sum in the probability interval.
 
 ``check_wellformed`` parses the script back (balanced s-expressions, known
 commands, every declared name a simple symbol and no reserved word, every
@@ -101,8 +102,9 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
     for name in M.states:
         if not _SIMPLE_SYMBOL.fullmatch(name):
             raise SmtlibError(f"state {name!r} is not an SMT-LIB simple symbol")
-    names = [mu_name(system, u) for u in range(system.n_nodes())]
-    for n in names:
+    nodes = sorted(u for r in system.partition.sccs if r.reachable for u in r.members)
+    names = {u: mu_name(system, u) for u in nodes}
+    for n in names.values():
         out(f"(declare-const {n} Real)")
 
     out("; parameter ranges")
@@ -128,7 +130,7 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
 
     out("; flow equations")
     ns = M.n_states()
-    for u in range(system.n_nodes()):
+    for u in names:
         s = u % ns
         # build_product lays out a node's arcs grouped by chain successor
         terms = [
@@ -138,18 +140,18 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
         out(f"(assert (= {names[u]} {_sum(terms)}))")
 
     out("; normalization on locally positive SCCs")
-    if not system.pos:
+    if not system.positives:
         out("; target provably 0: no locally positive SCC")
     for groups in system.positives.values():
         for nodes in groups:
             out(f"(assert (= {_sum([names[u] for u in nodes])} 1))")
 
-    out("; zeros on other bottom SCCs")
+    out("; zeros on nodes that cannot reach a locally positive SCC")
     for u in system.zeros:
         out(f"(assert (= {names[u]} 0))")
 
     out("; probabilities lie in [0,1]")
-    for n in names:
+    for n in names.values():
         out(f"(assert (and (<= 0 {n}) (<= {n} 1)))")
 
     target = _sum([names[u] for u in G.initial])

@@ -493,7 +493,7 @@ def test_criterion_9(capsys):
         target = solve_concrete(system, {}).target
         query = PltlQuery(parse_formula(formula_text), target, target)
         forms = wellformed(system, query)
-        full = solve_concrete(system, {}, restrict=False)
+        full = solve_concrete(system, {})
         assignment = {mu_name(system, u): v for u, v in full.mu.items()}
         return evaluate_assertions(forms, assignment), target
 

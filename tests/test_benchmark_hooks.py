@@ -1,0 +1,43 @@
+"""The benchmark's tracer (``perfbench/layers.py``) rebinds program names and
+reads result attributes; a rename on either side must fail here."""
+
+from pathlib import Path
+
+from pmcsynth import cli, eqsys
+
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
+SPLIT_CYCLE = str(MODELS / "split_cycle.pmc")
+LOOP_PAIR = str(MODELS / "loop_pair.pmc")
+
+
+def test_tracer_counts_every_layer(capsys, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from layers import Tracer
+
+    build_system = eqsys.build_system
+    tracer = Tracer()
+    restore = tracer.install()
+    try:
+        codes = [
+            cli.main(argv)
+            for argv in (
+                ["check", "-m", SPLIT_CYCLE, "-e", "eps=1/8", "-f", "G F y"],
+                ["classify", "-m", LOOP_PAIR, "-f", "G F x | G F w"],
+                ["synth", "-m", SPLIT_CYCLE, "-q", "P >= 1 [ G F y ]", "-o", str(tmp_path / "q.smt2")],
+                ["synth", "-m", SPLIT_CYCLE, "-q", "P >= 3/4 [ X y ]", "--solve", "grid:3"],
+            )
+        ]
+    finally:
+        restore()
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 1]
+    assert eqsys.build_system is build_system
+    for counter in (
+        "product.sccs",
+        "eqsys.solve_calls",
+        "eqsys.max_block",
+        "eqsys.grid_tried",
+        "smtlib.bytes",
+    ):
+        assert tracer.counts[counter] > 0, counter

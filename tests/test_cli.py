@@ -184,6 +184,63 @@ def test_check_malformed_model(capsys, tmp_path):
     assert "sums to 1/2" in err
 
 
+def _write(path: Path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "files",
+    [
+        lambda d: ("-m", str(d)),
+        lambda d: ("-m", _write(d / "latin1.pmc", "pmc\nstate s {café};\n".encode("latin-1"))),
+        lambda d: ("-m", SPLIT_CYCLE, "-o", str(d)),
+        lambda d: (
+            "-m", SPLIT_CYCLE, "-o", str(d / "q.smt2"),
+            "--solver", _write(d / "solver", b"#!/bin/sh\necho sat\n"),
+        ),
+    ],
+    ids=["model-is-directory", "model-not-utf8", "out-is-directory", "solver-not-executable"],
+)
+def test_unreadable_file_exit_3(capsys, tmp_path, files):
+    code, _, err = run(capsys, "synth", "-q", "P >= 1 [ G F y ]", *files(tmp_path))
+    assert code == 3
+    assert err.startswith("error: ")
+
+
+def test_deeply_nested_formula_exit_4(capsys):
+    code, out, err = run(capsys, "check", "-m", SPLIT_CYCLE, "-e", "eps=1/8", "-f", "!" * 3000 + "y")
+    assert (code, out) == (4, "")
+    assert err == "error: input is nested too deeply\n"
+
+
+def test_deeply_nested_transition_exit_4(capsys, tmp_path):
+    model = tmp_path / "deep.pmc"
+    model.write_text(
+        "pmc\nstate x {};\nstate y {};\ninit x;\n"
+        f"trans x -> y : {'(' * 3000}1{')' * 3000};\ntrans y -> y : 1;\n"
+    )
+    code, out, err = run(capsys, "check", "-m", str(model), "-f", "F y")
+    assert (code, out) == (4, "")
+    assert err == "error: input is nested too deeply\n"
+
+
+def test_check_product_cap_before_translate(capsys, monkeypatch):
+    # 17 X give |el| = 17, so the tableau has 2^17 + 1 states: over the cap
+    # of 1000 nodes with 4 chain states, decided before translating
+    def translate(*_args, **_kwargs):
+        raise AssertionError("translate ran for a product over the cap")
+
+    monkeypatch.setattr(eqsys, "translate", translate)
+    formula = "X " * 17 + "x"
+    code, out, err = run(
+        capsys, "check", "-m", SPLIT_CYCLE, "-e", "eps=1/8", "-f", formula,
+        "--max-product-nodes", "1000",
+    )
+    assert (code, out) == (4, "")
+    assert err == "error: product would have 524292 nodes, above the cap of 1000\n"
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_solve_branching_probability():
 
 def test_positivity_rows_hold_in_solution():
     M, system = branch_system()
-    result = solve_concrete(system, {}, restrict=False)
+    result = solve_concrete(system, {})
     for scc_index, groups in system.positives.items():
         assert system.partition.sccs[scc_index].locally_positive
         for nodes in groups:
@@ -151,15 +151,10 @@ def test_positivity_rows_hold_in_solution():
             assert sum(result.mu[u] for u in nodes) == 1
 
 
-def test_restrict_false_extends_restricted_solution():
+def test_solution_covers_the_reachable_nodes():
     M, system = branch_system()
-    partial = solve_concrete(system, {})
-    full = solve_concrete(system, {}, restrict=False)
-    assert full.target == partial.target
-    assert len(full.mu) == system.n_nodes()
-    for u, v in partial.mu.items():
-        assert full.mu[u] == v
-    assert partial.restricted == {
+    result = solve_concrete(system, {})
+    assert result.restricted == {
         u for r in system.partition.sccs if r.reachable for u in r.members
     }
 
@@ -193,13 +188,13 @@ def test_degenerate_self_loop_over_absorbing_state():
     # a self-loop over s2 whose SCC is not locally positive has no equation
     # besides 0 = 0 once its siblings vanish
     s2 = M.index("s2")
-    part = system.partition
+    record_of = {u: r for r in system.partition.sccs for u in r.members}
     degenerate = [
         u
         for u in range(G.n_nodes())
         if u % M.n_states() == s2
         and u in G.succ(u)
-        and not part.sccs[part.comp_of[u]].locally_positive
+        and not record_of[u].locally_positive
     ]
     assert degenerate
     assert set(degenerate) <= set(system.zeros)
@@ -229,7 +224,9 @@ def test_no_positive_scc_means_zero():
     G = build_product(loop_automaton(), M)
     system = build_system(G)
     assert system.pos == []
-    assert set(system.zeros) == set(range(G.n_nodes()))
+    assert set(system.zeros) == {
+        u for r in system.partition.sccs if r.reachable for u in r.members
+    }
     assert solve_concrete(system, {}).target == 0
 
 
@@ -289,6 +286,11 @@ def _sparse(dense: list[list[Fraction]], n_vars: int):
     return [({j: v for j, v in enumerate(row[:n_vars]) if v}, row[n_vars]) for row in dense]
 
 
+def _solve_sparse(rows, n_vars: int, what: str) -> list[Fraction]:
+    x = _eliminate(rows, range(n_vars), what)
+    return [x[j] for j in range(n_vars)]
+
+
 def _outcome(solve, rows, n_vars):
     try:
         return solve(rows, n_vars, "block")
@@ -299,12 +301,12 @@ def _outcome(solve, rows, n_vars):
 def test_eliminate_duplicate_rows_are_singular():
     row = {0: F(1), 1: F(-1, 2)}
     with pytest.raises(SingularSystemError, match="^SCC 7: system does not determine all unknowns$"):
-        _eliminate([(dict(row), F(1, 2)), (dict(row), F(1, 2))], 2, "SCC 7")
+        _eliminate([(dict(row), F(1, 2)), (dict(row), F(1, 2))], range(2), "SCC 7")
 
 
 def test_eliminate_contradiction_is_inconsistent():
     with pytest.raises(InconsistentSystemError, match="^SCC 3: equations are inconsistent$"):
-        _eliminate([({0: F(1)}, F(1)), ({0: F(1)}, F(2))], 1, "SCC 3")
+        _eliminate([({0: F(1)}, F(1)), ({0: F(1)}, F(2))], range(1), "SCC 3")
 
 
 def test_eliminate_overdetermined_consistent_system():
@@ -315,9 +317,9 @@ def test_eliminate_overdetermined_consistent_system():
         ({0: F(2), 1: F(1)}, F(5)),
         ({1: F(1)}, F(1)),
     ]
-    x = _eliminate(rows, 2, "SCC 0")
-    assert x == [F(2), F(1)]
-    assert all(type(v) is Fraction for v in x)
+    x = _eliminate(rows, range(2), "SCC 0")
+    assert x == {0: F(2), 1: F(1)}
+    assert all(type(v) is Fraction for v in x.values())
 
 
 _ENTRY = st.sampled_from([F(0)] * 4 + [F(1), F(-1), F(1, 2), F(-1, 3), F(2), F(3, 4)])
@@ -341,7 +343,7 @@ def test_eliminate_matches_dense_reference(kind, n, data):
         b[data.draw(st.integers(0, m - 1))] += 1
     dense = [row + [rhs] for row, rhs in zip(A, b)]
     want = _outcome(_reference_gauss, [row[:] for row in dense], n)
-    got = _outcome(_eliminate, _sparse(dense, n), n)
+    got = _outcome(_solve_sparse, _sparse(dense, n), n)
     assert got == want
     if kind == "deficient":
         assert got is SingularSystemError

@@ -100,10 +100,11 @@ def test_emitted_script_is_wellformed():
     assert forms[0] == ["set-logic", "QF_NRA"]
     assert forms[-2] == ["check-sat"]
     assert forms[-1] == ["get-model"]
-    # one declaration per parameter and per product node
+    # one declaration per parameter and per reachable product node
     decls = [f[1] for f in forms if f[0] == "declare-const"]
-    assert len(decls) == len(M.params) + system.n_nodes()
-    assert "eps" in decls
+    reachable = [u for r in system.partition.sccs if r.reachable for u in r.members]
+    assert len(reachable) < system.n_nodes()
+    assert sorted(decls) == sorted(list(M.params) + [mu_name(system, u) for u in reachable])
 
 
 def test_exact_solution_is_a_model():
@@ -112,7 +113,7 @@ def test_exact_solution_is_a_model():
     M, system = system_for("split_cycle.pmc", "G F y")
     script = emit_smtlib(system, parse_pltl("P >= 1 [ G F y ]"))
     forms = check_wellformed(script)
-    result = solve_concrete(system, {"eps": F(1, 8)}, restrict=False)
+    result = solve_concrete(system, {"eps": F(1, 8)})
     assignment = {mu_name(system, u): v for u, v in result.mu.items()}
     assignment["eps"] = F(1, 8)
     assert evaluate_assertions(forms, assignment) == []
@@ -123,7 +124,7 @@ def test_exact_solution_is_a_model_parameter_free():
     target = solve_concrete(system, {}).target
     script = emit_smtlib(system, parse_pltl(f"P in [{target}, {target}] [ F success ]"))
     forms = check_wellformed(script)
-    result = solve_concrete(system, {}, restrict=False)
+    result = solve_concrete(system, {})
     assignment = {mu_name(system, u): v for u, v in result.mu.items()}
     assert evaluate_assertions(forms, assignment) == []
     # the off-by-anything interval is refuted by the same assignment
@@ -168,7 +169,7 @@ def test_parameter_named_like_a_mu_symbol():
     system = build_system(build_product(A, M))
     forms = check_wellformed(emit_smtlib(system, parse_pltl("P >= 1 [ F goal ]")))
     point = {"mu_0_x": F(1, 2)}
-    result = solve_concrete(system, point, restrict=False)
+    result = solve_concrete(system, point)
     assignment = {mu_name(system, u): v for u, v in result.mu.items()}
     assert set(assignment).isdisjoint(point)
     assert evaluate_assertions(forms, {**assignment, **point}) == []
@@ -193,9 +194,8 @@ def test_emit_check_evaluate_round_trip(model, formula_seed):
     M, point, ap = model
     for formula in formula_corpus(random.Random(formula_seed), 3, 3, ap):
         system = analyze(M, formula).system
-        result = solve_concrete(system, point, restrict=False)
+        result = solve_concrete(system, point)
         target = result.target
-        assert solve_concrete(system, point).target == target
         assignment = {mu_name(system, u): v for u, v in result.mu.items()} | point
 
         forms = check_wellformed(emit_smtlib(system, PltlQuery(formula, target, target)))
