@@ -22,7 +22,6 @@ from .eqsys import (
 )
 from .gba import (
     Gba,
-    accepts_lasso,
     check_reverse_deterministic,
     elementary,
     make_gba,
@@ -47,6 +46,7 @@ from .pmc import (
 from .product import (
     ProductGraph,
     SccPartition,
+    accepts_lasso,
     build_product,
     classify_locally_positive,
     scc_decompose,

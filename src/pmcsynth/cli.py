@@ -58,7 +58,11 @@ _NUMERIC_ERRORS = (SolveError, RatFuncError)
 
 
 def _load_model(path: str) -> Pmc:
-    model = parse_model(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"{path}: {exc}") from None
+    model = parse_model(text)
     return imc_to_pmc(model) if isinstance(model, Imc) else model
 
 

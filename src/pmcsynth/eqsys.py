@@ -231,11 +231,7 @@ def build_system(
     # bottom SCCs is not enough: a non-accepting self-loop over an absorbing
     # chain state leaves its flow row degenerate (0 = 0) even though every
     # sibling below it is 0, so the value has to be pinned here.
-    reaches_pos = [False] * len(partition.sccs)
-    for record in reversed(partition.sccs):
-        i = record.index
-        if record.reachable:
-            reaches_pos[i] = i in positives or any(reaches_pos[j] for j in partition.succ[i])
+    reaches_pos = partition.reaching(positives)
     zeros = tuple(
         u
         for record in partition.sccs

@@ -1,5 +1,7 @@
 """Tableau translation of LTL into generalized Buchi automata over subsets
-of elementary formulas, plus the automaton-side analyses the pipeline needs.
+of elementary formulas, the reverse-determinism check the completeness
+decider needs, and a stable text dump.  Whether an automaton accepts a lasso
+word is decided on the product (``product.accepting_states_lasso``).
 
 States of a translated automaton are the subsets of el(phi) — the X-guarded
 formulas X psi occurring in phi, plus X(psi1 U psi2) for every until — with
@@ -12,7 +14,8 @@ the transition function is the inverse of the predecessor map
 which makes the reenterable part of the automaton reverse deterministic by
 construction.  Acceptance has one set per until subformula psi1 U psi2: an
 edge with letter a into V belongs to it iff (V, a) |= psi2 or (V, a) |= not
-(psi1 U psi2) — i.e. the until is not being procrastinated.
+(psi1 U psi2) — i.e. the until is not being procrastinated.  The alphabet is
+the formula's own atomic propositions.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import Iterable, Sequence
 from .ltl import (
     And,
     Atom,
-    LassoWord,
     LtlError,
     LtlFormula,
     Next,
@@ -34,6 +36,8 @@ from .ltl import (
     pretty,
     subformulas,
 )
+# Not used here: the benchmark's tracer (perfbench/layers.py) rebinds
+# ``gba.tarjan`` and fails if the name is missing.
 from .sccs import tarjan
 
 
@@ -173,30 +177,18 @@ def sat_relation(V: frozenset[LtlFormula], a: frozenset[str], psi: LtlFormula) -
     raise LtlError(f"not an LTL node: {psi!r}")
 
 
-def translate(
-    formula: LtlFormula,
-    ap: Sequence[str] | None = None,
-    el_cap: int = 20,
-) -> Gba:
-    """Tableau automaton of ``formula``.
+def translate(formula: LtlFormula, el_cap: int = 20) -> Gba:
+    """Tableau automaton of ``formula`` over its own atomic propositions.
 
-    ``ap`` may widen the alphabet beyond the formula's own propositions
-    (needed when a chain's labelling mentions more); it must contain them.
+    ``build_product`` projects every chain label onto this alphabet, so
+    propositions the formula does not mention need no letters.
     """
     el = elementary(formula)
     if len(el) > el_cap:
         raise CapacityError(
             f"el(formula) has {len(el)} members, above the cap of {el_cap}"
         )
-    own = atomic_props(formula)
-    if ap is None:
-        props = tuple(sorted(own))
-    else:
-        props = tuple(ap)
-        if len(set(props)) != len(props):
-            raise GbaError("duplicate atomic propositions")
-        if not own <= set(props):
-            raise GbaError(f"ap must contain {sorted(own)}")
+    props = tuple(sorted(atomic_props(formula)))
 
     n = len(el)
     n_subsets = 1 << n
@@ -310,79 +302,6 @@ def check_reverse_deterministic(A: Gba) -> RdReport:
                 if len(violations) < 20:
                     violations.append((q, a, c))
     return RdReport(exactly_one, at_most_one, frozenset(reent), tuple(violations))
-
-
-# ---------------------------------------------------------------------------
-# Lasso-word membership
-# ---------------------------------------------------------------------------
-
-
-def _lasso_positions(A: Gba, word: LassoWord) -> tuple[list[int], list[int]]:
-    letters = [A.letter_mask(l) for l in word.letters()]
-    n = len(letters)
-    succ = list(range(1, n + 1))
-    succ[n - 1] = len(word.stem)
-    return letters, succ
-
-
-def accepting_states_lasso(A: Gba, word: LassoWord) -> frozenset[int]:
-    """All automaton states q such that A started in q accepts the word.
-
-    One product of the lasso with the whole automaton: node (i, q) for
-    position i and state q, arcs follow T(q, letter at i) into position
-    succ(i).  q accepts iff (0, q) reaches an SCC with a cycle whose internal
-    edges cover every acceptance set.
-    """
-    letters, succ = _lasso_positions(A, word)
-    n_pos = len(letters)
-    nq = len(A.states)
-    n_nodes = n_pos * nq
-
-    succ_lists: list[list[int]] = [[] for _ in range(n_nodes)]
-    for i in range(n_pos):
-        base = i * nq
-        nxt = succ[i] * nq
-        a = letters[i]
-        for q in range(nq):
-            for q2 in A.transitions.get((q, a), ()):
-                succ_lists[base + q].append(nxt + q2)
-
-    comps = tarjan(n_nodes, lambda u: succ_lists[u])
-    comp_of = [0] * n_nodes
-    for ci, comp in enumerate(comps):
-        for u in comp:
-            comp_of[u] = ci
-
-    n_acc = len(A.acceptance)
-    good = [False] * len(comps)
-    # comps is in reverse topological order: successors of comp ci live in
-    # comps[j] with j < ci, so a left-to-right sweep sees targets first.
-    for ci, comp in enumerate(comps):
-        members = set(comp)
-        covered = [False] * n_acc
-        has_cycle = len(comp) > 1
-        reaches_good = False
-        for u in comp:
-            i, q = divmod(u, nq)
-            for v in succ_lists[u]:
-                if v in members:
-                    if u == v:
-                        has_cycle = True
-                    q2 = v % nq
-                    for k in range(n_acc):
-                        if not covered[k] and (q, letters[i], q2) in A.acceptance[k]:
-                            covered[k] = True
-                elif good[comp_of[v]]:
-                    reaches_good = True
-        accepting = has_cycle and all(covered)
-        good[ci] = accepting or reaches_good
-    return frozenset(q for q in range(nq) if good[comp_of[q]])  # nodes (0, q) have id q
-
-
-def accepts_lasso(A: Gba, word: LassoWord) -> bool:
-    """Does A accept the ultimately periodic word?"""
-    acc = accepting_states_lasso(A, word)
-    return any(q in acc for q in A.initial)
 
 
 # ---------------------------------------------------------------------------

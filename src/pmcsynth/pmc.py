@@ -12,7 +12,8 @@ regular expression whose matches stream to the parser with one token of
 lookahead, so no token list is kept.  Every ``.pmc`` row is checked to sum to
 1 as a rational function (constant rows as Fractions, the others by an exact
 symbolic sum grouped by denominator); ``imc_to_pmc`` rows are range
-constraints and are not checked that way.
+constraints and are not checked that way.  Every ``Imc`` checks on
+construction that each row admits a distribution.
 
 File format (line comments with #, statements end with ';'):
 
@@ -119,9 +120,6 @@ class Pmc:
             self._succ = lists
         return self._succ[s]
 
-    def props(self) -> tuple[str, ...]:
-        return tuple(sorted(set().union(*self.labels))) if self.labels else ()
-
 
 @dataclass
 class Imc:
@@ -130,6 +128,19 @@ class Imc:
     initial: int
     lower: dict[tuple[int, int], Fraction]
     upper: dict[tuple[int, int], Fraction]
+
+    def __post_init__(self) -> None:
+        """Every row must admit a distribution: lower sum <= 1 <= upper sum."""
+        for s, row in enumerate(_rows(len(self.states), self.upper)):
+            if not row:
+                raise ModelSyntaxError(f"state {self.states[s]} has no outgoing transition")
+            lo_sum = sum((self.lower[k] for k in row), Fraction(0))
+            hi_sum = sum((self.upper[k] for k in row), Fraction(0))
+            if lo_sum > 1 or hi_sum < 1:
+                raise InfeasibleRowError(
+                    f"state {self.states[s]}: interval row admits no distribution "
+                    f"(lower sum {lo_sum}, upper sum {hi_sum})"
+                )
 
     def n_states(self) -> int:
         return len(self.states)
@@ -359,18 +370,7 @@ def parse_model(text: str) -> Pmc | Imc:
         if hi == 0:
             continue  # certainly-zero transition: same as absent
         lower[key], upper[key] = lo, hi
-    imc = Imc(tuple(states), tuple(labels), idx[init_name], lower, upper)
-    for s, row in enumerate(_rows(len(states), upper)):
-        if not row:
-            raise ModelSyntaxError(f"state {states[s]} has no outgoing transition")
-        lo_sum = sum((lower[k] for k in row), Fraction(0))
-        hi_sum = sum((upper[k] for k in row), Fraction(0))
-        if lo_sum > 1 or hi_sum < 1:
-            raise InfeasibleRowError(
-                f"state {states[s]}: interval row admits no distribution "
-                f"(lower sum {lo_sum}, upper sum {hi_sum})"
-            )
-    return imc
+    return Imc(tuple(states), tuple(labels), idx[init_name], lower, upper)
 
 
 def _rows(n: int, keys: Iterable[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -497,16 +497,10 @@ def well_defined(M: Pmc, evaluation: Evaluation) -> WellDefinedReport:
 
 
 def imc_to_pmc(I: Imc) -> Pmc:
-    """One closed-interval parameter per transition; row feasibility rechecked."""
+    """One closed-interval parameter per transition."""
     params: dict[str, Param] = {}
     trans: dict[tuple[int, int], RationalFunction] = {}
-    for s, row in enumerate(_rows(I.n_states(), I.upper)):
-        lo_sum = sum((I.lower[k] for k in row), Fraction(0))
-        hi_sum = sum((I.upper[k] for k in row), Fraction(0))
-        if lo_sum > 1 or hi_sum < 1:
-            raise InfeasibleRowError(
-                f"state {I.states[s]}: interval row admits no distribution"
-            )
+    for row in _rows(I.n_states(), I.upper):
         for (a, b) in row:
             name = f"p_{I.states[a]}_{I.states[b]}"
             if name in params:

@@ -23,15 +23,22 @@ construction, always correct, worst-case exponential, budgeted) and
 ``is_complete_rd`` (SCC comparison, linear, sound exactly when the
 reenterable part of the automaton is reverse deterministic with *exactly*
 one predecessor per letter — it refuses to answer otherwise).
+
+A lasso word is a chain whose every step has probability 1, so whether an
+automaton accepts it is decided on the same product: a state q accepts the
+word iff node (q, first position) reaches an accepting SCC.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections.abc import Container
 from dataclasses import dataclass
 
 from .gba import CapacityError, Gba, RdReport, check_reverse_deterministic
+from .ltl import LassoWord
 from .pmc import Pmc
+from .ratfunc import RF_ONE
 from .sccs import tarjan
 
 
@@ -160,6 +167,22 @@ class SccPartition:
     def nontrivial(self) -> list[SccRecord]:
         return [r for r in self.sccs if not r.trivial]
 
+    def reaching(self, targets: Container[int]) -> list[bool]:
+        """Per SCC index: does it reach an SCC whose index is in ``targets``
+        (itself included)?"""
+        succ = self.succ
+        reaches = [False] * len(self.sccs)
+        # arcs go to higher indices, so a backward sweep sees targets first
+        for i in range(len(reaches) - 1, -1, -1):
+            if i in targets:
+                reaches[i] = True
+                continue
+            for j in succ[i]:
+                if reaches[j]:
+                    reaches[i] = True
+                    break
+        return reaches
+
 
 def scc_decompose(G: ProductGraph) -> SccPartition:
     n = G.n_nodes()
@@ -227,6 +250,40 @@ def is_accepting(G: ProductGraph, record: SccRecord) -> bool:
         if not missing:
             return True
     return not missing
+
+
+# ---------------------------------------------------------------------------
+# Lasso-word membership
+# ---------------------------------------------------------------------------
+
+
+def accepting_states_lasso(A: Gba, word: LassoWord) -> frozenset[int]:
+    """All automaton states q such that A started in q accepts the word.
+
+    The word becomes a chain: position i is state "i", labelled by its
+    letter, and moves with probability 1 to i + 1, the last position back to
+    the first loop position.
+    """
+    letters = word.letters()
+    n = len(letters)
+    trans = {(i, i + 1): RF_ONE for i in range(n - 1)}
+    trans[(n - 1, len(word.stem))] = RF_ONE
+    G = build_product(A, Pmc(tuple(map(str, range(n))), letters, 0, {}, trans))
+    partition = scc_decompose(G)
+    reaches = partition.reaching({r.index for r in partition.sccs if is_accepting(G, r)})
+    return frozenset(
+        u // n  # node (q, 0) has id q * n
+        for r in partition.sccs
+        if reaches[r.index]
+        for u in r.members
+        if u % n == 0
+    )
+
+
+def accepts_lasso(A: Gba, word: LassoWord) -> bool:
+    """Does A accept the ultimately periodic word?"""
+    acc = accepting_states_lasso(A, word)
+    return any(q in acc for q in A.initial)
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,14 @@ from pathlib import Path
 
 from conftest import SEED, formula_corpus, random_lasso
 from pmcsynth.eqsys import build_system, parse_pltl, solve_concrete, synth_grid
-from pmcsynth.gba import (
-    accepting_states_lasso,
-    check_reverse_deterministic,
-    make_gba,
-    translate,
-)
+from pmcsynth.gba import check_reverse_deterministic, make_gba, translate
 from pmcsynth.eqsys import PltlQuery, analyze
 from pmcsynth.ltl import eval_lasso, parse_formula
 from pmcsynth.modelgen import chain_mc, crowds_like, random_mc
 from pmcsynth.oracle import ConcreteMc, prob_of_formula
 from pmcsynth.pmc import imc_to_pmc, parse_model
 from pmcsynth.product import (
+    accepting_states_lasso,
     build_product,
     classify_locally_positive,
     is_complete_oracle,
@@ -202,7 +198,7 @@ def corpus_results():
         rng = random.Random(SEED)
         out = []
         for f in formula_corpus(rng, 200, 4):
-            A = translate(f, ap=("a", "b"))
+            A = translate(f)
             rd = check_reverse_deterministic(A)
             n_subsets = 1 << A.n_el
             rows = []
@@ -274,9 +270,7 @@ def mc_corpus():
     global _mc_cache
     if _mc_cache is None:
         rng = random.Random(SEED + 1)
-        automata = {
-            text: translate(parse_formula(text), ap=("a", "b")) for text in FRAGMENT
-        }
+        automata = {text: translate(parse_formula(text)) for text in FRAGMENT}
         instances = []
         for _ in range(100):
             M = random_mc(rng, rng.randint(5, 15))
@@ -398,7 +392,7 @@ def test_criterion_8(capsys):
             law_violations.append((f, G.n_nodes()))
 
     # (b) build time vs arc count over three decades of chain sizes
-    A = translate(parse_formula("G F a"), ap=("a",))
+    A = translate(parse_formula("G F a"))
     gen = random.Random(SEED + 3)
     arcs, times = [], []
     for n in (100, 316, 1000, 3162, 10000, 31623, 100000):
@@ -479,16 +473,16 @@ def test_criterion_9(capsys):
 
     # parameterized emissions: structural validity
     M4 = load("split_cycle.pmc")
-    A = translate(parse_formula("G F y"), ap=M4.props())
+    A = translate(parse_formula("G F y"))
     wellformed(build_system(build_product(A, M4)), parse_pltl("P >= 1 [ G F y ]"))
     Mi = imc_to_pmc(load("interval_row.imc"))
-    Ai = translate(parse_formula("F goal"), ap=Mi.props())
+    Ai = translate(parse_formula("F goal"))
     wellformed(build_system(build_product(Ai, Mi)), parse_pltl("P > 3/5 [ F goal ]"))
 
     # parameter-free emissions: the exact solution must be a model of the
     # emitted constraints with the target pinned to the solved value
     def substitution_case(M, formula_text):
-        A = translate(parse_formula(formula_text), ap=M.props())
+        A = translate(parse_formula(formula_text))
         system = build_system(build_product(A, M))
         target = solve_concrete(system, {}).target
         query = PltlQuery(parse_formula(formula_text), target, target)

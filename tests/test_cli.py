@@ -1,4 +1,7 @@
+import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,8 @@ from pmcsynth import cli, eqsys
 from pmcsynth.ltl import parse_formula
 from pmcsynth.pmc import parse_model
 
-MODELS = Path(__file__).resolve().parent.parent / "models"
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 BRANCH = str(MODELS / "branch13.pmc")
 LOOP_PAIR = str(MODELS / "loop_pair.pmc")
 SPLIT_CYCLE = str(MODELS / "split_cycle.pmc")
@@ -203,9 +207,11 @@ def _write(path: Path, data: bytes) -> str:
     ids=["model-is-directory", "model-not-utf8", "out-is-directory", "solver-not-executable"],
 )
 def test_unreadable_file_exit_3(capsys, tmp_path, files):
-    code, _, err = run(capsys, "synth", "-q", "P >= 1 [ G F y ]", *files(tmp_path))
+    args = files(tmp_path)
+    code, _, err = run(capsys, "synth", "-q", "P >= 1 [ G F y ]", *args)
     assert code == 3
     assert err.startswith("error: ")
+    assert args[-1] in err  # the offending path is the last argument
 
 
 def test_deeply_nested_formula_exit_4(capsys):
@@ -437,3 +443,15 @@ def test_missing_required_arguments_exit_2(capsys):
         cli.main([])  # a subcommand is required
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_plain_pytest_finds_the_package():
+    # README "Tests" runs bare `python3 -m pytest` from the repository root,
+    # with nothing on PYTHONPATH; the pytest config must put src/ on the path
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--collect-only", "-p", "no:cacheprovider",
+         "tests/test_sccs.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -97,7 +97,7 @@ def test_query_admits():
 
 def branch_system():
     M = load("branch13.pmc")
-    A = translate(parse_formula("F success"), ap=M.props())
+    A = translate(parse_formula("F success"))
     G = build_product(A, M)
     return M, build_system(G)
 
@@ -177,7 +177,7 @@ def test_degenerate_self_loop_over_absorbing_state():
         """
     )
     f = parse_formula("F G a")
-    A = translate(f, ap=M.props())
+    A = translate(f)
     G = build_product(A, M)
     system = build_system(G)
     result = solve_concrete(system, {})
@@ -208,7 +208,7 @@ def test_solution_agrees_with_oracle(rng):
             cm = ConcreteMc.from_pmc(M, {})
             for text in texts:
                 f = parse_formula(text)
-                A = translate(f, ap=M.props())
+                A = translate(f)
                 system = build_system(build_product(A, M))
                 got = solve_concrete(system, {}).target
                 want = prob_of_formula(cm, f)
@@ -232,7 +232,7 @@ def test_no_positive_scc_means_zero():
 
 def test_ill_defined_evaluation():
     M = load("split_cycle.pmc")
-    A = translate(parse_formula("G F y"), ap=M.props())
+    A = translate(parse_formula("G F y"))
     system = build_system(build_product(A, M))
     with pytest.raises(IllDefinedEvaluationError):
         solve_concrete(system, {"eps": F(1, 2)})  # kills the x -> z entry

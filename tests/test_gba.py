@@ -6,7 +6,6 @@ from conftest import random_formula, random_lasso
 from pmcsynth.gba import (
     CapacityError,
     GbaError,
-    accepts_lasso,
     check_reverse_deterministic,
     dump,
     elementary,
@@ -22,6 +21,7 @@ from pmcsynth.ltl import (
     parse_formula,
     subformulas,
 )
+from pmcsynth.product import accepts_lasso
 
 
 def test_elementary_membership_and_order():
@@ -91,17 +91,6 @@ def test_translate_state_count():
     assert len(A.states) == (1 << A.n_el) + 1
     assert A.initial == (1 << A.n_el,)
     assert A.states[-1] == "init"
-
-
-def test_translate_alphabet_widening():
-    f = parse_formula("F a")
-    A = translate(f, ap=("a", "b"))
-    assert A.ap == ("a", "b")
-    assert A.n_letters() == 4
-    with pytest.raises(GbaError):
-        translate(f, ap=("b",))
-    with pytest.raises(GbaError):
-        translate(f, ap=("a", "a"))
 
 
 def test_translate_el_cap():
@@ -199,7 +188,7 @@ def test_accepts_lasso_agrees_with_semantics():
         if len(elementary(f)) > 3:
             continue
         checked += 1
-        A = translate(f, ap=("a", "b"))
+        A = translate(f)
         for _ in range(8):
             w = random_lasso(rng)
             assert accepts_lasso(A, w) == eval_lasso(f, w), (f, w)

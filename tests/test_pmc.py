@@ -44,7 +44,6 @@ def test_parse_pmc():
     assert M.labels[0] == {"start"}
     assert set(M.params) == {"p"}
     assert M.params["p"].lower_strict and M.params["p"].upper_strict
-    assert M.props() == ("heads", "start", "tails")
     assert set(M.trans) == {(0, 1), (0, 2), (1, 1), (2, 2)}
 
 
@@ -141,6 +140,18 @@ def test_imc_infeasible_row():
             trans t -> t : [1, 1];
             """
         )
+
+
+def test_imc_rows_checked_on_construction():
+    F = Fraction
+    lower = {(0, 0): F(0), (0, 1): F(0), (1, 1): F(1)}
+    upper = {(0, 0): F(1, 3), (0, 1): F(1, 3), (1, 1): F(1)}
+    with pytest.raises(InfeasibleRowError, match=r"state s: .*lower sum 0, upper sum 2/3"):
+        Imc(("s", "t"), (frozenset(), frozenset()), 0, lower, upper)
+    del lower[(1, 1)], upper[(1, 1)]
+    upper[(0, 0)] = F(1)
+    with pytest.raises(ModelSyntaxError, match="state t has no outgoing transition"):
+        Imc(("s", "t"), (frozenset(), frozenset()), 0, lower, upper)
 
 
 def test_imc_to_pmc():

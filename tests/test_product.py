@@ -48,7 +48,7 @@ def loop_automaton():
 
 def test_build_product_shape():
     M = load("branch13.pmc")
-    A = translate(parse_formula("F success"), ap=M.props())
+    A = translate(parse_formula("F success"))
     G = build_product(A, M)
     assert G.n_nodes() == len(A.states) * M.n_states()
     # node/pair round trip and naming
@@ -62,7 +62,7 @@ def test_build_product_shape():
 
 def test_build_product_arcs_are_exactly_the_joint_steps():
     M = load("loop_pair.pmc")
-    A = translate(parse_formula("G F x"), ap=M.props())
+    A = translate(parse_formula("G F x"))
     G = build_product(A, M)
     ns = M.n_states()
     expected = set()
@@ -78,7 +78,7 @@ def test_build_product_arcs_are_exactly_the_joint_steps():
 
 def test_build_product_capacity():
     M = load("branch13.pmc")
-    A = translate(parse_formula("F success"), ap=M.props())
+    A = translate(parse_formula("F success"))
     with pytest.raises(CapacityError):
         build_product(A, M, max_nodes=G_nodes_minus_one(A, M))
 
@@ -89,7 +89,7 @@ def G_nodes_minus_one(A, M):
 
 def test_scc_partition_is_topological():
     M = load("loop_pair.pmc")
-    A = translate(parse_formula("G F x | G F w"), ap=M.props())
+    A = translate(parse_formula("G F x | G F w"))
     G = build_product(A, M)
     part = scc_decompose(G)
     assert sorted(r.index for r in part.sccs) == list(range(len(part.sccs)))
@@ -104,7 +104,7 @@ def test_scc_partition_is_topological():
 
 def test_reachable_flags():
     M = load("branch13.pmc")
-    A = translate(parse_formula("F success"), ap=M.props())
+    A = translate(parse_formula("F success"))
     G = build_product(A, M)
     part = scc_decompose(G)
     reachable = set()
@@ -124,7 +124,7 @@ def test_classification_on_branching_chain():
     # absorbing failure state; eventually-success must have exactly one
     # locally positive SCC, over the success state.
     M = load("branch13.pmc")
-    A = translate(parse_formula("F success"), ap=M.props())
+    A = translate(parse_formula("F success"))
     G = build_product(A, M)
     part = scc_decompose(G)
     pos, neg = classify_locally_positive(G, part)
@@ -142,7 +142,7 @@ def test_rd_and_survivor_deciders_agree_on_tableau_products(rng):
         for _ in range(6):
             M = random_mc(rng, n)
             for text in texts:
-                A = translate(parse_formula(text), ap=M.props())
+                A = translate(parse_formula(text))
                 G = build_product(A, M)
                 part = scc_decompose(G)
                 for r in part.nontrivial():
@@ -210,7 +210,7 @@ def test_classify_falls_back_to_survivor_oracle():
 
 def test_is_accepting_covers_all_sets():
     M = load("loop_pair.pmc")
-    A = translate(parse_formula("G F x & G F y"), ap=M.props())
+    A = translate(parse_formula("G F x & G F y"))
     G = build_product(A, M)
     part = scc_decompose(G)
     pos, _ = classify_locally_positive(G, part)

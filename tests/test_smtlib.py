@@ -28,7 +28,7 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 
 def system_for(model_name, formula_text):
     M = parse_model((MODELS / model_name).read_text())
-    A = translate(parse_formula(formula_text), ap=M.props())
+    A = translate(parse_formula(formula_text))
     return M, build_system(build_product(A, M))
 
 
@@ -165,7 +165,7 @@ def test_parameter_named_like_a_mu_symbol():
         trans y -> y : 1;
         """
     )
-    A = translate(parse_formula("F goal"), ap=M.props())
+    A = translate(parse_formula("F goal"))
     system = build_system(build_product(A, M))
     forms = check_wellformed(emit_smtlib(system, parse_pltl("P >= 1 [ F goal ]")))
     point = {"mu_0_x": F(1, 2)}
