@@ -9,9 +9,14 @@ and converts to a PMC with one parameter per interval.
 
 ``parse_model`` reads a file in one pass: the tokenizer is one compiled
 regular expression whose matches stream to the parser with one token of
-lookahead, so no token list is kept.  Every ``.pmc`` row is checked to sum to
-1 as a rational function (constant rows as Fractions, the others by an exact
-symbolic sum grouped by denominator); ``imc_to_pmc`` rows are range
+lookahead, so no token list of the file is kept.  Generated models repeat
+a few expression texts many times, so each distinct ``trans`` expression
+(its token sequence, whatever the spacing and comments) is parsed once per
+file, and its immutable ``RationalFunction`` is shared by every transition
+that has it.  Every ``.pmc`` row is checked to sum to 1 as a rational function
+(constant rows as Fractions, the others by an exact symbolic sum grouped by
+denominator); a row whose entries are the same objects as those of a row
+already checked is not checked again.  ``imc_to_pmc`` rows are range
 constraints and are not checked that way.  Every ``Imc`` checks on
 construction that each row admits a distribution.
 
@@ -34,6 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from .ratfunc import (
@@ -174,12 +180,18 @@ def _tokenize(text: str) -> Iterator[tuple[str, str]]:
     yield ("eof", "")
 
 
+def _raising(exc: ModelSyntaxError) -> Iterator[tuple[str, str]]:
+    raise exc
+    yield  # a generator: the error is raised when the first token is asked for
+
+
 class _Tokens:
     """The token stream with one token of lookahead; at the end, every
-    further take() returns eof again."""
+    further take() returns eof again.  Built from a text, or from tokens
+    already read."""
 
-    def __init__(self, text: str):
-        self._toks = _tokenize(text)
+    def __init__(self, source: str | Iterator[tuple[str, str]]):
+        self._toks = _tokenize(source) if isinstance(source, str) else source
         self._next = next(self._toks)
 
     def peek(self) -> tuple[str, str]:
@@ -201,6 +213,31 @@ class _Tokens:
         if kind != "ident":
             raise ModelSyntaxError(f"expected a name, found {v!r}")
         return v
+
+    def at_end(self) -> bool:
+        """Is the lookahead the end of a statement, ';' or eof?"""
+        return self._next[1] == ";" or self._next[0] == "eof"
+
+    def take_statement(self) -> tuple[tuple[tuple[str, str], ...], ModelSyntaxError | None]:
+        """Take the tokens before the next ';' or eof, which stays the
+        lookahead.  A character that does not tokenize stops the taking; it
+        is returned with the tokens before it, not raised."""
+        toks: list[tuple[str, str]] = []
+        t = self._next
+        try:
+            while t[1] != ";" and t[0] != "eof":
+                toks.append(t)
+                t = self._next = next(self._toks)
+        except ModelSyntaxError as exc:
+            return tuple(toks), exc
+        return tuple(toks), None
+
+    def reread(self, toks: Iterable[tuple[str, str]], error: ModelSyntaxError | None) -> "_Tokens":
+        """A stream of what take_statement returned, then the rest of this
+        stream, or the error, raised when the lookahead reaches it.  A
+        parser of it meets every token and every error where it would have
+        met them here."""
+        return _Tokens(chain(toks, _raising(error) if error else (self._next,), self._toks))
 
 
 def _parse_expr(tk: _Tokens, params: Mapping[str, Param]) -> RationalFunction:
@@ -264,6 +301,8 @@ def parse_model(text: str) -> Pmc | Imc:
     # raw transition statements, processed after all declarations are known
     raw_pmc: list[tuple[str, str, RationalFunction]] = []
     raw_imc: list[tuple[str, str, Fraction, Fraction]] = []
+    # each distinct expression, by its tokens, parsed once and shared
+    shared: dict[tuple[tuple[str, str], ...], RationalFunction] = {}
 
     while tk.peek()[0] != "eof":
         word = tk.ident()
@@ -320,7 +359,15 @@ def parse_model(text: str) -> Pmc | Imc:
                 tk.expect("]")
                 raw_imc.append((src, dst, lo, hi))
             else:
-                raw_pmc.append((src, dst, _parse_expr(tk, params)))
+                body, error = tk.take_statement()
+                f = None if error else shared.get(body)
+                if f is None:
+                    sub = tk.reread(body, error)
+                    f = _parse_expr(sub, params)
+                    if not sub.at_end():
+                        sub.expect(";")  # raises: tokens follow the expression
+                    shared[body] = f
+                raw_pmc.append((src, dst, f))
         else:
             raise ModelSyntaxError(f"unknown statement {word!r}")
         tk.expect(";")
@@ -382,10 +429,16 @@ def _rows(n: int, keys: Iterable[tuple[int, int]]) -> list[list[tuple[int, int]]
 
 
 def _validate_rows(M: Pmc) -> None:
+    # a row's sum depends only on its entries, and shared functions make
+    # many rows hold the same ones: each distinct row is checked once
+    passed: set[tuple[int, ...]] = set()
     for s in range(M.n_states()):
         row = M.succ(s)
         if not row:
             raise ModelSyntaxError(f"state {M.states[s]} has no outgoing transition")
+        key = tuple(id(f) for _, f in row)
+        if key in passed:
+            continue
         if all(f.is_const for _, f in row):
             total = sum((f.value() for _, f in row), Fraction(0))
             if total != 1:
@@ -394,6 +447,7 @@ def _validate_rows(M: Pmc) -> None:
                 )
         elif _row_sum(f for _, f in row) != RF_ONE:
             raise ModelSyntaxError(f"state {M.states[s]}: row does not sum to 1")
+        passed.add(key)
 
 
 def _row_sum(fs: Iterable[RationalFunction]) -> RationalFunction:

@@ -205,6 +205,8 @@ class RationalFunction:
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
         """The value under an assignment of every variable."""
+        if self.den == P_ONE:  # every entry of an interval chain, and 1 - p
+            return self.num.evaluate(assignment)
         den = self.den.evaluate(assignment)
         if not den:
             raise ZeroDenominatorError(

@@ -34,6 +34,10 @@ def test_tracer_counts_every_layer(capsys, monkeypatch, tmp_path):
     assert codes == [0, 0, 0, 1]
     assert eqsys.build_system is build_system
     for counter in (
+        "pmc.transitions",
+        "ratfunc.make_calls",
+        "ratfunc.evaluate_calls",
+        "pmc.well_defined_calls",
         "product.sccs",
         "eqsys.solve_calls",
         "eqsys.max_block",

@@ -17,6 +17,7 @@ from pmcsynth.pmc import (
     parse_evaluation,
     parse_model,
     well_defined,
+    _parse_expr,
     _Tokens,
     _tokenize,
 )
@@ -93,6 +94,83 @@ def test_parse_comments_and_fractions():
 def test_parse_errors(text, fragment):
     with pytest.raises(ModelSyntaxError, match=fragment):
         parse_model(text)
+
+
+_ONE_TRANS = "pmc\nparam p in (0, 1);\nstate x;\ninit x;\ntrans x -> x : "
+
+
+@pytest.mark.parametrize("end", [" ;", ""], ids=["semicolon", "eof"])
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("", "unexpected token {end!r} in expression"),
+        ("1/2 +", "unexpected token {end!r} in expression"),
+        ("1/2 3", "expected ';', found '3'"),
+        ("(1/2", "expected ')', found {end!r}"),
+        ("q", "unknown parameter 'q'"),
+        ("1/0", "division by the zero rational function"),
+        ("1/2 )", "expected ';', found ')'"),
+    ],
+    ids=["empty", "open-sum", "two-terms", "open-paren", "unknown-param", "zero-division", "stray-paren"],
+)
+def test_expression_error_messages(body, message, end):
+    # the statement's end (';' or eof) is the token the parser meets next
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model(_ONE_TRANS + body + end)
+    assert str(exc.value) == message.format(end=end.strip())
+
+
+def test_first_error_in_file_order():
+    # good copies of an expression first, then a bad one, then another error
+    text = (
+        "pmc\nparam p in (0, 1);\nstate x;\nstate y;\ninit x;\n"
+        "trans x -> x : (p)/(20);\ntrans x -> y : (p)/(20) # again\n;\n"
+        "trans y -> x : (p)/(20 ;\ntrans y -> y : q;\n"
+    )
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model(text)
+    assert str(exc.value) == "expected ')', found ';'"
+
+
+def test_equal_expressions_share_one_function():
+    M = parse_model(
+        """
+        pmc
+        param p in (0, 1);
+        state a; state b; state c;
+        init a;
+        trans a -> b : (p)/(20);
+        trans a -> a : 1 - (p)/(20);
+        trans b -> c : ( p )/(20);
+        trans b -> b : 1 - ( p ) / ( 20 );
+        trans c -> a : (p)/(20) # a comment
+        ;
+        trans c -> c : 1 - (p)/(20);
+        """
+    )
+    shared = M.trans[(0, 1)]
+    assert M.trans[(1, 2)] is shared and M.trans[(2, 0)] is shared
+    assert M.trans[(1, 1)] is M.trans[(0, 0)] is M.trans[(2, 2)]
+    assert M.trans[(0, 0)] is not shared
+
+
+@pytest.mark.parametrize(
+    "third, message",
+    [
+        ("trans c -> a : 1/3;\ntrans c -> c : 1/3;", "state c: constant row sums to 2/3, not 1"),
+        ("trans c -> a : p/3;\ntrans c -> c : 2/3 - p/3;", "state c: row does not sum to 1"),
+    ],
+    ids=["constant", "symbolic"],
+)
+def test_row_after_equal_rows_still_checked(third, message):
+    text = (
+        "pmc\nparam p in (0, 1);\nstate a;\nstate b;\nstate c;\ninit a;\n"
+        "trans a -> a : p/3;\ntrans a -> b : 1 - p/3;\n"
+        "trans b -> a : p/3;\ntrans b -> b : 1 - p/3;\n" + third
+    )
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model(text)
+    assert str(exc.value) == message
 
 
 def test_parse_imc():
@@ -396,3 +474,6 @@ def test_written_models_parse_back(seed, crowds):
     assert list(N.trans) == list(M.trans)
     for key, f in M.trans.items():
         assert (N.trans[key].num.terms, N.trans[key].den.terms) == (f.num.terms, f.den.terms)
+        # a shared function is the one its own text parses to alone
+        alone = _parse_expr(_Tokens(str(f)), N.params)
+        assert (N.trans[key].num.terms, N.trans[key].den.terms) == (alone.num.terms, alone.den.terms)

@@ -240,3 +240,43 @@ def test_evaluate_matches_symbolic_reference(data):
     got = h.evaluate(assignment)
     assert type(got) is Fraction
     assert got == want
+
+
+_OPS = st.sampled_from(["+", "-", "*", "/"])
+
+
+@given(st.data())
+def test_evaluate_is_numerator_over_denominator(data):
+    f, g = _rf(data), _rf(data)
+    p = RationalFunction.var("x")
+    op = data.draw(_OPS)
+    if op == "+":
+        h = f + g
+    elif op == "-":
+        h = RationalFunction.const(1) - p if data.draw(st.booleans()) else f - g
+    elif op == "*":
+        h = f * g
+    else:
+        h = f / g if not g.is_zero else f
+    assignment = {"x": data.draw(_POINTS)}
+    den = h.den.evaluate(assignment)
+    if not den:
+        with pytest.raises(ZeroDenominatorError):
+            h.evaluate(assignment)
+        return
+    got = h.evaluate(assignment)
+    assert type(got) is Fraction
+    assert got == h.num.evaluate(assignment) / den
+
+
+def test_evaluate_over_a_constant_one_denominator():
+    p = RationalFunction.var("p")
+    f = RationalFunction.const(1) - p
+    assert f.den == P_ONE and f.den is not P_ONE  # equal by value only
+    got = f.evaluate({"p": Fraction(1, 3)})
+    assert got == Fraction(2, 3) and type(got) is Fraction
+    with pytest.raises(RatFuncError, match="'p'"):
+        f.evaluate({})
+    g = p / (p - RationalFunction.const(Fraction(1, 2)))
+    with pytest.raises(ZeroDenominatorError):
+        g.evaluate({"p": Fraction(1, 2)})
