@@ -474,8 +474,6 @@ def synth_grid(
     names = list(M.params)
     for name in names:
         p = M.params[name]
-        if p.lower is None or p.upper is None:
-            raise GridError(f"parameter {name} has an unbounded range; grid synthesis needs a box")
         if p.lower == p.upper:
             spans.append((p.lower, Fraction(0), range(1)))
             continue

@@ -110,12 +110,10 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
     out("; parameter ranges")
     for name in sorted(M.params):
         p = M.params[name]
-        if p.lower is not None:
-            op = "<" if p.lower_strict else "<="
-            out(f"(assert ({op} {_frac(p.lower)} {name}))")
-        if p.upper is not None:
-            op = "<" if p.upper_strict else "<="
-            out(f"(assert ({op} {name} {_frac(p.upper)}))")
+        op = "<" if p.lower_strict else "<="
+        out(f"(assert ({op} {_frac(p.lower)} {name}))")
+        op = "<" if p.upper_strict else "<="
+        out(f"(assert ({op} {name} {_frac(p.upper)}))")
 
     rendered = {key: _rf(f) for key, f in M.trans.items()}
     out("; support positivity and row sums")

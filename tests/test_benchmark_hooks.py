@@ -1,9 +1,14 @@
 """The benchmark's tracer (``perfbench/layers.py``) rebinds program names and
-reads result attributes; a rename on either side must fail here."""
+reads result attributes, and its input generator and verifier
+(``perfbench/workloads.py``, ``perfbench/verify.py``) import program names
+and read parameter ranges; a rename or deletion on either side must fail
+here."""
 
+import json
 from pathlib import Path
 
 from pmcsynth import cli, eqsys
+from pmcsynth.pmc import parse_model
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -45,3 +50,23 @@ def test_tracer_counts_every_layer(capsys, monkeypatch, tmp_path):
         "smtlib.bytes",
     ):
         assert tracer.counts[counter] > 0, counter
+
+
+def test_workload_inputs_parse_and_verify(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import verify
+    import workloads
+
+    workloads.setup("synth-grid", 1, ROOT, tmp_path)
+    models = sorted(p for p in tmp_path.iterdir() if p.suffix in (".pmc", ".imc"))
+    assert models
+    for path in models:
+        parse_model(path.read_text())
+    # a witness is checked against the parameter ranges the verifier reads
+    monkeypatch.chdir(tmp_path)
+    ops = json.loads((tmp_path / "ops.json").read_text())
+    witnessed = [op for op in ops if not op["verify"]["unsat"]]
+    assert witnessed
+    for op in witnessed:
+        code, stdout = verify.run_cli(op["argv"])
+        assert verify.verify(op, {"stdout": stdout, "code": code, "error": None}, {}) is None

@@ -82,6 +82,10 @@ def test_parse_comments_and_fractions():
         ("pmc\nstate s;\ninit s;\ntrans s -> s : 1;\ntrans s -> s : 1;", "given twice"),
         ("pmc\nstate s;\ninit s;\ninit s;\ntrans s -> s : 1;", "more than one init"),
         ("imc\nparam p in (0,1);\nstate s;\ninit s;", "do not declare"),
+        # a [0, 0] entry is dropped from the model, but it still counts as given
+        ("imc\nstate s;\ninit s;\ntrans s -> s : [0, 0];\ntrans s -> s : [1, 1];", "given twice"),
+        ("imc\nstate s;\ninit s;\ntrans s -> s : [1, 1];\ntrans s -> s : [0, 0];", "given twice"),
+        ("imc\nstate s;\ninit s;\ntrans s -> s : [0, 0];\ntrans s -> s : [0, 0];", "given twice"),
         (
             "pmc\nparam e in (-1/2, 1/2);\nstate s;\nstate t;\ninit s;\n"
             "trans s -> t : 1/2 + e;\ntrans s -> s : 1/2;\ntrans t -> t : 1;",

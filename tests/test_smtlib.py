@@ -11,7 +11,7 @@ from pmcsynth.eqsys import PltlQuery, analyze, build_system, parse_pltl, solve_c
 from pmcsynth.gba import translate
 from pmcsynth.ltl import parse_formula
 from pmcsynth.modelgen import crowds_like, random_mc
-from pmcsynth.pmc import parse_model
+from pmcsynth.pmc import Imc, imc_to_pmc, parse_model
 from pmcsynth.product import build_product
 from pmcsynth.smtlib import (
     SmtlibError,
@@ -28,6 +28,8 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 
 def system_for(model_name, formula_text):
     M = parse_model((MODELS / model_name).read_text())
+    if isinstance(M, Imc):
+        M = imc_to_pmc(M)
     A = translate(parse_formula(formula_text))
     return M, build_system(build_product(A, M))
 
@@ -105,6 +107,37 @@ def test_emitted_script_is_wellformed():
     reachable = [u for r in system.partition.sccs if r.reachable for u in r.members]
     assert len(reachable) < system.n_nodes()
     assert sorted(decls) == sorted(list(M.params) + [mu_name(system, u) for u in reachable])
+
+
+@pytest.mark.parametrize(
+    "model_name, formula_text, ranges",
+    [
+        (
+            "split_cycle.pmc",
+            "G F y",
+            ["(assert (< (- (/ 1 2)) eps))", "(assert (< eps (/ 1 2)))"],
+        ),
+        (
+            "interval_row.imc",
+            "F goal",
+            [
+                "(assert (<= (/ 1 5) p_s_t))",
+                "(assert (<= p_s_t (/ 7 10)))",
+                "(assert (<= (/ 3 10) p_s_w))",
+                "(assert (<= p_s_w (/ 1 2)))",
+                "(assert (<= 1 p_t_t))",
+                "(assert (<= p_t_t 1))",
+                "(assert (<= 1 p_w_w))",
+                "(assert (<= p_w_w 1))",
+            ],
+        ),
+    ],
+)
+def test_parameter_range_lines(model_name, formula_text, ranges):
+    _, system = system_for(model_name, formula_text)
+    lines = emit_smtlib(system, parse_pltl(f"P >= 1/2 [ {formula_text} ]")).splitlines()
+    start = lines.index("; parameter ranges") + 1
+    assert lines[start : lines.index("; support positivity and row sums")] == ranges
 
 
 def test_exact_solution_is_a_model():
