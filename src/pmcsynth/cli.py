@@ -3,7 +3,7 @@
     pmc-synth translate -f FORMULA [-o FILE]
     pmc-synth check    -m MODEL (-q QUERY | -f FORMULA) [-e EVALS] [--oracle]
     pmc-synth classify -m MODEL (-q QUERY | -f FORMULA) [--oracle]
-    pmc-synth synth    -m MODEL -q QUERY [--solve grid:N] [-o FILE] [--solver PATH]
+    pmc-synth synth    -m MODEL -q QUERY [-o FILE] [--solve grid:N | --solver PATH]
 
 Exit codes: 0 success (and positive verdict where applicable); 1 completed
 with a negative answer (verdict false, no witness, solver unsat); 2 usage;
@@ -35,6 +35,7 @@ from .pmc import (
     Imc,
     ModelError,
     Pmc,
+    check_evaluation_names,
     imc_to_pmc,
     parse_evaluation,
     parse_model,
@@ -66,16 +67,12 @@ def _load_model(path: str) -> Pmc:
     return imc_to_pmc(model) if isinstance(model, Imc) else model
 
 
-def _query_from_args(args: argparse.Namespace) -> PltlQuery | None:
-    return parse_pltl(args.pltl) if args.pltl else None
-
-
 def _query_and_formula(
     args: argparse.Namespace,
 ) -> tuple[PltlQuery | None, LtlFormula | None]:
     """The -q query and its formula, else no query and the -f formula; with
     neither, prints the usage message and returns no formula (exit 2)."""
-    query = _query_from_args(args)
+    query = parse_pltl(args.pltl) if args.pltl else None
     if query is not None:
         return query, query.formula
     if args.formula:
@@ -132,6 +129,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if formula is None:
         return 2
     evaluation = parse_evaluation(args.evaluation) if args.evaluation else {}
+    check_evaluation_names(M, evaluation)
     analysis = eqsys.analyze(M, formula, max_nodes=args.max_product_nodes)
     t0 = time.perf_counter()
     result = eqsys.solve_concrete(analysis.system, evaluation)
@@ -189,20 +187,34 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     M = _load_model(args.model)
-    query = _query_from_args(args)
-    if query is None:
+    if not args.pltl:
         print("synth needs -q", file=sys.stderr)
         return 2
+    query = parse_pltl(args.pltl)
+    # every argument is checked and the grid sized before the product is built
+    if args.solver and (args.solve or not args.out):
+        print("synth: --solver needs -o FILE and excludes --solve", file=sys.stderr)
+        return 2
+    axes = None
+    if args.solve or not args.out:
+        spec = args.solve or "grid:11"
+        if not spec.startswith("grid:"):
+            print(f"unknown --solve method {spec!r} (expected grid:<n>)", file=sys.stderr)
+            return 2
+        try:
+            resolution = int(spec.split(":", 1)[1])
+        except ValueError:
+            print(f"bad grid resolution in {spec!r}", file=sys.stderr)
+            return 2
+        axes = eqsys.grid_axes(M, resolution)
 
-    if args.out or args.solver:
-        analysis = eqsys.analyze(M, query.formula, max_nodes=args.max_product_nodes)
-        script = smtlib.emit_smtlib(analysis.system, query)
-        out_path = args.out or "query.smt2"
-        Path(out_path).write_text(script)
-        print(f"smt: wrote {out_path}")
+    system = eqsys.analyze(M, query.formula, max_nodes=args.max_product_nodes).system
+    if args.out:
+        Path(args.out).write_text(smtlib.emit_smtlib(system, query))
+        print(f"smt: wrote {args.out}")
         if args.solver:
             proc = subprocess.run(
-                [args.solver, out_path], capture_output=True, text=True, timeout=600
+                [args.solver, args.out], capture_output=True, text=True, timeout=600
             )
             answer = (proc.stdout.strip().splitlines() or ["(no output)"])[0]
             print(f"solver: {answer}")
@@ -213,21 +225,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 return 1
             print(proc.stderr, file=sys.stderr)
             return 5
-        if not args.solve:
-            return 0
+    if axes is None:
+        return 0
 
-    spec = args.solve or "grid:11"
-    if not spec.startswith("grid:"):
-        print(f"unknown --solve method {spec!r} (expected grid:<n>)", file=sys.stderr)
-        return 2
-    try:
-        resolution = int(spec.split(":", 1)[1])
-    except ValueError:
-        print(f"bad grid resolution in {spec!r}", file=sys.stderr)
-        return 2
-    result = eqsys.synth_grid(
-        M, query, resolution=resolution, max_nodes=args.max_product_nodes
-    )
+    result = eqsys.synth_grid(system, query, axes)
     if result.witness is None:
         print(
             f"no witness on the grid (tried {result.tried} points, "
@@ -295,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="find parameter values meeting a query")
     common(p)
     p.add_argument("-q", "--pltl", required=True)
-    p.add_argument("--solve", help="search method, grid:<resolution> (default grid:11)")
+    p.add_argument("--solve", help="search method, grid:<resolution> (default grid:11 without -o)")
     p.add_argument("-o", "--out", help="emit the SMT-LIB system here")
-    p.add_argument("--solver", help="SMT-LIB2 solver binary to run on the emission")
+    p.add_argument("--solver", help="SMT-LIB2 solver binary to run on the -o file")
     p.set_defaults(func=cmd_synth)
     return parser
 

@@ -437,10 +437,9 @@ def analyze(
 # ---------------------------------------------------------------------------
 
 
-# Upper bound on the points of one grid scan.  The lattice has
+# Upper bound on the points of one grid scan: the lattice has
 # resolution^k points over k free parameters, so a fine grid over a few
-# axes would scan for hours; past this count it stops with CapacityError
-# before the product is built.
+# axes would scan for hours.
 GRID_BUDGET = 1_000_000
 
 
@@ -452,49 +451,44 @@ class SynthResult:
     admitted: int
 
 
-def synth_grid(
-    M: Pmc,
-    query: PltlQuery,
-    resolution: int = 11,
-    max_nodes: int = 5_000_000,
-) -> SynthResult:
-    """Scan a regular grid over the parameter box for an evaluation whose
-    probability lies in the query interval.
-
-    Classification is done once — admitted evaluations all induce the same
-    support.  Grid points that are not well-defined (zero entries, row sums
-    off 1) are skipped but counted in ``tried``.  A grid of more than
-    ``GRID_BUDGET`` points raises CapacityError before anything is built.
-    """
+def grid_axes(M: Pmc, resolution: int) -> dict[str, list[Fraction]]:
+    """The values of each parameter on a grid of ``resolution`` evenly
+    spaced points per range, less the ends the range excludes.  Past
+    ``GRID_BUDGET`` points it raises CapacityError and builds none."""
     if resolution < 2:
         raise GridError("grid resolution must be at least 2")
-    # per parameter: its lower end, the grid step and the indices kept, so
-    # the point count is known before any point is built
-    spans: list[tuple[Fraction, Fraction, range]] = []
-    names = list(M.params)
-    for name in names:
-        p = M.params[name]
+    # per parameter: its lower end, the grid step and the indices kept
+    spans: dict[str, tuple[Fraction, Fraction, range]] = {}
+    for name, p in M.params.items():
         if p.lower == p.upper:
-            spans.append((p.lower, Fraction(0), range(1)))
+            spans[name] = (p.lower, Fraction(0), range(1))
             continue
         indices = range(int(p.lower_strict), resolution - int(p.upper_strict))
         if not indices:
             raise GridError(f"parameter {name}: no grid point inside the open range")
-        spans.append((p.lower, (p.upper - p.lower) / (resolution - 1), indices))
-    n_points = math.prod(len(indices) for _, _, indices in spans)
+        spans[name] = (p.lower, (p.upper - p.lower) / (resolution - 1), indices)
+    n_points = math.prod(len(indices) for _, _, indices in spans.values())
     if n_points > GRID_BUDGET:
         raise CapacityError(
             f"grid of {n_points} points exceeds the grid budget of {GRID_BUDGET} points"
         )
-    axes = [[lower + i * step for i in indices] for lower, step, indices in spans]
+    return {
+        name: [lower + i * step for i in indices] for name, (lower, step, indices) in spans.items()
+    }
 
-    analysis = analyze(M, query.formula, max_nodes=max_nodes)
+
+def synth_grid(
+    system: EquationSystem, query: PltlQuery, axes: dict[str, list[Fraction]]
+) -> SynthResult:
+    """The first point of ``axes`` (see ``grid_axes``) whose probability lies
+    in the query interval.  Points that are not well-defined (zero entries,
+    row sums off 1) are skipped but counted in ``tried``."""
     tried = admitted = 0
-    for combo in itertools.product(*axes):
-        evaluation = dict(zip(names, combo))
+    for combo in itertools.product(*axes.values()):
+        evaluation = dict(zip(axes, combo))
         tried += 1
         try:
-            result = solve_concrete(analysis.system, evaluation)
+            result = solve_concrete(system, evaluation)
         except IllDefinedEvaluationError:
             continue
         admitted += 1

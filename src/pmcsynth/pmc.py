@@ -156,11 +156,12 @@ class Imc:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(
-    r"(?P<skip>(?:\s|#[^\n]*)+)"
-    r"|(?P<sym>->|[;:,{}()\[\]+\-*/])"
+    r"(?:\s|#[^\n]*)*"  # whitespace and comments before the token
+    r"(?:(?P<sym>->|[;:,{}()\[\]+\-*/])"
     r"|(?P<num>\d+(?:\.\d*)?)"
     r"|(?P<ident>[^\W\d]\w*)"
-    r"|(?P<bad>.)",
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.))",
     re.DOTALL,
 )
 
@@ -168,15 +169,14 @@ _TOKEN = re.compile(
 def _tokenize(text: str) -> Iterator[tuple[str, str]]:
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind == "skip":
-            continue
-        v = m.group()
+        v = m[kind]
         # [^\W\d] also admits numeric characters such as '½'; a name starts
         # with a letter or '_'
         if kind == "bad" or (kind == "ident" and not (v[0].isalpha() or v[0] == "_")):
             raise ModelSyntaxError(f"unexpected character {v[0]!r}")
         yield (kind, v)
-    yield ("eof", "")
+        if kind == "eof":
+            return  # an empty match may follow at the end of the text
 
 
 def _raising(exc: ModelSyntaxError) -> Iterator[tuple[str, str]]:
@@ -504,6 +504,16 @@ class WellDefinedReport:
     values: dict[tuple[int, int], Fraction]
 
 
+def check_evaluation_names(M: Pmc, evaluation: Evaluation) -> None:
+    """The evaluation must assign exactly M's parameters (ModelError otherwise)."""
+    for name in evaluation:
+        if name not in M.params:
+            raise ModelError(f"unknown parameter {name!r}")
+    missing = [p for p in M.params if p not in evaluation]
+    if missing:
+        raise ModelError(f"evaluation misses parameters: {', '.join(missing)}")
+
+
 def well_defined(M: Pmc, evaluation: Evaluation) -> WellDefinedReport:
     """Does the total evaluation induce a genuine Markov chain on M's support?
 
@@ -515,12 +525,7 @@ def well_defined(M: Pmc, evaluation: Evaluation) -> WellDefinedReport:
     report carries the evaluated entries, so a caller need not evaluate them
     again.
     """
-    for name in evaluation:
-        if name not in M.params:
-            raise ModelError(f"unknown parameter {name!r}")
-    missing = [p for p in M.params if p not in evaluation]
-    if missing:
-        raise ModelError(f"evaluation misses parameters: {', '.join(missing)}")
+    check_evaluation_names(M, evaluation)
     evaluation = {name: Fraction(evaluation[name]) for name in M.params}
     problems = [
         f"parameter {name} = {v} is outside its range {M.params[name].bounds_str()}"

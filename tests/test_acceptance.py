@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import SEED, formula_corpus, random_lasso
-from pmcsynth.eqsys import build_system, parse_pltl, solve_concrete, synth_grid
+from pmcsynth.eqsys import build_system, grid_axes, parse_pltl, solve_concrete, synth_grid
 from pmcsynth.gba import check_reverse_deterministic, make_gba, translate
 from pmcsynth.eqsys import PltlQuery, analyze
 from pmcsynth.ltl import eval_lasso, parse_formula
@@ -351,7 +351,8 @@ def test_criterion_7(capsys):
         and (p2.lower, p2.upper, p2.lower_strict, p2.upper_strict)
         == (F(3, 10), F(1, 2), False, False)
     )
-    res = synth_grid(M, parse_pltl("P in [0, 1] [ F goal ]"), resolution=11)
+    query = parse_pltl("P in [0, 1] [ F goal ]")
+    res = synth_grid(analyze(M, query.formula).system, query, grid_axes(M, 11))
     w = res.witness
     witness_ok = (
         w is not None

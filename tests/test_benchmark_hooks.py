@@ -70,3 +70,34 @@ def test_workload_inputs_parse_and_verify(monkeypatch, tmp_path):
     for op in witnessed:
         code, stdout = verify.run_cli(op["argv"])
         assert verify.verify(op, {"stdout": stdout, "code": code, "error": None}, {}) is None
+
+
+def test_each_command_analyzes_once(capsys, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from layers import Tracer
+
+    out = str(tmp_path / "q.smt2")
+    query = ["-m", SPLIT_CYCLE, "-q", "P >= 3/4 [ X y ]"]
+    ops = [
+        ["check", "-m", SPLIT_CYCLE, "-e", "eps=1/8", "-f", "G F y"],
+        ["classify", "-m", SPLIT_CYCLE, "-f", "G F y"],
+        ["synth", *query, "-o", out],
+        ["synth", *query, "--solve", "grid:3"],
+        ["synth", *query, "-o", out, "--solve", "grid:3"],
+    ]
+    tracer = Tracer()
+    restore = tracer.install()
+    try:
+        codes = []
+        for i, argv in enumerate(ops):
+            tracer.begin_op(i)
+            codes.append(cli.main(argv))
+    finally:
+        restore()
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 1, 1]
+    analyses = [0] * len(ops)
+    for name, *_, op in tracer.spans:
+        if name == "eqsys.analyze":
+            analyses[op] += 1
+    assert analyses == [1] * len(ops)

@@ -146,6 +146,24 @@ def test_check_query_bound_outside_unit_interval_exit_3(capsys, query):
     assert err.strip()
 
 
+def _no_product(*_args, **_kwargs):
+    raise AssertionError("the product was built")
+
+
+@pytest.mark.parametrize(
+    "evaluation, message",
+    [
+        (("-e", "eps=1/4,q=1/2"), "error: unknown parameter 'q'\n"),
+        ((), "error: evaluation misses parameters: eps\n"),
+    ],
+    ids=["unknown", "missing"],
+)
+def test_check_evaluation_names_before_product(capsys, monkeypatch, evaluation, message):
+    monkeypatch.setattr(eqsys, "analyze", _no_product)
+    code, out, err = run(capsys, "check", "-m", SPLIT_CYCLE, "-f", "X y", *evaluation)
+    assert (code, out, err) == (3, "", message)
+
+
 def test_check_parameter_outside_range_exit_5(capsys):
     # the row sums to 1, but p_s_t = 9/10 lies outside [1/5, 7/10] (and
     # p_s_w = 1/10 outside [3/10, 1/2]): no chain of the interval model has it
@@ -317,7 +335,7 @@ def test_synth_interval_model(capsys):
     assert "tried 111 points, 3 admitted" in out
 
 
-def test_synth_grid_budget_exit_4(capsys):
+def test_synth_grid_budget_exit_4(capsys, monkeypatch, tmp_path):
     # two free axes of 1001 points each: 1,002,001 points, past GRID_BUDGET
     code, out, err = run(
         capsys, "synth", "-m", INTERVAL_ROW, "-q", "P > 3/5 [ F goal ]", "--solve", "grid:1001"
@@ -333,6 +351,16 @@ def test_synth_grid_budget_exit_4(capsys):
     )
     assert (code, out) == (4, "")
     assert "grid of 999999998 points" in err
+    # with -o too: nothing is built or written
+    target = tmp_path / "q.smt2"
+    monkeypatch.setattr(eqsys, "analyze", _no_product)
+    code, out, err = run(
+        capsys, "synth", "-m", INTERVAL_ROW, "-q", "P > 3/5 [ F goal ]", "--solve", "grid:1001",
+        "-o", str(target),
+    )
+    assert (code, out) == (4, "")
+    assert "grid of 1002001 points" in err
+    assert not target.exists()
 
 
 def test_synth_emit_only(capsys, tmp_path):
@@ -423,13 +451,46 @@ def test_synth_solver_garbage(capsys, tmp_path):
     assert "solver: (no output)" in out
 
 
-@pytest.mark.parametrize("spec", ["grid:zero", "bisect:3"])
-def test_synth_bad_solve_spec(capsys, spec):
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        pytest.param("grid:zero", 2, id="grid:zero"),
+        pytest.param("bisect:3", 2, id="bisect:3"),
+        pytest.param("grid:1", 3, id="grid:1"),
+    ],
+)
+def test_synth_bad_solve_spec(capsys, monkeypatch, tmp_path, spec, expected):
     code, _, err = run(
         capsys, "synth", "-m", SPLIT_CYCLE, "-q", "P >= 1/2 [ X y ]", "--solve", spec
     )
-    assert code == 2
+    assert code == expected
     assert err.strip()
+    # with -o, the spec is refused before the product is built or FILE written
+    target = tmp_path / "q.smt2"
+    monkeypatch.setattr(eqsys, "analyze", _no_product)
+    code, out, err_o = run(
+        capsys, "synth", "-m", SPLIT_CYCLE, "-q", "P >= 1/2 [ X y ]", "--solve", spec,
+        "-o", str(target),
+    )
+    assert (code, out, err_o) == (expected, "", err)
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [(), ("-o", "q.smt2", "--solve", "grid:3")],
+    ids=["solver-without-out", "solver-with-solve"],
+)
+def test_synth_solver_flag_combinations_exit_2(capsys, monkeypatch, tmp_path, flags):
+    solver = _fake_solver(tmp_path, "echo sat\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(eqsys, "analyze", _no_product)
+    code, out, err = run(
+        capsys, "synth", "-m", SPLIT_CYCLE, "-q", "P >= 1 [ G F y ]", "--solver", solver, *flags
+    )
+    assert (code, out) == (2, "")
+    assert err == "synth: --solver needs -o FILE and excludes --solve\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["solver.sh"]  # nothing written
 
 
 def test_missing_required_arguments_exit_2(capsys):

@@ -15,6 +15,7 @@ from pmcsynth.eqsys import (
     _eliminate,
     analyze,
     build_system,
+    grid_axes,
     parse_pltl,
     solve_concrete,
     synth_grid,
@@ -366,10 +367,16 @@ def test_analyze_times_and_capacity():
         analyze(M, parse_formula("F success"), max_nodes=4)
 
 
+def grid_synth(M, text, resolution=11):
+    axes = grid_axes(M, resolution)
+    query = parse_pltl(text)
+    return synth_grid(analyze(M, query.formula).system, query, axes)
+
+
 def test_synth_grid_finds_first_witness():
     M = load("split_cycle.pmc")
     # P(X y) = 1/2 + eps; strict bounds drop both endpoints of (-1/2, 1/2)
-    res = synth_grid(M, parse_pltl("P >= 3/4 [ X y ]"), resolution=5)
+    res = grid_synth(M, "P >= 3/4 [ X y ]", resolution=5)
     assert res.witness == {"eps": F(1, 4)}
     assert res.value == F(3, 4)
     assert res.tried == 3 and res.admitted == 3
@@ -377,17 +384,17 @@ def test_synth_grid_finds_first_witness():
 
 def test_synth_grid_no_witness():
     M = load("split_cycle.pmc")
-    res = synth_grid(M, parse_pltl("P > 9/10 [ X y ]"), resolution=5)
+    res = grid_synth(M, "P > 9/10 [ X y ]", resolution=5)
     assert res.witness is None and res.value is None
     assert res.tried == 3 and res.admitted == 3
 
 
 def test_synth_grid_without_parameters():
     M = load("branch13.pmc")
-    res = synth_grid(M, parse_pltl("P in [1/3, 1/3] [ F success ]"))
+    res = grid_synth(M, "P in [1/3, 1/3] [ F success ]")
     assert res.witness == {} and res.value == F(1, 3)
     assert res.tried == 1
-    res = synth_grid(M, parse_pltl("P in [2/3, 2/3] [ F success ]"))
+    res = grid_synth(M, "P in [2/3, 2/3] [ F success ]")
     assert res.witness is None
     assert res.tried == 1
 
@@ -395,7 +402,7 @@ def test_synth_grid_without_parameters():
 def test_synth_grid_errors():
     M = load("split_cycle.pmc")
     with pytest.raises(GridError):
-        synth_grid(M, parse_pltl("P >= 1/2 [ X y ]"), resolution=1)
+        grid_axes(M, 1)
     with pytest.raises(GridError):
         # resolution 2 puts points only on the excluded open endpoints
-        synth_grid(M, parse_pltl("P >= 1/2 [ X y ]"), resolution=2)
+        grid_axes(M, 2)

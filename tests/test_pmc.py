@@ -435,6 +435,9 @@ _TEXT = st.lists(
 @given(_TEXT)
 @example("x 3.;p.q ½a 1.2.3")
 @example("a#b\n->-> ٣é")
+@example("")
+@example("x ; # a comment at the end, no newline")
+@example("x;" + " \t\n" * 100_000)
 def test_tokenize_matches_reference(text):
     assert _tokens_then_error(_tokenize, text) == _tokens_then_error(_reference_tokenize, text)
 
