@@ -9,7 +9,9 @@ Exit codes: 0 success (and positive verdict where applicable); 1 completed
 with a negative answer (verdict false, no witness, solver unsat); 2 usage;
 3 malformed or unreadable input; 4 a size cap, search budget or nesting depth
 was exceeded; 5 numeric or semantic failure (ill-defined evaluation,
-singular system, oracle mismatch).
+singular system, oracle mismatch).  The caps are module constants, not
+options: ``gba.EL_BUDGET``, ``product.NODE_BUDGET``,
+``product.SURVIVOR_BUDGET``, ``eqsys.FILL_BUDGET`` and ``eqsys.GRID_BUDGET``.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def _stats_row(M: Pmc, analysis: Analysis, t_mc: float) -> dict[str, str]:
     system = analysis.system
     return {
         "|S_M|": str(M.n_states()),
-        "|V_G|": str(system.n_nodes()),
+        "|V_G|": str(system.graph.n_nodes()),
         "SCC_G": str(len(system.partition.sccs)),
         "SCC_pos": str(len(system.positives)),
         "T_G": f"{t_g:.4f}",
@@ -110,7 +112,7 @@ def _flag(value: bool | None) -> str:
 
 def cmd_translate(args: argparse.Namespace) -> int:
     formula = parse_formula(args.formula)
-    A = translate(formula, el_cap=args.el_cap)
+    A = translate(formula)
     text = dump(A)
     if args.out:
         Path(args.out).write_text(text)
@@ -130,7 +132,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 2
     evaluation = parse_evaluation(args.evaluation) if args.evaluation else {}
     check_evaluation_names(M, evaluation)
-    analysis = eqsys.analyze(M, formula, max_nodes=args.max_product_nodes)
+    analysis = eqsys.analyze(M, formula)
     t0 = time.perf_counter()
     result = eqsys.solve_concrete(analysis.system, evaluation)
     t_mc = time.perf_counter() - t0
@@ -164,12 +166,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     _, formula = _query_and_formula(args)
     if formula is None:
         return 2
-    analysis = eqsys.analyze(
-        M,
-        formula,
-        max_nodes=args.max_product_nodes,
-        use_oracle=args.oracle,
-    )
+    analysis = eqsys.analyze(M, formula, use_oracle=args.oracle)
     _print_stats(_stats_row(M, analysis, 0.0), args.report)
     if args.report == "text":
         for r in analysis.system.partition.sccs:
@@ -208,7 +205,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             return 2
         axes = eqsys.grid_axes(M, resolution)
 
-    system = eqsys.analyze(M, query.formula, max_nodes=args.max_product_nodes).system
+    system = eqsys.analyze(M, query.formula).system
     if args.out:
         Path(args.out).write_text(smtlib.emit_smtlib(system, query))
         print(f"smt: wrote {args.out}")
@@ -252,12 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("-m", "--model", required=True, help="model file (.pmc or .imc)")
         p.add_argument(
-            "--max-product-nodes",
-            type=int,
-            default=5_000_000,
-            help="refuse to build products larger than this (default 5000000)",
-        )
-        p.add_argument(
             "--report",
             choices=("text", "tsv"),
             default="text",
@@ -267,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="LTL -> generalized Buchi automaton")
     p.add_argument("-f", "--formula", required=True)
     p.add_argument("-o", "--out", help="write the automaton dump here")
-    p.add_argument("--el-cap", type=int, default=20, help="max elementary subformulas")
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("check", help="probability of a formula under an evaluation")
@@ -294,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("synth", help="find parameter values meeting a query")
-    common(p)
+    p.add_argument("-m", "--model", required=True, help="model file (.pmc or .imc)")
     p.add_argument("-q", "--pltl", required=True)
     p.add_argument("--solve", help="search method, grid:<resolution> (default grid:11 without -o)")
     p.add_argument("-o", "--out", help="emit the SMT-LIB system here")

@@ -38,11 +38,10 @@ from typing import KeysView, Sequence
 
 from .gba import CapacityError, elementary, translate
 from .ltl import LtlFormula, parse_formula
-from .pmc import Evaluation, Pmc, well_defined
+from .pmc import Evaluation, Pmc, parse_number, well_defined
 from .product import (
     ProductGraph,
     SccPartition,
-    SccRecord,
     build_product,
     check_product_size,
     classify_locally_positive,
@@ -113,7 +112,7 @@ class PltlQuery:
 def _fraction_literal(text: str) -> Fraction:
     text = text.strip()
     try:
-        value = Fraction(text)
+        value = parse_number(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise QuerySyntaxError(f"bad probability bound {text!r}: {exc}") from None
     if not 0 <= value <= 1:
@@ -197,14 +196,6 @@ class EquationSystem:
     positives: dict[int, list[tuple[int, ...]]]
     # reachable nodes whose value is 0: those that cannot reach a positive SCC
     zeros: tuple[int, ...]
-
-    @property
-    def pos(self) -> list[SccRecord]:
-        """The reachable locally positive SCCs."""
-        return [self.partition.sccs[i] for i in self.positives]
-
-    def n_nodes(self) -> int:
-        return self.graph.n_nodes()
 
 
 def build_system(
@@ -407,21 +398,16 @@ class Analysis:
     times: dict[str, float]
 
 
-def analyze(
-    M: Pmc,
-    formula: LtlFormula,
-    max_nodes: int = 5_000_000,
-    use_oracle: bool = False,
-) -> Analysis:
+def analyze(M: Pmc, formula: LtlFormula, use_oracle: bool = False) -> Analysis:
     """translate -> product -> SCCs -> classification -> equation system."""
     # the tableau has 2^|el| + 1 states: refuse a product over the cap first
-    check_product_size((1 << len(elementary(formula))) + 1, M.n_states(), max_nodes)
+    check_product_size((1 << len(elementary(formula))) + 1, M.n_states())
     times: dict[str, float] = {}
     t0 = time.perf_counter()
     A = translate(formula)
     times["translate"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    G = build_product(A, M, max_nodes=max_nodes)
+    G = build_product(A, M)
     times["product"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     partition = scc_decompose(G)

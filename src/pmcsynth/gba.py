@@ -62,8 +62,8 @@ class Gba:
     successor ids; absent keys mean no successor.  Letter masks are bitmasks
     over ``ap`` (bit i set iff ap[i] in the letter).  ``acceptance[k]`` is a
     set of (src, letter mask, dst) edge triples.  For automata built by
-    ``translate``: ``n_el`` is set, subset states have id == their el bitmask
-    (0 .. 2^n_el - 1) and the initial state is id 2^n_el.
+    ``translate`` from phi, with n = |elementary(phi)|: subset states have
+    id == their el bitmask (0 .. 2^n - 1) and the initial state is id 2^n.
     """
 
     ap: tuple[str, ...]
@@ -71,8 +71,6 @@ class Gba:
     initial: tuple[int, ...]
     transitions: dict[tuple[int, int], tuple[int, ...]]
     acceptance: tuple[frozenset[tuple[int, int, int]], ...]
-    el: tuple[LtlFormula, ...] = ()
-    n_el: int | None = None
 
     def letter_mask(self, letter: frozenset[str]) -> int:
         """Bitmask of ``letter`` projected onto this automaton's ap set."""
@@ -177,16 +175,23 @@ def sat_relation(V: frozenset[LtlFormula], a: frozenset[str], psi: LtlFormula) -
     raise LtlError(f"not an LTL node: {psi!r}")
 
 
-def translate(formula: LtlFormula, el_cap: int = 20) -> Gba:
+# Upper bound on |el(formula)|: the tableau has 2^|el| + 1 states and is
+# built for every letter, so each member doubles the translation's work.
+EL_BUDGET = 20
+
+
+def translate(formula: LtlFormula) -> Gba:
     """Tableau automaton of ``formula`` over its own atomic propositions.
 
     ``build_product`` projects every chain label onto this alphabet, so
-    propositions the formula does not mention need no letters.
+    propositions the formula does not mention need no letters.  Raises
+    CapacityError before building anything if el(formula) has more than
+    ``EL_BUDGET`` members.
     """
     el = elementary(formula)
-    if len(el) > el_cap:
+    if len(el) > EL_BUDGET:
         raise CapacityError(
-            f"el(formula) has {len(el)} members, above the cap of {el_cap}"
+            f"el(formula) has {len(el)} members, above the cap of {EL_BUDGET}"
         )
     props = tuple(sorted(atomic_props(formula)))
 
@@ -246,8 +251,6 @@ def translate(formula: LtlFormula, el_cap: int = 20) -> Gba:
         initial=(init_id,),
         transitions={k: tuple(sorted(v)) for k, v in transitions.items()},
         acceptance=tuple(frozenset(s) for s in acc_sets),
-        el=el,
-        n_el=n,
     )
 
 

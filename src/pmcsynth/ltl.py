@@ -302,10 +302,6 @@ class LassoWord:
     def letters(self) -> tuple[Letter, ...]:
         return self.stem + self.loop
 
-    def unrolled(self) -> "LassoWord":
-        """Same word, loop unrolled once into the stem."""
-        return LassoWord(self.stem + self.loop, self.loop)
-
 
 def eval_lasso(formula: LtlFormula, word: LassoWord) -> bool:
     """Decide word |= formula exactly.

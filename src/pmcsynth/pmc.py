@@ -109,12 +109,6 @@ class Pmc:
     def n_states(self) -> int:
         return len(self.states)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.states.index(name)
-        except ValueError:
-            raise ModelError(f"no state named {name!r}") from None
-
     def succ(self, s: int) -> list[tuple[int, RationalFunction]]:
         if self._succ is None:
             lists: list[list[tuple[int, RationalFunction]]] = [
@@ -245,7 +239,11 @@ def _parse_expr(tk: _Tokens, params: Mapping[str, Param]) -> RationalFunction:
         if v == "-":
             return -factor()
         if kind == "num":
-            return RationalFunction.const(Fraction(v))
+            try:
+                return RationalFunction.const(Fraction(v))
+            except ValueError:  # past Python's limit on digits in an int
+                digits = len(v) - v.count(".")
+                raise ModelSyntaxError(f"numeral of {digits} digits is too long") from None
         if kind == "ident":
             if v not in params:
                 raise ModelSyntaxError(f"unknown parameter {v!r}")
@@ -471,6 +469,21 @@ def _row_sum(fs: Iterable[RationalFunction]) -> RationalFunction:
     return total
 
 
+# The number forms of evaluations and query bounds.  Fraction accepts more,
+# exponents among them, and builds 10**N for "1e-N" before anything could
+# check the size: "1e-999999999" would need a 415 MB integer.
+_NUMBER = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
+
+
+def parse_number(text: str) -> Fraction:
+    """An optionally signed integer, decimal or quotient of integers ('3',
+    '-0.3', '1/10') as a Fraction; ValueError for any other text, and
+    ZeroDivisionError for a zero denominator."""
+    if not _NUMBER.fullmatch(text):
+        raise ValueError("expected an integer, a decimal such as 0.3 or a quotient such as 1/10")
+    return Fraction(text)
+
+
 def parse_evaluation(text: str) -> dict[str, Fraction]:
     """Parse 'eps=1/10,p=0.3' into an evaluation."""
     out: dict[str, Fraction] = {}
@@ -484,10 +497,11 @@ def parse_evaluation(text: str) -> dict[str, Fraction]:
         name = name.strip()
         if name in out:
             raise ModelError(f"parameter {name!r} assigned twice")
+        value = value.strip()
         try:
-            out[name] = Fraction(value.strip())
+            out[name] = parse_number(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ModelError(f"bad value for {name!r}: {exc}") from None
+            raise ModelError(f"bad value {value!r} for {name!r}: {exc}") from None
     return out
 
 

@@ -76,9 +76,6 @@ class ProductGraph:
     def n_arcs(self) -> int:
         return len(self.targets)
 
-    def node(self, q: int, s: int) -> int:
-        return q * self.n_mc() + s
-
     def pair(self, node: int) -> tuple[int, int]:
         return divmod(node, self.n_mc())
 
@@ -95,21 +92,26 @@ class ProductGraph:
         return self._rd
 
 
-def check_product_size(nq: int, ns: int, max_nodes: int) -> None:
-    """Raise CapacityError if ``nq * ns`` product nodes would exceed ``max_nodes``."""
-    if nq * ns > max_nodes:
-        raise CapacityError(f"product would have {nq * ns} nodes, above the cap of {max_nodes}")
+# Upper bound on the nodes of one product: the CSR offsets alone take 8
+# bytes a node, and every node can hold an SCC record.
+NODE_BUDGET = 5_000_000
 
 
-def build_product(A: Gba, M: Pmc, max_nodes: int = 5_000_000) -> ProductGraph:
+def check_product_size(nq: int, ns: int) -> None:
+    """Raise CapacityError if ``nq * ns`` product nodes would exceed ``NODE_BUDGET``."""
+    if nq * ns > NODE_BUDGET:
+        raise CapacityError(f"product would have {nq * ns} nodes, above the cap of {NODE_BUDGET}")
+
+
+def build_product(A: Gba, M: Pmc) -> ProductGraph:
     """A x M on all state pairs, arcs in CSR form.
 
     Raises CapacityError before allocating anything if |Q| * |S| exceeds
-    ``max_nodes``.
+    ``NODE_BUDGET``.
     """
     nq = len(A.states)
     ns = M.n_states()
-    check_product_size(nq, ns, max_nodes)
+    check_product_size(nq, ns)
     letters = tuple(A.letter_mask(M.labels[s]) for s in range(ns))
     mc_succ = [[t for t, _ in M.succ(s)] for s in range(ns)]
 
@@ -163,9 +165,6 @@ class SccPartition:
                 groups.setdefault(r.projection, []).append(r.index)
             self._by_projection = groups
         return self._by_projection
-
-    def nontrivial(self) -> list[SccRecord]:
-        return [r for r in self.sccs if not r.trivial]
 
     def reaching(self, targets: Container[int]) -> list[bool]:
         """Per SCC index: does it reach an SCC whose index is in ``targets``
@@ -330,16 +329,19 @@ def is_complete_rd(G: ProductGraph, partition: SccPartition, record: SccRecord) 
     return True
 
 
-def is_complete_oracle(
-    G: ProductGraph, record: SccRecord, budget: int = 200_000
-) -> bool:
+# Upper bound on the survivor-set states one completeness decision explores:
+# their number can grow exponentially in the automaton's states.
+SURVIVOR_BUDGET = 200_000
+
+
+def is_complete_oracle(G: ProductGraph, record: SccRecord) -> bool:
     """Survivor-set decision of completeness, correct for any automaton.
 
     Walking a path of H(C) backwards, the survivor set after reading
     s_0 .. s_k is the set of automaton states q such that (q, s_0) in C and
     the path lifts to a C-path starting there.  C is complete iff no
     reachable survivor set is empty.  States are (first chain state, set)
-    pairs; at most ``budget`` of them are explored before giving up.
+    pairs; at most ``SURVIVOR_BUDGET`` of them are explored before giving up.
     """
     ns = G.n_mc()
     members = set(record.members)
@@ -384,9 +386,9 @@ def is_complete_oracle(
                 return False
             item = (s, frozenset(B2))
             if item not in visited:
-                if len(visited) >= budget:
+                if len(visited) >= SURVIVOR_BUDGET:
                     raise CompletenessBudgetError(
-                        f"survivor-set search exceeded {budget} states"
+                        f"survivor-set search exceeded {SURVIVOR_BUDGET} states"
                     )
                 visited.add(item)
                 work.append(item)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from conftest import SEED, formula_corpus, random_lasso
 from pmcsynth.eqsys import build_system, grid_axes, parse_pltl, solve_concrete, synth_grid
-from pmcsynth.gba import check_reverse_deterministic, make_gba, translate
+from pmcsynth.gba import check_reverse_deterministic, elementary, make_gba, translate
 from pmcsynth.eqsys import PltlQuery, analyze
 from pmcsynth.ltl import eval_lasso, parse_formula
 from pmcsynth.modelgen import chain_mc, crowds_like, random_mc
@@ -99,10 +99,10 @@ def test_criterion_1(capsys):
     G = build_product(A, M)
     system = build_system(G)
 
-    one_positive = len(system.pos) == 1 and len(system.pos[0].members) == 5
+    one_positive = [len(system.partition.sccs[i].members) for i in system.positives] == [5]
 
     def node(qname, sname):
-        return G.node(A.states.index(qname), M.index(sname))
+        return A.states.index(qname) * M.n_states() + M.states.index(sname)
 
     expected_ok = True
     for eps_text in ("-2/5", "0", "1/10", "2/5"):
@@ -144,10 +144,10 @@ def test_criterion_2(capsys):
     A = two_loop_automaton()
     G = build_product(A, M)
     part = scc_decompose(G)
-    nontrivial = part.nontrivial()
+    nontrivial = [r for r in part.sccs if not r.trivial]
 
-    proj_xy = frozenset({M.index("x"), M.index("y")})
-    proj_zw = frozenset({M.index("z"), M.index("w")})
+    proj_xy = frozenset({M.states.index("x"), M.states.index("y")})
+    proj_zw = frozenset({M.states.index("z"), M.states.index("w")})
     c1 = next(r for r in nontrivial if r.projection == proj_xy)
     c2 = next(r for r in nontrivial if r.projection == proj_zw)
     c1_complete = is_complete_oracle(G, c1)
@@ -200,7 +200,7 @@ def corpus_results():
         for f in formula_corpus(rng, 200, 4):
             A = translate(f)
             rd = check_reverse_deterministic(A)
-            n_subsets = 1 << A.n_el
+            n_subsets = 1 << len(elementary(f))
             rows = []
             for _ in range(50):
                 w = random_lasso(rng)
@@ -319,7 +319,7 @@ def test_criterion_6(capsys):
     disagreements = []
     for _, _, runs in data:
         for text, G, part, _ in runs:
-            for r in part.nontrivial():
+            for r in [r for r in part.sccs if not r.trivial]:
                 n_sccs += 1
                 a = is_complete_rd(G, part, r)
                 b = is_complete_oracle(G, r)
@@ -381,15 +381,16 @@ def test_criterion_7(capsys):
 def test_criterion_8(capsys):
     # (a) node-count law on both corpora
     law_violations = []
+    n_el = {text: len(elementary(parse_formula(text))) for text in FRAGMENT}
     for _, _, runs in mc_corpus():
         for text, G, _, _ in runs:
-            expect = G.pmc.n_states() * ((1 << G.gba.n_el) + 1)
+            expect = G.pmc.n_states() * ((1 << n_el[text]) + 1)
             if G.n_nodes() != expect:
                 law_violations.append((text, G.n_nodes(), expect))
     fixed = random_mc(random.Random(SEED + 2), 8)
     for f, A, _, _ in corpus_results():
         G = build_product(A, fixed)
-        if G.n_nodes() != 8 * ((1 << A.n_el) + 1):
+        if G.n_nodes() != 8 * ((1 << len(elementary(f))) + 1):
             law_violations.append((f, G.n_nodes()))
 
     # (b) build time vs arc count over three decades of chain sizes
@@ -507,7 +508,7 @@ def test_criterion_9(capsys):
     zero_system = build_system(build_product(two_loop_automaton(), M2))
     forms = wellformed(zero_system, None)
     zero_assignment = {
-        mu_name(zero_system, u): F(0) for u in range(zero_system.n_nodes())
+        mu_name(zero_system, u): F(0) for u in range(zero_system.graph.n_nodes())
     }
     failures["provably-zero"] = evaluate_assertions(forms, zero_assignment)
 

@@ -1,4 +1,7 @@
+import argparse
 import os
+import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -6,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pmcsynth import cli, eqsys
+from pmcsynth import cli, eqsys, gba, product
 from pmcsynth.ltl import parse_formula
 from pmcsynth.pmc import parse_model
 
@@ -45,8 +48,9 @@ def test_translate_to_file(capsys, tmp_path):
     assert target.read_text().startswith("ap: a\n")
 
 
-def test_translate_el_cap(capsys):
-    code, _, err = run(capsys, "translate", "-f", "G F a", "--el-cap", "1")
+def test_translate_el_cap(capsys, monkeypatch):
+    monkeypatch.setattr(gba, "EL_BUDGET", 1)
+    code, _, err = run(capsys, "translate", "-f", "G F a")
     assert code == 4
     assert "above the cap" in err
 
@@ -126,12 +130,21 @@ def test_check_requires_query_or_formula(capsys):
         (("check", "-m", BRANCH, "-f", "F ("), 3),
         (("check", "-m", SPLIT_CYCLE, "-f", "X y"), 3),  # missing evaluation
         (("check", "-m", SPLIT_CYCLE, "-f", "X y", "-e", "eps=1/2"), 5),  # kills an entry
-        (("check", "-m", BRANCH, "-f", "F success", "--max-product-nodes", "2"), 4),
+        # no exponents: 1e-5000 would be a 5001-digit denominator
+        (("check", "-m", SPLIT_CYCLE, "-q", "P >= 1e-5000 [ F y ]", "-e", "eps=0"), 3),
+        (("check", "-m", SPLIT_CYCLE, "-f", "X y", "-e", "eps=1e-3"), 3),
     ],
 )
 def test_check_error_codes(capsys, argv, expected):
     code, _, err = run(capsys, *argv)
     assert code == expected
+    assert err.strip()
+
+
+def test_check_product_cap_exit_4(capsys, monkeypatch):
+    monkeypatch.setattr(product, "NODE_BUDGET", 2)
+    code, _, err = run(capsys, "check", "-m", BRANCH, "-f", "F success")
+    assert code == 4
     assert err.strip()
 
 
@@ -256,11 +269,9 @@ def test_check_product_cap_before_translate(capsys, monkeypatch):
         raise AssertionError("translate ran for a product over the cap")
 
     monkeypatch.setattr(eqsys, "translate", translate)
+    monkeypatch.setattr(product, "NODE_BUDGET", 1000)
     formula = "X " * 17 + "x"
-    code, out, err = run(
-        capsys, "check", "-m", SPLIT_CYCLE, "-e", "eps=1/8", "-f", formula,
-        "--max-product-nodes", "1000",
-    )
+    code, out, err = run(capsys, "check", "-m", SPLIT_CYCLE, "-e", "eps=1/8", "-f", formula)
     assert (code, out) == (4, "")
     assert err == "error: product would have 524292 nodes, above the cap of 1000\n"
 
@@ -494,16 +505,73 @@ def test_synth_solver_flag_combinations_exit_2(capsys, monkeypatch, tmp_path, fl
 
 
 def test_missing_required_arguments_exit_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.main(["synth", "-m", SPLIT_CYCLE])  # -q is required
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        cli.main(["check"])  # -m is required
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        cli.main([])  # a subcommand is required
-    assert info.value.code == 2
+    for argv in (
+        ["synth", "-m", SPLIT_CYCLE],  # -q is required
+        ["check"],  # -m is required
+        [],  # a subcommand is required
+        # the caps are constants, and synth prints no statistics
+        ["check", "-m", BRANCH, "-f", "F success", "--max-product-nodes", "5"],
+        ["translate", "-f", "F a", "--el-cap", "5"],
+        ["synth", "-m", SPLIT_CYCLE, "-q", "P >= 1 [ G F y ]", "--report", "tsv"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2, argv
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["translate", "-f", "F a", "-o", "{tmp}/a.aut"],
+        ["check", "-m", SPLIT_CYCLE, "-f", "X y", "-e", "eps=1/4", "--oracle", "--report", "tsv"],
+        ["classify", "-m", LOOP_PAIR, "-f", "G F x", "--oracle"],
+        ["synth", "-m", SPLIT_CYCLE, "-q", "P >= 3/4 [ X y ]", "--solve", "grid:5", "-o", "{tmp}/q.smt2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_option_is_read(capsys, tmp_path, argv):
+    # an option that its command never reads would be accepted and ignored
+    parser = cli.build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    defined = {a.dest for a in subparsers.choices[argv[0]]._actions if a.dest != "help"}
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = parser.parse_args([a.format(tmp=tmp_path) for a in argv], namespace=Recording())
+    reads.clear()  # parsing reads them too
+    assert args.func(args) == 0
+    capsys.readouterr()
+    assert sorted(defined - reads) == []
+
+
+def test_readme_commands_run_as_printed(capsys, monkeypatch, tmp_path):
+    # every "$ pmc-synth ..." line of README.md, with the output lines shown
+    # under it ("..." skipped, timings masked) appearing in order
+    (tmp_path / "models").symlink_to(MODELS)
+    monkeypatch.chdir(tmp_path)
+    mask = lambda text: re.sub(r"\b(T_G|T_mc)=\S+", r"\1=?", text)
+    examples = []
+    shown = None  # the output lines of the example being read
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("$ pmc-synth "):
+            shown = []
+            examples.append((shlex.split(line)[2:], shown))
+        elif not line or line.startswith("```"):
+            shown = None
+        elif shown is not None and line != "...":
+            shown.append(mask(line))
+    assert len(examples) == 5
+    for argv, shown in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        lines = iter(mask(out).splitlines())
+        for expected in shown:
+            assert expected in lines, (argv, expected)
 
 
 def test_plain_pytest_finds_the_package():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pmcsynth import product
 from pmcsynth.eqsys import (
     GridError,
     IllDefinedEvaluationError,
@@ -76,6 +77,7 @@ def test_parse_pltl_intervals():
         "P >= -1 [ F a ]",
         "P <= 3/2 [ F a ]",
         "P in [-1/2, 2] [ F a ]",
+        "P >= 1e-5000 [ F a ]",
     ],
 )
 def test_parse_pltl_errors(text):
@@ -106,10 +108,11 @@ def branch_system():
 def test_build_system_shape():
     M, system = branch_system()
     G = system.graph
-    assert system.n_nodes() == G.n_nodes()
     # normalization rows are keyed by locally positive SCC, one group of
     # member nodes per chain state of its projection
-    assert list(system.positives) == [r.index for r in system.pos] != []
+    assert list(system.positives) == [
+        r.index for r in system.partition.sccs if r.locally_positive and r.reachable
+    ] != []
     for scc_index, groups in system.positives.items():
         record = system.partition.sccs[scc_index]
         assert record.locally_positive
@@ -122,7 +125,7 @@ def test_zeros_cannot_reach_positive_sccs():
     M, system = branch_system()
     G = system.graph
     zero_set = set(system.zeros)
-    pos_nodes = {u for r in system.pos for u in r.members}
+    pos_nodes = {u for i in system.positives for u in system.partition.sccs[i].members}
     # forward closure from each zero node never meets a positive SCC
     for u in list(zero_set)[:50]:
         seen, stack = {u}, [u]
@@ -188,7 +191,7 @@ def test_degenerate_self_loop_over_absorbing_state():
     # the degenerate node really is in this product and really is zeroed:
     # a self-loop over s2 whose SCC is not locally positive has no equation
     # besides 0 = 0 once its siblings vanish
-    s2 = M.index("s2")
+    s2 = M.states.index("s2")
     record_of = {u: r for r in system.partition.sccs for u in r.members}
     degenerate = [
         u
@@ -224,7 +227,7 @@ def test_no_positive_scc_means_zero():
     M = load("loop_pair.pmc")
     G = build_product(loop_automaton(), M)
     system = build_system(G)
-    assert system.pos == []
+    assert system.positives == {}
     assert set(system.zeros) == {
         u for r in system.partition.sccs if r.reachable for u in r.members
     }
@@ -359,12 +362,13 @@ def test_eliminate_matches_dense_reference(kind, n, data):
 # ---------------------------------------------------------------------------
 
 
-def test_analyze_times_and_capacity():
+def test_analyze_times_and_capacity(monkeypatch):
     M = load("branch13.pmc")
     a = analyze(M, parse_formula("F success"))
     assert set(a.times) == {"translate", "product", "scc", "classify"}
+    monkeypatch.setattr(product, "NODE_BUDGET", 4)
     with pytest.raises(CapacityError):
-        analyze(M, parse_formula("F success"), max_nodes=4)
+        analyze(M, parse_formula("F success"))
 
 
 def grid_synth(M, text, resolution=11):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_formula, random_lasso
+from pmcsynth import gba
 from pmcsynth.gba import (
     CapacityError,
     GbaError,
@@ -57,8 +58,8 @@ def test_translate_matches_satisfaction_relation(text):
     """
     f = parse_formula(text)
     A = translate(f)
-    el = A.el
-    n = A.n_el
+    el = elementary(f)
+    n = len(el)
     init_id = 1 << n
     untils = [s for s in subformulas(f) if isinstance(s, Until)]
     assert len(A.acceptance) == len(untils)
@@ -87,16 +88,20 @@ def test_translate_matches_satisfaction_relation(text):
 
 
 def test_translate_state_count():
-    A = translate(parse_formula("G F a"))
-    assert len(A.states) == (1 << A.n_el) + 1
-    assert A.initial == (1 << A.n_el,)
+    f = parse_formula("G F a")
+    A = translate(f)
+    n = len(elementary(f))
+    assert len(A.states) == (1 << n) + 1
+    assert A.initial == (1 << n,)
     assert A.states[-1] == "init"
 
 
-def test_translate_el_cap():
+def test_translate_el_cap(monkeypatch):
+    monkeypatch.setattr(gba, "EL_BUDGET", 1)
     with pytest.raises(CapacityError):
-        translate(parse_formula("G F a"), el_cap=1)
-    translate(parse_formula("G F a"), el_cap=2)  # at the cap is fine
+        translate(parse_formula("G F a"))
+    monkeypatch.setattr(gba, "EL_BUDGET", 2)
+    translate(parse_formula("G F a"))  # at the cap is fine
 
 
 def test_tableau_is_reverse_deterministic():

@@ -93,6 +93,11 @@ def test_parse_comments_and_fractions():
         ),
         ("pmc\nparam p in", "for the parameter range"),
         ("pmc\nstate s;\ninit s;\ntrans s -> s : 1; !", "unexpected character '!'"),
+        pytest.param(  # past Python's 4,300-digit limit on int conversion
+            "pmc\nstate s;\ninit s;\ntrans s -> s : 0." + "0" * 4999 + "1;",
+            "numeral of 5001 digits is too long",
+            id="numeral-too-long",
+        ),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -279,6 +284,8 @@ def test_parse_evaluation():
         parse_evaluation("p=1,p=2")
     with pytest.raises(ModelError):
         parse_evaluation("p=one")
+    with pytest.raises(ModelError, match="'1e-3'"):
+        parse_evaluation("eps=1e-3")
 
 
 def test_well_defined():

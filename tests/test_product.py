@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from pmcsynth import product
 from pmcsynth.gba import CapacityError, make_gba, translate
 from pmcsynth.ltl import parse_formula
 from pmcsynth.modelgen import random_mc
@@ -51,13 +52,11 @@ def test_build_product_shape():
     A = translate(parse_formula("F success"))
     G = build_product(A, M)
     assert G.n_nodes() == len(A.states) * M.n_states()
-    # node/pair round trip and naming
-    for u in range(G.n_nodes()):
-        q, s = G.pair(u)
-        assert G.node(q, s) == u
     q0 = A.initial[0]
-    assert G.node_name(G.node(q0, M.initial)) == "(init, s0)"
-    assert G.initial == (G.node(q0, M.initial),)
+    u0 = q0 * M.n_states() + M.initial
+    assert G.pair(u0) == (q0, M.initial)
+    assert G.node_name(u0) == "(init, s0)"
+    assert G.initial == (u0,)
 
 
 def test_build_product_arcs_are_exactly_the_joint_steps():
@@ -76,11 +75,12 @@ def test_build_product_arcs_are_exactly_the_joint_steps():
     assert G.n_arcs() == len(expected)
 
 
-def test_build_product_capacity():
+def test_build_product_capacity(monkeypatch):
     M = load("branch13.pmc")
     A = translate(parse_formula("F success"))
+    monkeypatch.setattr(product, "NODE_BUDGET", G_nodes_minus_one(A, M))
     with pytest.raises(CapacityError):
-        build_product(A, M, max_nodes=G_nodes_minus_one(A, M))
+        build_product(A, M)
 
 
 def G_nodes_minus_one(A, M):
@@ -128,11 +128,11 @@ def test_classification_on_branching_chain():
     G = build_product(A, M)
     part = scc_decompose(G)
     pos, neg = classify_locally_positive(G, part)
-    ok = M.index("ok")
+    ok = M.states.index("ok")
     assert [r.projection for r in pos if r.reachable] == [frozenset({ok})]
     assert any(r.reachable for r in pos)
     # the failure state's bottom SCC is not accepting
-    bad = M.index("bad")
+    bad = M.states.index("bad")
     assert any(r.projection == frozenset({bad}) for r in neg)
 
 
@@ -145,7 +145,7 @@ def test_rd_and_survivor_deciders_agree_on_tableau_products(rng):
                 A = translate(parse_formula(text))
                 G = build_product(A, M)
                 part = scc_decompose(G)
-                for r in part.nontrivial():
+                for r in [r for r in part.sccs if not r.trivial]:
                     if not r.reachable:
                         continue
                     assert is_complete_rd(G, part, r) == is_complete_oracle(G, r), (
@@ -170,8 +170,8 @@ def loop_pair_product():
 
 
 def _scc_by_projection(G, part, names):
-    want = frozenset(G.pmc.index(n) for n in names)
-    found = [r for r in part.nontrivial() if r.projection == want]
+    want = frozenset(G.pmc.states.index(n) for n in names)
+    found = [r for r in part.sccs if not r.trivial and r.projection == want]
     assert len(found) == 1
     return found[0]
 
@@ -189,11 +189,12 @@ def test_survivor_oracle_on_hand_built_loop():
         is_complete_rd(G, part, c1)
 
 
-def test_survivor_budget():
+def test_survivor_budget(monkeypatch):
     G, part = loop_pair_product()
     c1 = _scc_by_projection(G, part, ["x", "y"])
+    monkeypatch.setattr(product, "SURVIVOR_BUDGET", 2)
     with pytest.raises(CompletenessBudgetError):
-        is_complete_oracle(G, c1, budget=2)
+        is_complete_oracle(G, c1)
 
 
 def test_classify_falls_back_to_survivor_oracle():
@@ -218,7 +219,7 @@ def test_is_accepting_covers_all_sets():
     # nothing is locally positive; but some SCC still satisfies both
     # acceptance sets in its cycles
     assert [r for r in pos if r.reachable] == []
-    assert any(r.accepting for r in part.nontrivial() if r.reachable is not None)
+    assert any(r.accepting for r in part.sccs if not r.trivial and r.reachable is not None)
     # classified records carry the same verdict as the standalone decider
     for r in part.sccs:
         if r.accepting is not None:
@@ -227,7 +228,7 @@ def test_is_accepting_covers_all_sets():
 
 def test_chain_bottom_sccs():
     M = load("loop_pair.pmc")
-    x, y, z, w = (M.index(n) for n in "xyzw")
+    x, y, z, w = (M.states.index(n) for n in "xyzw")
     comps = tarjan(M.n_states(), lambda s: [t for t, _ in M.succ(s)])
     assert {frozenset(c) for c in comps} == {frozenset({x, y}), frozenset({z, w})}
     # {x, y} is a component but not a bottom one

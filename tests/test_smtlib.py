@@ -105,7 +105,7 @@ def test_emitted_script_is_wellformed():
     # one declaration per parameter and per reachable product node
     decls = [f[1] for f in forms if f[0] == "declare-const"]
     reachable = [u for r in system.partition.sccs if r.reachable for u in r.members]
-    assert len(reachable) < system.n_nodes()
+    assert len(reachable) < system.graph.n_nodes()
     assert sorted(decls) == sorted(list(M.params) + [mu_name(system, u) for u in reachable])
 
 
@@ -174,13 +174,13 @@ def test_emission_marks_provably_zero_systems():
     assert "; target provably 0: no locally positive SCC" in script
     forms = check_wellformed(script)
     # all-zero assignment is a model of the degenerate system
-    assignment = {mu_name(system, u): F(0) for u in range(system.n_nodes())}
+    assignment = {mu_name(system, u): F(0) for u in range(system.graph.n_nodes())}
     assert evaluate_assertions(forms, assignment) == []
 
 
 def test_mu_names_are_distinct():
     M, system = system_for("loop_pair.pmc", "G F x | G F w")
-    names = [mu_name(system, u) for u in range(system.n_nodes())]
+    names = [mu_name(system, u) for u in range(system.graph.n_nodes())]
     assert len(names) == len(set(names))
     assert all(n.startswith("mu_") for n in names)
 
