@@ -8,8 +8,8 @@
 Exit codes: 0 success (and positive verdict where applicable); 1 completed
 with a negative answer (verdict false, no witness, solver unsat); 2 usage;
 3 malformed or unreadable input; 4 a size cap, search budget or nesting depth
-was exceeded; 5 numeric or semantic failure (ill-defined evaluation,
-singular system, oracle mismatch).  The caps are module constants, not
+was exceeded, or an exact result is too long to print; 5 numeric or semantic
+failure (ill-defined evaluation, singular system, oracle mismatch).  The caps are module constants, not
 options: ``gba.EL_BUDGET``, ``product.NODE_BUDGET``,
 ``product.SURVIVOR_BUDGET``, ``eqsys.FILL_BUDGET`` and ``eqsys.GRID_BUDGET``.
 """
@@ -17,9 +17,11 @@ options: ``gba.EL_BUDGET``, ``product.NODE_BUDGET``,
 from __future__ import annotations
 
 import argparse
+import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from . import eqsys, oracle, smtlib
@@ -106,6 +108,21 @@ def _print_stats(row: dict[str, str], report: str) -> None:
         print("  ".join(f"{k}={v}" for k, v in row.items()))
 
 
+def _exact(value: Fraction) -> str:
+    """``str(value)``; a numerator or denominator past Python's limit on the
+    digits of a printed int is a CapacityError (exit 4) that names its
+    digit count."""
+    try:
+        return str(value)
+    except ValueError:
+        n = max(abs(value.numerator), value.denominator)
+        # counted up from a lower bound that the bit length gives
+        digits = max(int(n.bit_length() * math.log10(2)) - 1, 0)
+        while 10**digits <= n:
+            digits += 1
+        raise CapacityError(f"exact result of {digits} digits is too long to print") from None
+
+
 def _flag(value: bool | None) -> str:
     return "-" if value is None else ("yes" if value else "no")
 
@@ -136,8 +153,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     result = eqsys.solve_concrete(analysis.system, evaluation)
     t_mc = time.perf_counter() - t0
+    probability = _exact(result.target)
     _print_stats(_stats_row(M, analysis, t_mc), args.report)
-    print(f"probability = {result.target}")
+    print(f"probability = {probability}")
 
     code = 0
     if query is not None:
@@ -151,10 +169,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         if ref is None:
             print("oracle: formula outside the closed-form fragment; skipped")
         elif ref == result.target:
-            print(f"oracle probability = {ref} (agrees)")
+            print(f"oracle probability = {probability} (agrees)")
         else:
             print(
-                f"oracle probability = {ref} DISAGREES with {result.target}",
+                f"oracle probability = {_exact(ref)} DISAGREES with {probability}",
                 file=sys.stderr,
             )
             return 5
@@ -232,9 +250,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"{result.admitted} admitted)"
         )
         return 1
-    assignment = ", ".join(f"{k}={v}" for k, v in result.witness.items())
+    assignment = ", ".join(f"{k}={_exact(v)}" for k, v in result.witness.items())
+    probability = _exact(result.value)
     print(f"witness: {assignment}")
-    print(f"probability = {result.value}")
+    print(f"probability = {probability}")
     print(f"grid: tried {result.tried} points, {result.admitted} admitted")
     return 0
 

@@ -24,21 +24,29 @@ Markowitz order (the row with the fewest entries, then its column shared by
 the fewest rows) and finished by back substitution.  Uniqueness and
 consistency are checked per block rather than assumed, and a block whose
 fill-in would pass ``FILL_BUDGET`` entries stops with ``CapacityError``.
+``solve_concrete`` checks the evaluation with ``well_defined`` and hands the
+entry values to that block solver.
+
+Grid synthesis walks the lattice of ``grid_axes`` with an index list, one
+parameter fixed at a time, and checks each stage with ``StagedCheck``: an
+entry, a row sum or a parameter range is checked once the parameters it
+reads are fixed, so constant entries are checked once per scan and a prefix
+that fails is skipped whole (its points counted as tried).  A point that
+passes goes to the block solver with the entry values the walk evaluated.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import KeysView, Sequence
+from typing import KeysView, Mapping, Sequence
 
 from .gba import CapacityError, elementary, translate
 from .ltl import LtlFormula, parse_formula
-from .pmc import Evaluation, Pmc, parse_number, well_defined
+from .pmc import Evaluation, Pmc, StagedCheck, parse_number, well_defined
 from .product import (
     ProductGraph,
     SccPartition,
@@ -340,11 +348,19 @@ def _eliminate(
 def solve_concrete(system: EquationSystem, evaluation: Evaluation) -> SolveResult:
     """Exact solution of the system under a total evaluation: one value per
     reachable node, a model of the emitted SMT-LIB script at that point."""
-    G = system.graph
-    report = well_defined(G.pmc, evaluation)
+    report = well_defined(system.graph.pmc, evaluation)
     if not report.ok:
         raise IllDefinedEvaluationError(report.problems)
-    prob = report.values
+    return _solve_blocks(system, report.values)
+
+
+def _solve_blocks(
+    system: EquationSystem, prob: Mapping[tuple[int, int], Fraction]
+) -> SolveResult:
+    """The exact block solver: the system's solution under the transition
+    probabilities ``prob``, {(s, t): value} over the chain's support, which
+    must already satisfy the rules of ``well_defined``."""
+    G = system.graph
     ns = G.n_mc()
     offsets, arcs = G.offsets, G.targets
     zero_set = set(system.zeros)
@@ -467,17 +483,46 @@ def synth_grid(
     system: EquationSystem, query: PltlQuery, axes: dict[str, list[Fraction]]
 ) -> SynthResult:
     """The first point of ``axes`` (see ``grid_axes``) whose probability lies
-    in the query interval.  Points that are not well-defined (zero entries,
-    row sums off 1) are skipped but counted in ``tried``."""
+    in the query interval, in lexicographic order with the last axis
+    fastest.  Points that are not well-defined (zero entries, row sums off
+    1) are skipped but counted in ``tried``.  The walk (see the module
+    docstring) keeps its prefix in an index list, not on the call stack, so
+    a model with thousands of parameters scans too.
+    """
+    names = list(axes)
+    points = list(axes.values())
+    check = StagedCheck(system.graph.pmc, names)
+    n = len(names)
+    # below[k]: the number of points that share a prefix of k parameters
+    below = [1] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        below[k] = below[k + 1] * len(points[k])
+    evaluation: dict[str, Fraction] = {}
+    values: dict[tuple[int, int], Fraction] = {}
+    if not check.passes(0, evaluation, values):
+        return SynthResult(None, None, below[0], 0)
     tried = admitted = 0
-    for combo in itertools.product(*axes.values()):
-        evaluation = dict(zip(axes, combo))
-        tried += 1
-        try:
-            result = solve_concrete(system, evaluation)
-        except IllDefinedEvaluationError:
-            continue
-        admitted += 1
-        if query.admits(result.target):
-            return SynthResult(evaluation, result.target, tried, admitted)
-    return SynthResult(None, None, tried, admitted)
+    index = [-1] * n  # the value of each parameter on the current prefix
+    k = 0  # the parameters fixed
+    while True:
+        if k == n:
+            tried += 1
+            result = _solve_blocks(system, values)
+            admitted += 1
+            if query.admits(result.target):
+                witness = {name: axes[name][i] for name, i in zip(names, index)}
+                return SynthResult(witness, result.target, tried, admitted)
+            k -= 1
+        # move to the next value of parameter k, backing up past the ones
+        # whose values are used up
+        while k >= 0 and index[k] + 1 == len(points[k]):
+            index[k] = -1
+            k -= 1
+        if k < 0:
+            return SynthResult(None, None, tried, admitted)
+        index[k] += 1
+        evaluation[names[k]] = points[k][index[k]]
+        if check.passes(k + 1, evaluation, values):
+            k += 1
+        else:
+            tried += below[k + 1]

@@ -43,7 +43,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .ratfunc import (
     P_ONE,
@@ -528,16 +528,36 @@ def check_evaluation_names(M: Pmc, evaluation: Evaluation) -> None:
         raise ModelError(f"evaluation misses parameters: {', '.join(missing)}")
 
 
+def _entry(f: RationalFunction, evaluation: Evaluation) -> tuple[Fraction | None, str | None]:
+    """The entry rules: a support entry's value under the evaluation (None
+    when its denominator vanishes), and what is wrong with it — a vanishing
+    denominator, 0 in the support, a value outside [0, 1] — or None."""
+    try:
+        v = f.evaluate(evaluation)
+    except ZeroDenominatorError:
+        return None, ": denominator vanishes"
+    if v == 0:
+        return v, " evaluates to 0 but is in the support"
+    if v < 0 or v > 1:
+        return v, f" evaluates to {v}, outside [0,1]"
+    return v, None
+
+
+def _row(total: Fraction) -> str | None:
+    """The row rule: what is wrong with a row whose evaluated entries sum to
+    ``total``, or None."""
+    return None if total == 1 else f"sums to {total}, not 1"
+
+
 def well_defined(M: Pmc, evaluation: Evaluation) -> WellDefinedReport:
     """Does the total evaluation induce a genuine Markov chain on M's support?
 
     The evaluation must assign exactly M's parameters (ModelError otherwise).
     Every parameter value is checked against its declared range, every entry
-    is evaluated to a Fraction and checked for a vanishing denominator, for
-    range and for nonzero support, and every row for its sum; all violations
-    are collected, parameters first, instead of stopping at the first.  The
-    report carries the evaluated entries, so a caller need not evaluate them
-    again.
+    by the entry rules and every row by the row rule; all violations are
+    collected, parameters first, then row by row each entry and the row's
+    sum, instead of stopping at the first.  The report carries the
+    evaluated entries, so a caller need not evaluate them again.
     """
     check_evaluation_names(M, evaluation)
     evaluation = {name: Fraction(evaluation[name]) for name in M.params}
@@ -550,23 +570,72 @@ def well_defined(M: Pmc, evaluation: Evaluation) -> WellDefinedReport:
     for s in range(M.n_states()):
         total = Fraction(0)
         for t, f in M.succ(s):
-            try:
-                v = f.evaluate(evaluation)
-            except ZeroDenominatorError:
-                problem = ": denominator vanishes"
-            else:
+            v, problem = _entry(f, evaluation)
+            if v is not None:
                 values[(s, t)] = v
                 total += v
-                if v == 0:
-                    problem = " evaluates to 0 but is in the support"
-                elif v < 0 or v > 1:
-                    problem = f" evaluates to {v}, outside [0,1]"
-                else:
-                    continue
-            problems.append(f"entry {M.states[s]} -> {M.states[t]}{problem}")
-        if total != 1:
-            problems.append(f"row {M.states[s]} sums to {total}, not 1")
+            if problem is not None:
+                problems.append(f"entry {M.states[s]} -> {M.states[t]}{problem}")
+        problem = _row(total)
+        if problem is not None:
+            problems.append(f"row {M.states[s]} {problem}")
     return WellDefinedReport(not problems, tuple(problems), values)
+
+
+class StagedCheck:
+    """``well_defined`` split along an order of M's parameters, for a scan
+    that fixes them one at a time.
+
+    An entry's stage is 1 + the position of the last parameter it reads in
+    ``order``, or 0 when it reads none; a row's stage is the highest stage
+    of its entries (0 for a row without any).  ``passes(k, ...)`` checks what
+    fixing the first k parameters decides: the range of parameter k, then
+    the entry rules on the entries of stage k and the row rule on the rows of
+    stage k.  A point passes every stage exactly when ``well_defined`` finds
+    no problem at it, and a failed stage fails every point that shares the
+    prefix, so a scan can skip them all.  Stage 0 is checked once per scan.
+    """
+
+    def __init__(self, M: Pmc, order: Sequence[str]):
+        check_evaluation_names(M, dict.fromkeys(order))
+        position = {name: i for i, name in enumerate(order)}
+        self.params = [M.params[name] for name in order]
+        self.entries: list[list[tuple[tuple[int, int], RationalFunction]]] = [
+            [] for _ in range(len(order) + 1)
+        ]
+        self.rows: list[list[list[tuple[int, int]]]] = [[] for _ in range(len(order) + 1)]
+        for s in range(M.n_states()):
+            row_stage = 0
+            keys = []
+            for t, f in M.succ(s):
+                stage = 1 + max((position[name] for name in f.variables()), default=-1)
+                self.entries[stage].append(((s, t), f))
+                row_stage = max(row_stage, stage)
+                keys.append((s, t))
+            self.rows[row_stage].append(keys)
+
+    def passes(
+        self,
+        stage: int,
+        evaluation: Evaluation,
+        values: dict[tuple[int, int], Fraction],
+    ) -> bool:
+        """Do the first ``stage`` parameters of ``evaluation`` pass the
+        checks of that stage?  The entries of the stage are evaluated into
+        ``values``; the earlier stages' entries must be there already."""
+        if stage:
+            param = self.params[stage - 1]
+            if not param.admits(evaluation[param.name]):
+                return False
+        for key, f in self.entries[stage]:
+            v, problem = _entry(f, evaluation)
+            if problem is not None:
+                return False
+            values[key] = v
+        return all(
+            _row(sum((values[key] for key in keys), Fraction(0))) is None
+            for keys in self.rows[stage]
+        )
 
 
 def imc_to_pmc(I: Imc) -> Pmc:

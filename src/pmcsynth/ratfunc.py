@@ -179,6 +179,10 @@ class RationalFunction:
     def is_const(self) -> bool:
         return self.num.is_const and self.den.is_const
 
+    def variables(self) -> set[str]:
+        """The names of the variables that occur in num or den."""
+        return {name for p in (self.num, self.den) for m, _ in p.terms for name, _ in m}
+
     def value(self) -> Fraction:
         if not self.is_const:
             raise RatFuncError(f"rational function {self} is not constant")

@@ -141,6 +141,27 @@ def test_check_error_codes(capsys, argv, expected):
     assert err.strip()
 
 
+def test_exact_result_too_long_to_print_exit_4(capsys, tmp_path):
+    # eps has a 3,000-digit denominator, and the probability is a polynomial
+    # of degree 2 in eps: past Python's 4,300 digits for a printed int
+    eps = "0." + "1" * 3000
+    code, out, err = run(
+        capsys, "check", "-m", SPLIT_CYCLE, "-f", "X X X X y & X y", "-e", f"eps={eps}"
+    )
+    assert (code, out, err) == (4, "", "error: exact result of 6001 digits is too long to print\n")
+    # a witness p = 1/10^3001 prints, its probability p^2 does not
+    model = tmp_path / "tiny.pmc"
+    model.write_text(
+        f"pmc\nparam p in [0, 1/1{'0' * 3000}];\nstate s;\nstate m;\nstate g {{goal}};\n"
+        "state b;\ninit s;\ntrans s -> m : p;\ntrans s -> b : 1 - p;\ntrans m -> g : p;\n"
+        "trans m -> b : 1 - p;\ntrans g -> g : 1;\ntrans b -> b : 1;\n"
+    )
+    code, out, err = run(
+        capsys, "synth", "-m", str(model), "-q", "P >= 0 [ F goal ]", "--solve", "grid:11"
+    )
+    assert (code, out, err) == (4, "", "error: exact result of 6003 digits is too long to print\n")
+
+
 def test_check_product_cap_exit_4(capsys, monkeypatch):
     monkeypatch.setattr(product, "NODE_BUDGET", 2)
     code, _, err = run(capsys, "check", "-m", BRANCH, "-f", "F success")
@@ -343,6 +364,23 @@ def test_synth_interval_model(capsys):
     assert code == 0
     assert "p_s_t=7/10" in out
     # the scan stops at the first witness, 111 combinations in
+    assert "tried 111 points, 3 admitted" in out
+
+
+def test_synth_interval_model_with_many_parameters(capsys, tmp_path):
+    # interval_row.imc's free row, then a chain of [1, 1] transitions: 1,200
+    # states, each one parameter and one axis of the grid
+    chain = [f"c{i}" for i in range(1, 1198)]
+    lines = ["imc", "state s {};", "state t {goal};", "state w {};"]
+    lines += [f"state {c} {{}};" for c in chain]
+    lines += ["init s;", "trans s -> t : [1/5, 7/10];", "trans s -> w : [3/10, 1/2];"]
+    lines += [f"trans {a} -> {b} : [1, 1];" for a, b in zip(["t", *chain], [*chain, chain[-1]])]
+    lines += ["trans w -> w : [1, 1];"]
+    model = tmp_path / "long.imc"
+    model.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "synth", "-m", str(model), "-q", "P > 3/5 [ F goal ]")
+    assert (code, err) == (0, "")
+    assert "p_s_t=7/10" in out
     assert "tried 111 points, 3 admitted" in out
 
 

@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pmcsynth import product
@@ -13,6 +14,7 @@ from pmcsynth.eqsys import (
     PltlQuery,
     QuerySyntaxError,
     SingularSystemError,
+    SynthResult,
     _eliminate,
     analyze,
     build_system,
@@ -25,7 +27,8 @@ from pmcsynth.gba import CapacityError, translate
 from pmcsynth.ltl import LtlSyntaxError, parse_formula
 from pmcsynth.modelgen import crowds_like, random_mc
 from pmcsynth.oracle import ConcreteMc, prob_of_formula
-from pmcsynth.pmc import parse_model
+from pmcsynth.pmc import Imc, imc_to_pmc, parse_model
+from pmcsynth.ratfunc import RationalFunction
 from pmcsynth.product import build_product
 
 F = Fraction
@@ -410,3 +413,199 @@ def test_synth_grid_errors():
     with pytest.raises(GridError):
         # resolution 2 puts points only on the excluded open endpoints
         grid_axes(M, 2)
+
+
+def reference_synth_grid(system, query, axes):
+    """The grid scan as one loop over every point: ``solve_concrete`` at each,
+    skipping the points that are not well-defined."""
+    tried = admitted = 0
+    for combo in itertools.product(*axes.values()):
+        evaluation = dict(zip(axes, combo))
+        tried += 1
+        try:
+            result = solve_concrete(system, evaluation)
+        except IllDefinedEvaluationError:
+            continue
+        admitted += 1
+        if query.admits(result.target):
+            return SynthResult(evaluation, result.target, tried, admitted)
+    return SynthResult(None, None, tried, admitted)
+
+
+def as_pmc(text):
+    M = parse_model(text)
+    return imc_to_pmc(M) if isinstance(M, Imc) else M
+
+
+def assert_scans_agree(M, formula, bounds, axes):
+    """``synth_grid`` and the reference agree on every query: one per
+    (lo, hi) bound, and one that admits nothing, so the whole grid is
+    scanned."""
+    system = analyze(M, parse_formula(formula)).system
+    for lo, hi in [*bounds, (F(2), F(2))]:
+        query = PltlQuery(parse_formula(formula), lo, hi)
+        got = synth_grid(system, query, axes)
+        assert got == reference_synth_grid(system, query, axes)
+        if got.witness is not None:
+            assert list(got.witness) == list(axes)
+
+
+# branch13.pmc has no parameters: its grid is the one empty point
+BUNDLED_QUERIES = [
+    ("branch13.pmc", "F success", [(F(0), F(1)), (F(1, 2), F(1))]),
+    ("loop_pair.pmc", "G F x | G F w", [(F(1, 4), F(1))]),
+    ("split_cycle.pmc", "X y", [(F(3, 4), F(1)), (F(0), F(1, 4))]),
+    ("split_cycle.pmc", "X X X X y & X y", [(F(1, 10), F(1))]),
+    ("interval_row.imc", "F goal", [(F(3, 5), F(1)), (F(1, 2), F(1, 2))]),
+]
+
+
+@pytest.mark.parametrize("resolution", [3, 5, 8])
+@pytest.mark.parametrize("name, formula, bounds", BUNDLED_QUERIES)
+def test_synth_grid_matches_reference_on_bundled_models(name, formula, bounds, resolution):
+    M = as_pmc((MODELS / name).read_text())
+    assert_scans_agree(M, formula, bounds, grid_axes(M, resolution))
+
+
+# p_s_t = 0 zeroes an entry
+ROW2 = """
+imc
+state s {};
+state t {goal};
+state w {};
+init s;
+trans s -> t : [0, 1];
+trans s -> w : [1/3, 2/3];
+trans t -> t : [1, 1];
+trans w -> w : [1, 1];
+"""
+
+ROW3 = """
+imc
+state s {};
+state t {goal};
+state u {};
+state w {};
+init s;
+trans s -> t : [0, 1/2];
+trans s -> u : [1/4, 3/4];
+trans s -> w : [1/10, 1];
+trans t -> t : [1, 1];
+trans u -> t : [1/2, 1/2];
+trans u -> w : [1/2, 1/2];
+trans w -> w : [1, 1];
+"""
+
+# p = 1/2 makes both denominators vanish; p = 0 and p = 1 zero an entry
+VANISHING = """
+pmc
+param p in [0, 1];
+param q in [0, 1];
+state s;
+state t {goal};
+state u;
+state v;
+init s;
+trans s -> t : p / (2*p - 1);
+trans s -> u : (p - 1) / (2*p - 1);
+trans t -> t : 1;
+trans u -> t : q;
+trans u -> v : 1 - q;
+trans v -> v : 1;
+"""
+
+# a = 0 and b = 1/2 zero an entry, a past 1/2 puts one outside [0, 1]; r is
+# read by no transition
+ZERO_ENTRY = """
+pmc
+param r in (0, 1);
+param a in [-1, 1];
+param b in [0, 1/2];
+state s;
+state t {goal};
+state u;
+init s;
+trans s -> t : 1/2 + a;
+trans s -> u : 1/2 - a;
+trans t -> t : 1;
+trans u -> t : b;
+trans u -> u : 1 - b;
+"""
+
+
+@pytest.mark.parametrize("resolution", [3, 5, 9])
+@pytest.mark.parametrize(
+    "text", [ROW2, ROW3, VANISHING, ZERO_ENTRY], ids=["row2", "row3", "vanishing", "zero-entry"]
+)
+def test_synth_grid_matches_reference_on_ill_defined_points(text, resolution):
+    M = as_pmc(text)
+    assert_scans_agree(M, "F goal", [(F(1, 2), F(1)), (F(9, 10), F(1))], grid_axes(M, resolution))
+
+
+def test_synth_grid_matches_reference_off_the_parameter_range():
+    # axes not made by grid_axes: the ends of eps's open range, and eps = 1
+    # past its end, are ill-defined points
+    M = load("split_cycle.pmc")
+    axes = {"eps": [F(-1, 2), F(0), F(1, 4), F(1, 2), F(1)]}
+    assert_scans_agree(M, "X y", [(F(3, 4), F(1)), (F(1, 2), F(1, 2))], axes)
+    # p_s_t = 9/10, p_s_w = 1/10 sums to 1 with both outside their ranges
+    M = imc_to_pmc(load("interval_row.imc"))
+    axes = {
+        "p_s_t": [F(1, 10), F(1, 5), F(1, 2), F(7, 10), F(9, 10)],
+        "p_s_w": [F(1, 10), F(3, 10), F(1, 2), F(4, 5)],
+        "p_t_t": [F(1)],
+        "p_w_w": [F(1)],
+    }
+    assert_scans_agree(M, "F goal", [(F(4, 5), F(1)), (F(1, 5), F(1, 5))], axes)
+
+
+_QUARTER = st.integers(0, 4).map(lambda i: F(i, 4))
+
+
+@st.composite
+def interval_chains(draw):
+    """Text of an .imc with one or two random interval rows of 2 or 3
+    outcomes, from r0 on to r1, the goal g and the sinks b and c."""
+    n_rows = draw(st.integers(1, 2))
+    trans = []
+    for i in range(n_rows):
+        targets = draw(st.permutations([f"r{i + 1}" if i + 1 < n_rows else "c", "g", "b"]))
+        row = [(t, sorted(draw(st.lists(_QUARTER, min_size=2, max_size=2))))
+               for t in targets[: draw(st.integers(2, 3))]]
+        assume(sum(lo for _, (lo, _) in row) <= 1 <= sum(hi for _, (_, hi) in row))
+        assume(all(hi > 0 for _, (_, hi) in row))
+        trans += [f"trans r{i} -> {t} : [{lo}, {hi}];" for t, (lo, hi) in row]
+    states = [f"r{i}" for i in range(n_rows)] + ["g", "b", "c"]
+    trans += [f"trans {s} -> {s} : [1, 1];" for s in ("g", "b", "c")]
+    return "\n".join(
+        ["imc", *(f"state {s} {{{'goal' if s == 'g' else ''}}};" for s in states),
+         "init r0;", *trans]
+    )
+
+
+@settings(max_examples=60)
+@given(interval_chains(), st.integers(2, 5), _QUARTER)
+def test_synth_grid_matches_reference_on_random_interval_rows(text, resolution, threshold):
+    M = as_pmc(text)
+    assert_scans_agree(M, "F goal", [(threshold, F(1))], grid_axes(M, resolution))
+
+
+def test_synth_grid_evaluates_each_entry_once_its_parameters_are_fixed(monkeypatch):
+    # each point of p_s_t x p_s_w evaluates s -> w and sums row s; s -> t is
+    # evaluated once per value of p_s_t, and t -> t, w -> w only under the 9
+    # prefixes whose row s sums to 1
+    M = imc_to_pmc(load("interval_row.imc"))
+    query = parse_pltl("P > 7/10 [ F goal ]")
+    system = analyze(M, query.formula).system
+    calls = 0
+    evaluate = RationalFunction.evaluate
+
+    def counted(self, assignment):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, assignment)
+
+    monkeypatch.setattr(RationalFunction, "evaluate", counted)
+    res = synth_grid(system, query, grid_axes(M, 41))
+    assert (res.witness, res.tried, res.admitted) == (None, 1681, 9)
+    assert calls < 2 * res.tried
