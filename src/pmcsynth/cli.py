@@ -9,9 +9,10 @@ Exit codes: 0 success (and positive verdict where applicable); 1 completed
 with a negative answer (verdict false, no witness, solver unsat); 2 usage;
 3 malformed or unreadable input; 4 a size cap, search budget or nesting depth
 was exceeded, or an exact result is too long to print; 5 numeric or semantic
-failure (ill-defined evaluation, singular system, oracle mismatch).  The caps are module constants, not
-options: ``gba.EL_BUDGET``, ``product.NODE_BUDGET``,
-``product.SURVIVOR_BUDGET``, ``eqsys.FILL_BUDGET`` and ``eqsys.GRID_BUDGET``.
+failure (ill-defined evaluation, singular system, oracle mismatch).  The
+caps are module constants, not options: ``gba.EL_BUDGET``,
+``product.NODE_BUDGET``, ``product.SURVIVOR_BUDGET``, ``eqsys.FILL_BUDGET``
+and ``eqsys.GRID_BUDGET``.
 """
 
 from __future__ import annotations
