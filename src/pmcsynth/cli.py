@@ -18,6 +18,7 @@ and ``eqsys.GRID_BUDGET``.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import subprocess
 import sys
@@ -75,14 +76,15 @@ def _load_model(path: str) -> Pmc:
 def _query_and_formula(
     args: argparse.Namespace,
 ) -> tuple[PltlQuery | None, LtlFormula | None]:
-    """The -q query and its formula, else no query and the -f formula; with
-    neither, prints the usage message and returns no formula (exit 2)."""
+    """The -q query and its formula, else no query and the -f formula; given
+    both or neither, prints the usage rule and returns no formula (exit 2)."""
     query = parse_pltl(args.pltl) if args.pltl else None
-    if query is not None:
+    if query is not None and not args.formula:
         return query, query.formula
-    if args.formula:
+    if query is None and args.formula:
         return None, parse_formula(args.formula)
-    print(f"{args.command} needs -q or -f", file=sys.stderr)
+    rule = "takes -q or -f, not both" if query is not None else "needs -q or -f"
+    print(f"{args.command} {rule}", file=sys.stderr)
     return None, None
 
 
@@ -313,9 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's, built once per process
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CapacityError as exc:

@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import KeysView, Mapping, Sequence
 
 from .gba import CapacityError, elementary, translate
-from .ltl import LtlFormula, parse_formula
+from .ltl import TRUE, LtlFormula, parse_formula
 from .pmc import Evaluation, Pmc, StagedCheck, parse_number, well_defined
 from .product import (
     ProductGraph,
@@ -178,7 +178,9 @@ def parse_pltl(text: str) -> PltlQuery:
         raise QuerySyntaxError("expected one of >=, >, <=, <, in after 'P'")
 
     if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-        raise QuerySyntaxError(f"empty probability interval [{lo}, {hi}]")
+        # the formula is not parsed yet: TRUE stands in to print the interval
+        interval = PltlQuery(TRUE, lo, hi, lo_strict, hi_strict).interval_str()
+        raise QuerySyntaxError(f"empty probability interval {interval}")
     if not rest.startswith("["):
         raise QuerySyntaxError("missing '[ formula ]'")
     end = rest.rfind("]")

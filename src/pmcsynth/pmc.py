@@ -42,6 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -103,21 +104,19 @@ class Pmc:
     params: dict[str, Param]
     trans: dict[tuple[int, int], RationalFunction]
 
-    def __post_init__(self) -> None:
-        self._succ: list[list[tuple[int, RationalFunction]]] | None = None
-
     def n_states(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def rows(self) -> list[list[tuple[int, RationalFunction]]]:
+        """Per state, its (successor, function) pairs sorted by successor."""
+        lists: list[list[tuple[int, RationalFunction]]] = [[] for _ in self.states]
+        for (a, b), f in sorted(self.trans.items(), key=lambda kv: kv[0]):
+            lists[a].append((b, f))
+        return lists
+
     def succ(self, s: int) -> list[tuple[int, RationalFunction]]:
-        if self._succ is None:
-            lists: list[list[tuple[int, RationalFunction]]] = [
-                [] for _ in self.states
-            ]
-            for (a, b), f in sorted(self.trans.items(), key=lambda kv: kv[0]):
-                lists[a].append((b, f))
-            self._succ = lists
-        return self._succ[s]
+        return self.rows[s]
 
 
 @dataclass

@@ -16,7 +16,8 @@ An SCC C is classified
 
 Classification decides completeness only for SCCs that are accepting and
 project onto a bottom SCC of the chain, the only ones where it can change
-the verdict.
+the verdict.  Whether H(C) is a bottom SCC is read off the product (see
+``classify_locally_positive``), so an analysis runs one SCC decomposition.
 
 Completeness has two deciders: ``is_complete_oracle`` (survivor-set subset
 construction, always correct, worst-case exponential, budgeted) and
@@ -34,6 +35,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Container
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gba import CapacityError, Gba, RdReport, check_reverse_deterministic
 from .ltl import LassoWord
@@ -64,9 +66,6 @@ class ProductGraph:
     targets: array  # CSR arc targets
     initial: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        self._rd: RdReport | None = None
-
     def n_mc(self) -> int:
         return self.pmc.n_states()
 
@@ -86,10 +85,9 @@ class ProductGraph:
     def succ(self, u: int):
         return self.targets[self.offsets[u] : self.offsets[u + 1]]
 
+    @cached_property
     def rd_report(self) -> RdReport:
-        if self._rd is None:
-            self._rd = check_reverse_deterministic(self.gba)
-        return self._rd
+        return check_reverse_deterministic(self.gba)
 
 
 # Upper bound on the nodes of one product: the CSR offsets alone take 8
@@ -155,16 +153,12 @@ class SccPartition:
     sccs: list[SccRecord]  # topological order: arcs go index -> higher index
     succ: list[tuple[int, ...]]  # condensation arcs, per scc index; () if bottom
 
-    def __post_init__(self) -> None:
-        self._by_projection: dict[frozenset[int], list[int]] | None = None
-
+    @cached_property
     def by_projection(self) -> dict[frozenset[int], list[int]]:
-        if self._by_projection is None:
-            groups: dict[frozenset[int], list[int]] = {}
-            for r in self.sccs:
-                groups.setdefault(r.projection, []).append(r.index)
-            self._by_projection = groups
-        return self._by_projection
+        groups: dict[frozenset[int], list[int]] = {}
+        for r in self.sccs:
+            groups.setdefault(r.projection, []).append(r.index)
+        return groups
 
     def reaching(self, targets: Container[int]) -> list[bool]:
         """Per SCC index: does it reach an SCC whose index is in ``targets``
@@ -300,15 +294,17 @@ def is_complete_rd(G: ProductGraph, partition: SccPartition, record: SccRecord) 
     initial state) are not valid comparison candidates — at-most-one fails
     there — and are skipped.
     """
-    report = G.rd_report()
+    report = G.rd_report
     if not report.exactly_one:
+        q, a, count = report.violations[0]
         raise ReverseDeterminismError(
-            "the automaton's reenterable part is not exactly-one reverse "
-            "deterministic; use is_complete_oracle"
+            "the automaton's reenterable part is not exactly-one reverse deterministic: "
+            f"state {G.gba.states[q]} has {count} predecessors on "
+            f"{{{','.join(sorted(G.gba.mask_letter(a)))}}}; use is_complete_oracle"
         )
     ns = G.n_mc()
     reent = report.reenterable
-    group = partition.by_projection()[record.projection]
+    group = partition.by_projection[record.projection]
     candidates = [
         i
         for i in group
@@ -400,18 +396,6 @@ def is_complete_oracle(G: ProductGraph, record: SccRecord) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def chain_bottom_sccs(M: Pmc) -> set[frozenset[int]]:
-    """The bottom SCCs of the chain's support graph, as state sets."""
-    n = M.n_states()
-    succ_lists = [[t for t, _ in M.succ(s)] for s in range(n)]
-    bottoms: set[frozenset[int]] = set()
-    for comp in tarjan(n, succ_lists.__getitem__):
-        members = frozenset(comp)
-        if all(t in members for u in comp for t in succ_lists[u]):
-            bottoms.add(members)
-    return bottoms
-
-
 def classify_locally_positive(
     G: ProductGraph,
     partition: SccPartition,
@@ -426,14 +410,23 @@ def classify_locally_positive(
     ``complete`` only where both hold (elsewhere it stays None): by the
     SCC-comparison check when the automaton supports it and by the
     survivor-set oracle otherwise; ``use_oracle`` forces the oracle.
+
+    H(C) is a bottom SCC of the chain exactly when no chain arc leaves it:
+    every product arc projects onto a chain arc, so H(C) is strongly
+    connected, and such a set is a bottom SCC exactly when it is closed
+    ({s} when s is absorbing).  Each distinct projection is tested once.
     """
-    use_rd = not use_oracle and G.rd_report().exactly_one
-    bottoms = chain_bottom_sccs(G.pmc)
+    use_rd = not use_oracle and G.rd_report.exactly_one
+    closed: dict[frozenset[int], bool] = {}
     pos: list[SccRecord] = []
     neg: list[SccRecord] = []
     for record in partition.sccs:
         record.accepting = is_accepting(G, record)
-        record.projection_is_bottom = record.projection in bottoms
+        proj = record.projection
+        bottom = closed.get(proj)
+        if bottom is None:
+            bottom = closed[proj] = all(t in proj for s in proj for t, _ in G.pmc.succ(s))
+        record.projection_is_bottom = bottom
         record.locally_positive = False
         if record.accepting and record.projection_is_bottom:
             if use_rd:

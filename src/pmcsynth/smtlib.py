@@ -115,16 +115,17 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
         op = "<" if p.upper_strict else "<="
         out(f"(assert ({op} {name} {_frac(p.upper)}))")
 
-    rendered = {key: _rf(f) for key, f in M.trans.items()}
+    # generated models share a few function objects among thousands of entries
+    text_of = {i: _rf(f) for i, f in {id(f): f for f in M.trans.values()}.items()}
     out("; support positivity and row sums")
     for s in range(M.n_states()):
         row = M.succ(s)
         if all(f.is_const for _, f in row):
             continue
-        for t, f in row:
+        for _, f in row:
             if not f.is_const:
-                out(f"(assert (> {rendered[(s, t)]} 0))")
-        out(f"(assert (= {_sum([rendered[(s, t)] for t, _ in row])} 1))")
+                out(f"(assert (> {text_of[id(f)]} 0))")
+        out(f"(assert (= {_sum([text_of[id(f)] for _, f in row])} 1))")
 
     out("; flow equations")
     ns = M.n_states()
@@ -132,7 +133,7 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
         s = u % ns
         # build_product lays out a node's arcs grouped by chain successor
         terms = [
-            f"(* {rendered[(s, t)]} {_sum([names[v] for v in group])})"
+            f"(* {text_of[id(M.trans[s, t])]} {_sum([names[v] for v in group])})"
             for t, group in itertools.groupby(G.succ(u), key=lambda v: v % ns)
         ]
         out(f"(assert (= {names[u]} {_sum(terms)}))")

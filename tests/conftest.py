@@ -1,23 +1,9 @@
-import os
 import random
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from pmcsynth.gba import elementary
-from pmcsynth.ltl import (
-    TRUE,
-    Atom,
-    LassoWord,
-    LtlFormula,
-    Next,
-    Until,
-    always,
-    eventually,
-    land,
-    lnot,
-    lor,
-)
+from random_inputs import SEED
 
 settings.register_profile(
     "suite",
@@ -27,47 +13,7 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-SEED = int(os.environ.get("PMC_SYNTH_SEED", "20260819"))
-
 
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(SEED)
-
-
-def random_formula(rng: random.Random, ap=("a", "b"), depth: int = 3) -> LtlFormula:
-    r = rng.random()
-    if depth == 0 or r < 0.22:
-        return TRUE if rng.random() < 0.08 else Atom(rng.choice(ap))
-    if r < 0.38:
-        return lnot(random_formula(rng, ap, depth - 1))
-    if r < 0.52:
-        return land(random_formula(rng, ap, depth - 1), random_formula(rng, ap, depth - 1))
-    if r < 0.62:
-        return lor(random_formula(rng, ap, depth - 1), random_formula(rng, ap, depth - 1))
-    if r < 0.72:
-        return Next(random_formula(rng, ap, depth - 1))
-    if r < 0.82:
-        return eventually(random_formula(rng, ap, depth - 1))
-    if r < 0.91:
-        return always(random_formula(rng, ap, depth - 1))
-    return Until(random_formula(rng, ap, depth - 1), random_formula(rng, ap, depth - 1))
-
-
-def formula_corpus(rng: random.Random, count: int, max_el: int, ap=("a", "b")):
-    """Distinct random formulas with |el| <= max_el."""
-    seen: dict[LtlFormula, None] = {}
-    while len(seen) < count:
-        f = random_formula(rng, ap)
-        if len(elementary(f)) <= max_el:
-            seen.setdefault(f)
-    return list(seen)
-
-
-def random_lasso(rng: random.Random, ap=("a", "b"), max_stem: int = 4, max_loop: int = 4) -> LassoWord:
-    def letter():
-        return frozenset(p for p in ap if rng.random() < 0.5)
-
-    stem = tuple(letter() for _ in range(rng.randint(0, max_stem)))
-    loop = tuple(letter() for _ in range(rng.randint(1, max_loop)))
-    return LassoWord(stem, loop)

@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import SEED, formula_corpus, random_lasso
+from random_inputs import SEED, formula_corpus, random_lasso
 from pmcsynth.eqsys import build_system, grid_axes, parse_pltl, solve_concrete, synth_grid
 from pmcsynth.gba import check_reverse_deterministic, elementary, make_gba, translate
 from pmcsynth.eqsys import PltlQuery, analyze

@@ -122,6 +122,19 @@ def test_check_requires_query_or_formula(capsys):
         assert err == f"{command} needs -q or -f\n"
 
 
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_query_and_formula_together_exit_2(capsys, monkeypatch, command):
+    monkeypatch.setattr(eqsys, "analyze", _no_product)
+    both = ("-q", "P >= 1/2 [ X y ]", "-f", "G F z")
+    code, out, err = run(capsys, command, "-m", SPLIT_CYCLE, *both)
+    assert (code, out, err) == (2, "", f"{command} takes -q or -f, not both\n")
+    # the model and the query are read first
+    code, _, err = run(capsys, command, "-m", "no-such-file.pmc", *both)
+    assert code == 3 and "no-such-file.pmc" in err
+    code, _, err = run(capsys, command, "-m", SPLIT_CYCLE, "-q", "P ~ 1 [ X y ]", "-f", "G F z")
+    assert code == 3 and "not both" not in err
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -540,6 +553,14 @@ def test_synth_solver_flag_combinations_exit_2(capsys, monkeypatch, tmp_path, fl
     assert (code, out) == (2, "")
     assert err == "synth: --solver needs -o FILE and excludes --solve\n"
     assert [p.name for p in tmp_path.iterdir()] == ["solver.sh"]  # nothing written
+
+
+def test_main_builds_its_parser_once(capsys):
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert run(capsys, "translate", "-f", "F a")[0] == 0
+    # each miss is one build_parser call
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_missing_required_arguments_exit_2(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -85,6 +86,20 @@ def test_parse_pltl_intervals():
 )
 def test_parse_pltl_errors(text):
     with pytest.raises((QuerySyntaxError, LtlSyntaxError)):
+        parse_pltl(text)
+
+
+@pytest.mark.parametrize(
+    "text, interval",
+    [
+        ("P > 1 [ F a ]", "(1, 1]"),
+        ("P < 0 [ F a ]", "[0, 0)"),
+        ("P in (1/2, 1/2] [ F a ]", "(1/2, 1/2]"),
+        ("P in [3/4, 1/4] [ F a ]", "[3/4, 1/4]"),
+    ],
+)
+def test_empty_interval_is_shown_as_parsed(text, interval):
+    with pytest.raises(QuerySyntaxError, match=re.escape(f"empty probability interval {interval}")):
         parse_pltl(text)
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_formula, random_lasso
+from random_inputs import random_formula, random_lasso
 from pmcsynth import gba
 from pmcsynth.gba import (
     CapacityError,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_formula, random_lasso
+from random_inputs import random_formula, random_lasso
 from pmcsynth.ltl import (
     FALSE,
     TRUE,

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from pmcsynth import product
+from pmcsynth import eqsys, product
 from pmcsynth.gba import CapacityError, make_gba, translate
 from pmcsynth.ltl import parse_formula
 from pmcsynth.modelgen import random_mc
@@ -11,7 +11,6 @@ from pmcsynth.product import (
     CompletenessBudgetError,
     ReverseDeterminismError,
     build_product,
-    chain_bottom_sccs,
     classify_locally_positive,
     is_accepting,
     is_complete_oracle,
@@ -185,7 +184,7 @@ def test_survivor_oracle_on_hand_built_loop():
     assert not is_complete_oracle(G, c1)
     assert not is_complete_oracle(G, c2)
     # the comparison shortcut refuses: this automaton is not exactly-one
-    with pytest.raises(ReverseDeterminismError):
+    with pytest.raises(ReverseDeterminismError, match=r"state q1 has 0 predecessors on \{\}"):
         is_complete_rd(G, part, c1)
 
 
@@ -226,10 +225,58 @@ def test_is_accepting_covers_all_sets():
             assert is_accepting(G, r) == r.accepting
 
 
+def reference_bottom_sccs(M):
+    """The bottom SCCs of the chain's support graph, as state sets, from an
+    SCC decomposition of the chain itself."""
+    n = M.n_states()
+    succ_lists = [[t for t, _ in M.succ(s)] for s in range(n)]
+    bottoms = set()
+    for comp in tarjan(n, succ_lists.__getitem__):
+        members = frozenset(comp)
+        if all(t in members for u in comp for t in succ_lists[u]):
+            bottoms.add(members)
+    return bottoms
+
+
 def test_chain_bottom_sccs():
     M = load("loop_pair.pmc")
     x, y, z, w = (M.states.index(n) for n in "xyzw")
     comps = tarjan(M.n_states(), lambda s: [t for t, _ in M.succ(s)])
     assert {frozenset(c) for c in comps} == {frozenset({x, y}), frozenset({z, w})}
     # {x, y} is a component but not a bottom one
-    assert chain_bottom_sccs(M) == {frozenset({z, w})}
+    assert reference_bottom_sccs(M) == {frozenset({z, w})}
+
+
+def _assert_bottom_projections(G, part):
+    classify_locally_positive(G, part)
+    bottoms = reference_bottom_sccs(G.pmc)
+    for r in part.sccs:
+        assert r.projection_is_bottom == (r.projection in bottoms), r.members
+
+
+def test_bottom_projection_matches_chain_decomposition(rng):
+    seen = set()  # (trivial, reachable, bottom) kinds of SCC met
+    for n in (3, 5, 8, 12):
+        for _ in range(8):
+            M = random_mc(rng, n)
+            for text in ("F a", "G F a", "a U b", "F G a"):
+                G = build_product(translate(parse_formula(text)), M)
+                part = scc_decompose(G)
+                _assert_bottom_projections(G, part)
+                seen.update((r.trivial, r.reachable, r.projection_is_bottom) for r in part.sccs)
+    # absorbing chain states give trivial SCCs over a bottom projection
+    assert {(True, False, True), (True, True, True), (True, False, False)} <= seen
+    assert (False, True, True) in seen and (False, True, False) in seen
+    _assert_bottom_projections(*loop_pair_product())
+
+
+def test_analyze_decomposes_once(monkeypatch):
+    calls = []
+
+    def counting(n, successors):
+        calls.append(n)
+        return tarjan(n, successors)
+
+    monkeypatch.setattr(product, "tarjan", counting)
+    eqsys.analyze(load("loop_pair.pmc"), parse_formula("G F x"))
+    assert len(calls) == 1

@@ -3,10 +3,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import formula_corpus
+from random_inputs import formula_corpus
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pmcsynth import smtlib
 from pmcsynth.eqsys import PltlQuery, analyze, build_system, parse_pltl, solve_concrete
 from pmcsynth.gba import translate
 from pmcsynth.ltl import parse_formula
@@ -240,3 +241,15 @@ def test_emit_check_evaluate_round_trip(model, formula_seed):
         n_asserts = sum(1 for form in forms if form[0] == "assert")
         failures = evaluate_assertions(forms, assignment)
         assert len(failures) == 1 and failures[0] >= n_asserts - 2
+
+
+def test_emission_renders_each_function_object_once(monkeypatch):
+    # crowds_like shares four function objects among all its entries
+    M = crowds_like(3, 6, 2)
+    system = build_system(build_product(translate(parse_formula("G F fresh")), M))
+    rendered = []
+    render = smtlib._rf
+    monkeypatch.setattr(smtlib, "_rf", lambda f: rendered.append(f) or render(f))
+    check_wellformed(emit_smtlib(system))
+    distinct = {id(f) for f in M.trans.values()}
+    assert len(rendered) <= len(distinct) < len(M.trans)
