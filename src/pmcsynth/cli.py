@@ -96,7 +96,7 @@ def _stats_row(M: Pmc, analysis: Analysis, t_mc: float) -> dict[str, str]:
     return {
         "|S_M|": str(M.n_states()),
         "|V_G|": str(system.graph.n_nodes()),
-        "SCC_G": str(len(system.partition.sccs)),
+        "SCC_G": str(len(system.partition)),
         "SCC_pos": str(len(system.positives)),
         "T_G": f"{t_g:.4f}",
         "T_mc": f"{t_mc:.4f}",
@@ -190,8 +190,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     analysis = eqsys.analyze(M, formula, use_oracle=args.oracle)
     _print_stats(_stats_row(M, analysis, 0.0), args.report)
     if args.report == "text":
-        for r in analysis.system.partition.sccs:
-            if r.trivial or not r.reachable:
+        for r in analysis.system.partition.blocks.values():
+            if not r.reachable:
                 continue
             proj = ",".join(M.states[s] for s in sorted(r.projection))
             print(

@@ -213,7 +213,8 @@ def build_system(
     partition: SccPartition | None = None,
     use_oracle: bool = False,
 ) -> EquationSystem:
-    """Classify every SCC and assemble the system of the reachable ones."""
+    """Classify every SCC with a cycle and assemble the system of the
+    reachable SCCs."""
     if partition is None:
         partition = scc_decompose(G)
     pos, _ = classify_locally_positive(G, partition, use_oracle=use_oracle)
@@ -233,11 +234,9 @@ def build_system(
     # chain state leaves its flow row degenerate (0 = 0) even though every
     # sibling below it is 0, so the value has to be pinned here.
     reaches_pos = partition.reaching(positives)
+    reachable, comp_of = partition.reachable, partition.comp_of
     zeros = tuple(
-        u
-        for record in partition.sccs
-        if record.reachable and not reaches_pos[record.index]
-        for u in record.members
+        u for u in partition.order if reachable[comp_of[u]] and not reaches_pos[comp_of[u]]
     )
     return EquationSystem(G, partition, positives, zeros)
 
@@ -365,13 +364,15 @@ def _solve_blocks(
     G = system.graph
     ns = G.n_mc()
     offsets, arcs = G.offsets, G.targets
+    partition = system.partition
+    reachable = partition.reachable
     zero_set = set(system.zeros)
 
     mu: dict[int, Fraction] = {}
-    for record in reversed(system.partition.sccs):  # sinks first
-        if not record.reachable:
+    for i in range(len(partition) - 1, -1, -1):  # sinks first
+        if not reachable[i]:
             continue
-        members = record.members
+        members = partition.members(i)
         if members[0] in zero_set:
             for u in members:
                 mu[u] = Fraction(0)
@@ -391,9 +392,9 @@ def _solve_blocks(
                 else:
                     b += c * value
             rows.append(({v: c for v, c in row.items() if c}, b))
-        for nodes in system.positives.get(record.index, ()):
+        for nodes in system.positives.get(i, ()):
             rows.append(({u: Fraction(1) for u in nodes}, Fraction(1)))
-        mu.update(_eliminate(rows, members, f"SCC {record.index}"))
+        mu.update(_eliminate(rows, members, f"SCC {i}"))
 
     for u, v in mu.items():
         if v < 0 or v > 1:

@@ -566,16 +566,27 @@ def well_defined(M: Pmc, evaluation: Evaluation) -> WellDefinedReport:
         if not M.params[name].admits(v)
     ]
     values: dict[tuple[int, int], Fraction] = {}
+    # parsing shares one function object per distinct expression, so each
+    # object is evaluated once and each distinct row of objects summed once
+    entries: dict[int, tuple[Fraction | None, str | None]] = {}
+    rows: dict[tuple[int, ...], str | None] = {}
     for s in range(M.n_states()):
-        total = Fraction(0)
-        for t, f in M.succ(s):
-            v, problem = _entry(f, evaluation)
+        row = M.succ(s)
+        for t, f in row:
+            checked = entries.get(id(f))
+            if checked is None:
+                checked = entries[id(f)] = _entry(f, evaluation)
+            v, problem = checked
             if v is not None:
                 values[(s, t)] = v
-                total += v
             if problem is not None:
                 problems.append(f"entry {M.states[s]} -> {M.states[t]}{problem}")
-        problem = _row(total)
+        key = tuple(id(f) for _, f in row)
+        if key in rows:
+            problem = rows[key]
+        else:
+            # an entry whose denominator vanishes (value None) adds nothing
+            problem = rows[key] = _row(sum((entries[i][0] or 0 for i in key), Fraction(0)))
         if problem is not None:
             problems.append(f"row {M.states[s]} {problem}")
     return WellDefinedReport(not problems, tuple(problems), values)

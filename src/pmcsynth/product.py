@@ -5,6 +5,12 @@ all pairs, including isolated ones — and an arc (q,s) -> (q',s') whenever
 the chain moves s -> s' with nonzero probability and q' in T(q, L(s)),
 reading the *source* state's label (projected onto the automaton's ap set).
 
+``scc_decompose`` returns the SCC partition as arrays over the same node
+numbering (each node's SCC, the nodes grouped by SCC, one reachability flag
+per SCC) and keeps a record only for the SCCs with a cycle: nearly every
+SCC of a product is a single node without a self-arc, and such an SCC is
+never accepting.  The condensation is read off the CSR arcs.
+
 An SCC C is classified
 
   * accepting       — C has a cycle and, for every acceptance set F_k, some
@@ -36,6 +42,7 @@ from array import array
 from collections.abc import Container
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 
 from .gba import CapacityError, Gba, RdReport, check_reverse_deterministic
 from .ltl import LassoWord
@@ -90,8 +97,8 @@ class ProductGraph:
         return check_reverse_deterministic(self.gba)
 
 
-# Upper bound on the nodes of one product: the CSR offsets alone take 8
-# bytes a node, and every node can hold an SCC record.
+# Upper bound on the nodes of one product: the CSR offsets take 8 bytes a
+# node and the SCC partition's arrays up to 25 more, before any arc.
 NODE_BUDGET = 5_000_000
 
 
@@ -132,15 +139,15 @@ def build_product(A: Gba, M: Pmc) -> ProductGraph:
 
 @dataclass
 class SccRecord:
-    """One SCC of the product.  ``scc_decompose`` fills the structural
-    fields; ``classify_locally_positive`` fills the verdicts, leaving
-    ``complete`` None where the SCC is not accepting or its projection is
-    not a bottom SCC of the chain."""
+    """One SCC of the product with a cycle (a block).  ``scc_decompose``
+    fills the structural fields; ``classify_locally_positive`` fills the
+    verdicts, leaving ``complete`` None where the SCC is not accepting or
+    its projection is not a bottom SCC of the chain."""
 
     index: int  # position in topological order (arcs go to higher indices)
     members: tuple[int, ...]
     projection: frozenset[int]
-    trivial: bool  # single node without a self-arc
+    trivial: bool  # single node without a self-arc; only ``SccPartition.sccs`` has these
     reachable: bool  # from an initial product node
     accepting: bool | None = None
     complete: bool | None = None
@@ -150,31 +157,74 @@ class SccRecord:
 
 @dataclass
 class SccPartition:
-    sccs: list[SccRecord]  # topological order: arcs go index -> higher index
-    succ: list[tuple[int, ...]]  # condensation arcs, per scc index; () if bottom
+    """The SCCs of a product graph, numbered in topological order: every arc
+    goes from an SCC to itself or to one with a higher index.
+
+    SCC i holds the nodes ``order[starts[i]:starts[i + 1]]`` (ascending), and
+    ``comp_of[u]`` is the SCC of node u, so the condensation is read off the
+    graph's CSR arcs through ``comp_of``.  Only the SCCs with a cycle get a
+    record (``blocks``, keyed by index); every other SCC is a single node
+    without a self-arc, which is never accepting.
+    """
+
+    graph: ProductGraph
+    comp_of: array  # per node: its SCC index
+    order: array  # the nodes grouped by SCC, ascending within each group
+    starts: array  # per SCC index, its first position in ``order``; length len + 1
+    reachable: bytearray  # per SCC index: 1 if reached from an initial node
+    blocks: dict[int, SccRecord]  # the SCCs with a cycle, by index, ascending
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def members(self, i: int) -> array:
+        return self.order[self.starts[i] : self.starts[i + 1]]
+
+    def reaching(self, targets: Container[int]) -> bytearray:
+        """Per SCC index: 1 if it reaches an SCC whose index is in ``targets``
+        (itself included)."""
+        G = self.graph
+        offsets, arcs, comp_of = G.offsets, G.targets, self.comp_of
+        reaches = bytearray(len(self))
+        reached, scc_of = reaches.__getitem__, comp_of.__getitem__
+        # arcs go to higher indices, so a sweep over the nodes from the last
+        # SCC to the first sees every SCC an arc leaves to before the arc
+        for u in reversed(self.order):
+            i = comp_of[u]
+            if reaches[i]:
+                continue
+            lo, hi = offsets[u], offsets[u + 1]
+            if i in targets or (lo != hi and any(map(reached, map(scc_of, arcs[lo:hi])))):
+                reaches[i] = 1
+        return reaches
 
     @cached_property
-    def by_projection(self) -> dict[frozenset[int], list[int]]:
-        groups: dict[frozenset[int], list[int]] = {}
-        for r in self.sccs:
-            groups.setdefault(r.projection, []).append(r.index)
-        return groups
-
-    def reaching(self, targets: Container[int]) -> list[bool]:
-        """Per SCC index: does it reach an SCC whose index is in ``targets``
-        (itself included)?"""
-        succ = self.succ
-        reaches = [False] * len(self.sccs)
-        # arcs go to higher indices, so a backward sweep sees targets first
-        for i in range(len(reaches) - 1, -1, -1):
-            if i in targets:
-                reaches[i] = True
-                continue
-            for j in succ[i]:
-                if reaches[j]:
-                    reaches[i] = True
-                    break
-        return reaches
+    def sccs(self) -> list[SccRecord]:
+        """One record per SCC, in index order: the block where the SCC has a
+        cycle, else a trivial record whose verdicts are fixed (not
+        accepting, so never complete or locally positive; its projection
+        {s} is bottom when s is absorbing).  Built on first use for tests
+        and tracing; the pipeline reads the arrays."""
+        G = self.graph
+        ns = G.n_mc()
+        view = []
+        for i in range(len(self)):
+            record = self.blocks.get(i)
+            if record is None:
+                u = self.order[self.starts[i]]
+                s = u % ns
+                record = SccRecord(
+                    index=i,
+                    members=(u,),
+                    projection=frozenset({s}),
+                    trivial=True,
+                    reachable=bool(self.reachable[i]),
+                    accepting=False,
+                    projection_is_bottom=all(t == s for t, _ in G.pmc.succ(s)),
+                    locally_positive=False,
+                )
+            view.append(record)
+        return view
 
 
 def scc_decompose(G: ProductGraph) -> SccPartition:
@@ -182,44 +232,45 @@ def scc_decompose(G: ProductGraph) -> SccPartition:
     offsets, targets = G.offsets, G.targets
     comps = tarjan(n, G.succ)
     comps.reverse()  # topological: arcs point to later components
-    comp_of = [0] * n
+    comp_of = array("q", [0]) * n
+    cyclic: list[int] = []
     for ci, comp in enumerate(comps):
-        for u in comp:
+        if len(comp) > 1:
+            comp.sort()
+            cyclic.append(ci)
+            for u in comp:
+                comp_of[u] = ci
+        else:
+            u = comp[0]
             comp_of[u] = ci
+            if u in targets[offsets[u] : offsets[u + 1]]:
+                cyclic.append(ci)
+    order = array("q", chain.from_iterable(comps))
+    starts = array("q", accumulate(map(len, comps), initial=0))
 
     # every arc into a component comes from an earlier one, so one forward
     # pass settles reachability from the initial nodes
-    reached = [False] * len(comps)
+    reachable = bytearray(len(comps))
     for u in G.initial:
-        reached[comp_of[u]] = True
+        reachable[comp_of[u]] = 1
+    for ci in range(len(comps)):
+        if reachable[ci]:
+            for u in comps[ci]:
+                for v in targets[offsets[u] : offsets[u + 1]]:
+                    reachable[comp_of[v]] = 1
+
     ns = G.n_mc()
-    records: list[SccRecord] = []
-    cond_succ: list[tuple[int, ...]] = []
-    for ci, comp in enumerate(comps):
-        members = tuple(sorted(comp))
-        out: set[int] = set()
-        self_arc = False
-        for u in members:
-            for i in range(offsets[u], offsets[u + 1]):
-                cj = comp_of[targets[i]]
-                if cj != ci:
-                    out.add(cj)
-                elif targets[i] == u:
-                    self_arc = True
-        if reached[ci]:
-            for cj in out:
-                reached[cj] = True
-        records.append(
-            SccRecord(
-                index=ci,
-                members=members,
-                projection=frozenset(u % ns for u in members),
-                trivial=len(members) == 1 and not self_arc,
-                reachable=reached[ci],
-            )
+    blocks = {
+        ci: SccRecord(
+            index=ci,
+            members=tuple(comps[ci]),
+            projection=frozenset(u % ns for u in comps[ci]),
+            trivial=False,
+            reachable=bool(reachable[ci]),
         )
-        cond_succ.append(tuple(sorted(out)))
-    return SccPartition(records, cond_succ)
+        for ci in cyclic
+    }
+    return SccPartition(G, comp_of, order, starts, reachable, blocks)
 
 
 def is_accepting(G: ProductGraph, record: SccRecord) -> bool:
@@ -263,14 +314,9 @@ def accepting_states_lasso(A: Gba, word: LassoWord) -> frozenset[int]:
     trans[(n - 1, len(word.stem))] = RF_ONE
     G = build_product(A, Pmc(tuple(map(str, range(n))), letters, 0, {}, trans))
     partition = scc_decompose(G)
-    reaches = partition.reaching({r.index for r in partition.sccs if is_accepting(G, r)})
-    return frozenset(
-        u // n  # node (q, 0) has id q * n
-        for r in partition.sccs
-        if reaches[r.index]
-        for u in r.members
-        if u % n == 0
-    )
+    reaches = partition.reaching({i for i, r in partition.blocks.items() if is_accepting(G, r)})
+    # node (q, 0) has id q * n
+    return frozenset(q for q in range(len(A.states)) if reaches[partition.comp_of[q * n]])
 
 
 def accepts_lasso(A: Gba, word: LassoWord) -> bool:
@@ -304,24 +350,37 @@ def is_complete_rd(G: ProductGraph, partition: SccPartition, record: SccRecord) 
         )
     ns = G.n_mc()
     reent = report.reenterable
-    group = partition.by_projection[record.projection]
-    candidates = [
-        i
-        for i in group
-        if i < record.index  # condensation arcs only go forward
-        and all(u // ns in reent for u in partition.sccs[i].members)
-    ]
+    comp_of, blocks = partition.comp_of, partition.blocks
     target = record.index
-    seen = set(candidates)
-    stack = candidates
+    K = record.projection
+    # every SCC with projection K has a node over min(K); one without a
+    # cycle is a single node, so its projection is K only when |K| = 1
+    s0 = min(K)
+    candidates: set[int] = set()
+    stack: list[int] = []  # one node per candidate, then the nodes they reach
+    for q in range(len(G.gba.states)):
+        u = q * ns + s0
+        i = comp_of[u]
+        if i < target and i not in candidates:  # condensation arcs only go forward
+            block = blocks.get(i)
+            projection = frozenset({s0}) if block is None else block.projection
+            if projection == K and all(v // ns in reent for v in partition.members(i)):
+                candidates.add(i)
+                stack.append(u)
+    # search the nodes the candidates reach for an arc into C; each SCC is
+    # strongly connected, so one node of it leads to all of it
+    seen = set(stack)
+    offsets, arcs = G.offsets, G.targets
     while stack:
-        c = stack.pop()
-        for d in partition.succ[c]:
-            if d == target:
-                return False
-            if d not in seen and d < target:
-                seen.add(d)
-                stack.append(d)
+        u = stack.pop()
+        for v in arcs[offsets[u] : offsets[u + 1]]:
+            if v not in seen:
+                d = comp_of[v]
+                if d == target:
+                    return False
+                if d < target:
+                    seen.add(v)
+                    stack.append(v)
     return True
 
 
@@ -401,15 +460,16 @@ def classify_locally_positive(
     partition: SccPartition,
     use_oracle: bool = False,
 ) -> tuple[list[SccRecord], list[SccRecord]]:
-    """Fill the classification fields of every SCC and return (pos, neg).
+    """Fill the verdicts of every SCC with a cycle (``partition.blocks``) and
+    return them split in two: the locally positive ones and the rest.
 
-    pos: locally positive SCCs; neg: bottom SCCs of the product that are not
-    locally positive (their nodes carry probability zero).  Both include
-    unreachable SCCs; filter on ``reachable`` for the initial state's view.
-    ``accepting`` and ``projection_is_bottom`` are decided for every SCC,
-    ``complete`` only where both hold (elsewhere it stays None): by the
-    SCC-comparison check when the automaton supports it and by the
-    survivor-set oracle otherwise; ``use_oracle`` forces the oracle.
+    Both lists include unreachable SCCs; filter on ``reachable`` for the
+    initial state's view.  An SCC without a cycle is never accepting, so it
+    gets no verdict here.  ``accepting`` and ``projection_is_bottom`` are
+    decided for every block, ``complete`` only where both hold (elsewhere it
+    stays None): by the SCC-comparison check when the automaton supports it
+    and by the survivor-set oracle otherwise; ``use_oracle`` forces the
+    oracle.
 
     H(C) is a bottom SCC of the chain exactly when no chain arc leaves it:
     every product arc projects onto a chain arc, so H(C) is strongly
@@ -419,8 +479,8 @@ def classify_locally_positive(
     use_rd = not use_oracle and G.rd_report.exactly_one
     closed: dict[frozenset[int], bool] = {}
     pos: list[SccRecord] = []
-    neg: list[SccRecord] = []
-    for record in partition.sccs:
+    rest: list[SccRecord] = []
+    for record in partition.blocks.values():
         record.accepting = is_accepting(G, record)
         proj = record.projection
         bottom = closed.get(proj)
@@ -434,8 +494,5 @@ def classify_locally_positive(
             else:
                 record.complete = is_complete_oracle(G, record)
             record.locally_positive = record.complete
-        if record.locally_positive:
-            pos.append(record)
-        elif not partition.succ[record.index]:
-            neg.append(record)
-    return pos, neg
+        (pos if record.locally_positive else rest).append(record)
+    return pos, rest

@@ -104,17 +104,21 @@ class Polynomial:
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
         """The value under an assignment of every variable.  The values are
-        multiplied as given, so they must be Fractions or ints."""
-        total = Fraction(0)
+        multiplied as given, so they must be Fractions or ints; the value is
+        a Fraction either way."""
+        total = None
         for m, c in self.terms:
             for name, e in m:
                 try:
                     v = assignment[name]
                 except KeyError:
                     raise RatFuncError(f"no value for variable {name!r}") from None
-                c *= v if e == 1 else v ** e
-            total += c
-        return total
+                if e != 1:
+                    v = v ** e
+                c = v if c == 1 else c * v
+            total = c if total is None else total + c
+        # an int when every term read only int values with coefficient 1
+        return total if type(total) is Fraction else Fraction(total or 0)
 
     def __str__(self) -> str:
         if not self.terms:

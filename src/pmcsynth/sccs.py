@@ -6,10 +6,10 @@ thousands of nodes and Python's recursion limit is not negotiable there.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 
-def tarjan(n: int, successors: Callable[[int], Sequence[int]]) -> list[list[int]]:
+def tarjan(n: int, successors: Callable[[int], Iterable[int]]) -> list[list[int]]:
     """SCCs of the graph on nodes 0..n-1, in reverse topological order.
 
     (Every arc leaving an SCC points to an SCC that appears *earlier* in the
@@ -25,27 +25,31 @@ def tarjan(n: int, successors: Callable[[int], Sequence[int]]) -> list[list[int]
     for root in range(n):
         if index[root] != -1:
             continue
-        # work items: (node, its successors or None before its visit, position)
-        work: list[tuple[int, Sequence[int] | None, int]] = [(root, None, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = 1
+        # one (node, iterator over its unread successors) pair per node on
+        # the DFS path; low[u] is kept in a local while u's successors are read
+        work = [(root, iter(successors(root)))]
         while work:
-            u, succs, i = work.pop()
-            if succs is None:
-                index[u] = low[u] = counter
-                counter += 1
-                stack.append(u)
-                on_stack[u] = 1
-                succs = successors(u)
-            while i < len(succs):
-                v = succs[i]
-                i += 1
-                if index[v] == -1:
-                    work.append((u, succs, i))
-                    work.append((v, None, 0))
+            u, succs = work[-1]
+            low_u = low[u]
+            for v in succs:
+                index_v = index[v]
+                if index_v == -1:  # descend into v, resume u's iterator later
+                    low[u] = low_u
+                    index[v] = low[v] = counter
+                    counter += 1
+                    stack.append(v)
+                    on_stack[v] = 1
+                    work.append((v, iter(successors(v))))
                     break
-                if on_stack[v]:
-                    low[u] = min(low[u], index[v])
+                if index_v < low_u and on_stack[v]:
+                    low_u = index_v
             else:  # every successor is done, so u is finished
-                if low[u] == index[u]:
+                work.pop()
+                if low_u == index[u]:
                     comp = []
                     while True:
                         v = stack.pop()
@@ -54,7 +58,9 @@ def tarjan(n: int, successors: Callable[[int], Sequence[int]]) -> list[list[int]
                         if v == u:
                             break
                     sccs.append(comp)
-                if work:
+                else:  # u's root is below it on the path
+                    low[u] = low_u
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[u])
+                    if low_u < low[parent]:
+                        low[parent] = low_u
     return sccs

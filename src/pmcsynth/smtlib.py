@@ -102,7 +102,8 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
     for name in M.states:
         if not _SIMPLE_SYMBOL.fullmatch(name):
             raise SmtlibError(f"state {name!r} is not an SMT-LIB simple symbol")
-    nodes = sorted(u for r in system.partition.sccs if r.reachable for u in r.members)
+    reachable, comp_of = system.partition.reachable, system.partition.comp_of
+    nodes = [u for u in range(G.n_nodes()) if reachable[comp_of[u]]]
     names = {u: mu_name(system, u) for u in nodes}
     for n in names.values():
         out(f"(declare-const {n} Real)")

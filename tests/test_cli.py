@@ -555,6 +555,43 @@ def test_synth_solver_flag_combinations_exit_2(capsys, monkeypatch, tmp_path, fl
     assert [p.name for p in tmp_path.iterdir()] == ["solver.sh"]  # nothing written
 
 
+PIPELINE_COMMANDS = [
+    ["check", "-m", BRANCH, "-q", "P >= 1/4 [ F success ]"],
+    ["check", "-m", LOOP_PAIR, "-q", "P > 1/2 [ X (x U z) ]"],
+    ["check", "-m", SPLIT_CYCLE, "-f", "G F y", "-e", "eps=1/4"],
+    ["classify", "-m", LOOP_PAIR, "-f", "G F x | G F w"],
+    ["classify", "-m", BRANCH, "-f", "F success", "--oracle"],
+    ["synth", "-m", SPLIT_CYCLE, "-q", "P >= 1/2 [ G F y ]", "-o", "{out}"],
+    ["synth", "-m", INTERVAL_ROW, "-q", "P >= 1/2 [ F goal ]", "-o", "{out}"],
+    ["synth", "-m", SPLIT_CYCLE, "-q", "P >= 3/4 [ X y ]", "--solve", "grid:3"],
+    ["synth", "-m", INTERVAL_ROW, "-q", "P >= 1/2 [ F goal ]", "--solve", "grid:3"],
+]
+
+
+def test_pipeline_never_reads_the_scc_view(capsys, monkeypatch, tmp_path):
+    """``SccPartition.sccs`` is a view for tests and tracing: every command
+    runs the same with it raising."""
+
+    def results():
+        found = []
+        for argv in PIPELINE_COMMANDS:
+            out_file = tmp_path / "out.smt2"
+            code, out, err = run(capsys, *(a.format(out=out_file) for a in argv))
+            written = out_file.read_text() if out_file.exists() else None
+            out_file.unlink(missing_ok=True)
+            found.append((code, re.sub(r"T_(G|mc)=\S+", "T", out), err, written))
+        return found
+
+    expected = results()
+
+    def no_view(_partition):
+        raise AssertionError("the pipeline read SccPartition.sccs")
+
+    monkeypatch.setattr(product.SccPartition, "sccs", property(no_view))
+    assert results() == expected
+    assert [code for code, *_ in expected] == [0, 1, 0, 0, 0, 0, 0, 1, 0]
+
+
 def test_main_builds_its_parser_once(capsys):
     cli._parser.cache_clear()
     for _ in range(2):

@@ -374,6 +374,28 @@ def test_well_defined_reports_every_problem():
         well_defined(M, {"p": Fraction(1, 3), "q": Fraction(1)})
 
 
+def test_well_defined_evaluates_each_function_once(monkeypatch):
+    # five rows of p and 1 - p share two parsed functions, the last row a third
+    lines = ["pmc", "param p in (0, 1);", *(f"state s{i};" for i in range(6)), "init s0;"]
+    for i in range(5):
+        lines += [f"trans s{i} -> s{i + 1} : p;", f"trans s{i} -> s{i} : 1 - p;"]
+    lines.append("trans s5 -> s5 : 1;")
+    M = parse_model("\n".join(lines))
+    distinct = {id(f) for f in M.trans.values()}
+    calls = []
+    evaluate = RationalFunction.evaluate
+
+    def counting(f, assignment):
+        calls.append(f)
+        return evaluate(f, assignment)
+
+    monkeypatch.setattr(RationalFunction, "evaluate", counting)
+    rep = well_defined(M, {"p": Fraction(1, 3)})
+    assert rep.ok and len(rep.values) == len(M.trans) == 11
+    assert rep.values[(0, 1)] == Fraction(1, 3) and rep.values[(4, 4)] == Fraction(2, 3)
+    assert len(calls) <= len(distinct) == 3
+
+
 def _reference_tokenize(text):
     """The character-by-character tokenizer that the regex one replaced."""
     i, n = 0, len(text)

@@ -1,15 +1,19 @@
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pmcsynth import eqsys, product
-from pmcsynth.gba import CapacityError, make_gba, translate
+from pmcsynth.gba import CapacityError, elementary, make_gba, translate
 from pmcsynth.ltl import parse_formula
 from pmcsynth.modelgen import random_mc
 from pmcsynth.pmc import parse_model
 from pmcsynth.product import (
     CompletenessBudgetError,
     ReverseDeterminismError,
+    SccRecord,
     build_product,
     classify_locally_positive,
     is_accepting,
@@ -18,6 +22,7 @@ from pmcsynth.product import (
     scc_decompose,
 )
 from pmcsynth.sccs import tarjan
+from random_inputs import random_formula
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -91,14 +96,16 @@ def test_scc_partition_is_topological():
     A = translate(parse_formula("G F x | G F w"))
     G = build_product(A, M)
     part = scc_decompose(G)
-    assert sorted(r.index for r in part.sccs) == list(range(len(part.sccs)))
-    for r in part.sccs:
-        for j in part.succ[r.index]:
-            assert j > r.index
-    # every node is in exactly one component
-    assert sorted(u for r in part.sccs for u in r.members) == list(
-        range(G.n_nodes())
-    )
+    for u in range(G.n_nodes()):
+        for v in G.succ(u):
+            assert part.comp_of[v] >= part.comp_of[u]
+    # every node is in exactly one component, listed under it
+    assert sorted(part.order) == list(range(G.n_nodes()))
+    for i in range(len(part)):
+        members = list(part.members(i))
+        assert members == sorted(members) and members
+        assert all(part.comp_of[u] == i for u in members)
+    assert [r.index for r in part.sccs] == list(range(len(part)))
 
 
 def test_reachable_flags():
@@ -126,13 +133,17 @@ def test_classification_on_branching_chain():
     A = translate(parse_formula("F success"))
     G = build_product(A, M)
     part = scc_decompose(G)
-    pos, neg = classify_locally_positive(G, part)
+    pos, _ = classify_locally_positive(G, part)
     ok = M.states.index("ok")
     assert [r.projection for r in pos if r.reachable] == [frozenset({ok})]
     assert any(r.reachable for r in pos)
     # the failure state's bottom SCC is not accepting
     bad = M.states.index("bad")
-    assert any(r.projection == frozenset({bad}) for r in neg)
+    assert any(
+        r.projection == frozenset({bad}) and not r.locally_positive
+        for r in part.sccs
+        if all(part.comp_of[v] == r.index for u in r.members for v in G.succ(u))
+    )
 
 
 def test_rd_and_survivor_deciders_agree_on_tableau_products(rng):
@@ -199,7 +210,7 @@ def test_survivor_budget(monkeypatch):
 def test_classify_falls_back_to_survivor_oracle():
     # classify must not raise on a non-reverse-deterministic automaton
     G, part = loop_pair_product()
-    pos, neg = classify_locally_positive(G, part)
+    pos, _ = classify_locally_positive(G, part)
     assert pos == []
     assert not any(r.reachable for r in pos)
     c1 = _scc_by_projection(G, part, ["x", "y"])
@@ -280,3 +291,88 @@ def test_analyze_decomposes_once(monkeypatch):
     monkeypatch.setattr(product, "tarjan", counting)
     eqsys.analyze(load("loop_pair.pmc"), parse_formula("G F x"))
     assert len(calls) == 1
+
+
+def reference_scc_decompose(G):
+    """The record-per-SCC decomposition the array partition replaced: one
+    SccRecord for every SCC, trivial ones included, in topological order,
+    and each SCC's condensation successors as a sorted tuple."""
+    n = G.n_nodes()
+    offsets, targets = G.offsets, G.targets
+    comps = tarjan(n, G.succ)
+    comps.reverse()  # topological: arcs point to later components
+    comp_of = [0] * n
+    for ci, comp in enumerate(comps):
+        for u in comp:
+            comp_of[u] = ci
+    reached = [False] * len(comps)
+    for u in G.initial:
+        reached[comp_of[u]] = True
+    ns = G.n_mc()
+    records, cond_succ = [], []
+    for ci, comp in enumerate(comps):
+        members = tuple(sorted(comp))
+        out = set()
+        self_arc = False
+        for u in members:
+            for i in range(offsets[u], offsets[u + 1]):
+                cj = comp_of[targets[i]]
+                if cj != ci:
+                    out.add(cj)
+                elif targets[i] == u:
+                    self_arc = True
+        if reached[ci]:
+            for cj in out:
+                reached[cj] = True
+        records.append(
+            SccRecord(
+                index=ci,
+                members=members,
+                projection=frozenset(u % ns for u in members),
+                trivial=len(members) == 1 and not self_arc,
+                reachable=reached[ci],
+            )
+        )
+        cond_succ.append(tuple(sorted(out)))
+    return records, cond_succ
+
+
+def reference_classify(G, records):
+    """Fill every record's verdicts from the definitions: the chain's own
+    bottom SCCs and the survivor-set completeness decider."""
+    bottoms = reference_bottom_sccs(G.pmc)
+    for r in records:
+        r.accepting = is_accepting(G, r)
+        r.projection_is_bottom = r.projection in bottoms
+        if r.accepting and r.projection_is_bottom:
+            r.complete = is_complete_oracle(G, r)
+        r.locally_positive = bool(r.complete)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7))
+def test_array_partition_matches_reference(seed, n):
+    rng = random.Random(seed)
+    M = random_mc(rng, n)
+    formula = random_formula(rng)
+    while len(elementary(formula)) > 4:
+        formula = random_formula(rng)
+    G = build_product(translate(formula), M)
+    part = scc_decompose(G)
+    records, cond_succ = reference_scc_decompose(G)
+
+    assert len(part) == len(records)
+    assert list(part.comp_of) == [
+        r.index for u in range(G.n_nodes()) for r in records if u in r.members
+    ]
+    for r in records:
+        i = r.index
+        assert tuple(part.members(i)) == r.members
+        assert part.reachable[i] == r.reachable
+        out = {part.comp_of[v] for u in part.members(i) for v in G.succ(u)} - {i}
+        assert sorted(out) == list(cond_succ[i])
+        assert (i in part.blocks) == (not r.trivial)
+
+    classify_locally_positive(G, part)
+    reference_classify(G, records)
+    assert list(part.blocks.values()) == [r for r in records if not r.trivial]
+    assert part.sccs == records

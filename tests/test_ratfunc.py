@@ -242,6 +242,31 @@ def test_evaluate_matches_symbolic_reference(data):
     assert got == want
 
 
+def _reference_poly_evaluate(p: Polynomial, assignment) -> Fraction:
+    """The evaluation loop before it skipped coefficients of 1: every sum
+    starts at Fraction(0) and every factor is multiplied in."""
+    total = Fraction(0)
+    for m, c in p.terms:
+        for name, e in m:
+            v = assignment[name]
+            c *= v if e == 1 else v ** e
+        total += c
+    return total
+
+
+@given(st.data())
+def test_polynomial_evaluate_matches_reference_loop(data):
+    f, g = _rf(data), _rf(data)
+    y = RationalFunction.var("y")
+    h = f * (g + y) - RationalFunction.const(data.draw(_SCALES)) * y * y
+    values = st.one_of(_POINTS, st.integers(-3, 3))
+    assignment = {"x": data.draw(values), "y": data.draw(values)}
+    for p in (f.num, f.den, h.num, h.den, y.num, P_ZERO):
+        got = p.evaluate(assignment)
+        assert type(got) is Fraction
+        assert got == _reference_poly_evaluate(p, assignment)
+
+
 _OPS = st.sampled_from(["+", "-", "*", "/"])
 
 
