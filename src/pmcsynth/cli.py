@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import subprocess
 import sys
 import time
@@ -219,12 +220,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if not spec.startswith("grid:"):
             print(f"unknown --solve method {spec!r} (expected grid:<n>)", file=sys.stderr)
             return 2
-        try:
-            resolution = int(spec.split(":", 1)[1])
-        except ValueError:
+        # int() would also read '1_1', non-ASCII digits and spaces
+        n = spec.split(":", 1)[1]
+        if not re.fullmatch(r"[+-]?[0-9]+", n):
             print(f"bad grid resolution in {spec!r}", file=sys.stderr)
             return 2
-        axes = eqsys.grid_axes(M, resolution)
+        axes = eqsys.grid_axes(M, int(n))
 
     system = eqsys.analyze(M, query.formula).system
     if args.out:

@@ -9,6 +9,11 @@ time:
     phi | psi    ==  !(!phi & !psi)
     phi -> psi   ==  !(phi & !psi)
 
+The tokenizer is one regular expression, as the ``.pmc`` reader's is: each
+match is one token with the whitespace before it, and a character that
+starts no token is reported with its position.  The parser reads the whole
+token list, so such a character is reported before any syntax error.
+
 A lasso word stem . loop^omega is the standard finite presentation of an
 ultimately periodic word; ``eval_lasso`` decides phi on it exactly by
 computing one truth row per subformula over the stem+loop positions.
@@ -16,6 +21,7 @@ computing one truth row per subformula over the stem+loop positions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -137,32 +143,24 @@ _KEYWORDS = {"true", "false", "X", "F", "G", "U"}
 
 
 def _tokenize(text: str) -> Iterator[tuple[str, str]]:
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()!&|":
-            yield (c, c)
-            i += 1
-            continue
-        if c == "-":
-            if text.startswith("->", i):
-                yield ("->", "->")
-                i += 2
-                continue
-            raise LtlSyntaxError(f"stray '-' at position {i}")
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            yield ("kw" if word in _KEYWORDS else "ident", word)
-            i = j
-            continue
-        raise LtlSyntaxError(f"unexpected character {c!r} at position {i}")
-    yield ("eof", "")
+    for m in re.finditer(
+        r"\s*(?:(?P<sym>->|[()!&|])|(?P<word>[^\W\d]\w*)|(?P<eof>\Z)|(?P<bad>.))", text, re.DOTALL
+    ):
+        kind = m.lastgroup
+        v = m[kind]
+        # [^\W\d] also admits numeric characters such as '½'; a word starts
+        # with a letter or '_'
+        if kind == "bad" or (kind == "word" and not (v[0].isalpha() or v[0] == "_")):
+            if v == "-":
+                raise LtlSyntaxError(f"stray '-' at position {m.start(kind)}")
+            raise LtlSyntaxError(f"unexpected character {v[0]!r} at position {m.start(kind)}")
+        if kind == "sym":
+            yield (v, v)
+        elif kind == "word":
+            yield ("kw" if v in _KEYWORDS else "ident", v)
+        else:
+            yield ("eof", "")
+            return  # an empty match may follow at the end of the text
 
 
 class _Parser:

@@ -379,6 +379,8 @@ def parse_model(text: str) -> Pmc | Imc:
     lower: dict[tuple[int, int], Fraction] = {}
     upper: dict[tuple[int, int], Fraction] = {}
     given: set[tuple[int, int]] = set()
+    # a shared function is checked at the first transition that holds it
+    checked: set[int] = set()
     for src, dst, entry in raw:
         if src not in idx or dst not in idx:
             raise ModelSyntaxError(f"transition {src} -> {dst} uses an undeclared state")
@@ -395,7 +397,8 @@ def parse_model(text: str) -> Pmc | Imc:
             if hi != 0:  # a certainly-zero transition is the same as absent
                 lower[key], upper[key] = lo, hi
             continue
-        if entry.is_const:
+        if entry.is_const and id(entry) not in checked:
+            checked.add(id(entry))
             v = entry.value()
             if v == 0:
                 raise ModelSyntaxError(

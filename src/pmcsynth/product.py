@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Container
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, chain
 
@@ -181,17 +181,20 @@ class SccPartition:
         return self.order[self.starts[i] : self.starts[i + 1]]
 
     def reaching(self, targets: Container[int]) -> bytearray:
-        """Per SCC index: 1 if it reaches an SCC whose index is in ``targets``
-        (itself included)."""
+        """Per SCC index: 1 if the SCC is reachable from an initial node and
+        reaches an SCC whose index is in ``targets`` (itself included); 0
+        for every SCC that is not reachable."""
         G = self.graph
-        offsets, arcs, comp_of = G.offsets, G.targets, self.comp_of
+        offsets, arcs, comp_of, reachable = G.offsets, G.targets, self.comp_of, self.reachable
         reaches = bytearray(len(self))
         reached, scc_of = reaches.__getitem__, comp_of.__getitem__
         # arcs go to higher indices, so a sweep over the nodes from the last
-        # SCC to the first sees every SCC an arc leaves to before the arc
+        # SCC to the first sees every SCC an arc leaves to before the arc;
+        # the successors of a reachable SCC are reachable, so skipping the
+        # others changes no reachable SCC's value
         for u in reversed(self.order):
             i = comp_of[u]
-            if reaches[i]:
+            if reaches[i] or not reachable[i]:
                 continue
             lo, hi = offsets[u], offsets[u + 1]
             if i in targets or (lo != hi and any(map(reached, map(scc_of, arcs[lo:hi])))):
@@ -312,6 +315,8 @@ def accepting_states_lasso(A: Gba, word: LassoWord) -> frozenset[int]:
     n = len(letters)
     trans = {(i, i + 1): RF_ONE for i in range(n - 1)}
     trans[(n - 1, len(word.stem))] = RF_ONE
+    # every automaton state initial, so that every node (q, 0) is reachable
+    A = replace(A, initial=tuple(range(len(A.states))))
     G = build_product(A, Pmc(tuple(map(str, range(n))), letters, 0, {}, trans))
     partition = scc_decompose(G)
     reaches = partition.reaching({i for i, r in partition.blocks.items() if is_accepting(G, r)})

@@ -8,9 +8,13 @@ rows, zeros and mu range bounds — so ``solve_concrete``'s ``mu`` is a full
 model of the mu variables; when a query is given, the membership of the
 target sum in the probability interval.
 
-``check_wellformed`` parses the script back (balanced s-expressions, known
-commands, every declared name a simple symbol and no reserved word, every
-symbol declared before use, ASCII numerals, sane operator arities).
+``parse_script`` reads a script in one pass: one regular expression matches
+each token with the whitespace and ``;`` comments before it, and the
+s-expressions are built on a stack as the tokens come.  A string literal is
+one atom, quotes included.  ``check_wellformed`` parses the script back
+(balanced s-expressions, known commands, every declared name a simple
+symbol and no reserved word, every symbol declared before use, ASCII
+numerals, sane operator arities).
 Emission fails with SmtlibError on a parameter or state name that is not a
 simple symbol, so an emitted script always passes that check.
 ``evaluate_assertions`` substitutes a full rational assignment and decides
@@ -23,7 +27,7 @@ import itertools
 import operator
 import re
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .eqsys import EquationSystem, PltlQuery
 from .ratfunc import Polynomial, RationalFunction
@@ -175,47 +179,28 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
 Sexpr = str | list  # atoms are strings
 
 
-def _tokens(text: str) -> Iterator[str]:
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        elif c in "()":
-            yield c
-            i += 1
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise SmtlibError("unterminated string literal")
-            yield text[i : j + 1]
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in '();"':
-                j += 1
-            yield text[i:j]
-            i = j
-
-
 def parse_script(text: str) -> list[Sexpr]:
     """All top-level s-expressions; raises on imbalance."""
     stack: list[list] = [[]]
-    for tok in _tokens(text):
-        if tok == "(":
+    for m in re.finditer(
+        r'(?:\s|;[^\n]*)*'  # whitespace and comments before the token
+        r'(?:(?P<open>\()|(?P<close>\))|(?P<atom>"[^"]*"|[^\s();"]+)|(?P<quote>")|(?P<eof>\Z))',
+        text,
+    ):
+        kind = m.lastgroup
+        if kind == "open":
             stack.append([])
-        elif tok == ")":
+        elif kind == "close":
             if len(stack) == 1:
                 raise SmtlibError("unbalanced ')'")
             done = stack.pop()
             stack[-1].append(done)
+        elif kind == "atom":
+            stack[-1].append(m[kind])
+        elif kind == "quote":
+            raise SmtlibError("unterminated string literal")
         else:
-            stack[-1].append(tok)
+            break  # an empty match may follow at the end of the text
     if len(stack) != 1:
         raise SmtlibError("unbalanced '('")
     return stack[0]

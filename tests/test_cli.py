@@ -519,6 +519,10 @@ def test_synth_solver_garbage(capsys, tmp_path):
         pytest.param("grid:zero", 2, id="grid:zero"),
         pytest.param("bisect:3", 2, id="bisect:3"),
         pytest.param("grid:1", 3, id="grid:1"),
+        # int() reads these three as 11, 11 and 5
+        pytest.param("grid:1_1", 2, id="grid:1_1"),
+        pytest.param("grid:\u0661\u0661", 2, id="grid:arabic-indic-11"),
+        pytest.param("grid: 5 ", 2, id="grid:space-5-space"),
     ],
 )
 def test_synth_bad_solve_spec(capsys, monkeypatch, tmp_path, spec, expected):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from random_inputs import random_formula, random_lasso
@@ -17,6 +17,8 @@ from pmcsynth.ltl import (
     Not,
     Top,
     Until,
+    _KEYWORDS,
+    _tokenize,
     atomic_props,
     eval_lasso,
     parse_formula,
@@ -56,6 +58,82 @@ def test_parse_errors():
     for text in ("", "a &", "(a", "a b", "U a", "a ->", "G", "a !"):
         with pytest.raises(LtlSyntaxError):
             parse_formula(text)
+
+
+def _reference_tokenize(text):
+    """The character-by-character tokenizer that the regex one replaced."""
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "()!&|":
+            yield (c, c)
+            i += 1
+            continue
+        if c == "-":
+            if text.startswith("->", i):
+                yield ("->", "->")
+                i += 2
+                continue
+            raise LtlSyntaxError(f"stray '-' at position {i}")
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            yield ("kw" if word in _KEYWORDS else "ident", word)
+            i = j
+            continue
+        raise LtlSyntaxError(f"unexpected character {c!r} at position {i}")
+    yield ("eof", "")
+
+
+def _tokens_then_error(tokenize, text):
+    out = []
+    try:
+        for tok in tokenize(text):
+            out.append(tok)
+    except LtlSyntaxError as exc:
+        out.append(str(exc))
+    return out
+
+
+# pieces of tokens, every symbol and keyword, whitespace (also Unicode's), a
+# lone '-', non-ASCII letters, digits and numeric characters, and characters
+# no token starts with
+_TEXT = st.lists(
+    st.sampled_from(
+        ["a", "b_2", "_", "Zé", "a²", "true", "false", "X", "F", "G", "U", "Xa", "0", "٣", "½"]
+        + ["->", "-", ">"]
+        + list("()!&|")
+        + [" ", "\t", "\n", "\r", "\u00a0", "\u2028"]
+        + ["$", "#", ";", '"']
+    ),
+    max_size=30,
+).map("".join)
+
+
+@given(_TEXT)
+@example("a -")
+@example("->->")
+@example("½a")
+@example("a²")
+@example("٣")
+@example("a\u00a0& b")
+@example('(echo "abc')
+@example("a ; a comment at the end, no newline")
+@example("a" + " " * 100_000)
+@example("")
+def test_tokenize_matches_reference(text):
+    assert _tokens_then_error(_tokenize, text) == _tokens_then_error(_reference_tokenize, text)
+
+
+def test_bad_character_is_reported_before_a_syntax_error():
+    # the parser reads the whole token list before it parses
+    with pytest.raises(LtlSyntaxError, match="unexpected character '\\$' at position 4"):
+        parse_formula("a a $")
 
 
 def test_atomic_props():

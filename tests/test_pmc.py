@@ -374,6 +374,20 @@ def test_well_defined_reports_every_problem():
         well_defined(M, {"p": Fraction(1, 3), "q": Fraction(1)})
 
 
+def test_parse_checks_each_shared_constant_once(monkeypatch):
+    # 1,000 transitions share one parsed 1/2: its range is checked at the
+    # first of them, and the one distinct row sums it twice
+    lines = ["pmc", *(f"state s{i};" for i in range(500)), "init s0;"]
+    for i in range(500):
+        lines += [f"trans s{i} -> s{(i + 1) % 500} : 1/2;", f"trans s{i} -> s{i} : 1/2;"]
+    calls = []
+    value = RationalFunction.value
+    monkeypatch.setattr(RationalFunction, "value", lambda f: calls.append(f) or value(f))
+    M = parse_model("\n".join(lines))
+    assert len(M.trans) == 1000
+    assert len(calls) <= 3
+
+
 def test_well_defined_evaluates_each_function_once(monkeypatch):
     # five rows of p and 1 - p share two parsed functions, the last row a third
     lines = ["pmc", "param p in (0, 1);", *(f"state s{i};" for i in range(6)), "init s0;"]

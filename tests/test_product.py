@@ -349,6 +349,17 @@ def reference_classify(G, records):
         r.locally_positive = bool(r.complete)
 
 
+def reference_reaching(part, targets):
+    """The sweep that ``SccPartition.reaching`` replaced, over every SCC,
+    reachable or not."""
+    reaches = bytearray(len(part))
+    for u in reversed(part.order):
+        i = part.comp_of[u]
+        if i in targets or any(reaches[part.comp_of[v]] for v in part.graph.succ(u)):
+            reaches[i] = 1
+    return reaches
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 7))
 def test_array_partition_matches_reference(seed, n):
     rng = random.Random(seed)
@@ -376,3 +387,8 @@ def test_array_partition_matches_reference(seed, n):
     reference_classify(G, records)
     assert list(part.blocks.values()) == [r for r in records if not r.trivial]
     assert part.sccs == records
+
+    # reaching agrees with the full sweep on the reachable SCCs, and is 0 on the others
+    targets = {i for i in range(len(part)) if rng.random() < 0.1}
+    full = reference_reaching(part, targets)
+    assert list(part.reaching(targets)) == [v & part.reachable[i] for i, v in enumerate(full)]

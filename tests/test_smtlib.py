@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 from random_inputs import formula_corpus
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pmcsynth import smtlib
@@ -42,6 +42,85 @@ def test_parse_script():
     for bad in ("(a", "a)", "(a))"):
         with pytest.raises(SmtlibError):
             parse_script(bad)
+
+
+def _reference_tokens(text):
+    """The character-by-character tokenizer that the regex reader replaced."""
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c.isspace():
+            i += 1
+        elif c in "()":
+            yield c
+            i += 1
+        elif c == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                j += 1
+            if j >= n:
+                raise SmtlibError("unterminated string literal")
+            yield text[i : j + 1]
+            i = j + 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in '();"':
+                j += 1
+            yield text[i:j]
+            i = j
+
+
+def _reference_parse(text):
+    stack = [[]]
+    for tok in _reference_tokens(text):
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise SmtlibError("unbalanced ')'")
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(tok)
+    if len(stack) != 1:
+        raise SmtlibError("unbalanced '('")
+    return stack[0]
+
+
+def _forms_or_error(parse, text):
+    try:
+        return parse(text)
+    except SmtlibError as exc:
+        return str(exc)
+
+
+# pieces of atoms and strings, parentheses, quotes, comments, whitespace
+# (also Unicode's), and non-ASCII letters, digits and numeric characters
+_SCRIPT = st.lists(
+    st.sampled_from(
+        ["(", ")", '"', '"a b"', '""', "assert", "x", "mu_0.s", "1.5", "-", "->", "é", "½", "²", "٣"]
+        + [";", "; c (", "\n", " ", "\t", "\r", "\u00a0", "\u2028", "|", "#"]
+    ),
+    max_size=30,
+).map("".join)
+
+
+@given(_SCRIPT)
+@example("a -")
+@example("->->")
+@example("½a")
+@example("a²")
+@example("٣")
+@example("(a\u00a0b)")
+@example('(echo "abc')
+@example("(check-sat) ; a comment at the end, no newline")
+@example("(check-sat)" + " " * 100_000)
+@example("")
+def test_parse_script_matches_reference(text):
+    assert _forms_or_error(parse_script, text) == _forms_or_error(_reference_parse, text)
 
 
 def test_check_wellformed_rejects_garbage():
