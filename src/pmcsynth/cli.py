@@ -138,7 +138,8 @@ def cmd_translate(args: argparse.Namespace) -> int:
     if args.out:
         Path(args.out).write_text(text)
         print(
-            f"automaton: {len(A.states)} states, {len(A.edges())} edges, "
+            f"automaton: {len(A.states)} states, "
+            f"{sum(map(len, A.transitions.values()))} edges, "
             f"{len(A.acceptance)} acceptance sets -> {args.out}"
         )
     else:

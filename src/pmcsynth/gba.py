@@ -16,6 +16,12 @@ construction.  Acceptance has one set per until subformula psi1 U psi2: an
 edge with letter a into V belongs to it iff (V, a) |= psi2 or (V, a) |= not
 (psi1 U psi2) — i.e. the until is not being procrastinated.  The alphabet is
 the formula's own atomic propositions.
+
+``translate`` numbers the subformulas once and compiles each into a row of
+subformula positions and a letter or subset bit, so each of the 2^|el| x
+2^|AP| (subset, letter) rounds evaluates every subformula with list reads
+and bit tests; no round hashes a formula.  ``EL_BUDGET`` bounds |el| + |AP|,
+the log2 of the rounds.
 """
 
 from __future__ import annotations
@@ -154,8 +160,8 @@ def sat_relation(V: frozenset[LtlFormula], a: frozenset[str], psi: LtlFormula) -
     """(V, a) |= psi — the tableau satisfaction relation.
 
     V is a set of X-formulas (promises); a is a letter.  Used directly by
-    tests as the reference semantics; ``translate`` inlines the same clauses
-    in table form.
+    tests as the reference semantics; ``translate`` compiles the same clauses
+    onto subformula positions and evaluates them on bitmasks.
     """
     match psi:
         case Top():
@@ -175,8 +181,9 @@ def sat_relation(V: frozenset[LtlFormula], a: frozenset[str], psi: LtlFormula) -
     raise LtlError(f"not an LTL node: {psi!r}")
 
 
-# Upper bound on |el(formula)|: the tableau has 2^|el| + 1 states and is
-# built for every letter, so each member doubles the translation's work.
+# Upper bound on |el(formula)| + |AP(formula)|: the tableau has 2^|el| + 1
+# states and is built for each of the 2^|AP| letters, so each elementary
+# member and each proposition doubles the translation's work.
 EL_BUDGET = 20
 
 
@@ -185,71 +192,94 @@ def translate(formula: LtlFormula) -> Gba:
 
     ``build_product`` projects every chain label onto this alphabet, so
     propositions the formula does not mention need no letters.  Raises
-    CapacityError before building anything if el(formula) has more than
-    ``EL_BUDGET`` members.
+    CapacityError before building anything if el(formula) and the atomic
+    propositions together have more than ``EL_BUDGET`` members.
     """
     el = elementary(formula)
-    if len(el) > EL_BUDGET:
-        raise CapacityError(
-            f"el(formula) has {len(el)} members, above the cap of {EL_BUDGET}"
-        )
     props = tuple(sorted(atomic_props(formula)))
-
     n = len(el)
+    if n + len(props) > EL_BUDGET:
+        raise CapacityError(
+            f"el(formula) has {n} members and the formula {len(props)} atomic "
+            f"propositions: 2^{n + len(props)} tableau rounds, above the cap of "
+            f"2^{EL_BUDGET}"
+        )
+
+    subs = subformulas(formula)
+    # Compile: node k of ``subs`` becomes (op, i, j, bit) over positions in
+    # ``subs``; ``bit`` masks the letter (atoms) or the subset state (X psi,
+    # and the promise X(psi1 U psi2) of an until).
+    pos = {s: k for k, s in enumerate(subs)}
+    el_bit = {x: 1 << i for i, x in enumerate(el)}
+    code: list[tuple[str, int, int, int]] = []
+    for sub in subs:
+        match sub:
+            case Top():
+                code.append(("top", 0, 0, 0))
+            case Atom(name):
+                code.append(("atom", 0, 0, 1 << props.index(name)))
+            case Not(arg):
+                code.append(("not", pos[arg], 0, 0))
+            case And(l, r):
+                code.append(("and", pos[l], pos[r], 0))
+            case Next():
+                code.append(("next", 0, 0, el_bit[sub]))
+            case Until(l, r):
+                code.append(("until", pos[l], pos[r], el_bit[Next(sub)]))
+            case _:
+                raise LtlError(f"not an LTL node: {sub!r}")
+    pred = [pos[x.arg] for x in el]
+    top = len(subs) - 1
+    untils = [(k, pos[s.right]) for k, s in enumerate(subs) if isinstance(s, Until)]
+
     n_subsets = 1 << n
     n_letters = 1 << len(props)
-    el_bit = {x: i for i, x in enumerate(el)}
-    subs = subformulas(formula)
-    untils = [s for s in subs if isinstance(s, Until)]
-
     init_id = n_subsets
     transitions: dict[tuple[int, int], list[int]] = {}
     acc_sets: list[set[tuple[int, int, int]]] = [set() for _ in untils]
+    val = [False] * len(subs)
 
     for a in range(n_letters):
-        letter_bits = {name for i, name in enumerate(props) if a >> i & 1}
         for U in range(n_subsets):
-            val: dict[LtlFormula, bool] = {}
-            for sub in subs:
-                match sub:
-                    case Top():
-                        v = True
-                    case Atom(name):
-                        v = name in letter_bits
-                    case Not(arg):
-                        v = not val[arg]
-                    case And(l, r):
-                        v = val[l] and val[r]
-                    case Next():
-                        v = bool(U >> el_bit[sub] & 1)
-                    case Until(l, r):
-                        v = val[r] or (val[l] and bool(U >> el_bit[Next(sub)] & 1))
-                    case _:
-                        raise LtlError(f"not an LTL node: {sub!r}")
-                val[sub] = v
+            for k, (op, i, j, bit) in enumerate(code):
+                if op == "and":
+                    val[k] = val[i] and val[j]
+                elif op == "not":
+                    val[k] = not val[i]
+                elif op == "atom":
+                    val[k] = a & bit != 0
+                elif op == "next":
+                    val[k] = U & bit != 0
+                elif op == "until":
+                    val[k] = val[j] or (val[i] and U & bit != 0)
+                else:  # "top"
+                    val[k] = True
             # U in T(V, a) exactly for V = pred(U, a)
             V = 0
-            for i, x in enumerate(el):
-                if val[x.arg]:
+            for i, k in enumerate(pred):
+                if val[k]:
                     V |= 1 << i
             transitions.setdefault((V, a), []).append(U)
-            if val[formula]:
+            if val[top]:
                 transitions.setdefault((init_id, a), []).append(U)
-            srcs = [V, init_id] if val[formula] else [V]
-            for k, u in enumerate(untils):
-                if val[u.right] or not val[u]:
+            srcs = (V, init_id) if val[top] else (V,)
+            for acc, (k, r) in zip(acc_sets, untils):
+                if val[r] or not val[k]:
                     for src in srcs:
-                        acc_sets[k].add((src, a, U))
+                        acc.add((src, a, U))
+
+    names = [pretty(x) for x in el]
 
     def subset_name(mask: int) -> str:
-        return "{" + ", ".join(pretty(el[i]) for i in range(n) if mask >> i & 1) + "}"
+        return "{" + ", ".join(names[i] for i in range(n) if mask >> i & 1) + "}"
 
     states = tuple(subset_name(m) for m in range(n_subsets)) + ("init",)
     return Gba(
         ap=props,
         states=states,
         initial=(init_id,),
-        transitions={k: tuple(sorted(v)) for k, v in transitions.items()},
+        # each list filled in ascending U, so it is already sorted
+        transitions={k: tuple(v) for k, v in transitions.items()},
         acceptance=tuple(frozenset(s) for s in acc_sets),
     )
 

@@ -10,11 +10,12 @@ target sum in the probability interval.
 
 ``parse_script`` reads a script in one pass: one regular expression matches
 each token with the whitespace and ``;`` comments before it, and the
-s-expressions are built on a stack as the tokens come.  A string literal is
-one atom, quotes included.  ``check_wellformed`` parses the script back
-(balanced s-expressions, known commands, every declared name a simple
-symbol and no reserved word, every symbol declared before use, ASCII
-numerals, sane operator arities).
+s-expressions are built on a stack as the tokens come.  A string literal
+(``""`` inside it is an escaped quote) and a quoted symbol (``|...|``, no
+``\\`` inside) are one atom each, delimiters included.
+``check_wellformed`` parses the script back (balanced s-expressions, known
+commands, every declared name a simple symbol and no reserved word, every
+symbol declared before use, ASCII numerals, sane operator arities).
 Emission fails with SmtlibError on a parameter or state name that is not a
 simple symbol, so an emitted script always passes that check.
 ``evaluate_assertions`` substitutes a full rational assignment and decides
@@ -184,7 +185,9 @@ def parse_script(text: str) -> list[Sexpr]:
     stack: list[list] = [[]]
     for m in re.finditer(
         r'(?:\s|;[^\n]*)*'  # whitespace and comments before the token
-        r'(?:(?P<open>\()|(?P<close>\))|(?P<atom>"[^"]*"|[^\s();"]+)|(?P<quote>")|(?P<eof>\Z))',
+        r'(?:(?P<open>\()|(?P<close>\))'
+        r'|(?P<atom>"(?:[^"]|"")*"|\|[^|\\]*\||[^\s();"|]+)'
+        r'|(?P<quote>")|(?P<bar>\|)|(?P<eof>\Z))',
         text,
     ):
         kind = m.lastgroup
@@ -199,6 +202,8 @@ def parse_script(text: str) -> list[Sexpr]:
             stack[-1].append(m[kind])
         elif kind == "quote":
             raise SmtlibError("unterminated string literal")
+        elif kind == "bar":
+            raise SmtlibError("unterminated quoted symbol")
         else:
             break  # an empty match may follow at the end of the text
     if len(stack) != 1:

@@ -45,7 +45,10 @@ def test_translate_to_file(capsys, tmp_path):
     code, out, _ = run(capsys, "translate", "-f", "G F a", "-o", str(target))
     assert code == 0
     assert "5 states" in out and str(target) in out
-    assert target.read_text().startswith("ap: a\n")
+    text = target.read_text()
+    assert text.startswith("ap: a\n")
+    n_edges = sum(1 for line in text.splitlines() if line.startswith("edge "))
+    assert f", {n_edges} edges," in out
 
 
 def test_translate_el_cap(capsys, monkeypatch):
@@ -53,6 +56,15 @@ def test_translate_el_cap(capsys, monkeypatch):
     code, _, err = run(capsys, "translate", "-f", "G F a")
     assert code == 4
     assert "above the cap" in err
+
+
+def test_check_many_propositions_exit_4(capsys):
+    # |el| 1 + |AP| 21 tableau rounds in log2, past gba.EL_BUDGET = 20
+    conj = " & ".join(f"a{i}" for i in range(21))
+    code, out, err = run(capsys, "check", "-m", BRANCH, "-q", f"P > 0 [ F ({conj}) ]")
+    assert code == 4
+    assert "21 atomic propositions" in err and "above the cap" in err
+    assert out == ""
 
 
 def test_translate_bad_formula(capsys):

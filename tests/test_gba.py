@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from random_inputs import random_formula, random_lasso
+from random_inputs import SEED, formula_corpus, random_formula, random_lasso
 from pmcsynth import gba
 from pmcsynth.gba import (
     CapacityError,
+    Gba,
     GbaError,
     check_reverse_deterministic,
     dump,
@@ -15,11 +18,19 @@ from pmcsynth.gba import (
     translate,
 )
 from pmcsynth.ltl import (
+    And,
+    Atom,
     LassoWord,
+    LtlError,
+    LtlFormula,
     Next,
+    Not,
+    Top,
     Until,
+    atomic_props,
     eval_lasso,
     parse_formula,
+    pretty,
     subformulas,
 )
 from pmcsynth.product import accepts_lasso
@@ -87,6 +98,117 @@ def test_translate_matches_satisfaction_relation(text):
                     assert ((src, a_mask, U) in A.acceptance[k]) == marked
 
 
+def _reference_translate(formula: LtlFormula) -> Gba:
+    """The tableau loop that ``translate`` compiled: a dict from subformula
+    to truth value, filled anew for every (letter, subset) round."""
+    el = elementary(formula)
+    props = tuple(sorted(atomic_props(formula)))
+
+    n = len(el)
+    n_subsets = 1 << n
+    n_letters = 1 << len(props)
+    el_bit = {x: i for i, x in enumerate(el)}
+    subs = subformulas(formula)
+    untils = [s for s in subs if isinstance(s, Until)]
+
+    init_id = n_subsets
+    transitions: dict[tuple[int, int], list[int]] = {}
+    acc_sets: list[set[tuple[int, int, int]]] = [set() for _ in untils]
+
+    for a in range(n_letters):
+        letter_bits = {name for i, name in enumerate(props) if a >> i & 1}
+        for U in range(n_subsets):
+            val: dict[LtlFormula, bool] = {}
+            for sub in subs:
+                match sub:
+                    case Top():
+                        v = True
+                    case Atom(name):
+                        v = name in letter_bits
+                    case Not(arg):
+                        v = not val[arg]
+                    case And(l, r):
+                        v = val[l] and val[r]
+                    case Next():
+                        v = bool(U >> el_bit[sub] & 1)
+                    case Until(l, r):
+                        v = val[r] or (val[l] and bool(U >> el_bit[Next(sub)] & 1))
+                    case _:
+                        raise LtlError(f"not an LTL node: {sub!r}")
+                val[sub] = v
+            V = 0
+            for i, x in enumerate(el):
+                if val[x.arg]:
+                    V |= 1 << i
+            transitions.setdefault((V, a), []).append(U)
+            if val[formula]:
+                transitions.setdefault((init_id, a), []).append(U)
+            srcs = [V, init_id] if val[formula] else [V]
+            for k, u in enumerate(untils):
+                if val[u.right] or not val[u]:
+                    for src in srcs:
+                        acc_sets[k].add((src, a, U))
+
+    def subset_name(mask: int) -> str:
+        return "{" + ", ".join(pretty(el[i]) for i in range(n) if mask >> i & 1) + "}"
+
+    states = tuple(subset_name(m) for m in range(n_subsets)) + ("init",)
+    return Gba(
+        ap=props,
+        states=states,
+        initial=(init_id,),
+        transitions={k: tuple(sorted(v)) for k, v in transitions.items()},
+        acceptance=tuple(frozenset(s) for s in acc_sets),
+    )
+
+
+def _assert_same_gba(A: Gba, B: Gba) -> None:
+    assert A.ap == B.ap
+    assert A.states == B.states
+    assert A.initial == B.initial
+    assert A.transitions == B.transitions
+    assert A.acceptance == B.acceptance
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 5))
+def test_translate_matches_reference_loop(rng, n_ap, depth):
+    f = random_formula(rng, ("a", "b", "c")[:n_ap], depth)
+    assume(len(elementary(f)) <= 6)
+    _assert_same_gba(translate(f), _reference_translate(f))
+
+
+def test_translate_matches_reference_loop_on_corpus():
+    """The criterion-3 corpus: equal fields, so byte-identical dumps."""
+    for f in formula_corpus(random.Random(SEED), 200, 4):
+        A, B = translate(f), _reference_translate(f)
+        _assert_same_gba(A, B)
+        assert dump(A) == dump(B)
+
+
+def test_translate_hashes_no_formula_per_round(monkeypatch):
+    """A round reads compiled indices, not a dict keyed by formulas: the
+    512 rounds of F (a0 & ... & a7) make fewer than 2,000 formula hashes
+    (the dict loop made 131,566)."""
+    calls = [0]
+
+    def counting(cls):
+        original = cls.__hash__
+
+        def counted(self):
+            calls[0] += 1
+            return original(self)
+
+        return counted
+
+    for cls in (Top, Atom, Not, And, Next, Until):
+        monkeypatch.setattr(cls, "__hash__", counting(cls))
+    f = parse_formula("F (" + " & ".join(f"a{i}" for i in range(8)) + ")")
+    calls[0] = 0
+    A = translate(f)
+    assert len(A.ap) == 8 and len(A.states) == 3
+    assert calls[0] < 2000
+
+
 def test_translate_state_count():
     f = parse_formula("G F a")
     A = translate(f)
@@ -97,11 +219,20 @@ def test_translate_state_count():
 
 
 def test_translate_el_cap(monkeypatch):
-    monkeypatch.setattr(gba, "EL_BUDGET", 1)
+    # G F a: |el| 2 plus |AP| 1, so 2^3 rounds
+    monkeypatch.setattr(gba, "EL_BUDGET", 2)
     with pytest.raises(CapacityError):
         translate(parse_formula("G F a"))
-    monkeypatch.setattr(gba, "EL_BUDGET", 2)
+    monkeypatch.setattr(gba, "EL_BUDGET", 3)
     translate(parse_formula("G F a"))  # at the cap is fine
+
+
+def test_translate_cap_counts_propositions():
+    """21 atoms under one F: |el| 1 + |AP| 21 is past the cap of 20, so
+    translate refuses before its 2^22 rounds."""
+    f = parse_formula("F (" + " & ".join(f"a{i}" for i in range(21)) + ")")
+    with pytest.raises(CapacityError, match="1 members and the formula 21 atomic"):
+        translate(f)
 
 
 def test_tableau_is_reverse_deterministic():

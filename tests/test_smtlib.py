@@ -45,7 +45,9 @@ def test_parse_script():
 
 
 def _reference_tokens(text):
-    """The character-by-character tokenizer that the regex reader replaced."""
+    """The character-by-character tokenizer that the regex reader replaced,
+    with SMT-LIB 2.6's escaped quote ``""`` in a string literal and its
+    ``|...|`` quoted symbols (which hold no ``\\``)."""
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -59,18 +61,40 @@ def _reference_tokens(text):
             i += 1
         elif c == '"':
             j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
+            while j < n and (text[j] != '"' or text[j + 1 : j + 2] == '"'):
+                j += 2 if text[j] == '"' else 1
             if j >= n:
                 raise SmtlibError("unterminated string literal")
             yield text[i : j + 1]
             i = j + 1
+        elif c == "|":
+            j = i + 1
+            while j < n and text[j] not in "|\\":
+                j += 1
+            if j >= n or text[j] == "\\":
+                raise SmtlibError("unterminated quoted symbol")
+            yield text[i : j + 1]
+            i = j + 1
         else:
             j = i
-            while j < n and not text[j].isspace() and text[j] not in '();"':
+            while j < n and not text[j].isspace() and text[j] not in '();"|':
                 j += 1
             yield text[i:j]
             i = j
+
+
+def test_parse_script_quoted_forms():
+    assert parse_script('(echo "a""b")') == [["echo", '"a""b"']]
+    assert parse_script("(declare-const |a b| Real)") == [["declare-const", "|a b|", "Real"]]
+    for bad, message in [
+        ('(echo "a""b)', "unterminated string literal"),
+        ("(declare-const |a b Real)", "unterminated quoted symbol"),
+        ("(declare-const |a\\b| Real)", "unterminated quoted symbol"),
+    ]:
+        with pytest.raises(SmtlibError, match=message):
+            parse_script(bad)
+    with pytest.raises(SmtlibError, match="not a simple symbol"):
+        check_wellformed("(declare-const |a b| Real)")
 
 
 def _reference_parse(text):
@@ -102,7 +126,7 @@ def _forms_or_error(parse, text):
 _SCRIPT = st.lists(
     st.sampled_from(
         ["(", ")", '"', '"a b"', '""', "assert", "x", "mu_0.s", "1.5", "-", "->", "é", "½", "²", "٣"]
-        + [";", "; c (", "\n", " ", "\t", "\r", "\u00a0", "\u2028", "|", "#"]
+        + [";", "; c (", "\n", " ", "\t", "\r", "\u00a0", "\u2028", "|", "|a b|", "\\", "#"]
     ),
     max_size=30,
 ).map("".join)
@@ -116,6 +140,12 @@ _SCRIPT = st.lists(
 @example("٣")
 @example("(a\u00a0b)")
 @example('(echo "abc')
+@example('(echo "a""b")')
+@example('(echo "a""')
+@example("(declare-const |a b| Real)")
+@example("(a|b c|)")
+@example("(|a\\b|)")
+@example("(|a b")
 @example("(check-sat) ; a comment at the end, no newline")
 @example("(check-sat)" + " " * 100_000)
 @example("")
