@@ -162,26 +162,18 @@ def _reference_translate(formula: LtlFormula) -> Gba:
     )
 
 
-def _assert_same_gba(A: Gba, B: Gba) -> None:
-    assert A.ap == B.ap
-    assert A.states == B.states
-    assert A.initial == B.initial
-    assert A.transitions == B.transitions
-    assert A.acceptance == B.acceptance
-
-
 @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 5))
 def test_translate_matches_reference_loop(rng, n_ap, depth):
     f = random_formula(rng, ("a", "b", "c")[:n_ap], depth)
     assume(len(elementary(f)) <= 6)
-    _assert_same_gba(translate(f), _reference_translate(f))
+    assert translate(f) == _reference_translate(f)  # every field
 
 
 def test_translate_matches_reference_loop_on_corpus():
     """The criterion-3 corpus: equal fields, so byte-identical dumps."""
     for f in formula_corpus(random.Random(SEED), 200, 4):
         A, B = translate(f), _reference_translate(f)
-        _assert_same_gba(A, B)
+        assert A == B
         assert dump(A) == dump(B)
 
 
