@@ -140,7 +140,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         print(
             f"automaton: {len(A.states)} states, "
             f"{sum(map(len, A.transitions.values()))} edges, "
-            f"{len(A.acceptance)} acceptance sets -> {args.out}"
+            f"{A.n_sets} acceptance sets -> {args.out}"
         )
     else:
         sys.stdout.write(text)

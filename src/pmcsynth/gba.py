@@ -14,8 +14,8 @@ the transition function is the inverse of the predecessor map
 which makes the reenterable part of the automaton reverse deterministic by
 construction.  Acceptance has one set per until subformula psi1 U psi2: an
 edge with letter a into V belongs to it iff (V, a) |= psi2 or (V, a) |= not
-(psi1 U psi2) — i.e. the until is not being procrastinated.  The alphabet is
-the formula's own atomic propositions.
+(psi1 U psi2) — i.e. the until is not being procrastinated; an edge stores
+the sets it is in as one bitmask.  The alphabet is the formula's own atoms.
 
 ``translate`` numbers the subformulas once and compiles each into a row of
 subformula positions and a letter or subset bit, so each of the 2^|el| x
@@ -66,8 +66,9 @@ class Gba:
 
     ``transitions`` maps (state id, letter mask) to the sorted tuple of
     successor ids; absent keys mean no successor.  Letter masks are bitmasks
-    over ``ap`` (bit i set iff ap[i] in the letter).  ``acceptance[k]`` is a
-    set of (src, letter mask, dst) edge triples.  For automata built by
+    over ``ap`` (bit i set iff ap[i] in the letter).  ``acceptance`` maps an
+    edge (src, letter mask, dst) to a mask with bit k set iff the edge is in
+    set k < ``n_sets``; edges in no set have no entry.  For automata built by
     ``translate`` from phi, with n = |elementary(phi)|: subset states have
     id == their el bitmask (0 .. 2^n - 1) and the initial state is id 2^n.
     """
@@ -76,7 +77,8 @@ class Gba:
     states: tuple[str, ...]
     initial: tuple[int, ...]
     transitions: dict[tuple[int, int], tuple[int, ...]]
-    acceptance: tuple[frozenset[tuple[int, int, int]], ...]
+    acceptance: dict[tuple[int, int, int], int]
+    n_sets: int
 
     def letter_mask(self, letter: frozenset[str]) -> int:
         """Bitmask of ``letter`` projected onto this automaton's ap set."""
@@ -109,30 +111,37 @@ def make_gba(
     edges: Iterable[tuple[str, Iterable[str], str]],
     acceptance: Iterable[Iterable[tuple[str, Iterable[str], str]]] = (),
 ) -> Gba:
-    """Build an automaton from named states and letters-as-prop-sets."""
-    ap_t = tuple(ap)
-    states_t = tuple(states)
-    index = {name: i for i, name in enumerate(states_t)}
-    if len(index) != len(states_t):
+    """Build an automaton from named states, prop-set letters and edge lists."""
+    index = {name: i for i, name in enumerate(states)}
+    if len(index) != len(states):
         raise GbaError("duplicate state names")
-    dummy = Gba(ap_t, states_t, (), {}, ())
+
+    def state(name: str) -> int:
+        if name not in index:
+            raise GbaError(f"unknown state {name!r}")
+        return index[name]
 
     def triple(e: tuple[str, Iterable[str], str]) -> tuple[int, int, int]:
         src, letter, dst = e
-        return index[src], dummy.letter_mask(frozenset(letter)), index[dst]
+        return state(src), A.letter_mask(frozenset(letter)), state(dst)
 
-    trans: dict[tuple[int, int], list[int]] = {}
+    sets = [list(f) for f in acceptance]
+    A = Gba(tuple(ap), tuple(states), tuple(sorted(map(state, initial))), {}, {}, len(sets))
+    trans: dict[tuple[int, int], set[int]] = {}
     for e in edges:
         s, a, d = triple(e)
-        trans.setdefault((s, a), []).append(d)
-    transitions = {k: tuple(sorted(set(v))) for k, v in trans.items()}
-    acc = tuple(frozenset(triple(e) for e in f) for f in acceptance)
-    for f in acc:
-        for t in f:
-            src, a, dst = t
-            if dst not in transitions.get((src, a), ()):
-                raise GbaError(f"acceptance triple {t} is not a transition")
-    return Gba(ap_t, states_t, tuple(sorted(index[s] for s in initial)), transitions, acc)
+        trans.setdefault((s, a), set()).add(d)
+    A.transitions = {k: tuple(sorted(v)) for k, v in trans.items()}
+    for k, f in enumerate(sets):
+        for e in f:
+            t = triple(e)
+            if t[2] not in A.transitions.get(t[:2], ()):
+                letter = ",".join(sorted(A.mask_letter(t[1])))
+                raise GbaError(
+                    f"acceptance edge {e[0]} --{{{letter}}}--> {e[2]} is not a transition"
+                )
+            A.acceptance[t] = A.acceptance.get(t, 0) | 1 << k
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +245,7 @@ def translate(formula: LtlFormula) -> Gba:
     n_letters = 1 << len(props)
     init_id = n_subsets
     transitions: dict[tuple[int, int], list[int]] = {}
-    acc_sets: list[set[tuple[int, int, int]]] = [set() for _ in untils]
+    acceptance: dict[tuple[int, int, int], int] = {}
     val = [False] * len(subs)
 
     for a in range(n_letters):
@@ -259,14 +268,14 @@ def translate(formula: LtlFormula) -> Gba:
             for i, k in enumerate(pred):
                 if val[k]:
                     V |= 1 << i
-            transitions.setdefault((V, a), []).append(U)
-            if val[top]:
-                transitions.setdefault((init_id, a), []).append(U)
-            srcs = (V, init_id) if val[top] else (V,)
-            for acc, (k, r) in zip(acc_sets, untils):
+            mask = 0  # bit b: the round's edges are in set b
+            for b, (k, r) in enumerate(untils):
                 if val[r] or not val[k]:
-                    for src in srcs:
-                        acc.add((src, a, U))
+                    mask |= 1 << b
+            for src in (V, init_id) if val[top] else (V,):
+                transitions.setdefault((src, a), []).append(U)
+                if mask:
+                    acceptance[(src, a, U)] = mask
 
     names = [pretty(x) for x in el]
 
@@ -280,7 +289,8 @@ def translate(formula: LtlFormula) -> Gba:
         initial=(init_id,),
         # each list filled in ascending U, so it is already sorted
         transitions={k: tuple(v) for k, v in transitions.items()},
-        acceptance=tuple(frozenset(s) for s in acc_sets),
+        acceptance=acceptance,
+        n_sets=len(untils),
     )
 
 
@@ -353,12 +363,12 @@ def dump(A: Gba) -> str:
     for i, name in enumerate(A.states):
         lines.append(f"state {i} {name}")
     edge_list = A.edges()
-    edge_id = {e: i for i, e in enumerate(edge_list)}
     for src, a, dst in edge_list:
         letter = ",".join(sorted(A.mask_letter(a)))
         lines.append(f"edge {src} --{{{letter}}}--> {dst}")
-    for k, f in enumerate(A.acceptance):
-        ids = sorted(edge_id[e] for e in f)
-        lines.append(f"acc {k}: " + " ".join(str(i) for i in ids))
+    masks = [A.acceptance.get(e, 0) for e in edge_list]
+    for k in range(A.n_sets):
+        ids = [str(i) for i, m in enumerate(masks) if m >> k & 1]
+        lines.append(f"acc {k}: " + " ".join(ids))
     return "\n".join(lines) + "\n"
 

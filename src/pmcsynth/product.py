@@ -13,8 +13,8 @@ never accepting.  The condensation is read off the CSR arcs.
 
 An SCC C is classified
 
-  * accepting       — C has a cycle and, for every acceptance set F_k, some
-                      internal arc whose (q, letter, q') triple lies in F_k;
+  * accepting       — C has a cycle and the acceptance masks of its internal
+                      arcs' (q, letter, q') edges together set every bit;
   * complete        — every finite path of the chain's induced subgraph on
                       H(C) (C's projection) lifts to a path inside C;
   * locally positive — accepting, complete, and H(C) is a bottom SCC of the
@@ -281,7 +281,8 @@ def is_accepting(G: ProductGraph, record: SccRecord) -> bool:
     if record.trivial:
         return False
     acc = G.gba.acceptance
-    missing = set(range(len(acc)))
+    full = (1 << G.gba.n_sets) - 1
+    covered = 0
     members = set(record.members)
     ns = G.n_mc()
     for u in record.members:
@@ -289,14 +290,11 @@ def is_accepting(G: ProductGraph, record: SccRecord) -> bool:
         a = G.letters[s]
         for i in range(G.offsets[u], G.offsets[u + 1]):
             v = G.targets[i]
-            if v in members and missing:
-                q2 = v // ns
-                for k in list(missing):
-                    if (q, a, q2) in acc[k]:
-                        missing.discard(k)
-        if not missing:
+            if v in members:
+                covered |= acc.get((q, a, v // ns), 0)
+        if covered == full:
             return True
-    return not missing
+    return False
 
 
 # ---------------------------------------------------------------------------

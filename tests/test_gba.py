@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given
@@ -73,7 +74,7 @@ def test_translate_matches_satisfaction_relation(text):
     n = len(el)
     init_id = 1 << n
     untils = [s for s in subformulas(f) if isinstance(s, Until)]
-    assert len(A.acceptance) == len(untils)
+    assert A.n_sets == len(untils)
 
     for a_mask in range(A.n_letters()):
         letter = A.mask_letter(a_mask)
@@ -95,12 +96,23 @@ def test_translate_matches_satisfaction_relation(text):
                     U_set, letter, u
                 )
                 for src in srcs:
-                    assert ((src, a_mask, U) in A.acceptance[k]) == marked
+                    assert A.acceptance.get((src, a_mask, U), 0) >> k & 1 == marked
 
 
-def _reference_translate(formula: LtlFormula) -> Gba:
+def _triples(A: Gba) -> tuple[frozenset[tuple[int, int, int]], ...]:
+    """Acceptance as one set of (src, letter mask, dst) triples per set."""
+    return tuple(
+        frozenset(e for e, m in A.acceptance.items() if m >> k & 1) for k in range(A.n_sets)
+    )
+
+
+def _reference_translate(
+    formula: LtlFormula,
+) -> tuple[Gba, tuple[frozenset[tuple[int, int, int]], ...]]:
     """The tableau loop that ``translate`` compiled: a dict from subformula
-    to truth value, filled anew for every (letter, subset) round."""
+    to truth value, filled anew for every (letter, subset) round.  Returns
+    the automaton without its acceptance masks, and one set of edge triples
+    per until."""
     el = elementary(formula)
     props = tuple(sorted(atomic_props(formula)))
 
@@ -153,28 +165,58 @@ def _reference_translate(formula: LtlFormula) -> Gba:
         return "{" + ", ".join(pretty(el[i]) for i in range(n) if mask >> i & 1) + "}"
 
     states = tuple(subset_name(m) for m in range(n_subsets)) + ("init",)
-    return Gba(
+    B = Gba(
         ap=props,
         states=states,
         initial=(init_id,),
         transitions={k: tuple(sorted(v)) for k, v in transitions.items()},
-        acceptance=tuple(frozenset(s) for s in acc_sets),
+        acceptance={},
+        n_sets=len(untils),
     )
+    return B, tuple(frozenset(s) for s in acc_sets)
+
+
+def _reference_dump(B: Gba, sets) -> str:
+    """``dump`` with its acceptance lines printed from triple sets."""
+    edge_id = {e: i for i, e in enumerate(B.edges())}
+    text = dump(replace(B, n_sets=0))
+    for k, f in enumerate(sets):
+        text += f"acc {k}: " + " ".join(str(i) for i in sorted(edge_id[e] for e in f)) + "\n"
+    return text
 
 
 @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 5))
 def test_translate_matches_reference_loop(rng, n_ap, depth):
     f = random_formula(rng, ("a", "b", "c")[:n_ap], depth)
     assume(len(elementary(f)) <= 6)
-    assert translate(f) == _reference_translate(f)  # every field
+    A = translate(f)
+    B, sets = _reference_translate(f)
+    assert _triples(A) == sets
+    assert replace(A, acceptance={}) == B  # every other field
 
 
 def test_translate_matches_reference_loop_on_corpus():
-    """The criterion-3 corpus: equal fields, so byte-identical dumps."""
+    """The criterion-3 corpus: the same sets, equal other fields, and
+    byte-identical dumps."""
     for f in formula_corpus(random.Random(SEED), 200, 4):
-        A, B = translate(f), _reference_translate(f)
-        assert A == B
-        assert dump(A) == dump(B)
+        A = translate(f)
+        B, sets = _reference_translate(f)
+        assert _triples(A) == sets
+        assert replace(A, acceptance={}) == B
+        assert dump(A) == _reference_dump(B, sets)
+
+
+def test_acceptance_stores_at_most_one_mask_per_edge():
+    """12 nested untils: 16,383 edges and 12 sets.  One mask per edge keeps
+    the entries at most the edges, where one triple set per until stored
+    188,406 triples."""
+    text = "a"
+    for _ in range(12):
+        text = f"true U ({text})"
+    A = translate(parse_formula(text))
+    assert A.n_sets == 12
+    assert len(A.acceptance) <= len(A.edges()) == 16383
+    assert all(m < 1 << A.n_sets for m in A.acceptance.values())
 
 
 def test_translate_hashes_no_formula_per_round(monkeypatch):
@@ -271,9 +313,9 @@ def test_hand_built_automaton_rd_report():
 
 
 def test_make_gba_validation():
-    with pytest.raises(GbaError):
+    with pytest.raises(GbaError, match="duplicate state names"):
         make_gba(("a",), ("s", "s"), ("s",), [])
-    with pytest.raises(GbaError):
+    with pytest.raises(GbaError, match=r"acceptance edge t --\{a\}--> s is not a transition"):
         make_gba(
             ("a",),
             ("s", "t"),
@@ -281,6 +323,28 @@ def test_make_gba_validation():
             [("s", {"a"}, "t")],
             acceptance=[[("t", {"a"}, "s")]],  # not a transition
         )
+    # unknown state names in an edge, the initial states and an acceptance set
+    with pytest.raises(GbaError, match="unknown state 't'"):
+        make_gba(("a",), ("s",), ("s",), [("s", {"a"}, "t")])
+    with pytest.raises(GbaError, match="unknown state 't'"):
+        make_gba(("a",), ("s",), ("t",), [("s", {"a"}, "s")])
+    with pytest.raises(GbaError, match="unknown state 'u'"):
+        make_gba(("a",), ("s",), ("s",), [("s", {"a"}, "s")], acceptance=[[("u", {"a"}, "s")]])
+
+
+def test_make_gba_acceptance_masks():
+    """An edge in several sets gets one mask with a bit per set; empty sets
+    still count and still print an ``acc`` line."""
+    A = make_gba(
+        ("a",),
+        ("s", "t"),
+        ("s",),
+        [("s", {"a"}, "t"), ("t", (), "s")],
+        acceptance=[[("s", {"a"}, "t")], [], [("s", {"a"}, "t"), ("t", (), "s")]],
+    )
+    assert A.n_sets == 3
+    assert A.acceptance == {(0, 1, 1): 0b101, (1, 0, 0): 0b100}
+    assert dump(A).splitlines()[-3:] == ["acc 0: 0", "acc 1: ", "acc 2: 0 1"]
 
 
 def test_letter_mask_round_trip():

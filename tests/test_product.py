@@ -236,6 +236,59 @@ def test_is_accepting_covers_all_sets():
             assert is_accepting(G, r) == r.accepting
 
 
+def reference_is_accepting(G, record):
+    """The decider the acceptance masks replaced: one set of (q, letter, q')
+    triples per acceptance set, probed for each set not yet covered."""
+    if record.trivial:
+        return False
+    A = G.gba
+    acc = [frozenset(e for e, m in A.acceptance.items() if m >> k & 1) for k in range(A.n_sets)]
+    missing = set(range(len(acc)))
+    members = set(record.members)
+    ns = G.n_mc()
+    for u in record.members:
+        q, s = divmod(u, ns)
+        a = G.letters[s]
+        for i in range(G.offsets[u], G.offsets[u + 1]):
+            v = G.targets[i]
+            if v in members and missing:
+                q2 = v // ns
+                for k in list(missing):
+                    if (q, a, q2) in acc[k]:
+                        missing.discard(k)
+        if not missing:
+            return True
+    return not missing
+
+
+def random_gba(rng, n_sets):
+    """A random automaton over the chain alphabet {a, b} whose acceptance
+    sets each take every edge with probability 1/2, so edges fall in several."""
+    states = [f"q{i}" for i in range(rng.randint(1, 4))]
+    letters = [(), ("a",), ("b",), ("a", "b")]
+    edges = [(p, l, q) for p in states for l in letters for q in states if rng.random() < 0.4]
+    sets = [[e for e in edges if rng.random() < 0.5] for _ in range(n_sets)]
+    return make_gba(("a", "b"), states, states[:1], edges, sets)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.sampled_from(["formula", 0, 1, 3]))
+def test_is_accepting_matches_triple_reference(seed, n, kind):
+    """Every SCC of random products: a translated random formula, or a
+    random automaton with 0, 1 or 3 acceptance sets."""
+    rng = random.Random(seed)
+    M = random_mc(rng, n)
+    if kind == "formula":
+        formula = random_formula(rng)
+        while len(elementary(formula)) > 4:
+            formula = random_formula(rng)
+        A = translate(formula)
+    else:
+        A = random_gba(rng, kind)
+    G = build_product(A, M)
+    for r in scc_decompose(G).sccs:
+        assert is_accepting(G, r) == reference_is_accepting(G, r), r.members
+
+
 def reference_bottom_sccs(M):
     """The bottom SCCs of the chain's support graph, as state sets, from an
     SCC decomposition of the chain itself."""
