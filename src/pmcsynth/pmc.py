@@ -8,12 +8,14 @@ underlying graph.  An IMC gives closed probability intervals per transition
 and converts to a PMC with one parameter per interval.
 
 ``parse_model`` reads a file in one pass: the tokenizer is one compiled
-regular expression whose matches stream to the parser with one token of
-lookahead, so no token list of the file is kept.  Generated models repeat
-a few expression texts many times, so each distinct ``trans`` expression
-(its token sequence, whatever the spacing and comments) is parsed once per
-file, and its immutable ``RationalFunction`` is shared by every transition
-that has it.  After the declarations, one loop in file order resolves the
+regular expression whose matches, from any offset of the text, the parser
+reads with one token of lookahead, so no token list of the file is kept.
+Generated models repeat a few expression texts many times, so each distinct
+``trans`` expression (its token sequence, whatever the spacing and comments)
+is parsed once per file, and its immutable ``RationalFunction`` is shared by
+every transition that has it: a body is taken as tokens, and only a new one
+is parsed, by a stream restarted where the body starts, which then reads the
+rest of the file.  After the declarations, one loop in file order resolves the
 transitions of both formats: their state names, a repeated pair (rejected
 whatever its expression or interval, a ``[0, 0]`` one too), and the format's
 own entry checks.  Every ``.pmc`` row is checked to sum to 1 as a rational
@@ -43,8 +45,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .ratfunc import (
     P_ONE,
@@ -159,40 +160,30 @@ _TOKEN = re.compile(
 )
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, str]]:
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        v = m[kind]
-        # [^\W\d] also admits numeric characters such as '½'; a name starts
-        # with a letter or '_'
-        if kind == "bad" or (kind == "ident" and not (v[0].isalpha() or v[0] == "_")):
-            raise ModelSyntaxError(f"unexpected character {v[0]!r}")
-        yield (kind, v)
-        if kind == "eof":
-            return  # an empty match may follow at the end of the text
-
-
-def _raising(exc: ModelSyntaxError) -> Iterator[tuple[str, str]]:
-    raise exc
-    yield  # a generator: the error is raised when the first token is asked for
-
-
 class _Tokens:
-    """The token stream with one token of lookahead; at the end, every
-    further take() returns eof again.  Built from a text, or from tokens
-    already read."""
+    """The tokens of a text from offset ``pos`` on, with one token of
+    lookahead; at the end, every further take() returns eof again.  A
+    character that starts no token is raised when the lookahead reaches it."""
 
-    def __init__(self, source: str | Iterator[tuple[str, str]]):
-        self._toks = _tokenize(source) if isinstance(source, str) else source
-        self._next = next(self._toks)
+    def __init__(self, text: str, pos: int = 0):
+        self._matches = _TOKEN.finditer(text, pos)
+        self._next = ("", "")
+        self.take()  # moves the lookahead onto the first token
 
     def peek(self) -> tuple[str, str]:
         return self._next
 
     def take(self) -> tuple[str, str]:
         t = self._next
-        if t[0] != "eof":
-            self._next = next(self._toks)
+        if t[0] != "eof":  # an empty match may follow at the end of the text
+            m = self._match = next(self._matches)
+            kind = m.lastgroup
+            v = m[kind]
+            # [^\W\d] also admits numeric characters such as '½'; a name
+            # starts with a letter or '_'
+            if kind == "bad" or (kind == "ident" and not (v[0].isalpha() or v[0] == "_")):
+                raise ModelSyntaxError(f"unexpected character {v[0]!r}")
+            self._next = (kind, v)
         return t
 
     def expect(self, value: str) -> None:
@@ -206,30 +197,25 @@ class _Tokens:
             raise ModelSyntaxError(f"expected a name, found {v!r}")
         return v
 
-    def at_end(self) -> bool:
-        """Is the lookahead the end of a statement, ';' or eof?"""
-        return self._next[1] == ";" or self._next[0] == "eof"
-
-    def take_statement(self) -> tuple[tuple[tuple[str, str], ...], ModelSyntaxError | None]:
-        """Take the tokens before the next ';' or eof, which stays the
-        lookahead.  A character that does not tokenize stops the taking; it
-        is returned with the tokens before it, not raised."""
-        toks: list[tuple[str, str]] = []
-        t = self._next
-        try:
-            while t[1] != ";" and t[0] != "eof":
-                toks.append(t)
-                t = self._next = next(self._toks)
-        except ModelSyntaxError as exc:
-            return tuple(toks), exc
-        return tuple(toks), None
-
-    def reread(self, toks: Iterable[tuple[str, str]], error: ModelSyntaxError | None) -> "_Tokens":
-        """A stream of what take_statement returned, then the rest of this
-        stream, or the error, raised when the lookahead reaches it.  A
-        parser of it meets every token and every error where it would have
-        met them here."""
-        return _Tokens(chain(toks, _raising(error) if error else (self._next,), self._toks))
+    def take_statement(self) -> tuple[int, tuple[tuple[str, str], ...] | None]:
+        """The offset where the lookahead starts, and the tokens from it up
+        to the next ';' or eof, which becomes the lookahead.  None in place
+        of the tokens if a character that starts no token comes first: the
+        stream is then spent, and one restarted at the offset meets the
+        error where a parser reaches it.  The loop is take()'s, inlined:
+        most tokens of a generated model are in trans bodies."""
+        m, t, toks = self._match, self._next, []
+        start = m.start()
+        while t[1] != ";" and t[0] != "eof":
+            toks.append(t)
+            m = next(self._matches)
+            kind = m.lastgroup
+            v = m[kind]
+            if kind == "bad" or (kind == "ident" and not (v[0].isalpha() or v[0] == "_")):
+                return start, None
+            t = (kind, v)
+        self._match, self._next = m, t
+        return start, tuple(toks)
 
 
 def _parse_expr(tk: _Tokens, params: Mapping[str, Param]) -> RationalFunction:
@@ -330,10 +316,11 @@ def parse_model(text: str) -> Pmc | Imc:
             props: set[str] = set()
             if tk.peek()[1] == "{":
                 tk.take()
-                while tk.peek()[1] != "}":
+                if tk.peek()[1] != "}":
                     props.add(tk.ident())
-                    if tk.peek()[1] == ",":
+                    while tk.peek()[1] == ",":
                         tk.take()
+                        props.add(tk.ident())
                 tk.expect("}")
             idx[name] = len(states)
             states.append(name)
@@ -355,14 +342,13 @@ def parse_model(text: str) -> Pmc | Imc:
                 tk.expect("]")
                 raw.append((src, dst, (lo, hi)))
             else:
-                body, error = tk.take_statement()
-                f = None if error else shared.get(body)
+                start, body = tk.take_statement()
+                f = shared.get(body)
+                # a new body is read, with the rest of the file, from where it
+                # starts; one with a bad character (None) raises on the way
                 if f is None:
-                    sub = tk.reread(body, error)
-                    f = _parse_expr(sub, params)
-                    if not sub.at_end():
-                        sub.expect(";")  # raises: tokens follow the expression
-                    shared[body] = f
+                    tk = _Tokens(text, start)
+                    f = shared[body] = _parse_expr(tk, params)
                 raw.append((src, dst, f))
         else:
             raise ModelSyntaxError(f"unknown statement {word!r}")

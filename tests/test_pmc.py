@@ -19,7 +19,7 @@ from pmcsynth.pmc import (
     well_defined,
     _parse_expr,
     _Tokens,
-    _tokenize,
+    _TOKEN,
 )
 from pmcsynth.ratfunc import RF_ONE, RationalFunction
 
@@ -66,6 +66,13 @@ def test_parse_comments_and_fractions():
     assert M.trans[(0, 0)].value() == Fraction(7, 10)
 
 
+# a chain that has read the body p/3 twice
+_TWO_COPIES = (
+    "pmc\nparam p in (0, 1);\nstate x;\nstate y;\ninit x;\n"
+    "trans x -> x : p/3;\ntrans x -> y : p/3;\n"
+)
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -93,6 +100,16 @@ def test_parse_comments_and_fractions():
         ),
         ("pmc\nparam p in", "for the parameter range"),
         ("pmc\nstate s;\ninit s;\ntrans s -> s : 1; !", "unexpected character '!'"),
+        # a label list is {} or names separated by single commas
+        ("pmc\nstate s {a b};\ninit s;\ntrans s -> s : 1;", "expected '}', found 'b'"),
+        ("pmc\nstate s {a,};\ninit s;\ntrans s -> s : 1;", "expected a name, found '}'"),
+        ("pmc\nstate s {a, b;\ninit s;\ntrans s -> s : 1;", "expected '}', found ';'"),
+        # a body read before, then a copy of it with more after it or cut
+        # by eof, which fails as a body not read before does
+        (_TWO_COPIES + "trans y -> y : p/3 $;", r"unexpected character '\$'"),
+        (_TWO_COPIES + "trans y -> y : p/3 3;", "expected ';', found '3'"),
+        (_TWO_COPIES + "trans y -> y : p/3", "expected ';', found ''$"),
+        (_TWO_COPIES.replace(": p/3", ": 1/2") + "trans y -> y : p/3", "expected ';', found ''$"),
         pytest.param(  # past Python's 4,300-digit limit on int conversion
             "pmc\nstate s;\ninit s;\ntrans s -> s : 0." + "0" * 4999 + "1;",
             "numeral of 5001 digits is too long",
@@ -155,8 +172,15 @@ def test_equal_expressions_share_one_function():
         trans c -> a : (p)/(20) # a comment
         ;
         trans c -> c : 1 - (p)/(20);
+        state d; state e;
+        trans d -> d : p/3;
+        trans d -> a : 1 - p/3;
+        trans e -> e : p/3 # ; in a comment
+        ;
+        trans e -> a : 1 - p/3;
         """
     )
+    assert M.trans[(4, 4)] is M.trans[(3, 3)]
     shared = M.trans[(0, 1)]
     assert M.trans[(1, 2)] is shared and M.trans[(2, 0)] is shared
     assert M.trans[(1, 1)] is M.trans[(0, 0)] is M.trans[(2, 2)]
@@ -452,6 +476,17 @@ def _reference_tokenize(text):
     yield ("eof", "")
 
 
+def _stream(text, pos=0):
+    """The tokens that _Tokens reads from pos on, each recorded as the
+    lookahead before it is taken, so the token before a bad character is
+    kept."""
+    tk = _Tokens(text, pos)
+    while True:
+        yield tk.peek()
+        if tk.take()[0] == "eof":
+            return
+
+
 def _tokens_then_error(tokenize, text):
     out = []
     try:
@@ -482,7 +517,7 @@ _TEXT = st.lists(
 @example("x ; # a comment at the end, no newline")
 @example("x;" + " \t\n" * 100_000)
 def test_tokenize_matches_reference(text):
-    assert _tokens_then_error(_tokenize, text) == _tokens_then_error(_reference_tokenize, text)
+    assert _tokens_then_error(_stream, text) == _tokens_then_error(_reference_tokenize, text)
 
 
 def test_non_decimal_digits_are_unexpected_characters():
@@ -490,7 +525,20 @@ def test_non_decimal_digits_are_unexpected_characters():
     # with a ValueError; it is now a syntax error like any stray character
     assert list(_reference_tokenize("1²")) == [("num", "1²"), ("eof", "")]
     with pytest.raises(ModelSyntaxError, match="unexpected character '²'"):
-        list(_tokenize("1²"))
+        list(_stream("1²"))
+
+
+@given(_TEXT)
+@example("x 3.;p.q ½a 1.2.3")
+@example("a#b\n->-> ٣é")
+@example("x ; # a comment at the end, no newline")
+def test_stream_restarts_at_any_token(text):
+    # started where a token's match starts, or where the token itself does,
+    # the stream reads the rest of the full stream, up to the same error
+    full = _tokens_then_error(_stream, text)
+    for i, m in zip(range(len(full)), _TOKEN.finditer(text)):
+        for pos in (m.start(), m.start(m.lastgroup)):
+            assert _tokens_then_error(lambda t: _stream(t, pos), text) == full[i:]
 
 
 def test_tokens_stream_with_one_lookahead():
