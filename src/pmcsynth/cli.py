@@ -236,10 +236,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
             proc = subprocess.run(
                 [args.solver, args.out], capture_output=True, text=True, timeout=600
             )
-            answer = (proc.stdout.strip().splitlines() or ["(no output)"])[0]
+            answer, _, model = proc.stdout.lstrip().partition("\n")
+            answer = answer.strip() or "(no output)"
             print(f"solver: {answer}")
             if answer == "sat":
-                sys.stdout.write(proc.stdout[proc.stdout.find("\n") + 1 :])
+                sys.stdout.write(model)
                 return 0
             if answer == "unsat":
                 return 1

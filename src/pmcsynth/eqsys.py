@@ -24,15 +24,16 @@ Markowitz order (the row with the fewest entries, then its column shared by
 the fewest rows) and finished by back substitution.  Uniqueness and
 consistency are checked per block rather than assumed, and a block whose
 fill-in would pass ``FILL_BUDGET`` entries stops with ``CapacityError``.
-``solve_concrete`` checks the evaluation with ``well_defined`` and hands the
-entry values to that block solver.
+``solve_concrete`` checks the evaluation with ``well_defined``, the single
+stage of ``StagedCheck``, and hands the entry values to that block solver.
 
 Grid synthesis walks the lattice of ``grid_axes`` with an index list, one
-parameter fixed at a time, and checks each stage with ``StagedCheck``: an
-entry, a row sum or a parameter range is checked once the parameters it
-reads are fixed, so constant entries are checked once per scan and a prefix
-that fails is skipped whole (its points counted as tried).  A point that
-passes goes to the block solver with the entry values the walk evaluated.
+parameter fixed at a time, and checks each stage with ``StagedCheck``: a
+parameter range, an entry or a row sum is checked once the parameters it
+reads are fixed, so constant entries are checked once per scan, a function
+shared by many entries is evaluated once a stage, and a prefix that fails
+is skipped whole (its points counted as tried).  A point that passes goes
+to the block solver with the entry values the walk evaluated.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import KeysView, Mapping, Sequence
 
 from .gba import CapacityError, elementary, translate
 from .ltl import TRUE, LtlFormula, parse_formula
-from .pmc import Evaluation, Pmc, StagedCheck, parse_number, well_defined
+from .pmc import Evaluation, Pmc, StagedCheck, check_evaluation_names, parse_number, well_defined
 from .product import (
     ProductGraph,
     SccPartition,
@@ -494,6 +495,7 @@ def synth_grid(
     """
     names = list(axes)
     points = list(axes.values())
+    check_evaluation_names(system.graph.pmc, axes)
     check = StagedCheck(system.graph.pmc, names)
     n = len(names)
     # below[k]: the number of points that share a prefix of k parameters

@@ -4,7 +4,8 @@ A PMC stores one rational function per transition with nonzero probability;
 absent pairs are zero.  The *support* — which pairs are stored — is part of
 the model: an evaluation under which a stored entry vanishes is rejected as
 ill-defined, so every admitted evaluation induces a chain with the same
-underlying graph.  An IMC gives closed probability intervals per transition
+underlying graph.  ``StagedCheck`` holds these rules, and ``well_defined`` is
+its single stage.  An IMC gives closed probability intervals per transition
 and converts to a PMC with one parameter per interval.
 
 ``parse_model`` reads a file in one pass: the tokenizer is one compiled
@@ -45,7 +46,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .ratfunc import (
     P_ONE,
@@ -531,110 +532,88 @@ def _entry(f: RationalFunction, evaluation: Evaluation) -> tuple[Fraction | None
     return v, None
 
 
-def _row(total: Fraction) -> str | None:
-    """The row rule: what is wrong with a row whose evaluated entries sum to
-    ``total``, or None."""
-    return None if total == 1 else f"sums to {total}, not 1"
-
-
 def well_defined(M: Pmc, evaluation: Evaluation) -> WellDefinedReport:
     """Does the total evaluation induce a genuine Markov chain on M's support?
 
     The evaluation must assign exactly M's parameters (ModelError otherwise).
-    Every parameter value is checked against its declared range, every entry
-    by the entry rules and every row by the row rule; all violations are
-    collected, parameters first, then row by row each entry and the row's
-    sum, instead of stopping at the first.  The report carries the
-    evaluated entries, so a caller need not evaluate them again.
+    It is ``StagedCheck`` in a single stage, with every violation collected:
+    parameters first, then row by row each entry and the row's sum.  The
+    report carries the evaluated entries for the caller to reuse.
     """
     check_evaluation_names(M, evaluation)
     evaluation = {name: Fraction(evaluation[name]) for name in M.params}
-    problems = [
-        f"parameter {name} = {v} is outside its range {M.params[name].bounds_str()}"
-        for name, v in evaluation.items()
-        if not M.params[name].admits(v)
-    ]
     values: dict[tuple[int, int], Fraction] = {}
-    # parsing shares one function object per distinct expression, so each
-    # object is evaluated once and each distinct row of objects summed once
-    entries: dict[int, tuple[Fraction | None, str | None]] = {}
-    rows: dict[tuple[int, ...], str | None] = {}
-    for s in range(M.n_states()):
-        row = M.succ(s)
-        for t, f in row:
-            checked = entries.get(id(f))
-            if checked is None:
-                checked = entries[id(f)] = _entry(f, evaluation)
-            v, problem = checked
-            if v is not None:
-                values[(s, t)] = v
-            if problem is not None:
-                problems.append(f"entry {M.states[s]} -> {M.states[t]}{problem}")
-        key = tuple(id(f) for _, f in row)
-        if key in rows:
-            problem = rows[key]
-        else:
-            # an entry whose denominator vanishes (value None) adds nothing
-            problem = rows[key] = _row(sum((entries[i][0] or 0 for i in key), Fraction(0)))
-        if problem is not None:
-            problems.append(f"row {M.states[s]} {problem}")
-    return WellDefinedReport(not problems, tuple(problems), values)
+    problems = tuple(StagedCheck(M, ()).problems(0, evaluation, values))
+    return WellDefinedReport(not problems, problems, values)
 
 
 class StagedCheck:
-    """``well_defined`` split along an order of M's parameters, for a scan
-    that fixes them one at a time.
-
-    An entry's stage is 1 + the position of the last parameter it reads in
-    ``order``, or 0 when it reads none; a row's stage is the highest stage
-    of its entries (0 for a row without any).  ``passes(k, ...)`` checks what
-    fixing the first k parameters decides: the range of parameter k, then
-    the entry rules on the entries of stage k and the row rule on the rows of
-    stage k.  A point passes every stage exactly when ``well_defined`` finds
-    no problem at it, and a failed stage fails every point that shares the
-    prefix, so a scan can skip them all.  Stage 0 is checked once per scan.
+    """The rules for an evaluation to make M a Markov chain — each
+    parameter's range, the entry rules and the row rule (a row sums to 1) —
+    split along an order of M's parameters for a scan that fixes them one
+    at a time.  Parameters not in ``order`` count as fixed before the scan:
+    stage 0 checks their ranges, stage k > 0 the range of ``order[k - 1]``.
+    An entry's stage is the position in ``order``, from 1, of the last
+    parameter it reads (0 if none), and a row's sum is checked at the
+    highest stage of its entries (0 for a row without any).  A point passes
+    every stage exactly when it breaks no rule, and a failed stage fails
+    every point that shares the prefix, so a scan can skip them all.
     """
 
     def __init__(self, M: Pmc, order: Sequence[str]):
-        check_evaluation_names(M, dict.fromkeys(order))
-        position = {name: i for i, name in enumerate(order)}
-        self.params = [M.params[name] for name in order]
-        self.entries: list[list[tuple[tuple[int, int], RationalFunction]]] = [
-            [] for _ in range(len(order) + 1)
-        ]
-        self.rows: list[list[list[tuple[int, int]]]] = [[] for _ in range(len(order) + 1)]
+        position = {name: i for i, name in enumerate(order, 1)}
+        self.states = M.states
+        self.params = [[p for p in M.params.values() if p.name not in position]]
+        self.params += [[M.params[name]] for name in order]
+        # per stage, in state order: a state, its row's entries of the stage,
+        # and the keys of the row's earlier entries if the stage completes it
+        self.rows: list[list[tuple]] = [[] for _ in self.params]
+        stage_of: dict[int, int] = {}
         for s in range(M.n_states()):
-            row_stage = 0
-            keys = []
+            split: dict[int, list[tuple[int, RationalFunction]]] = {}
             for t, f in M.succ(s):
-                stage = 1 + max((position[name] for name in f.variables()), default=-1)
-                self.entries[stage].append(((s, t), f))
-                row_stage = max(row_stage, stage)
-                keys.append((s, t))
-            self.rows[row_stage].append(keys)
+                if id(f) not in stage_of:
+                    stage_of[id(f)] = max((position.get(n, 0) for n in f.variables()), default=0)
+                split.setdefault(stage_of[id(f)], []).append((t, f))
+            last = max(split, default=0)
+            earlier = [(s, t) for k, entries in split.items() if k < last for t, _ in entries]
+            for k in split.keys() | {last}:
+                self.rows[k].append((s, split.get(k, []), earlier if k == last else None))
+
+    def problems(
+        self, stage: int, evaluation: Evaluation, values: dict[tuple[int, int], Fraction]
+    ) -> Iterator[str]:
+        """What breaks the rules of ``stage`` under ``evaluation``: its
+        ranges, then row by row its entries and the row's sum if it completes
+        the row.  Its entries are evaluated into ``values``, each function
+        object once, except one whose denominator vanishes, which adds
+        nothing to the sum; the earlier stages' entries must be there."""
+        for p in self.params[stage]:
+            v = evaluation[p.name]
+            if not p.admits(v):
+                yield f"parameter {p.name} = {v} is outside its range {p.bounds_str()}"
+        checked: dict[int, tuple[Fraction | None, str | None]] = {}
+        for s, entries, earlier in self.rows[stage]:
+            total = Fraction(0)
+            for t, f in entries:
+                if id(f) not in checked:
+                    checked[id(f)] = _entry(f, evaluation)
+                v, problem = checked[id(f)]
+                if v is not None:
+                    values[s, t] = v
+                    total += v
+                if problem is not None:
+                    yield f"entry {self.states[s]} -> {self.states[t]}{problem}"
+            if earlier is not None:
+                total = sum((values[key] for key in earlier), total)
+                if total != 1:
+                    yield f"row {self.states[s]} sums to {total}, not 1"
 
     def passes(
-        self,
-        stage: int,
-        evaluation: Evaluation,
-        values: dict[tuple[int, int], Fraction],
+        self, stage: int, evaluation: Evaluation, values: dict[tuple[int, int], Fraction]
     ) -> bool:
-        """Do the first ``stage`` parameters of ``evaluation`` pass the
-        checks of that stage?  The entries of the stage are evaluated into
-        ``values``; the earlier stages' entries must be there already."""
-        if stage:
-            param = self.params[stage - 1]
-            if not param.admits(evaluation[param.name]):
-                return False
-        for key, f in self.entries[stage]:
-            v, problem = _entry(f, evaluation)
-            if problem is not None:
-                return False
-            values[key] = v
-        return all(
-            _row(sum((values[key] for key in keys), Fraction(0))) is None
-            for keys in self.rows[stage]
-        )
+        """Does ``evaluation`` break no rule of ``stage`` (see ``problems``)?"""
+        return next(self.problems(stage, evaluation, values), None) is None
 
 
 def imc_to_pmc(I: Imc) -> Pmc:

@@ -6,7 +6,9 @@ assertions, and the equation system of ``eqsys`` — one mu variable and flow
 equation per product node reachable from an initial node, normalization
 rows, zeros and mu range bounds — so ``solve_concrete``'s ``mu`` is a full
 model of the mu variables; when a query is given, the membership of the
-target sum in the probability interval.
+target sum in the probability interval.  ``(/ x 0)`` is not an error in
+SMT-LIB but a value a solver may choose, so each distinct non-constant
+denominator of a transition is asserted to be nonzero.
 
 ``parse_script`` reads a script in one pass: one regular expression matches
 each token with the whitespace and ``;`` comments before it, and the
@@ -122,8 +124,11 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
         out(f"(assert ({op} {name} {_frac(p.upper)}))")
 
     # generated models share a few function objects among thousands of entries
-    text_of = {i: _rf(f) for i, f in {id(f): f for f in M.trans.values()}.items()}
+    distinct = {id(f): f for f in M.trans.values()}
+    text_of = {i: _rf(f) for i, f in distinct.items()}
     out("; support positivity and row sums")
+    for den in dict.fromkeys(_poly(f.den) for f in distinct.values() if not f.den.is_const):
+        out(f"(assert (not (= {den} 0)))")
     for s in range(M.n_states()):
         row = M.succ(s)
         if all(f.is_const for _, f in row):

@@ -503,6 +503,22 @@ def test_synth_solver_sat(capsys, tmp_path):
     assert "(model)" in out
 
 
+@pytest.mark.parametrize(
+    "body, relayed",
+    [("printf sat\n", ""), ("echo\necho sat\necho '(model)'\n", "(model)\n")],
+    ids=["no-newline", "blank-line-first"],
+)
+def test_synth_solver_sat_relays_only_what_follows_the_answer(capsys, tmp_path, body, relayed):
+    solver = _fake_solver(tmp_path, body)
+    out_file = str(tmp_path / "q.smt2")
+    code, out, _ = run(
+        capsys,
+        "synth", "-m", SPLIT_CYCLE, "-q", "P >= 1 [ G F y ]", "-o", out_file, "--solver", solver,
+    )
+    assert code == 0
+    assert out == f"smt: wrote {out_file}\nsolver: sat\n" + relayed
+
+
 def test_synth_solver_unsat(capsys, tmp_path):
     solver = _fake_solver(tmp_path, "echo unsat\n")
     code, out, _ = run(

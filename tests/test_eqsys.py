@@ -624,3 +624,34 @@ def test_synth_grid_evaluates_each_entry_once_its_parameters_are_fixed(monkeypat
     res = synth_grid(system, query, grid_axes(M, 41))
     assert (res.witness, res.tried, res.admitted) == (None, 1681, 9)
     assert calls < 2 * res.tried
+
+
+def test_synth_grid_evaluates_each_shared_function_once_per_stage(monkeypatch):
+    # a crowds-shaped chain with 3 members: its 16 transitions share p/3,
+    # 1 - p, 1/3 and 1, one parsed object each, and every point of p's grid
+    # is admitted and scanned
+    members = [f"m{i}" for i in range(3)]
+    text = "\n".join(
+        ["pmc", "param p in [1/10, 9/10];", "state new {fresh};", "state done {delivered};"]
+        + [f"state {m};" for m in members]
+        + ["init new;", "trans done -> new : 1;"]
+        + [f"trans new -> {m} : 1/3;" for m in members]
+        + [f"trans {m} -> {n} : p/3;" for m in members for n in members]
+        + [f"trans {m} -> done : 1 - p;" for m in members]
+    )
+    M = parse_model(text)
+    assert len({id(f) for f in M.trans.values()}) == 4
+    system = analyze(M, parse_formula("F delivered")).system
+    calls = 0
+    evaluate = RationalFunction.evaluate
+
+    def counted(self, assignment):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, assignment)
+
+    monkeypatch.setattr(RationalFunction, "evaluate", counted)
+    res = synth_grid(system, parse_pltl("P < 1/2 [ F delivered ]"), grid_axes(M, 15))
+    assert (res.witness, res.tried, res.admitted) == (None, 15, 15)
+    # p/3 and 1 - p per point, and 1/3 and 1 once, at stage 0
+    assert calls <= 2 * res.tried + 2

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmcsynth.modelgen import crowds_like, random_mc
@@ -13,6 +13,9 @@ from pmcsynth.pmc import (
     ModelSyntaxError,
     Param,
     Pmc,
+    StagedCheck,
+    WellDefinedReport,
+    check_evaluation_names,
     imc_to_pmc,
     parse_evaluation,
     parse_model,
@@ -21,7 +24,7 @@ from pmcsynth.pmc import (
     _Tokens,
     _TOKEN,
 )
-from pmcsynth.ratfunc import RF_ONE, RationalFunction
+from pmcsynth.ratfunc import RF_ONE, RationalFunction, ZeroDenominatorError
 
 COIN = """
 pmc
@@ -432,6 +435,219 @@ def test_well_defined_evaluates_each_function_once(monkeypatch):
     assert rep.ok and len(rep.values) == len(M.trans) == 11
     assert rep.values[(0, 1)] == Fraction(1, 3) and rep.values[(4, 4)] == Fraction(2, 3)
     assert len(calls) <= len(distinct) == 3
+
+
+def _reference_entry(f, evaluation):
+    try:
+        v = f.evaluate(evaluation)
+    except ZeroDenominatorError:
+        return None, ": denominator vanishes"
+    if v == 0:
+        return v, " evaluates to 0 but is in the support"
+    if v < 0 or v > 1:
+        return v, f" evaluates to {v}, outside [0,1]"
+    return v, None
+
+
+def _reference_row(total):
+    return None if total == 1 else f"sums to {total}, not 1"
+
+
+def _reference_well_defined(M, evaluation):
+    """The loop that well_defined ran before it became StagedCheck's single
+    stage: ranges, then row by row each entry and the row's sum, with one
+    evaluation per function object and one sum per distinct row."""
+    check_evaluation_names(M, evaluation)
+    evaluation = {name: Fraction(evaluation[name]) for name in M.params}
+    problems = [
+        f"parameter {name} = {v} is outside its range {M.params[name].bounds_str()}"
+        for name, v in evaluation.items()
+        if not M.params[name].admits(v)
+    ]
+    values = {}
+    entries = {}
+    rows = {}
+    for s in range(M.n_states()):
+        row = M.succ(s)
+        for t, f in row:
+            checked = entries.get(id(f))
+            if checked is None:
+                checked = entries[id(f)] = _reference_entry(f, evaluation)
+            v, problem = checked
+            if v is not None:
+                values[(s, t)] = v
+            if problem is not None:
+                problems.append(f"entry {M.states[s]} -> {M.states[t]}{problem}")
+        key = tuple(id(f) for _, f in row)
+        if key in rows:
+            problem = rows[key]
+        else:
+            total = sum((entries[i][0] or 0 for i in key), Fraction(0))
+            problem = rows[key] = _reference_row(total)
+        if problem is not None:
+            problems.append(f"row {M.states[s]} {problem}")
+    return WellDefinedReport(not problems, tuple(problems), values)
+
+
+class _ReferenceStagedCheck:
+    """The staged check as it was before it became the one loop over the
+    rules: separate tables of entries and of rows per stage, and an order
+    that names every parameter."""
+
+    def __init__(self, M, order):
+        check_evaluation_names(M, dict.fromkeys(order))
+        position = {name: i for i, name in enumerate(order)}
+        self.params = [M.params[name] for name in order]
+        self.entries = [[] for _ in range(len(order) + 1)]
+        self.rows = [[] for _ in range(len(order) + 1)]
+        for s in range(M.n_states()):
+            row_stage = 0
+            keys = []
+            for t, f in M.succ(s):
+                stage = 1 + max((position[name] for name in f.variables()), default=-1)
+                self.entries[stage].append(((s, t), f))
+                row_stage = max(row_stage, stage)
+                keys.append((s, t))
+            self.rows[row_stage].append(keys)
+
+    def passes(self, stage, evaluation, values):
+        if stage:
+            param = self.params[stage - 1]
+            if not param.admits(evaluation[param.name]):
+                return False
+        for key, f in self.entries[stage]:
+            v, problem = _reference_entry(f, evaluation)
+            if problem is not None:
+                return False
+            values[key] = v
+        return all(
+            _reference_row(sum((values[key] for key in keys), Fraction(0))) is None
+            for keys in self.rows[stage]
+        )
+
+
+def _verdicts(check, order, point):
+    """The verdicts of check's stages along ``order`` at ``point``, up to
+    the first that fails; the parameters not in ``order`` are fixed first."""
+    evaluation = {name: point[name] for name in point if name not in order}
+    values = {}
+    verdicts = [check.passes(0, evaluation, values)]
+    for k, name in enumerate(order, 1):
+        if not verdicts[-1]:
+            break
+        evaluation[name] = point[name]
+        verdicts.append(check.passes(k, evaluation, values))
+    return verdicts
+
+
+_SIXTHS = st.integers(-1, 7).map(lambda i: Fraction(i, 6))
+_P, _Q = RationalFunction.var("p"), RationalFunction.var("q")
+_HALF, _THIRD = RationalFunction.const(Fraction(1, 2)), RationalFunction.const(Fraction(1, 3))
+# the rows of a parametric chain draw from these, so rows share function
+# objects: p/(p+q) and q/(p+q) vanish at p = q = 0, (p-1)/(2p-1) and
+# p/(2p-1) at p = 1/2; the last three rows sum to 1 at few points or none
+_ROWS = (
+    (_P, RF_ONE - _P),
+    (_Q, RF_ONE - _Q),
+    (_P / (_P + _Q), _Q / (_P + _Q)),
+    ((_P - RF_ONE) / (_P + _P - RF_ONE), _P / (_P + _P - RF_ONE)),
+    (_HALF, _HALF),
+    (RF_ONE,),
+    (_P, _P),
+    (_HALF, _THIRD),
+    (_P * _Q, _Q, _THIRD),
+)
+
+
+@st.composite
+def _param_at_a_point(draw, name, sink=False):
+    """A parameter and its value: the range in sixths of [0, 1] (a sink's is
+    [1, 1]), the value in sixths of [-1/6, 7/6], inside the range 7 times
+    in 8 where it can be."""
+    ends = [Fraction(1)] * 2 if sink else draw(st.lists(_SIXTHS, min_size=2, max_size=2))
+    lo, hi = sorted(ends)
+    open_ends = (draw(st.booleans()), draw(st.booleans())) if lo < hi else (False, False)
+    p = Param(name, lo, hi, *open_ends)
+    inside = [Fraction(i, 6) for i in range(-1, 8) if p.admits(Fraction(i, 6))]
+    if inside and draw(st.sampled_from((True,) * 7 + (False,))):
+        return p, draw(st.sampled_from(inside))
+    return p, draw(_SIXTHS)
+
+
+@st.composite
+def _chain_at_a_point(draw):
+    """A chain, a point inside or outside its ranges, a shuffled order of
+    its parameters and a position in that order.  The chain is either an
+    interval chain as imc_to_pmc gives it (one parameter per entry: one or
+    two rows of up to 3 entries, then 3 sinks), where the last entry of a
+    row may take what the others leave, or a chain over p and q whose rows
+    draw from ``_ROWS``."""
+    trans, params, point = {}, {}, {}
+    if draw(st.booleans()):
+        n_rows = draw(st.integers(1, 2))
+        states = tuple(f"r{i}" for i in range(n_rows)) + ("g", "b", "c")
+        for s, name in enumerate(states):
+            targets = [s] if s >= n_rows else draw(
+                st.lists(st.integers(s + 1, n_rows + 2), min_size=1, max_size=3, unique=True)
+            )
+            names = [f"p_{name}_{states[t]}" for t in targets]
+            for t, x in zip(targets, names):
+                trans[s, t] = RationalFunction.var(x)
+                params[x], point[x] = draw(_param_at_a_point(x, sink=s >= n_rows))
+            if draw(st.booleans()):
+                point[names[-1]] = 1 - sum((point[x] for x in names[:-1]), Fraction(0))
+    else:
+        states = tuple(f"s{i}" for i in range(draw(st.integers(1, 4))))
+        for x in ("p", "q"):
+            params[x], point[x] = draw(_param_at_a_point(x))
+        for s in range(len(states)):
+            row = draw(st.sampled_from(_ROWS + ((),)))
+            targets = draw(st.permutations(range(len(states))))
+            trans.update(((s, t), f) for t, f in zip(targets, row))
+    M = Pmc(states, tuple(frozenset() for _ in states), 0, params, trans)
+    return M, point, draw(st.permutations(list(params))), draw(st.integers(0, len(params)))
+
+
+def _chain(rows, params):
+    """A chain of the given rows of (successor, function) pairs."""
+    trans = {(s, t): f for s, row in enumerate(rows) for t, f in row}
+    states = tuple(f"s{i}" for i in range(len(rows)))
+    return Pmc(states, tuple(frozenset() for _ in rows), 0, params, trans)
+
+
+@settings(max_examples=300)
+@given(_chain_at_a_point())
+# an empty row sums to 0
+@example((_chain([[(1, RF_ONE)], []], {}), {}, [], 0))
+# a bad constant row after a bad parametric row: the rows' messages come in
+# state order, not the constant row first
+@example(
+    (
+        _chain(
+            [[(0, _P), (1, _P)], [(0, _HALF), (1, _THIRD)]],
+            {"p": Param("p", Fraction(0), Fraction(1))},
+        ),
+        {"p": Fraction(1, 3)},
+        ["p"],
+        1,
+    )
+)
+def test_staged_check_matches_reference(case):
+    M, point, order, split = case
+    report = well_defined(M, point)
+    reference = _reference_well_defined(M, point)
+    assert (report.ok, report.problems, report.values) == (
+        reference.ok, reference.problems, reference.values
+    )
+    verdicts = _verdicts(_ReferenceStagedCheck(M, order), order, point)
+    assert _verdicts(StagedCheck(M, order), order, point) == verdicts
+    assert all(verdicts) == report.ok
+    # with the first ``split`` parameters of the order fixed before the scan,
+    # stage 0 checks what the first split + 1 stages checked
+    tail = order[split:]
+    assert _verdicts(StagedCheck(M, tail), tail, point) == (
+        [all(verdicts[: split + 1])] + verdicts[split + 1 :]
+    )
 
 
 def _reference_tokenize(text):

@@ -250,6 +250,27 @@ def test_parameter_range_lines(model_name, formula_text, ranges):
     assert lines[start : lines.index("; support positivity and row sums")] == ranges
 
 
+def test_vanishing_denominator_is_excluded():
+    # both entries of s are over 2p - 1: in SMT-LIB (/ x 0) is a value a
+    # solver may choose, so without the guard p = 1/2 could satisfy every
+    # assertion, though no chain has entries there
+    M = parse_model(
+        "pmc\nparam p in [0, 1];\nstate s;\nstate t {goal};\nstate u;\ninit s;\n"
+        "trans s -> t : p / (2*p - 1);\ntrans s -> u : (p - 1) / (2*p - 1);\n"
+        "trans t -> t : 1;\ntrans u -> u : 1;\n"
+    )
+    system = analyze(M, parse_formula("F goal")).system
+    script = emit_smtlib(system, parse_pltl("P >= 1/2 [ F goal ]"))
+    lines = script.splitlines()
+    guard = "(assert (not (= (+ 1 (* (- 2) p)) 0)))"
+    assert lines[lines.index("; support positivity and row sums") + 1] == guard
+    assert lines.count(guard) == 1
+    guards = [f for f in check_wellformed(script) if f[0] == "assert" and f[1][0] == "not"]
+    assert len(guards) == 1
+    assert evaluate_assertions(guards, {"p": F(1, 2)}) == [0]
+    assert evaluate_assertions(guards, {"p": F(1, 3)}) == []
+
+
 def test_exact_solution_is_a_model():
     # solve a parameterized system at a concrete point, substitute the values
     # into the emitted script, and re-check every assertion arithmetically
