@@ -41,7 +41,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import KeysView, Mapping, Sequence
 
@@ -129,6 +129,10 @@ def _fraction_literal(text: str) -> Fraction:
     return value
 
 
+# each comparison: whether its bound is the lower end, and whether that end is strict
+_COMPARISONS = {">=": (True, False), ">": (True, True), "<=": (False, False), "<": (False, True)}
+
+
 def parse_pltl(text: str) -> PltlQuery:
     """Parse 'P >= 1/2 [ phi ]', 'P < 0.3 [ phi ]', or 'P in [a,b] [ phi ]'
     (interval delimiters may be strict: '(' / ')')."""
@@ -136,52 +140,36 @@ def parse_pltl(text: str) -> PltlQuery:
     if not s.startswith("P"):
         raise QuerySyntaxError("query must start with 'P'")
     rest = s[1:].lstrip()
-    lo = hi = None
-    lo_strict = hi_strict = False
-    matched_op = None
-    for op in (">=", "<=", ">", "<"):
-        if rest.startswith(op):
-            matched_op = op
-            rest = rest[len(op):].lstrip()
-            break
-    if matched_op is not None:
-        # bound runs until the '[' that opens the formula
+    op = next((op for op in _COMPARISONS if rest.startswith(op)), None)
+    if op is not None:
+        # the bound runs until the '[' that opens the formula
+        rest = rest[len(op):].lstrip()
         cut = rest.find("[")
         if cut < 0:
             raise QuerySyntaxError("missing '[ formula ]'")
-        c = _fraction_literal(rest[:cut])
-        rest = rest[cut:]
-        if matched_op == ">=":
-            lo, hi = c, Fraction(1)
-        elif matched_op == ">":
-            lo, hi, lo_strict = c, Fraction(1), True
-        elif matched_op == "<=":
-            lo, hi = Fraction(0), c
-        else:
-            lo, hi, hi_strict = Fraction(0), c, True
+        bound, rest = _fraction_literal(rest[:cut]), rest[cut:]
+        lower, strict = _COMPARISONS[op]
+        lo, hi = (bound, Fraction(1)) if lower else (Fraction(0), bound)
+        query = PltlQuery(TRUE, lo, hi, lower and strict, strict and not lower)
     elif rest.startswith("in"):
         rest = rest[2:].lstrip()
         if not rest or rest[0] not in "([":
             raise QuerySyntaxError("expected '(' or '[' after 'in'")
-        lo_strict = rest[0] == "("
         comma = rest.find(",")
         if comma < 0:
             raise QuerySyntaxError("expected ',' in the probability interval")
-        lo = _fraction_literal(rest[1:comma])
+        lo, lo_strict = _fraction_literal(rest[1:comma]), rest[0] == "("
         rest = rest[comma + 1:]
         close = min((i for i in (rest.find(")"), rest.find("]")) if i >= 0), default=-1)
         if close < 0:
             raise QuerySyntaxError("unterminated probability interval")
-        hi = _fraction_literal(rest[:close])
-        hi_strict = rest[close] == ")"
+        query = PltlQuery(TRUE, lo, _fraction_literal(rest[:close]), lo_strict, rest[close] == ")")
         rest = rest[close + 1:].lstrip()
     else:
-        raise QuerySyntaxError("expected one of >=, >, <=, <, in after 'P'")
+        raise QuerySyntaxError(f"expected one of {', '.join(_COMPARISONS)}, in after 'P'")
 
-    if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-        # the formula is not parsed yet: TRUE stands in to print the interval
-        interval = PltlQuery(TRUE, lo, hi, lo_strict, hi_strict).interval_str()
-        raise QuerySyntaxError(f"empty probability interval {interval}")
+    if query.lo > query.hi or (query.lo == query.hi and (query.lo_strict or query.hi_strict)):
+        raise QuerySyntaxError(f"empty probability interval {query.interval_str()}")
     if not rest.startswith("["):
         raise QuerySyntaxError("missing '[ formula ]'")
     end = rest.rfind("]")
@@ -189,8 +177,8 @@ def parse_pltl(text: str) -> PltlQuery:
         raise QuerySyntaxError("missing closing ']'")
     if rest[end + 1:].strip():
         raise QuerySyntaxError(f"trailing input after ']': {rest[end + 1:].strip()!r}")
-    formula = parse_formula(rest[1:end])
-    return PltlQuery(formula, lo, hi, lo_strict, hi_strict)
+    # TRUE held the formula's place until the interval was checked
+    return replace(query, formula=parse_formula(rest[1:end]))
 
 
 # ---------------------------------------------------------------------------

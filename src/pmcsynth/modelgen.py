@@ -30,14 +30,9 @@ def _dyadic_row(rng: random.Random, k: int, denom_pow: int) -> list[Fraction]:
     return [Fraction(w, denom) for w in weights]
 
 
-def random_mc(
-    rng: random.Random,
-    n_states: int,
-    props: tuple[str, ...] = ("a", "b"),
-    max_branching: int = 3,
-    denom_pow: int = 4,
-) -> Pmc:
-    """A concrete chain (no parameters) with dyadic rows and random labels.
+def random_mc(rng: random.Random, n_states: int, max_branching: int = 3) -> Pmc:
+    """A concrete chain (no parameters) with dyadic rows (denominators from
+    16) and random labels over ``a`` and ``b``.
 
     Every state gets 1..max_branching distinct successors; half the rows only
     point forward (equal or higher index), so most draws have real transient
@@ -45,25 +40,26 @@ def random_mc(
     """
     states = tuple(f"s{i}" for i in range(n_states))
     labels = tuple(
-        frozenset(p for p in props if rng.random() < 0.5) for _ in range(n_states)
+        frozenset(p for p in ("a", "b") if rng.random() < 0.5) for _ in range(n_states)
     )
     trans: dict[tuple[int, int], RationalFunction] = {}
     for s in range(n_states):
         k = rng.randint(1, max_branching)
         pool = range(s, n_states) if rng.random() < 0.5 else range(n_states)
         succs = rng.sample(pool, min(k, len(pool)))
-        probs = _dyadic_row(rng, len(succs), denom_pow)
+        probs = _dyadic_row(rng, len(succs), 4)
         for t, p in zip(succs, probs):
             trans[(s, t)] = RationalFunction.const(p)
     return Pmc(states, labels, 0, {}, trans)
 
 
-def chain_mc(rng: random.Random, n_states: int, prop: str = "a") -> Pmc:
+def chain_mc(rng: random.Random, n_states: int) -> Pmc:
     """Sparse forward-flowing chain used for build-time scaling runs: ~3 arcs
-    per state, mostly to nearby states, all rows dyadic."""
+    per state, mostly to nearby states, all rows dyadic, about half the
+    states labeled ``a``."""
     states = tuple(f"s{i}" for i in range(n_states))
     labels = tuple(
-        frozenset((prop,)) if rng.random() < 0.5 else frozenset() for _ in range(n_states)
+        frozenset({"a"}) if rng.random() < 0.5 else frozenset() for _ in range(n_states)
     )
     trans: dict[tuple[int, int], RationalFunction] = {}
     for s in range(n_states):
@@ -77,14 +73,9 @@ def chain_mc(rng: random.Random, n_states: int, prop: str = "a") -> Pmc:
     return Pmc(states, labels, 0, {}, trans)
 
 
-def crowds_like(
-    rounds: int = 55,
-    members: int = 20,
-    corrupt: int = 4,
-    lower: Fraction = Fraction(1, 10),
-    upper: Fraction = Fraction(9, 10),
-) -> Pmc:
-    """Anonymity-protocol-shaped PMC with a forwarding parameter p.
+def crowds_like(rounds: int = 55, members: int = 20, corrupt: int = 4) -> Pmc:
+    """Anonymity-protocol-shaped PMC with a forwarding parameter p in
+    [1/10, 9/10].
 
     Per round r: a fresh request (state new_r, labeled ``fresh``), which goes
     to a uniformly chosen member; each member forwards to a uniform member
@@ -132,5 +123,5 @@ def crowds_like(
             trans[(mix, done)] = one - p
         nxt = index[f"new{(r + 1) % rounds}"]
         trans[(done, nxt)] = one
-    params = {"p": Param("p", lower, upper)}
+    params = {"p": Param("p", Fraction(1, 10), Fraction(9, 10))}
     return Pmc(tuple(states), tuple(labels), index["new0"], params, trans)

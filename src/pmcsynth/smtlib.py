@@ -85,6 +85,14 @@ def _sum(terms: list[str]) -> str:
     return "(+ " + " ".join(terms) + ")"
 
 
+def _within(x: str, lo: Fraction, hi: Fraction, lo_strict: bool, hi_strict: bool) -> list[str]:
+    """The two assertions that put the term ``x`` in the interval from lo to hi."""
+    return [
+        f"(assert ({'<' if lo_strict else '<='} {_frac(lo)} {x}))",
+        f"(assert ({'<' if hi_strict else '<='} {x} {_frac(hi)}))",
+    ]
+
+
 def mu_name(system: EquationSystem, node: int) -> str:
     """``mu_<q>.<state>``: no model identifier contains '.', so a mu symbol
     never collides with a parameter name."""
@@ -118,10 +126,7 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
     out("; parameter ranges")
     for name in sorted(M.params):
         p = M.params[name]
-        op = "<" if p.lower_strict else "<="
-        out(f"(assert ({op} {_frac(p.lower)} {name}))")
-        op = "<" if p.upper_strict else "<="
-        out(f"(assert ({op} {name} {_frac(p.upper)}))")
+        lines += _within(name, p.lower, p.upper, p.lower_strict, p.upper_strict)
 
     # generated models share a few function objects among thousands of entries
     distinct = {id(f): f for f in M.trans.values()}
@@ -166,11 +171,8 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
 
     target = _sum([names[u] for u in G.initial])
     if query is not None:
-        lo_op = "<" if query.lo_strict else "<="
-        hi_op = "<" if query.hi_strict else "<="
         out(f"; target in {query.interval_str()}")
-        out(f"(assert ({lo_op} {_frac(query.lo)} {target}))")
-        out(f"(assert ({hi_op} {target} {_frac(query.hi)}))")
+        lines += _within(target, query.lo, query.hi, query.lo_strict, query.hi_strict)
     else:
         out(f"; target value: {target}")
     out("(check-sat)")
@@ -334,9 +336,7 @@ def _eval_term(term: Sexpr, env: Mapping[str, Fraction]):
     if head == "-":
         return -args[0] if len(args) == 1 else args[0] - args[1]
     if head == "/":
-        if args[1] == 0:
-            raise SmtlibError("division by zero in ground term")
-        return args[0] / args[1]
+        return args[0] / args[1]  # ZeroDivisionError on a zero divisor
     if head == "not":
         return not args[0]
     if head == "and":
@@ -361,13 +361,25 @@ def evaluate_assertions(
     forms: list[Sexpr], assignment: Mapping[str, Fraction]
 ) -> list[int]:
     """Indices (into the assert commands, 0-based) of assertions that are
-    FALSE under the assignment; empty list means the assignment is a model."""
+    not true under the assignment; empty list means the assignment is a model.
+    One that divides by zero is not true: SMT-LIB leaves ``(/ x 0)``
+    unspecified.  A symbol with no value raises SmtlibError."""
     failures = []
-    k = 0
-    for form in forms:
-        if isinstance(form, list) and form and form[0] == "assert":
-            value = _eval_term(form[1], assignment)
-            if value is not True:
+    asserts = (form[1] for form in forms if isinstance(form, list) and form and form[0] == "assert")
+    for k, term in enumerate(asserts):
+        try:
+            if _eval_term(term, assignment) is not True:
                 failures.append(k)
-            k += 1
+        except ZeroDivisionError:
+            _eval_symbols(term, assignment)
+            failures.append(k)
     return failures
+
+
+def _eval_symbols(term: Sexpr, env: Mapping[str, Fraction]) -> None:
+    """Evaluate every atom of ``term``: raises on a symbol with no value."""
+    if isinstance(term, str):
+        _eval_term(term, env)
+    else:
+        for sub in term[1:]:
+            _eval_symbols(sub, env)

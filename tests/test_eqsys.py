@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pmcsynth import product
@@ -17,6 +17,7 @@ from pmcsynth.eqsys import (
     SingularSystemError,
     SynthResult,
     _eliminate,
+    _fraction_literal,
     analyze,
     build_system,
     grid_axes,
@@ -25,7 +26,7 @@ from pmcsynth.eqsys import (
     synth_grid,
 )
 from pmcsynth.gba import CapacityError, translate
-from pmcsynth.ltl import LtlSyntaxError, parse_formula
+from pmcsynth.ltl import TRUE, LtlSyntaxError, parse_formula
 from pmcsynth.modelgen import crowds_like, random_mc
 from pmcsynth.oracle import ConcreteMc, prob_of_formula
 from pmcsynth.pmc import Imc, imc_to_pmc, parse_model
@@ -33,7 +34,8 @@ from pmcsynth.ratfunc import RationalFunction
 from pmcsynth.product import build_product
 
 F = Fraction
-MODELS = Path(__file__).resolve().parent.parent / "models"
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 
 
 def load(name):
@@ -101,6 +103,159 @@ def test_parse_pltl_errors(text):
 def test_empty_interval_is_shown_as_parsed(text, interval):
     with pytest.raises(QuerySyntaxError, match=re.escape(f"empty probability interval {interval}")):
         parse_pltl(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Q >= 1/2 [ F a ]", "query must start with 'P'"),
+        ("P = 1/2 [ F a ]", "expected one of >=, >, <=, <, in after 'P'"),
+        ("P >= 1/2 F a", "missing '[ formula ]'"),
+        ("P in [0, 1] F a", "missing '[ formula ]'"),
+        ("P >= 1/2 [ F a", "missing closing ']'"),
+        ("P >= 1/2 [ F a ] extra", "trailing input after ']': 'extra'"),
+        ("P in 1/2 [ F a ]", "expected '(' or '[' after 'in'"),
+        ("P in [1/2] [ F a ]", "expected ',' in the probability interval"),
+        ("P in [1/2, 1", "unterminated probability interval"),
+        ("P in (1/2, 1/2) [ F a ]", "empty probability interval (1/2, 1/2)"),
+        (
+            "P >= 1e-3 [ F a ]",
+            "bad probability bound '1e-3': expected an integer, a decimal such as 0.3 "
+            "or a quotient such as 1/10",
+        ),
+        ("P >= 1/0 [ F a ]", "bad probability bound '1/0': Fraction(1, 0)"),
+        ("P <= 3/2 [ F a ]", "probability bound '3/2' is outside [0, 1]"),
+        ("P in [-1, 1/2] [ F a ]", "probability bound '-1' is outside [0, 1]"),
+    ],
+)
+def test_parse_pltl_error_messages(text, message):
+    with pytest.raises(QuerySyntaxError) as info:
+        parse_pltl(text)
+    assert str(info.value) == message
+
+
+def _reference_parse_pltl(text: str) -> PltlQuery:
+    """The query reader as an if-chain over the comparisons: the reference
+    that ``parse_pltl`` is compared with."""
+    s = text.strip()
+    if not s.startswith("P"):
+        raise QuerySyntaxError("query must start with 'P'")
+    rest = s[1:].lstrip()
+    lo = hi = None
+    lo_strict = hi_strict = False
+    matched_op = None
+    for op in (">=", "<=", ">", "<"):
+        if rest.startswith(op):
+            matched_op = op
+            rest = rest[len(op):].lstrip()
+            break
+    if matched_op is not None:
+        cut = rest.find("[")
+        if cut < 0:
+            raise QuerySyntaxError("missing '[ formula ]'")
+        c = _fraction_literal(rest[:cut])
+        rest = rest[cut:]
+        if matched_op == ">=":
+            lo, hi = c, Fraction(1)
+        elif matched_op == ">":
+            lo, hi, lo_strict = c, Fraction(1), True
+        elif matched_op == "<=":
+            lo, hi = Fraction(0), c
+        else:
+            lo, hi, hi_strict = Fraction(0), c, True
+    elif rest.startswith("in"):
+        rest = rest[2:].lstrip()
+        if not rest or rest[0] not in "([":
+            raise QuerySyntaxError("expected '(' or '[' after 'in'")
+        lo_strict = rest[0] == "("
+        comma = rest.find(",")
+        if comma < 0:
+            raise QuerySyntaxError("expected ',' in the probability interval")
+        lo = _fraction_literal(rest[1:comma])
+        rest = rest[comma + 1:]
+        close = min((i for i in (rest.find(")"), rest.find("]")) if i >= 0), default=-1)
+        if close < 0:
+            raise QuerySyntaxError("unterminated probability interval")
+        hi = _fraction_literal(rest[:close])
+        hi_strict = rest[close] == ")"
+        rest = rest[close + 1:].lstrip()
+    else:
+        raise QuerySyntaxError("expected one of >=, >, <=, <, in after 'P'")
+
+    if lo > hi or (lo == hi and (lo_strict or hi_strict)):
+        interval = PltlQuery(TRUE, lo, hi, lo_strict, hi_strict).interval_str()
+        raise QuerySyntaxError(f"empty probability interval {interval}")
+    if not rest.startswith("["):
+        raise QuerySyntaxError("missing '[ formula ]'")
+    end = rest.rfind("]")
+    if end < 0:
+        raise QuerySyntaxError("missing closing ']'")
+    if rest[end + 1:].strip():
+        raise QuerySyntaxError(f"trailing input after ']': {rest[end + 1:].strip()!r}")
+    formula = parse_formula(rest[1:end])
+    return PltlQuery(formula, lo, hi, lo_strict, hi_strict)
+
+
+_COMPARISON_PIECES = [">=", ">", "<=", "<"]
+_BOUND_PIECES = ["0", "1/2", "0.99", "1"]
+_FORMULA_PIECES = ["F a", "G F a", "a U b"]
+_QUERY_PIECES = [
+    "P", *_COMPARISON_PIECES, "=", "in", "[", "]", "(", ")", ",",
+    *_BOUND_PIECES, "-1", "3/2", "1e-3", *_FORMULA_PIECES, "X", "(a", "x",
+]
+
+
+@st.composite
+def query_texts(draw):
+    """A comparison or an interval query whose pieces are each, now and then,
+    swapped for any piece (bad bounds and formulas among them) or dropped."""
+    if draw(st.booleans()):
+        slots = [["P"], _COMPARISON_PIECES, _BOUND_PIECES]
+    else:
+        slots = [["P"], ["in"], ["(", "["], _BOUND_PIECES, [","], _BOUND_PIECES, [")", "]"]]
+    slots += [["["], _FORMULA_PIECES, ["]"], [""]]
+    text = ""
+    for choices in slots:
+        roll = draw(st.integers(0, 19))
+        if roll < 17:
+            text += draw(st.sampled_from(choices))
+        elif roll < 19:
+            text += draw(st.sampled_from(_QUERY_PIECES))
+        text += draw(st.sampled_from([" ", "", "  "]))
+    return text
+
+
+def _query_outcome(parse, text):
+    try:
+        q = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return q.formula, q.lo, q.hi, q.lo_strict, q.hi_strict
+
+
+@settings(max_examples=400)
+@given(query_texts())
+@example("P > 1 [ F a ]")
+@example("P in (1/4, 3/4] [ F a ]")
+@example("P in [1/2, 1/2] (a) ]")
+def test_parse_pltl_matches_reference(text):
+    assert _query_outcome(parse_pltl, text) == _query_outcome(_reference_parse_pltl, text)
+
+
+def test_readme_query_grammar_examples_parse():
+    # every query of README's "Query grammar" code block parses, and the
+    # queries quoted in its prose as input errors do not
+    section = (ROOT / "README.md").read_text().split("## Query grammar", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```")[1]
+    queries = [q for line in block.splitlines() for q in re.split(r"\s{2,}", line.strip()) if q]
+    assert len(queries) == 6
+    for text in queries:
+        parse_pltl(text)
+    errors = re.findall(r"`(P [^`]*)`", section)
+    assert len(errors) == 3
+    for text in errors:
+        with pytest.raises(QuerySyntaxError):
+            parse_pltl(text)
 
 
 def test_query_admits():

@@ -199,8 +199,8 @@ def test_evaluate_assertions_arithmetic():
     assert failures == [4]  # only the last assertion is false
     # chained comparison is conjunctive: 0 < x < 1 fails at x = 2
     assert 1 in evaluate_assertions(forms, {"x": F(2)})
-    with pytest.raises(SmtlibError):
-        evaluate_assertions(check_wellformed("(assert (/ 1 0))"), {})
+    # (/ x 0) is unspecified in SMT-LIB: an assertion dividing by zero is not true
+    assert evaluate_assertions(check_wellformed("(assert (/ 1 0))"), {}) == [0]
     with pytest.raises(SmtlibError):
         evaluate_assertions(check_wellformed("(declare-const y Real) (assert (= y 0))"), {})
 
@@ -269,6 +269,34 @@ def test_vanishing_denominator_is_excluded():
     assert len(guards) == 1
     assert evaluate_assertions(guards, {"p": F(1, 2)}) == [0]
     assert evaluate_assertions(guards, {"p": F(1, 3)}) == []
+
+
+VANISHING = """
+pmc
+param p in [0, 1];
+state s;
+state t {goal};
+state u;
+init s;
+trans s -> t : p / (2*p - 1);
+trans s -> u : (p - 1) / (2*p - 1);
+trans t -> t : 1;
+trans u -> u : 1;
+"""
+
+
+def test_vanishing_denominator_fails_its_guard_in_the_whole_script():
+    # at p = 1/2 the entries of s divide by zero: the whole script lists the
+    # false (not (= D 0)) guard, assertion 2 after the two parameter ranges
+    system = analyze(parse_model(VANISHING), parse_formula("F goal")).system
+    forms = check_wellformed(emit_smtlib(system, parse_pltl("P >= 1/2 [ F goal ]")))
+    asserts = [f[1] for f in forms if f[0] == "assert"]
+    assert asserts[2] == ["not", ["=", ["+", "1", ["*", ["-", "2"], "p"]], "0"]]
+    symbols = [f[1] for f in forms if f[0] == "declare-const"]
+    assert 2 in evaluate_assertions(forms, dict.fromkeys(symbols, F(1, 2)))
+    # a symbol with no value still raises, also beside a division by zero
+    with pytest.raises(SmtlibError, match="no value for symbol 'y'"):
+        evaluate_assertions(check_wellformed("(declare-const y Real) (assert (= (/ 1 0) y))"), {})
 
 
 def test_exact_solution_is_a_model():
