@@ -226,7 +226,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if not re.fullmatch(r"[+-]?[0-9]+", n):
             print(f"bad grid resolution in {spec!r}", file=sys.stderr)
             return 2
-        axes = eqsys.grid_axes(M, int(n))
+        try:
+            resolution = int(n)
+        except ValueError:  # past Python's limit on digits in an int
+            digits = len(n.lstrip("+-"))
+            raise CapacityError(f"grid resolution of {digits} digits is too long") from None
+        axes = eqsys.grid_axes(M, resolution)
 
     system = eqsys.analyze(M, query.formula).system
     if args.out:

@@ -122,7 +122,7 @@ def _fraction_literal(text: str) -> Fraction:
     text = text.strip()
     try:
         value = parse_number(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise QuerySyntaxError(f"bad probability bound {text!r}: {exc}") from None
     if not 0 <= value <= 1:
         raise QuerySyntaxError(f"probability bound {text!r} is outside [0, 1]")
@@ -461,7 +461,8 @@ def grid_axes(M: Pmc, resolution: int) -> dict[str, list[Fraction]]:
         if not indices:
             raise GridError(f"parameter {name}: no grid point inside the open range")
         spans[name] = (p.lower, (p.upper - p.lower) / (resolution - 1), indices)
-    n_points = math.prod(len(indices) for _, _, indices in spans.values())
+    # len() of a range past sys.maxsize raises OverflowError
+    n_points = math.prod(indices.stop - indices.start for _, _, indices in spans.values())
     if n_points > GRID_BUDGET:
         raise CapacityError(
             f"grid of {n_points} points exceeds the grid budget of {GRID_BUDGET} points"

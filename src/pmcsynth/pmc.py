@@ -466,11 +466,17 @@ _NUMBER = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
 
 def parse_number(text: str) -> Fraction:
     """An optionally signed integer, decimal or quotient of integers ('3',
-    '-0.3', '1/10') as a Fraction; ValueError for any other text, and
-    ZeroDivisionError for a zero denominator."""
+    '-0.3', '1/10') as a Fraction; ValueError for any other text, for a zero
+    denominator and for a numeral past Python's limit on digits in an int."""
     if not _NUMBER.fullmatch(text):
         raise ValueError("expected an integer, a decimal such as 0.3 or a quotient such as 1/10")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
+    except ValueError:
+        digits = max(map(len, text.lstrip("+-").replace(".", "").split("/")))
+        raise ValueError(f"numeral of {digits} digits is too long") from None
 
 
 def parse_evaluation(text: str) -> dict[str, Fraction]:
@@ -489,7 +495,7 @@ def parse_evaluation(text: str) -> dict[str, Fraction]:
         value = value.strip()
         try:
             out[name] = parse_number(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ModelError(f"bad value {value!r} for {name!r}: {exc}") from None
     return out
 

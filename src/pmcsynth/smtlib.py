@@ -5,8 +5,8 @@ The emission is self-contained text: parameter declarations and range
 assertions, and the equation system of ``eqsys`` — one mu variable and flow
 equation per product node reachable from an initial node, normalization
 rows, zeros and mu range bounds — so ``solve_concrete``'s ``mu`` is a full
-model of the mu variables; when a query is given, the membership of the
-target sum in the probability interval.  ``(/ x 0)`` is not an error in
+model of the mu variables; and the membership of the target sum in the
+query's probability interval.  ``(/ x 0)`` is not an error in
 SMT-LIB but a value a solver may choose, so each distinct non-constant
 denominator of a transition is asserted to be nonzero.
 
@@ -22,11 +22,15 @@ Emission fails with SmtlibError on a parameter or state name that is not a
 simple symbol, so an emitted script always passes that check.
 ``evaluate_assertions`` substitutes a full rational assignment and decides
 every assertion exactly — enough to validate a model without a solver.
+The checker and the evaluator read one table, ``_OPERATORS``: the argument
+counts each operator takes and its value.  A division by 0 has no value,
+nor has a term around one, so an assertion that divides by 0 is not true.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from fractions import Fraction
@@ -100,7 +104,7 @@ def mu_name(system: EquationSystem, node: int) -> str:
     return f"mu_{q}.{system.graph.pmc.states[s]}"
 
 
-def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
+def emit_smtlib(system: EquationSystem, query: PltlQuery) -> str:
     G = system.graph
     M = G.pmc
     lines: list[str] = []
@@ -169,12 +173,9 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery | None = None) -> str:
     for n in names.values():
         out(f"(assert (and (<= 0 {n}) (<= {n} 1)))")
 
+    out(f"; target in {query.interval_str()}")
     target = _sum([names[u] for u in G.initial])
-    if query is not None:
-        out(f"; target in {query.interval_str()}")
-        lines += _within(target, query.lo, query.hi, query.lo_strict, query.hi_strict)
-    else:
-        out(f"; target value: {target}")
+    lines += _within(target, query.lo, query.hi, query.lo_strict, query.hi_strict)
     out("(check-sat)")
     out("(get-model)")
     return "\n".join(lines) + "\n"
@@ -218,10 +219,31 @@ def parse_script(text: str) -> list[Sexpr]:
     return stack[0]
 
 
-_OPERATORS = {"+", "-", "*", "/", "=", "<", "<=", ">", ">=", "and", "or", "not", "ite"}
+def _chain(compare):
+    """A comparison of every two adjacent arguments, as SMT-LIB chains them."""
+    return lambda *args: all(compare(a, b) for a, b in zip(args, args[1:]))
+
+
+# every operator: the fewest and most arguments it takes (None: no upper
+# limit) and its value as a function of its arguments' values
+_OPERATORS = {
+    "+": (1, None, lambda *args: sum(args, Fraction(0))),
+    "-": (1, 2, lambda *args: -args[0] if len(args) == 1 else args[0] - args[1]),
+    "*": (1, None, lambda *args: math.prod(args, start=Fraction(1))),
+    "/": (2, 2, lambda a, b: a / b if b else None),  # (/ x 0) has no value
+    "=": (1, None, _chain(operator.eq)),
+    "<": (1, None, _chain(operator.lt)),
+    "<=": (1, None, _chain(operator.le)),
+    ">": (1, None, _chain(operator.gt)),
+    ">=": (1, None, _chain(operator.ge)),
+    "and": (1, None, lambda *args: all(args)),
+    "or": (1, None, lambda *args: any(args)),
+    "not": (1, 1, operator.not_),
+    "ite": (3, 3, lambda c, a, b: a if c else b),
+}
 # symbols a script may not declare: the operators, SMT-LIB's reserved words
 # and the other predefined symbols of its core theory
-_RESERVED = _OPERATORS | {
+_RESERVED = set(_OPERATORS) | {
     "true", "false", "let", "forall", "exists", "match", "par", "as", "_", "!", "xor", "=>",
     "distinct",
 }
@@ -247,33 +269,26 @@ _NUMERAL = re.compile(r"(?:0|[1-9][0-9]*)(?:\.[0-9]+)?")
 _SIMPLE_SYMBOL = re.compile(r"[A-Za-z~!@$%^&*_\-+=<>.?/][0-9A-Za-z~!@$%^&*_\-+=<>.?/]*")
 
 
-def _is_numeral(tok: str) -> bool:
-    return _NUMERAL.fullmatch(tok) is not None
+def _operator(term: list):
+    """The value function of the application ``term``, its head and arity checked."""
+    if not term:
+        raise SmtlibError("empty application")
+    head, arity = term[0], len(term) - 1
+    if not isinstance(head, str) or head not in _OPERATORS:
+        raise SmtlibError(f"unknown operator {head!r}")
+    fewest, most, value = _OPERATORS[head]
+    if arity < fewest or (most is not None and arity > most):
+        takes = str(fewest) if most == fewest else f"{fewest} or {most or 'more'}"
+        raise SmtlibError(f"wrong number of arguments for {head!r}: {arity}, expected {takes}")
+    return value
 
 
 def _check_term(term: Sexpr, declared: set[str]) -> None:
     if isinstance(term, str):
-        if _is_numeral(term) or term in ("true", "false"):
-            return
-        if term in declared:
+        if _NUMERAL.fullmatch(term) or term in ("true", "false") or term in declared:
             return
         raise SmtlibError(f"symbol {term!r} used before declaration")
-    if not term:
-        raise SmtlibError("empty application")
-    head = term[0]
-    if not isinstance(head, str) or head not in _OPERATORS:
-        raise SmtlibError(f"unknown operator {head!r}")
-    arity = len(term) - 1
-    if head == "not" and arity != 1:
-        raise SmtlibError("'not' takes one argument")
-    if head in ("-",) and arity not in (1, 2):
-        raise SmtlibError("'-' takes one or two arguments")
-    if head in ("+", "*", "and", "or", "=", "<", "<=", ">", ">=", "/") and arity < 1:
-        raise SmtlibError(f"{head!r} needs arguments")
-    if head == "/" and arity != 2:
-        raise SmtlibError("'/' takes two arguments")
-    if head == "ite" and arity != 3:
-        raise SmtlibError("'ite' takes three arguments")
+    _operator(term)
     for sub in term[1:]:
         _check_term(sub, declared)
 
@@ -315,46 +330,20 @@ def check_wellformed(text: str) -> list[Sexpr]:
 
 
 def _eval_term(term: Sexpr, env: Mapping[str, Fraction]):
+    """The value of ``term``; None when it divides by 0 somewhere."""
     if isinstance(term, str):
         if term == "true":
             return True
         if term == "false":
             return False
-        if _is_numeral(term):
+        if _NUMERAL.fullmatch(term):
             return Fraction(term)
         if term in env:
             return env[term]
         raise SmtlibError(f"no value for symbol {term!r}")
-    head, args = term[0], [_eval_term(t, env) for t in term[1:]]
-    if head == "+":
-        return sum(args, Fraction(0))
-    if head == "*":
-        out = Fraction(1)
-        for a in args:
-            out *= a
-        return out
-    if head == "-":
-        return -args[0] if len(args) == 1 else args[0] - args[1]
-    if head == "/":
-        return args[0] / args[1]  # ZeroDivisionError on a zero divisor
-    if head == "not":
-        return not args[0]
-    if head == "and":
-        return all(args)
-    if head == "or":
-        return any(args)
-    if head == "ite":
-        return args[1] if args[0] else args[2]
-    if head in ("=", "<", "<=", ">", ">="):
-        ops = {
-            "=": operator.eq,
-            "<": operator.lt,
-            "<=": operator.le,
-            ">": operator.gt,
-            ">=": operator.ge,
-        }
-        return all(ops[head](a, b) for a, b in zip(args, args[1:]))
-    raise SmtlibError(f"unknown operator {head!r}")
+    value = _operator(term)
+    args = [_eval_term(t, env) for t in term[1:]]
+    return None if None in args else value(*args)
 
 
 def evaluate_assertions(
@@ -364,22 +353,5 @@ def evaluate_assertions(
     not true under the assignment; empty list means the assignment is a model.
     One that divides by zero is not true: SMT-LIB leaves ``(/ x 0)``
     unspecified.  A symbol with no value raises SmtlibError."""
-    failures = []
     asserts = (form[1] for form in forms if isinstance(form, list) and form and form[0] == "assert")
-    for k, term in enumerate(asserts):
-        try:
-            if _eval_term(term, assignment) is not True:
-                failures.append(k)
-        except ZeroDivisionError:
-            _eval_symbols(term, assignment)
-            failures.append(k)
-    return failures
-
-
-def _eval_symbols(term: Sexpr, env: Mapping[str, Fraction]) -> None:
-    """Evaluate every atom of ``term``: raises on a symbol with no value."""
-    if isinstance(term, str):
-        _eval_term(term, env)
-    else:
-        for sub in term[1:]:
-            _eval_symbols(sub, env)
+    return [k for k, term in enumerate(asserts) if _eval_term(term, assignment) is not True]

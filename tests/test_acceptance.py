@@ -506,7 +506,8 @@ def test_criterion_9(capsys):
     # the provably-zero instance: all-zero assignment models the emission
     M2 = load("loop_pair.pmc")
     zero_system = build_system(build_product(two_loop_automaton(), M2))
-    forms = wellformed(zero_system, None)
+    # a query that the zero target meets; emission reads only its interval
+    forms = wellformed(zero_system, parse_pltl("P <= 1/2 [ G F x ]"))
     zero_assignment = {
         mu_name(zero_system, u): F(0) for u in range(zero_system.graph.n_nodes())
     }

@@ -158,12 +158,19 @@ def test_query_and_formula_together_exit_2(capsys, monkeypatch, command):
         # no exponents: 1e-5000 would be a 5001-digit denominator
         (("check", "-m", SPLIT_CYCLE, "-q", "P >= 1e-5000 [ F y ]", "-e", "eps=0"), 3),
         (("check", "-m", SPLIT_CYCLE, "-f", "X y", "-e", "eps=1e-3"), 3),
+        (("check", "-m", SPLIT_CYCLE, "-f", "X y", "-e", "eps=1/0"), 3),
+        (("check", "-m", SPLIT_CYCLE, "-q", "P >= 1/0 [ G F y ]", "-e", "eps=0"), 3),
+        # past Python's 4,300-digit limit on int conversion
+        (("check", "-m", SPLIT_CYCLE, "-f", "X y", "-e", f"eps={'9' * 5000}/3"), 3),
+        (("check", "-m", SPLIT_CYCLE, "-q", f"P >= 1/{'9' * 5000} [ F y ]", "-e", "eps=0"), 3),
     ],
 )
 def test_check_error_codes(capsys, argv, expected):
     code, _, err = run(capsys, *argv)
     assert code == expected
     assert err.strip()
+    # the message is the program's, not Python's text for the failed conversion
+    assert "Fraction(" not in err and "set_int_max_str_digits" not in err
 
 
 def test_exact_result_too_long_to_print_exit_4(capsys, tmp_path):
@@ -551,6 +558,10 @@ def test_synth_solver_garbage(capsys, tmp_path):
         pytest.param("grid:1_1", 2, id="grid:1_1"),
         pytest.param("grid:\u0661\u0661", 2, id="grid:arabic-indic-11"),
         pytest.param("grid: 5 ", 2, id="grid:space-5-space"),
+        # len() of its index range is past sys.maxsize
+        pytest.param("grid:99999999999999999999", 4, id="grid:20-nines"),
+        # past Python's 4,300-digit limit on int conversion
+        pytest.param("grid:" + "9" * 5000, 4, id="grid:5000-nines"),
     ],
 )
 def test_synth_bad_solve_spec(capsys, monkeypatch, tmp_path, spec, expected):

@@ -123,7 +123,12 @@ def test_empty_interval_is_shown_as_parsed(text, interval):
             "bad probability bound '1e-3': expected an integer, a decimal such as 0.3 "
             "or a quotient such as 1/10",
         ),
-        ("P >= 1/0 [ F a ]", "bad probability bound '1/0': Fraction(1, 0)"),
+        ("P >= 1/0 [ F a ]", "bad probability bound '1/0': zero denominator"),
+        pytest.param(  # past Python's 4,300-digit limit on int conversion
+            "P >= 1/" + "9" * 5000 + " [ F a ]",
+            f"bad probability bound '1/{'9' * 5000}': numeral of 5000 digits is too long",
+            id="numeral-too-long",
+        ),
         ("P <= 3/2 [ F a ]", "probability bound '3/2' is outside [0, 1]"),
         ("P in [-1, 1/2] [ F a ]", "probability bound '-1' is outside [0, 1]"),
     ],

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -205,6 +206,146 @@ def test_evaluate_assertions_arithmetic():
         evaluate_assertions(check_wellformed("(declare-const y Real) (assert (= y 0))"), {})
 
 
+def test_evaluator_refuses_the_arities_the_checker_refuses():
+    # evaluated without the checker, these read an argument too many or too few
+    for text in ["(assert (= (- 5 1 1) 3))", "(assert (ite false 1))"]:
+        with pytest.raises(SmtlibError, match="wrong number of arguments"):
+            evaluate_assertions(parse_script(text), {})
+
+
+# The checker and the evaluator as if-chains over the operator names: the
+# references that the one operator table is compared with.
+_REFERENCE_OPERATORS = {"+", "-", "*", "/", "=", "<", "<=", ">", ">=", "and", "or", "not", "ite"}
+
+
+def _reference_check_term(term, declared):
+    if isinstance(term, str):
+        if smtlib._NUMERAL.fullmatch(term) or term in ("true", "false"):
+            return
+        if term in declared:
+            return
+        raise SmtlibError(f"symbol {term!r} used before declaration")
+    if not term:
+        raise SmtlibError("empty application")
+    head = term[0]
+    if not isinstance(head, str) or head not in _REFERENCE_OPERATORS:
+        raise SmtlibError(f"unknown operator {head!r}")
+    arity = len(term) - 1
+    if head == "not" and arity != 1:
+        raise SmtlibError("'not' takes one argument")
+    if head in ("-",) and arity not in (1, 2):
+        raise SmtlibError("'-' takes one or two arguments")
+    if head in ("+", "*", "and", "or", "=", "<", "<=", ">", ">=", "/") and arity < 1:
+        raise SmtlibError(f"{head!r} needs arguments")
+    if head == "/" and arity != 2:
+        raise SmtlibError("'/' takes two arguments")
+    if head == "ite" and arity != 3:
+        raise SmtlibError("'ite' takes three arguments")
+    for sub in term[1:]:
+        _reference_check_term(sub, declared)
+
+
+def _reference_eval_term(term, env):
+    if isinstance(term, str):
+        if term == "true":
+            return True
+        if term == "false":
+            return False
+        if smtlib._NUMERAL.fullmatch(term):
+            return Fraction(term)
+        if term in env:
+            return env[term]
+        raise SmtlibError(f"no value for symbol {term!r}")
+    head, args = term[0], [_reference_eval_term(t, env) for t in term[1:]]
+    if head == "+":
+        return sum(args, Fraction(0))
+    if head == "*":
+        out = Fraction(1)
+        for a in args:
+            out *= a
+        return out
+    if head == "-":
+        return -args[0] if len(args) == 1 else args[0] - args[1]
+    if head == "/":
+        return args[0] / args[1]  # ZeroDivisionError on a zero divisor
+    if head == "not":
+        return not args[0]
+    if head == "and":
+        return all(args)
+    if head == "or":
+        return any(args)
+    if head == "ite":
+        return args[1] if args[0] else args[2]
+    if head in ("=", "<", "<=", ">", ">="):
+        ops = {
+            "=": operator.eq,
+            "<": operator.lt,
+            "<=": operator.le,
+            ">": operator.gt,
+            ">=": operator.ge,
+        }
+        return all(ops[head](a, b) for a, b in zip(args, args[1:]))
+    raise SmtlibError(f"unknown operator {head!r}")
+
+
+def _reference_eval_symbols(term, env):
+    if isinstance(term, str):
+        _reference_eval_term(term, env)
+    else:
+        for sub in term[1:]:
+            _reference_eval_symbols(sub, env)
+
+
+def _reference_evaluate_assertions(forms, assignment):
+    failures = []
+    asserts = (form[1] for form in forms if isinstance(form, list) and form and form[0] == "assert")
+    for k, term in enumerate(asserts):
+        try:
+            if _reference_eval_term(term, assignment) is not True:
+                failures.append(k)
+        except ZeroDivisionError:
+            _reference_eval_symbols(term, assignment)
+            failures.append(k)
+    return failures
+
+
+def _outcome(function, *args):
+    """What ``function`` returns, or "raises" when it raises SmtlibError."""
+    try:
+        return function(*args)
+    except SmtlibError:
+        return "raises"
+
+
+# x and z are declared, y is not; only x has a value
+_ATOMS = st.sampled_from(["0", "1", "2", "x", "y", "z", "true", "false"])
+_HEADS = st.sampled_from(sorted(_REFERENCE_OPERATORS) + ["bogus"])
+
+
+def _terms(depth):
+    """Atoms, and applications of 0-4 arguments nested at most ``depth`` deep."""
+    if depth == 0:
+        return _ATOMS
+    apply = st.builds(lambda head, args: [head, *args], _HEADS, st.lists(_terms(depth - 1), max_size=4))
+    return _ATOMS | apply
+
+
+@given(_terms(3), st.sampled_from([F(0), F(1, 2), F(2)]))
+@example(["-", "1", "1", "1"], F(0))
+@example(["ite", "false", "1"], F(0))
+@example(["+", ["/", "1", "x"], "z"], F(0))
+@example(["<", ["/", "1", "x"], ["/", "true", "true"]], F(0))
+def test_operator_table_matches_reference(term, x):
+    declared = {"x", "z"}
+    accepted = _outcome(_reference_check_term, term, declared) is None
+    assert (_outcome(smtlib._check_term, term, declared) is None) == accepted
+    if accepted:
+        forms = [["assert", term]]
+        assert _outcome(evaluate_assertions, forms, {"x": x}) == _outcome(
+            _reference_evaluate_assertions, forms, {"x": x}
+        )
+
+
 def test_emitted_script_is_wellformed():
     M, system = system_for("split_cycle.pmc", "G F y")
     script = emit_smtlib(system, parse_pltl("P >= 1 [ G F y ]"))
@@ -329,7 +470,8 @@ def test_emission_marks_provably_zero_systems():
 
     M = parse_model((MODELS / "loop_pair.pmc").read_text())
     system = build_system(build_product(loop_automaton(), M))
-    script = emit_smtlib(system)
+    # emission reads only the query's interval, which the zero target meets
+    script = emit_smtlib(system, parse_pltl("P <= 1/2 [ G F x ]"))
     assert "; target provably 0: no locally positive SCC" in script
     forms = check_wellformed(script)
     # all-zero assignment is a model of the degenerate system
@@ -408,6 +550,6 @@ def test_emission_renders_each_function_object_once(monkeypatch):
     rendered = []
     render = smtlib._rf
     monkeypatch.setattr(smtlib, "_rf", lambda f: rendered.append(f) or render(f))
-    check_wellformed(emit_smtlib(system))
+    check_wellformed(emit_smtlib(system, parse_pltl("P >= 1/2 [ G F fresh ]")))
     distinct = {id(f) for f in M.trans.values()}
     assert len(rendered) <= len(distinct) < len(M.trans)
