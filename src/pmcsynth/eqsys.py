@@ -47,7 +47,15 @@ from typing import KeysView, Mapping, Sequence
 
 from .gba import CapacityError, elementary, translate
 from .ltl import TRUE, LtlFormula, parse_formula
-from .pmc import Evaluation, Pmc, StagedCheck, check_evaluation_names, parse_number, well_defined
+from .pmc import (
+    Evaluation,
+    Pmc,
+    StagedCheck,
+    check_evaluation_names,
+    parse_number,
+    short_repr,
+    well_defined,
+)
 from .product import (
     ProductGraph,
     SccPartition,
@@ -123,9 +131,9 @@ def _fraction_literal(text: str) -> Fraction:
     try:
         value = parse_number(text)
     except ValueError as exc:
-        raise QuerySyntaxError(f"bad probability bound {text!r}: {exc}") from None
+        raise QuerySyntaxError(f"bad probability bound {short_repr(text)}: {exc}") from None
     if not 0 <= value <= 1:
-        raise QuerySyntaxError(f"probability bound {text!r} is outside [0, 1]")
+        raise QuerySyntaxError(f"probability bound {short_repr(text)} is outside [0, 1]")
     return value
 
 

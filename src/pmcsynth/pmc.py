@@ -8,23 +8,25 @@ underlying graph.  ``StagedCheck`` holds these rules, and ``well_defined`` is
 its single stage.  An IMC gives closed probability intervals per transition
 and converts to a PMC with one parameter per interval.
 
-``parse_model`` reads a file in one pass: the tokenizer is one compiled
-regular expression whose matches, from any offset of the text, the parser
-reads with one token of lookahead, so no token list of the file is kept.
-Generated models repeat a few expression texts many times, so each distinct
-``trans`` expression (its token sequence, whatever the spacing and comments)
-is parsed once per file, and its immutable ``RationalFunction`` is shared by
-every transition that has it: a body is taken as tokens, and only a new one
-is parsed, by a stream restarted where the body starts, which then reads the
-rest of the file.  After the declarations, one loop in file order resolves the
-transitions of both formats: their state names, a repeated pair (rejected
-whatever its expression or interval, a ``[0, 0]`` one too), and the format's
-own entry checks.  Every ``.pmc`` row is checked to sum to 1 as a rational
-function (constant rows as Fractions, the others by an exact symbolic sum
-grouped by denominator); a row whose entries are the same objects as those
-of a row already checked is not checked again.  ``imc_to_pmc`` rows are range
-constraints and are not checked that way.  Every ``Imc`` checks on
-construction that each row admits a distribution.
+``parse_model`` reads a file a statement at a time, keeping no list of its
+tokens or statements.  At each statement start one pattern tries the two
+forms generated models are made of, ``trans A -> B : body;`` and ``state s
+{p, q};`` with ASCII names and no comment.  Anything else is read from where
+it starts by the token stream, one regular expression read with one token of
+lookahead, which gives every error message in file order.  Each distinct
+``trans`` expression is parsed once per file, and its immutable
+``RationalFunction`` shared by every transition that has it: a body is
+looked up by its text, a new text by its tokens (whatever the spacing and
+comments), and only a new token sequence is parsed.  After the declarations,
+one loop in file order resolves the transitions of both formats: their state
+names, a repeated pair (rejected whatever its expression or interval, a
+``[0, 0]`` one too), and the format's own entry checks.  Every ``.pmc`` row
+is checked to sum to 1 as a rational function (constant rows as Fractions,
+the others by an exact symbolic sum grouped by denominator); a row whose
+entries are the same objects as those of a row already checked is not
+checked again.  ``imc_to_pmc`` rows are range constraints and are not
+checked that way.  Every ``Imc`` checks on construction that each row admits
+a distribution.
 
 File format (line comments with #, statements end with ';'):
 
@@ -161,6 +163,13 @@ _TOKEN = re.compile(
 )
 
 
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_STATEMENT = re.compile(
+    rf"\s*(?:trans\s+({_NAME})\s*->\s*({_NAME})\s*:([^;#]*);"
+    rf"|state\s+({_NAME})\s*(?:\{{\s*({_NAME}(?:\s*,\s*{_NAME})*)?\s*\}})?\s*;)"
+)
+
+
 class _Tokens:
     """The tokens of a text from offset ``pos`` on, with one token of
     lookahead; at the end, every further take() returns eof again.  A
@@ -286,8 +295,26 @@ def parse_model(text: str) -> Pmc | Imc:
     raw: list[tuple[str, str, RationalFunction | tuple[Fraction, Fraction]]] = []
     # each distinct expression, by its tokens, parsed once and shared
     shared: dict[tuple[tuple[str, str], ...], RationalFunction] = {}
+    by_text: dict[str, RationalFunction] = {}  # the same by body text, for _STATEMENT
 
-    while tk.peek()[0] != "eof":
+    pos = tk._match.start()  # where the lookahead starts, after the last token
+    while True:
+        m = _STATEMENT.match(text, pos)
+        src, dst, expr, state, props = m.groups() if m else (None,) * 5
+        if state is not None and state not in idx:
+            idx[state] = len(states)
+            states.append(state)
+            labels.append(frozenset(map(str.strip, props.split(","))) if props else frozenset())
+            pos = m.end()
+            continue
+        if expr in by_text:
+            raw.append((src, dst, by_text[expr]))
+            pos = m.end()
+            continue
+        # the token stream reads the rest, a repeated state and a new body
+        tk = _Tokens(text, pos)
+        if tk.peek()[0] == "eof":
+            break
         word = tk.ident()
         if word == "param":
             if kind == "imc":
@@ -345,15 +372,18 @@ def parse_model(text: str) -> Pmc | Imc:
             else:
                 start, body = tk.take_statement()
                 f = shared.get(body)
-                # a new body is read, with the rest of the file, from where it
-                # starts; one with a bad character (None) raises on the way
+                # a new body is read from where it starts; one with a bad
+                # character (None) raises on the way
                 if f is None:
                     tk = _Tokens(text, start)
                     f = shared[body] = _parse_expr(tk, params)
                 raw.append((src, dst, f))
+                if expr is not None:
+                    by_text[expr] = f
         else:
             raise ModelSyntaxError(f"unknown statement {word!r}")
         tk.expect(";")
+        pos = tk._match.start()
 
     if not states:
         raise ModelSyntaxError("no states declared")
@@ -479,6 +509,12 @@ def parse_number(text: str) -> Fraction:
         raise ValueError(f"numeral of {digits} digits is too long") from None
 
 
+def short_repr(text: str) -> str:
+    """``repr(text)`` with the middle of a text over 40 characters cut to
+    '...', for a message quoting a typed numeral of any length."""
+    return repr(text if len(text) <= 40 else f"{text[:15]}...{text[-15:]}")
+
+
 def parse_evaluation(text: str) -> dict[str, Fraction]:
     """Parse 'eps=1/10,p=0.3' into an evaluation."""
     out: dict[str, Fraction] = {}
@@ -488,7 +524,7 @@ def parse_evaluation(text: str) -> dict[str, Fraction]:
             continue
         name, eq, value = chunk.partition("=")
         if not eq:
-            raise ModelError(f"expected name=value, found {chunk!r}")
+            raise ModelError(f"expected name=value, found {short_repr(chunk)}")
         name = name.strip()
         if name in out:
             raise ModelError(f"parameter {name!r} assigned twice")
@@ -496,7 +532,7 @@ def parse_evaluation(text: str) -> dict[str, Fraction]:
         try:
             out[name] = parse_number(value)
         except ValueError as exc:
-            raise ModelError(f"bad value {value!r} for {name!r}: {exc}") from None
+            raise ModelError(f"bad value {short_repr(value)} for {name!r}: {exc}") from None
     return out
 
 

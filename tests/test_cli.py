@@ -169,8 +169,10 @@ def test_check_error_codes(capsys, argv, expected):
     code, _, err = run(capsys, *argv)
     assert code == expected
     assert err.strip()
-    # the message is the program's, not Python's text for the failed conversion
+    # the message is the program's, not Python's text for the failed conversion,
+    # and it quotes at most the ends of a long numeral
     assert "Fraction(" not in err and "set_int_max_str_digits" not in err
+    assert len(err) < 200
 
 
 def test_exact_result_too_long_to_print_exit_4(capsys, tmp_path):

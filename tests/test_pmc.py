@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pmcsynth.modelgen import crowds_like, random_mc
+from pmcsynth.modelgen import chain_mc, crowds_like, random_mc
 from pmcsynth.pmc import (
     Imc,
     InfeasibleRowError,
@@ -20,7 +21,9 @@ from pmcsynth.pmc import (
     parse_evaluation,
     parse_model,
     well_defined,
+    _parse_const,
     _parse_expr,
+    _validate_rows,
     _Tokens,
     _TOKEN,
 )
@@ -313,6 +316,12 @@ def test_parse_evaluation():
         parse_evaluation("p=one")
     with pytest.raises(ModelError, match="'1e-3'"):
         parse_evaluation("eps=1e-3")
+    # a numeral past Python's limit on digits in an int is quoted by its ends
+    with pytest.raises(ModelError) as exc:
+        parse_evaluation(f"eps={'9' * 5000}/3")
+    assert str(exc.value) == (
+        f"bad value '{'9' * 15}...{'9' * 13}/3' for 'eps': numeral of 5000 digits is too long"
+    )
 
 
 def test_well_defined():
@@ -791,3 +800,286 @@ def test_written_models_parse_back(seed, crowds):
         # a shared function is the one its own text parses to alone
         alone = _parse_expr(_Tokens(str(f)), N.params)
         assert (N.trans[key].num.terms, N.trans[key].den.terms) == (alone.num.terms, alone.den.terms)
+
+
+def _reference_parse_model(text):
+    """The token-at-a-time reader that the statement-at-a-time one replaced."""
+    tk = _Tokens(text)
+    kind = tk.ident()
+    if kind not in ("pmc", "imc"):
+        raise ModelSyntaxError(f"model must start with 'pmc' or 'imc', not {kind!r}")
+
+    params: dict[str, Param] = {}
+    states: list[str] = []
+    idx: dict[str, int] = {}
+    labels: list[frozenset[str]] = []
+    init_name: str | None = None
+    # raw transition statements, processed after all declarations are known;
+    # an entry is an expression (pmc) or an interval's ends (imc)
+    raw: list[tuple[str, str, RationalFunction | tuple[Fraction, Fraction]]] = []
+    # each distinct expression, by its tokens, parsed once and shared
+    shared: dict[tuple[tuple[str, str], ...], RationalFunction] = {}
+
+    while tk.peek()[0] != "eof":
+        word = tk.ident()
+        if word == "param":
+            if kind == "imc":
+                raise ModelSyntaxError("imc files do not declare parameters")
+            name = tk.ident()
+            if name in params:
+                raise ModelSyntaxError(f"parameter {name!r} declared twice")
+            kw = tk.ident()
+            if kw != "in":
+                raise ModelSyntaxError(f"expected 'in', found {kw!r}")
+            open_b = tk.take()[1]
+            if open_b not in ("(", "["):
+                raise ModelSyntaxError("expected '(' or '[' for the parameter range")
+            lo = _parse_const(tk)
+            tk.expect(",")
+            hi = _parse_const(tk)
+            close_b = tk.take()[1]
+            if close_b not in (")", "]"):
+                raise ModelSyntaxError("expected ')' or ']' after the parameter range")
+            if lo > hi or (lo == hi and (open_b == "(" or close_b == ")")):
+                raise ModelSyntaxError(f"empty range for parameter {name!r}")
+            params[name] = Param(name, lo, hi, open_b == "(", close_b == ")")
+        elif word == "state":
+            name = tk.ident()
+            if name in idx:
+                raise ModelSyntaxError(f"state {name!r} declared twice")
+            props: set[str] = set()
+            if tk.peek()[1] == "{":
+                tk.take()
+                if tk.peek()[1] != "}":
+                    props.add(tk.ident())
+                    while tk.peek()[1] == ",":
+                        tk.take()
+                        props.add(tk.ident())
+                tk.expect("}")
+            idx[name] = len(states)
+            states.append(name)
+            labels.append(frozenset(props))
+        elif word == "init":
+            if init_name is not None:
+                raise ModelSyntaxError("more than one init statement")
+            init_name = tk.ident()
+        elif word == "trans":
+            src = tk.ident()
+            tk.expect("->")
+            dst = tk.ident()
+            tk.expect(":")
+            if kind == "imc":
+                tk.expect("[")
+                lo = _parse_const(tk)
+                tk.expect(",")
+                hi = _parse_const(tk)
+                tk.expect("]")
+                raw.append((src, dst, (lo, hi)))
+            else:
+                start, body = tk.take_statement()
+                f = shared.get(body)
+                # a new body is read, with the rest of the file, from where it
+                # starts; one with a bad character (None) raises on the way
+                if f is None:
+                    tk = _Tokens(text, start)
+                    f = shared[body] = _parse_expr(tk, params)
+                raw.append((src, dst, f))
+        else:
+            raise ModelSyntaxError(f"unknown statement {word!r}")
+        tk.expect(";")
+
+    if not states:
+        raise ModelSyntaxError("no states declared")
+    if init_name is None:
+        raise ModelSyntaxError("missing init statement")
+    if init_name not in idx:
+        raise ModelSyntaxError(f"init state {init_name!r} not declared")
+
+    trans: dict[tuple[int, int], RationalFunction] = {}
+    lower: dict[tuple[int, int], Fraction] = {}
+    upper: dict[tuple[int, int], Fraction] = {}
+    given: set[tuple[int, int]] = set()
+    # a shared function is checked at the first transition that holds it
+    checked: set[int] = set()
+    for src, dst, entry in raw:
+        if src not in idx or dst not in idx:
+            raise ModelSyntaxError(f"transition {src} -> {dst} uses an undeclared state")
+        key = (idx[src], idx[dst])
+        if key in given:
+            raise ModelSyntaxError(f"transition {src} -> {dst} given twice")
+        given.add(key)
+        if isinstance(entry, tuple):
+            lo, hi = entry
+            if not (0 <= lo <= hi <= 1):
+                raise ModelSyntaxError(
+                    f"transition {src} -> {dst} has an invalid interval [{lo}, {hi}]"
+                )
+            if hi != 0:  # a certainly-zero transition is the same as absent
+                lower[key], upper[key] = lo, hi
+            continue
+        if entry.is_const and id(entry) not in checked:
+            checked.add(id(entry))
+            v = entry.value()
+            if v == 0:
+                raise ModelSyntaxError(
+                    f"transition {src} -> {dst} has probability 0; omit it instead"
+                )
+            if v < 0 or v > 1:
+                raise ModelSyntaxError(
+                    f"transition {src} -> {dst} has constant probability {v} outside [0,1]"
+                )
+        trans[key] = entry
+
+    if kind == "imc":
+        return Imc(tuple(states), tuple(labels), idx[init_name], lower, upper)
+    pmc = Pmc(tuple(states), tuple(labels), idx[init_name], params, trans)
+    _validate_rows(pmc)
+    return pmc
+
+
+def _outcome(parse, text):
+    """What a reader makes of a text: the model, with the transitions that
+    share one function object marked by the first key that holds it, or the
+    exception's type and message."""
+    try:
+        M = parse(text)
+    except Exception as exc:  # every outcome is compared, whatever it is
+        return type(exc), str(exc)
+    if isinstance(M, Imc):
+        return M.states, M.labels, M.initial, list(M.lower.items()), list(M.upper.items())
+    first = {}
+    return (
+        M.states,
+        M.labels,
+        M.initial,
+        M.params,
+        [(key, f.num.terms, f.den.terms, first.setdefault(id(f), key)) for key, f in M.trans.items()],
+    )
+
+
+# whole statements, a few of them malformed, and pieces of tokens as in _TEXT
+_STATEMENTS = [
+    "param p in (0, 1);",
+    "param q in [0, 1/2];",
+    "state x;",
+    "state y {a};",
+    "state z {a, b};",
+    "state x {};",
+    "init x;",
+    "trans x -> y : p;",
+    "trans x -> x : 1 - p;",
+    "trans x -> y : 1/2;",
+    "trans x -> x : 1/2;",
+    "trans x -> x :1/2 ;",
+    "trans y -> y : 1;",
+    "trans z -> x : (p)/(2);",
+    "trans z -> z : 1 - (p)/(2);",
+    "trans y -> x : [0, 1];",
+    "trans x -> y : [1/2, 1];",
+    "trans x -> y : 1/2 # c\n;",
+    "state y {a b};",
+    "state y {a,};",
+    "transx -> y : 1;",
+]
+_MODEL_TEXT = st.tuples(
+    st.sampled_from(["pmc\n", "imc\n", "pmc", "# c\npmc ", ""]),
+    st.lists(
+        st.sampled_from(
+            _STATEMENTS * 3
+            + ["0", "1.5", "a", "x", "y", "é", "->", ":", "trans", "state"]
+            + list(";:,{}()[]+-*/")
+            + [" ", "\t", "\n", "\r\n", "\u00a0", "#", "# c;"]
+            + ["!", "½", "$"]
+        ),
+        max_size=25,
+    ),
+).map(lambda parts: parts[0] + "".join(parts[1]))
+
+
+@given(_MODEL_TEXT)
+@example("pmc\nstate x;\ninit x;\ntrans x -> x : 1/2;trans x -> x : 1/2;")
+@example(
+    "pmc\nparam p in (0, 1);\nstate x;\nstate y {a};\ninit x;\ntrans x -> y : p;"
+    "trans x -> x : 1 - p;trans y -> y : p;trans y -> x : 1 - p;"
+)
+@example("imc\nstate x;\ninit x;\ntrans x -> x : [1/2, 1];")
+def test_parse_model_matches_reference(text):
+    assert _outcome(parse_model, text) == _outcome(_reference_parse_model, text)
+
+
+def _mutant_bases():
+    """Texts of whole models: generated ones, written as _pmc_text does,
+    and the bundled models, with their comments and parameter ranges."""
+    rng = random.Random(0)
+    models = [crowds_like(1, 4, 1), crowds_like(2, 3, 1)]
+    models += [random_mc(rng, rng.randint(2, 10), max_branching=4) for _ in range(4)]
+    models += [chain_mc(rng, 12) for _ in range(2)]
+    texts = [_pmc_text(M) + "\n" for M in models]
+    bundled = Path(__file__).resolve().parent.parent / "models"
+    return texts + [path.read_text() for path in sorted(bundled.iterdir())]
+
+
+# a changed character is one of these: every symbol, a digit, ASCII and
+# non-ASCII letters, whitespace, a comment start and characters no token
+# starts with
+_MUTANT_CHARS = list(";:,{}()[]+-*/>._#") + ["0", "7", "a", "x", "é", "½", "$", " ", "\n", "\r"]
+
+
+def test_mutated_models_match_reference():
+    # the same model and sharing, or the same error, on models with one line
+    # deleted or duplicated, or with one character changed
+    bases = _mutant_bases()
+    rng = random.Random(20261020)
+    for _ in range(300):
+        text = rng.choice(bases)
+        lines = text.splitlines(keepends=True)
+        how = rng.randrange(3)
+        if how < 2:
+            i = rng.randrange(len(lines))
+            lines[i:i + 1] = [] if how == 0 else [lines[i]] * 2
+            text = "".join(lines)
+        else:
+            i = rng.randrange(len(text))
+            text = text[:i] + rng.choice(_MUTANT_CHARS) + text[i + 1:]
+        assert _outcome(parse_model, text) == _outcome(_reference_parse_model, text), text
+
+
+_COIN_HEAD = "pmc\nparam p in (0, 1);\nstate s;\nstate t;\ninit s;\n"
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        # a label list is {} or names separated by single commas
+        ("pmc\nstate s {a b};\ninit s;\ntrans s -> s : 1;", "expected '}', found 'b'"),
+        ("pmc\nstate s {a,};\ninit s;\ntrans s -> s : 1;", "expected a name, found '}'"),
+        ("pmc\nstate s {,a};\ninit s;\ntrans s -> s : 1;", "expected a name, found ','"),
+        # a keyword runs into the name after it, also after a body seen before
+        ("pmc\nstate x;\nstate y;\ninit x;\ntrans x -> y : 1;\ntransx -> y : 1;", "unknown statement 'transx'"),
+        ("pmc\nstatex;\ninit x;\ntrans x -> x : 1;", "unknown statement 'statex'"),
+        # a comment inside a statement, before its ';', one with a ';' in it too
+        ("pmc\nstate a;\nstate b;\ninit a;\ntrans a -> b : 1 # c\n;\ntrans b -> b : 1;", ("a", "b")),
+        ("pmc\nstate a;\nstate b;\ninit a;\ntrans a -> b : 1 # ;\n;\ntrans b -> b : 1 # ;\n;", ("a", "b")),
+        # parentheses and unary minus in bodies
+        (_COIN_HEAD + "trans s -> t : -(-(p));\ntrans s -> s : 1 - -(-p);\ntrans t -> t : (1);", ("s", "t")),
+        (_COIN_HEAD + "trans s -> t : -;", "unexpected token ';' in expression"),
+        (_COIN_HEAD + "trans s -> t : (p));", "expected ';', found ')'"),
+        ("pmc\nstate état {é};\ninit état;\ntrans état -> état : 1;", ("état",)),
+        ("pmc\nstate s;\nstate ½;\ninit s;\ntrans s -> s : 1;", "unexpected character '½'"),
+        ("pmc\nstate s;\ninit s;\ntrans s -> ½ : 1;", "unexpected character '½'"),
+        ("pmc\nstate s½;\ninit s½;\ntrans s½ -> s½ : 1;", ("s½",)),  # '½' goes on a name
+        ("pmc\nstate trans;\ninit trans;\ntrans trans -> trans : 1;", ("trans",)),
+        ("pmc\r\nstate s {a, b};\r\ninit s;\r\ntrans s -> s : 1;\r\n", ("s",)),
+        ("pmc\nstate s;\ninit s;\ntrans s -> s : 1;", ("s",)),  # no final newline
+        ("pmc\nstate s;\ninit s;\ntrans s -> s : 1", "expected ';', found ''"),
+        ("pmc\nstate s;\ninit s;\ntrans s -> s : 1;\nstate t", "expected ';', found ''"),
+    ],
+)
+def test_statement_pattern_edges(text, outcome):
+    # where a statement form must not accept more than the token stream
+    result = _outcome(parse_model, text)
+    assert result == _outcome(_reference_parse_model, text)
+    if isinstance(outcome, str):
+        assert result == (ModelSyntaxError, outcome)
+    else:
+        assert result[0] == outcome
