@@ -5,6 +5,10 @@
     pmc-synth classify -m MODEL (-q QUERY | -f FORMULA) [--oracle]
     pmc-synth synth    -m MODEL -q QUERY [-o FILE] [--solve grid:N | --solver PATH]
 
+``check`` and ``synth`` run on the chain lumped for the formula's atomic
+propositions (``pmc.lump``), with evaluations checked on the given chain;
+``classify`` runs on the given chain.
+
 Exit codes: 0 success (and positive verdict where applicable); 1 completed
 with a negative answer (verdict false, no witness, solver unsat); 2 usage;
 3 malformed or unreadable input; 4 a size cap, search budget or nesting depth
@@ -37,13 +41,14 @@ from .eqsys import (
     parse_pltl,
 )
 from .gba import CapacityError, GbaError, dump, translate
-from .ltl import LtlError, LtlFormula, parse_formula
+from .ltl import LtlError, LtlFormula, atomic_props, parse_formula
 from .pmc import (
     Imc,
     ModelError,
     Pmc,
     check_evaluation_names,
     imc_to_pmc,
+    lump,
     parse_evaluation,
     parse_model,
 )
@@ -154,9 +159,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 2
     evaluation = parse_evaluation(args.evaluation) if args.evaluation else {}
     check_evaluation_names(M, evaluation)
-    analysis = eqsys.analyze(M, formula)
+    analysis = eqsys.analyze(lump(M, atomic_props(formula)), formula)
     t0 = time.perf_counter()
-    result = eqsys.solve_concrete(analysis.system, evaluation)
+    result = eqsys.solve_concrete(analysis.system, evaluation, M)
     t_mc = time.perf_counter() - t0
     probability = _exact(result.target)
     _print_stats(_stats_row(M, analysis, t_mc), args.report)
@@ -233,9 +238,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
             raise CapacityError(f"grid resolution of {digits} digits is too long") from None
         axes = eqsys.grid_axes(M, resolution)
 
-    system = eqsys.analyze(M, query.formula).system
+    system = eqsys.analyze(lump(M, atomic_props(query.formula)), query.formula).system
     if args.out:
-        Path(args.out).write_text(smtlib.emit_smtlib(system, query))
+        Path(args.out).write_text(smtlib.emit_smtlib(system, query, M))
         print(f"smt: wrote {args.out}")
         if args.solver:
             proc = subprocess.run(
@@ -254,7 +259,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if axes is None:
         return 0
 
-    result = eqsys.synth_grid(system, query, axes)
+    result = eqsys.synth_grid(system, query, axes, M)
     if result.witness is None:
         print(
             f"no witness on the grid (tried {result.tried} points, "

@@ -27,6 +27,12 @@ fill-in would pass ``FILL_BUDGET`` entries stops with ``CapacityError``.
 ``solve_concrete`` checks the evaluation with ``well_defined``, the single
 stage of ``StagedCheck``, and hands the entry values to that block solver.
 
+The system may be built over a quotient made by ``pmc.lump``; the command
+line lumps before ``analyze``, which itself takes any chain.  Evaluations
+are then still checked on the given chain, so ``solve_concrete`` and
+``synth_grid`` take it beside the system, and the quotient's entry values
+are sums of the given chain's (``pmc.lumped_values``).
+
 Grid synthesis walks the lattice of ``grid_axes`` with an index list, one
 parameter fixed at a time, and checks each stage with ``StagedCheck``: a
 parameter range, an entry or a row sum is checked once the parameters it
@@ -52,6 +58,7 @@ from .pmc import (
     Pmc,
     StagedCheck,
     check_evaluation_names,
+    lumped_values,
     parse_number,
     short_repr,
     well_defined,
@@ -343,13 +350,20 @@ def _eliminate(
     return x
 
 
-def solve_concrete(system: EquationSystem, evaluation: Evaluation) -> SolveResult:
+def solve_concrete(
+    system: EquationSystem, evaluation: Evaluation, M: Pmc | None = None
+) -> SolveResult:
     """Exact solution of the system under a total evaluation: one value per
-    reachable node, a model of the emitted SMT-LIB script at that point."""
-    report = well_defined(system.graph.pmc, evaluation)
+    reachable node, a model of the emitted SMT-LIB script at that point.
+    The evaluation is checked with ``well_defined`` on M, the given chain
+    whose quotient by ``pmc.lump`` the system is built over (or M itself);
+    without M, on the system's own chain."""
+    Q = system.graph.pmc
+    M = Q if M is None else M
+    report = well_defined(M, evaluation)
     if not report.ok:
         raise IllDefinedEvaluationError(report.problems)
-    return _solve_blocks(system, report.values)
+    return _solve_blocks(system, lumped_values(Q, M, report.values))
 
 
 def _solve_blocks(
@@ -481,19 +495,22 @@ def grid_axes(M: Pmc, resolution: int) -> dict[str, list[Fraction]]:
 
 
 def synth_grid(
-    system: EquationSystem, query: PltlQuery, axes: dict[str, list[Fraction]]
+    system: EquationSystem, query: PltlQuery, axes: dict[str, list[Fraction]], M: Pmc
 ) -> SynthResult:
     """The first point of ``axes`` (see ``grid_axes``) whose probability lies
     in the query interval, in lexicographic order with the last axis
-    fastest.  Points that are not well-defined (zero entries, row sums off
-    1) are skipped but counted in ``tried``.  The walk (see the module
-    docstring) keeps its prefix in an index list, not on the call stack, so
-    a model with thousands of parameters scans too.
+    fastest.  Points are checked on M, the given chain whose quotient by
+    ``pmc.lump`` the system is built over (or M itself), and those that
+    are not well-defined (zero entries, row sums off 1) are skipped but
+    counted in ``tried``.  The walk (see the module docstring) keeps its
+    prefix in an index list, not on the call stack, so a model with
+    thousands of parameters scans too.
     """
+    Q = system.graph.pmc
     names = list(axes)
     points = list(axes.values())
-    check_evaluation_names(system.graph.pmc, axes)
-    check = StagedCheck(system.graph.pmc, names)
+    check_evaluation_names(M, axes)
+    check = StagedCheck(M, names)
     n = len(names)
     # below[k]: the number of points that share a prefix of k parameters
     below = [1] * (n + 1)
@@ -509,7 +526,7 @@ def synth_grid(
     while True:
         if k == n:
             tried += 1
-            result = _solve_blocks(system, values)
+            result = _solve_blocks(system, lumped_values(Q, M, values))
             admitted += 1
             if query.admits(result.target):
                 witness = {name: axes[name][i] for name, i in zip(names, index)}

@@ -89,9 +89,12 @@ def crowds_like(rounds: int = 55, members: int = 20, corrupt: int = 4) -> Pmc:
     """
     if corrupt > members:
         raise ValueError("more corrupt members than members")
+    # one object per distinct entry, as parse_model shares equal bodies
     p = RationalFunction.var("p")
     one = RationalFunction.const(1)
     inv_members = RationalFunction.const(Fraction(1, members))
+    forward = p * inv_members
+    deliver = one - p
 
     states: list[str] = []
     labels: list[frozenset[str]] = []
@@ -119,8 +122,8 @@ def crowds_like(rounds: int = 55, members: int = 20, corrupt: int = 4) -> Pmc:
         for i in range(members):
             mix = index[f"mix{r}_{i}"]
             for j in range(members):
-                trans[(mix, index[f"mix{r}_{j}"])] = p * inv_members
-            trans[(mix, done)] = one - p
+                trans[(mix, index[f"mix{r}_{j}"])] = forward
+            trans[(mix, done)] = deliver
         nxt = index[f"new{(r + 1) % rounds}"]
         trans[(done, nxt)] = one
     params = {"p": Param("p", Fraction(1, 10), Fraction(9, 10))}

@@ -28,6 +28,14 @@ checked again.  ``imc_to_pmc`` rows are range constraints and are not
 checked that way.  Every ``Imc`` checks on construction that each row admits
 a distribution.
 
+``lump`` cuts a chain down to the part reachable from its initial state and
+merges bisimilar states there, for the labels cut down to a formula's
+atomic propositions.  Refinement compares function objects by identity, so
+the sharing above is what lets states merge.  The quotient records which
+given entries each of its entries sums; ``lumped_values`` turns the given
+chain's evaluated entries into the quotient's, so an evaluation is checked
+on the given chain, with its state names, and nothing is evaluated twice.
+
 File format (line comments with #, statements end with ';'):
 
     pmc
@@ -45,6 +53,7 @@ File format (line comments with #, statements end with ';'):
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -107,6 +116,9 @@ class Pmc:
     initial: int
     params: dict[str, Param]
     trans: dict[tuple[int, int], RationalFunction]
+    # a quotient made by ``lump``: per transition, the transitions of the
+    # given chain whose entries it sums; None for any other chain
+    sums: dict[tuple[int, int], tuple[tuple[int, int], ...]] | None = None
 
     def n_states(self) -> int:
         return len(self.states)
@@ -199,12 +211,12 @@ class _Tokens:
     def expect(self, value: str) -> None:
         kind, v = self.take()
         if v != value or kind == "eof":
-            raise ModelSyntaxError(f"expected {value!r}, found {v!r}")
+            raise ModelSyntaxError(f"expected {value!r}, found {short_repr(v)}")
 
     def ident(self) -> str:
         kind, v = self.take()
         if kind != "ident":
-            raise ModelSyntaxError(f"expected a name, found {v!r}")
+            raise ModelSyntaxError(f"expected a name, found {short_repr(v)}")
         return v
 
     def take_statement(self) -> tuple[int, tuple[tuple[str, str], ...] | None]:
@@ -247,7 +259,7 @@ def _parse_expr(tk: _Tokens, params: Mapping[str, Param]) -> RationalFunction:
             e = expr()
             tk.expect(")")
             return e
-        raise ModelSyntaxError(f"unexpected token {v!r} in expression")
+        raise ModelSyntaxError(f"unexpected token {short_repr(v)} in expression")
 
     def term() -> RationalFunction:
         e = factor()
@@ -414,14 +426,14 @@ def parse_model(text: str) -> Pmc | Imc:
             if hi != 0:  # a certainly-zero transition is the same as absent
                 lower[key], upper[key] = lo, hi
             continue
-        if entry.is_const and id(entry) not in checked:
+        if id(entry) not in checked:
             checked.add(id(entry))
-            v = entry.value()
+            v = entry.value() if entry.is_const else None
             if v == 0:
                 raise ModelSyntaxError(
                     f"transition {src} -> {dst} has probability 0; omit it instead"
                 )
-            if v < 0 or v > 1:
+            if v is not None and (v < 0 or v > 1):
                 raise ModelSyntaxError(
                     f"transition {src} -> {dst} has constant probability {v} outside [0,1]"
                 )
@@ -470,22 +482,134 @@ def _validate_rows(M: Pmc) -> None:
 def _row_sum(fs: Iterable[RationalFunction]) -> RationalFunction:
     """Sum of the entries, grouped by denominator.
 
-    Numerators over one denominator are added term by term in one dict, and
-    constant denominators join the group over 1 by scaling their numerators,
-    so a row of n entries over one denominator costs no polynomial product.
+    Each distinct object is taken once, times the number of entries that
+    hold it.  Numerators over one denominator are added term by term in one
+    dict, and constant denominators join the group over 1 by scaling their
+    numerators, so a row of n entries over one denominator costs no
+    polynomial product.
     """
-    groups: dict[Polynomial, dict[Monomial, Fraction]] = {}
+    counts: dict[int, list] = {}
     for f in fs:
+        counts.setdefault(id(f), [f, 0])[1] += 1
+    groups: dict[Polynomial, dict[Monomial, Fraction]] = {}
+    for f, k in counts.values():
         num, den = f.num, f.den
+        scale = Fraction(k)
         if den.is_const:
-            num, den = num.scale(1 / den.const_value()), P_ONE
+            scale, den = scale / den.const_value(), P_ONE
         acc = groups.setdefault(den, {})
         for m, c in num.terms:
-            acc[m] = acc.get(m, 0) + c
+            acc[m] = acc.get(m, 0) + scale * c
     total = RF_ZERO
     for den, acc in groups.items():
         total = total + RationalFunction.make(Polynomial._from_dict(acc), den)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Lumping
+# ---------------------------------------------------------------------------
+
+
+def lump(M: Pmc, ap: Iterable[str]) -> Pmc:
+    """The quotient of the part of M reachable from its initial state by a
+    probabilistic bisimulation on the labels cut down to ``ap``; M itself if
+    every state is reachable and no two merge.
+
+    The partition starts from ``label & ap`` and is refined until it is
+    stable.  A state's signature is its block and the sorted multiset of
+    (successor block, ``id`` of the entry's function object); equal
+    multisets give equal sums into every block, so the result is a
+    bisimulation, though it may be finer than the coarsest one.  Bisimilar
+    states give every LTL formula over ``ap`` the same probability under
+    every evaluation, and the states that the initial one cannot reach give
+    it none.
+
+    A quotient state is named and labelled by its block's first state in
+    state order, and its entry into a block is the sum of that state's
+    entries into the block.  A block pair of one entry keeps its function
+    object, and one object is built per distinct tuple of summed objects,
+    so the quotient's function objects are shared as M's are.  A sum that
+    is identically 0 keeps its arc: no evaluation makes all its summands
+    positive, so ``well_defined`` on M rejects every evaluation that would
+    use it.  ``sums`` records the summed entries for ``lumped_values``.
+    """
+    ap = frozenset(ap)
+    seen = {M.initial}
+    stack = [M.initial]
+    while stack:
+        for t, _ in M.rows[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    live = sorted(seen)
+    n = len(live)
+    # the refinement reads positions in ``live``, and function objects by id
+    at = {s: k for k, s in enumerate(live)}
+    rows = [[(at[t], id(f)) for t, f in M.rows[s]] for s in live]
+    # blocks are numbered by their first state, so a stable partition
+    # keeps its numbers
+    numbers: dict = {}
+    block = [numbers.setdefault(M.labels[s] & ap, len(numbers)) for s in live]
+    count = len(numbers)
+    while count < n:
+        # a state alone in its block stays alone: its block is its key
+        size = Counter(block)
+        numbers = {}
+        block = [
+            numbers.setdefault(
+                (b, *sorted([(block[t], i) for t, i in rows[k]])) if size[b] > 1 else b,
+                len(numbers),
+            )
+            for k, b in enumerate(block)
+        ]
+        if len(numbers) == count:
+            break
+        count = len(numbers)
+    if count == M.n_states():
+        return M
+
+    reps: list[int] = []  # per block, its first state
+    for k, b in enumerate(block):
+        if b == len(reps):
+            reps.append(live[k])
+    trans: dict[tuple[int, int], RationalFunction] = {}
+    sums: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    shared: dict[tuple[int, ...], RationalFunction] = {}
+    for b, r in enumerate(reps):
+        into: dict[int, list[tuple[int, RationalFunction]]] = {}
+        for t, f in M.rows[r]:
+            into.setdefault(block[at[t]], []).append((t, f))
+        for c, entries in into.items():
+            sums[b, c] = tuple((r, t) for t, _ in entries)
+            if len(entries) == 1:
+                trans[b, c] = entries[0][1]
+                continue
+            key = tuple(sorted(id(f) for _, f in entries))
+            if key not in shared:
+                shared[key] = _row_sum(f for _, f in entries)
+            trans[b, c] = shared[key]
+    return Pmc(
+        tuple(M.states[r] for r in reps),
+        tuple(M.labels[r] for r in reps),
+        block[at[M.initial]],
+        M.params,
+        trans,
+        sums,
+    )
+
+
+def lumped_values(
+    Q: Pmc, M: Pmc, values: Mapping[tuple[int, int], Fraction]
+) -> Mapping[tuple[int, int], Fraction]:
+    """Q's entries under an evaluation, {(b, c): value}, from the evaluated
+    entries ``values`` of M: each the sum of the entries of M it lumps, or
+    ``values`` itself if Q is M (see ``lump``)."""
+    if Q is M:
+        return values
+    return {
+        key: sum([values[k] for k in part[1:]], values[part[0]]) for key, part in Q.sums.items()
+    }
 
 
 # The number forms of evaluations and query bounds.  Fraction accepts more,

@@ -6,9 +6,14 @@ assertions, and the equation system of ``eqsys`` — one mu variable and flow
 equation per product node reachable from an initial node, normalization
 rows, zeros and mu range bounds — so ``solve_concrete``'s ``mu`` is a full
 model of the mu variables; and the membership of the target sum in the
-query's probability interval.  ``(/ x 0)`` is not an error in
-SMT-LIB but a value a solver may choose, so each distinct non-constant
-denominator of a transition is asserted to be nonzero.
+query's probability interval.  The system may be that of a quotient made by
+``pmc.lump``: its mu variables are then named after each block's first
+state, while the support section comes from the given chain, so the
+script's parameter models are those of the unlumped script.  That section
+asserts each distinct non-constant entry positive once and each distinct
+row of entries to sum to 1 once.  ``(/ x 0)`` is not an error in SMT-LIB
+but a value a solver may choose, so each distinct non-constant denominator
+of a transition is asserted to be nonzero.
 
 ``parse_script`` reads a script in one pass: one regular expression matches
 each token with the whitespace and ``;`` comments before it, and the
@@ -37,6 +42,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .eqsys import EquationSystem, PltlQuery
+from .pmc import Pmc
 from .ratfunc import Polynomial, RationalFunction
 
 
@@ -104,13 +110,21 @@ def mu_name(system: EquationSystem, node: int) -> str:
     return f"mu_{q}.{system.graph.pmc.states[s]}"
 
 
-def emit_smtlib(system: EquationSystem, query: PltlQuery) -> str:
+def emit_smtlib(system: EquationSystem, query: PltlQuery, M: Pmc) -> str:
+    """The script of the system and the query.  M is the given chain whose
+    quotient by ``pmc.lump`` the system is built over (or M itself): its
+    parameters are declared, its states' names checked, its entries
+    asserted positive and its rows to sum to 1, so the script's parameter
+    models do not depend on the lumping."""
     G = system.graph
-    M = G.pmc
+    Q = G.pmc
     lines: list[str] = []
     out = lines.append
     out("(set-logic QF_NRA)")
-    out(f"; product of {len(G.gba.states)} automaton states x {M.n_states()} chain states")
+    out(
+        f"; product of {len(G.gba.states)} automaton states x {Q.n_states()} blocks "
+        f"of {M.n_states()} chain states"
+    )
 
     for name in sorted(M.params):
         if name in _RESERVED:
@@ -132,28 +146,38 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery) -> str:
         p = M.params[name]
         lines += _within(name, p.lower, p.upper, p.lower_strict, p.upper_strict)
 
-    # generated models share a few function objects among thousands of entries
+    # generated models share a few function objects among thousands of
+    # entries, and their rows repeat: each distinct non-constant entry is
+    # asserted positive once, and each distinct row to sum to 1 once
     distinct = {id(f): f for f in M.trans.values()}
     text_of = {i: _rf(f) for i, f in distinct.items()}
     out("; support positivity and row sums")
     for den in dict.fromkeys(_poly(f.den) for f in distinct.values() if not f.den.is_const):
         out(f"(assert (not (= {den} 0)))")
-    for s in range(M.n_states()):
-        row = M.succ(s)
+    positive: set[int] = set()
+    summed: set[tuple[int, ...]] = set()
+    for row in M.rows:
+        key = tuple(id(f) for _, f in row)
+        if key in summed:
+            continue
+        summed.add(key)
         if all(f.is_const for _, f in row):
             continue
-        for _, f in row:
-            if not f.is_const:
-                out(f"(assert (> {text_of[id(f)]} 0))")
-        out(f"(assert (= {_sum([text_of[id(f)] for _, f in row])} 1))")
+        for i in key:
+            if i not in positive and not distinct[i].is_const:
+                positive.add(i)
+                out(f"(assert (> {text_of[i]} 0))")
+        out(f"(assert (= {_sum([text_of[i] for i in key])} 1))")
 
+    # the quotient's entries are M's or sums of them
+    text_of.update((id(f), _rf(f)) for f in Q.trans.values() if id(f) not in text_of)
     out("; flow equations")
-    ns = M.n_states()
+    ns = Q.n_states()
     for u in names:
         s = u % ns
         # build_product lays out a node's arcs grouped by chain successor
         terms = [
-            f"(* {text_of[id(M.trans[s, t])]} {_sum([names[v] for v in group])})"
+            f"(* {text_of[id(Q.trans[s, t])]} {_sum([names[v] for v in group])})"
             for t, group in itertools.groupby(G.succ(u), key=lambda v: v % ns)
         ]
         out(f"(assert (= {names[u]} {_sum(terms)}))")

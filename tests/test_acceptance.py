@@ -352,7 +352,7 @@ def test_criterion_7(capsys):
         == (F(3, 10), F(1, 2), False, False)
     )
     query = parse_pltl("P in [0, 1] [ F goal ]")
-    res = synth_grid(analyze(M, query.formula).system, query, grid_axes(M, 11))
+    res = synth_grid(analyze(M, query.formula).system, query, grid_axes(M, 11), M)
     w = res.witness
     witness_ok = (
         w is not None
@@ -417,7 +417,7 @@ def test_criterion_8(capsys):
     t0 = time.perf_counter()
     analysis = analyze(crowds, parse_formula("G F fresh"))
     classify_time = time.perf_counter() - t0
-    script = emit_smtlib(analysis.system, parse_pltl("P >= 1 [ G F fresh ]"))
+    script = emit_smtlib(analysis.system, parse_pltl("P >= 1 [ G F fresh ]"), crowds)
     forms = check_wellformed(script)
     solver = next(
         (s for s in ("z3", "cvc5", "cvc4", "yices-smt2") if shutil.which(s)), None
@@ -471,7 +471,7 @@ def test_criterion_9(capsys):
     def wellformed(system, query):
         nonlocal emitted
         emitted += 1
-        return check_wellformed(emit_smtlib(system, query))
+        return check_wellformed(emit_smtlib(system, query, system.graph.pmc))
 
     # parameterized emissions: structural validity
     M4 = load("split_cycle.pmc")

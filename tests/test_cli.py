@@ -319,7 +319,8 @@ def test_deeply_nested_transition_exit_4(capsys, tmp_path):
 
 def test_check_product_cap_before_translate(capsys, monkeypatch):
     # 17 X give |el| = 17, so the tableau has 2^17 + 1 states: over the cap
-    # of 1000 nodes with 4 chain states, decided before translating
+    # of 1000 nodes with the 3 states that the chain lumps to over {x}
+    # (y and z merge), decided before translating
     def translate(*_args, **_kwargs):
         raise AssertionError("translate ran for a product over the cap")
 
@@ -328,7 +329,7 @@ def test_check_product_cap_before_translate(capsys, monkeypatch):
     formula = "X " * 17 + "x"
     code, out, err = run(capsys, "check", "-m", SPLIT_CYCLE, "-e", "eps=1/8", "-f", formula)
     assert (code, out) == (4, "")
-    assert err == "error: product would have 524292 nodes, above the cap of 1000\n"
+    assert err == "error: product would have 393219 nodes, above the cap of 1000\n"
 
 
 # ---------------------------------------------------------------------------

@@ -552,7 +552,7 @@ def test_analyze_times_and_capacity(monkeypatch):
 def grid_synth(M, text, resolution=11):
     axes = grid_axes(M, resolution)
     query = parse_pltl(text)
-    return synth_grid(analyze(M, query.formula).system, query, axes)
+    return synth_grid(analyze(M, query.formula).system, query, axes, M)
 
 
 def test_synth_grid_finds_first_witness():
@@ -619,7 +619,7 @@ def assert_scans_agree(M, formula, bounds, axes):
     system = analyze(M, parse_formula(formula)).system
     for lo, hi in [*bounds, (F(2), F(2))]:
         query = PltlQuery(parse_formula(formula), lo, hi)
-        got = synth_grid(system, query, axes)
+        got = synth_grid(system, query, axes, M)
         assert got == reference_synth_grid(system, query, axes)
         if got.witness is not None:
             assert list(got.witness) == list(axes)
@@ -781,7 +781,7 @@ def test_synth_grid_evaluates_each_entry_once_its_parameters_are_fixed(monkeypat
         return evaluate(self, assignment)
 
     monkeypatch.setattr(RationalFunction, "evaluate", counted)
-    res = synth_grid(system, query, grid_axes(M, 41))
+    res = synth_grid(system, query, grid_axes(M, 41), M)
     assert (res.witness, res.tried, res.admitted) == (None, 1681, 9)
     assert calls < 2 * res.tried
 
@@ -811,7 +811,7 @@ def test_synth_grid_evaluates_each_shared_function_once_per_stage(monkeypatch):
         return evaluate(self, assignment)
 
     monkeypatch.setattr(RationalFunction, "evaluate", counted)
-    res = synth_grid(system, parse_pltl("P < 1/2 [ F delivered ]"), grid_axes(M, 15))
+    res = synth_grid(system, parse_pltl("P < 1/2 [ F delivered ]"), grid_axes(M, 15), M)
     assert (res.witness, res.tried, res.admitted) == (None, 15, 15)
     # p/3 and 1 - p per point, and 1/3 and 1 once, at stage 0
     assert calls <= 2 * res.tried + 2

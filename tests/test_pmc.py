@@ -152,6 +152,45 @@ def test_expression_error_messages(body, message, end):
     assert str(exc.value) == message.format(end=end.strip())
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("pmc\nstate s;\ninit s;\ntrans s -> s : 1 " + "9" * 5000 + ";", "expected ';', found "),
+        ("pmc\nstate " + "9" * 5000 + ";", "expected a name, found "),
+    ],
+    ids=["expect", "ident"],
+)
+def test_overlong_token_is_quoted_by_its_ends(text, message):
+    # a 5,000-digit token is cut to its first and last 15 characters
+    result = _outcome(parse_model, text)
+    assert result == (ModelSyntaxError, message + f"'{'9' * 15}...{'9' * 15}'")
+    assert result == _outcome(_reference_parse_model, text)
+
+
+def test_constant_entries_are_checked_once_per_function(monkeypatch):
+    # 50 transitions share the body 1: it is asked whether it is constant
+    # once while the transitions are resolved and once for the rows, which
+    # all hold the same object
+    calls = 0
+    is_const = RationalFunction.is_const
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return is_const.fget(self)
+
+    text = "pmc\n" + "".join(f"state s{i};\n" for i in range(50)) + "init s0;\n"
+    text += "".join(f"trans s{i} -> s{(i + 1) % 50} : 1;\n" for i in range(50))
+    monkeypatch.setattr(RationalFunction, "is_const", property(counted))
+    M = parse_model(text)
+    assert len(M.trans) == 50
+    assert calls < 5
+    # the error still names the first transition that holds a bad constant
+    text = text.replace("s1 -> s2 : 1", "s1 -> s2 : 2").replace("s3 -> s4 : 1", "s3 -> s4 : 2")
+    with pytest.raises(ModelSyntaxError, match="transition s1 -> s2 has constant probability 2"):
+        parse_model(text)
+
+
 def test_first_error_in_file_order():
     # good copies of an expression first, then a bad one, then another error
     text = (

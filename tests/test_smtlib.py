@@ -348,7 +348,7 @@ def test_operator_table_matches_reference(term, x):
 
 def test_emitted_script_is_wellformed():
     M, system = system_for("split_cycle.pmc", "G F y")
-    script = emit_smtlib(system, parse_pltl("P >= 1 [ G F y ]"))
+    script = emit_smtlib(system, parse_pltl("P >= 1 [ G F y ]"), M)
     forms = check_wellformed(script)
     assert forms[0] == ["set-logic", "QF_NRA"]
     assert forms[-2] == ["check-sat"]
@@ -385,8 +385,8 @@ def test_emitted_script_is_wellformed():
     ],
 )
 def test_parameter_range_lines(model_name, formula_text, ranges):
-    _, system = system_for(model_name, formula_text)
-    lines = emit_smtlib(system, parse_pltl(f"P >= 1/2 [ {formula_text} ]")).splitlines()
+    M, system = system_for(model_name, formula_text)
+    lines = emit_smtlib(system, parse_pltl(f"P >= 1/2 [ {formula_text} ]"), M).splitlines()
     start = lines.index("; parameter ranges") + 1
     assert lines[start : lines.index("; support positivity and row sums")] == ranges
 
@@ -401,7 +401,7 @@ def test_vanishing_denominator_is_excluded():
         "trans t -> t : 1;\ntrans u -> u : 1;\n"
     )
     system = analyze(M, parse_formula("F goal")).system
-    script = emit_smtlib(system, parse_pltl("P >= 1/2 [ F goal ]"))
+    script = emit_smtlib(system, parse_pltl("P >= 1/2 [ F goal ]"), M)
     lines = script.splitlines()
     guard = "(assert (not (= (+ 1 (* (- 2) p)) 0)))"
     assert lines[lines.index("; support positivity and row sums") + 1] == guard
@@ -429,8 +429,9 @@ trans u -> u : 1;
 def test_vanishing_denominator_fails_its_guard_in_the_whole_script():
     # at p = 1/2 the entries of s divide by zero: the whole script lists the
     # false (not (= D 0)) guard, assertion 2 after the two parameter ranges
-    system = analyze(parse_model(VANISHING), parse_formula("F goal")).system
-    forms = check_wellformed(emit_smtlib(system, parse_pltl("P >= 1/2 [ F goal ]")))
+    M = parse_model(VANISHING)
+    system = analyze(M, parse_formula("F goal")).system
+    forms = check_wellformed(emit_smtlib(system, parse_pltl("P >= 1/2 [ F goal ]"), M))
     asserts = [f[1] for f in forms if f[0] == "assert"]
     assert asserts[2] == ["not", ["=", ["+", "1", ["*", ["-", "2"], "p"]], "0"]]
     symbols = [f[1] for f in forms if f[0] == "declare-const"]
@@ -444,7 +445,7 @@ def test_exact_solution_is_a_model():
     # solve a parameterized system at a concrete point, substitute the values
     # into the emitted script, and re-check every assertion arithmetically
     M, system = system_for("split_cycle.pmc", "G F y")
-    script = emit_smtlib(system, parse_pltl("P >= 1 [ G F y ]"))
+    script = emit_smtlib(system, parse_pltl("P >= 1 [ G F y ]"), M)
     forms = check_wellformed(script)
     result = solve_concrete(system, {"eps": F(1, 8)})
     assignment = {mu_name(system, u): v for u, v in result.mu.items()}
@@ -455,13 +456,13 @@ def test_exact_solution_is_a_model():
 def test_exact_solution_is_a_model_parameter_free():
     M, system = system_for("branch13.pmc", "F success")
     target = solve_concrete(system, {}).target
-    script = emit_smtlib(system, parse_pltl(f"P in [{target}, {target}] [ F success ]"))
+    script = emit_smtlib(system, parse_pltl(f"P in [{target}, {target}] [ F success ]"), M)
     forms = check_wellformed(script)
     result = solve_concrete(system, {})
     assignment = {mu_name(system, u): v for u, v in result.mu.items()}
     assert evaluate_assertions(forms, assignment) == []
     # the off-by-anything interval is refuted by the same assignment
-    wrong = emit_smtlib(system, parse_pltl("P in [2/3, 2/3] [ F success ]"))
+    wrong = emit_smtlib(system, parse_pltl("P in [2/3, 2/3] [ F success ]"), M)
     assert evaluate_assertions(check_wellformed(wrong), assignment) != []
 
 
@@ -471,7 +472,7 @@ def test_emission_marks_provably_zero_systems():
     M = parse_model((MODELS / "loop_pair.pmc").read_text())
     system = build_system(build_product(loop_automaton(), M))
     # emission reads only the query's interval, which the zero target meets
-    script = emit_smtlib(system, parse_pltl("P <= 1/2 [ G F x ]"))
+    script = emit_smtlib(system, parse_pltl("P <= 1/2 [ G F x ]"), M)
     assert "; target provably 0: no locally positive SCC" in script
     forms = check_wellformed(script)
     # all-zero assignment is a model of the degenerate system
@@ -501,7 +502,7 @@ def test_parameter_named_like_a_mu_symbol():
     )
     A = translate(parse_formula("F goal"))
     system = build_system(build_product(A, M))
-    forms = check_wellformed(emit_smtlib(system, parse_pltl("P >= 1 [ F goal ]")))
+    forms = check_wellformed(emit_smtlib(system, parse_pltl("P >= 1 [ F goal ]"), M))
     point = {"mu_0_x": F(1, 2)}
     result = solve_concrete(system, point)
     assignment = {mu_name(system, u): v for u, v in result.mu.items()}
@@ -532,12 +533,12 @@ def test_emit_check_evaluate_round_trip(model, formula_seed):
         target = result.target
         assignment = {mu_name(system, u): v for u, v in result.mu.items()} | point
 
-        forms = check_wellformed(emit_smtlib(system, PltlQuery(formula, target, target)))
+        forms = check_wellformed(emit_smtlib(system, PltlQuery(formula, target, target), M))
         assert evaluate_assertions(forms, assignment) == []
 
         # pinned anywhere else, only the target's bound is refuted
         other = target + Fraction(1, 2) if target <= Fraction(1, 2) else target - Fraction(1, 2)
-        forms = check_wellformed(emit_smtlib(system, PltlQuery(formula, other, other)))
+        forms = check_wellformed(emit_smtlib(system, PltlQuery(formula, other, other), M))
         n_asserts = sum(1 for form in forms if form[0] == "assert")
         failures = evaluate_assertions(forms, assignment)
         assert len(failures) == 1 and failures[0] >= n_asserts - 2
@@ -550,6 +551,6 @@ def test_emission_renders_each_function_object_once(monkeypatch):
     rendered = []
     render = smtlib._rf
     monkeypatch.setattr(smtlib, "_rf", lambda f: rendered.append(f) or render(f))
-    check_wellformed(emit_smtlib(system, parse_pltl("P >= 1/2 [ G F fresh ]")))
+    check_wellformed(emit_smtlib(system, parse_pltl("P >= 1/2 [ G F fresh ]"), M))
     distinct = {id(f) for f in M.trans.values()}
     assert len(rendered) <= len(distinct) < len(M.trans)
