@@ -38,8 +38,12 @@ parameter fixed at a time, and checks each stage with ``StagedCheck``: a
 parameter range, an entry or a row sum is checked once the parameters it
 reads are fixed, so constant entries are checked once per scan, a function
 shared by many entries is evaluated once a stage, and a prefix that fails
-is skipped whole (its points counted as tried).  A point that passes goes
-to the block solver with the entry values the walk evaluated.
+is skipped whole (its points counted as tried).  A parameter whose stage
+completes a row with the parameter alone, as the last entry of an interval
+row does, can take only the value that makes the row sum to 1: the walk
+looks that value up on its axis and checks it alone, counting the axis's
+other points as tried.  A point that passes goes to the block solver with
+the entry values the walk evaluated.
 """
 
 from __future__ import annotations
@@ -504,7 +508,8 @@ def synth_grid(
     are not well-defined (zero entries, row sums off 1) are skipped but
     counted in ``tried``.  The walk (see the module docstring) keeps its
     prefix in an index list, not on the call stack, so a model with
-    thousands of parameters scans too.
+    thousands of parameters scans too.  An axis that repeats a value is a
+    GridError: a forced value is looked up by its value.
     """
     Q = system.graph.pmc
     names = list(axes)
@@ -516,12 +521,18 @@ def synth_grid(
     below = [1] * (n + 1)
     for k in range(n - 1, -1, -1):
         below[k] = below[k + 1] * len(points[k])
+    # at[k]: the index of each value of parameter k, to look up a forced one
+    at = [{v: i for i, v in enumerate(axis)} for axis in points]
+    for name, axis, index_of in zip(names, points, at):
+        if len(index_of) != len(axis):
+            raise GridError(f"the grid of parameter {name} repeats a value")
     evaluation: dict[str, Fraction] = {}
     values: dict[tuple[int, int], Fraction] = {}
     if not check.passes(0, evaluation, values):
         return SynthResult(None, None, below[0], 0)
     tried = admitted = 0
-    index = [-1] * n  # the value of each parameter on the current prefix
+    index = [0] * n  # the value of each parameter on the current prefix
+    stop = [0] * n  # one past the last value of each parameter to try on it
     k = 0  # the parameters fixed
     while True:
         if k == n:
@@ -532,16 +543,28 @@ def synth_grid(
                 witness = {name: axes[name][i] for name, i in zip(names, index)}
                 return SynthResult(witness, result.target, tried, admitted)
             k -= 1
-        # move to the next value of parameter k, backing up past the ones
-        # whose values are used up
-        while k >= 0 and index[k] + 1 == len(points[k]):
-            index[k] = -1
-            k -= 1
-        if k < 0:
-            return SynthResult(None, None, tried, admitted)
-        index[k] += 1
-        evaluation[names[k]] = points[k][index[k]]
-        if check.passes(k + 1, evaluation, values):
-            k += 1
         else:
+            # enter parameter k: try every value, or only the one a row
+            # forces (none if it is off the axis), the values before it
+            # counted now and those after it once the walk leaves
+            start, stop[k] = 0, len(points[k])
+            forced = check.forced(k + 1, values)
+            if forced is not None:
+                i = at[k].get(forced)
+                start, stop[k] = (0, 0) if i is None else (i, i + 1)
+                tried += start * below[k + 1]
+            index[k] = start - 1
+        # move to the next value to try, backing up past the parameters
+        # whose values are used up, until one passes its stage
+        while True:
+            while k >= 0 and index[k] + 1 == stop[k]:
+                tried += (len(points[k]) - stop[k]) * below[k + 1]
+                k -= 1
+            if k < 0:
+                return SynthResult(None, None, tried, admitted)
+            index[k] += 1
+            evaluation[names[k]] = points[k][index[k]]
+            if check.passes(k + 1, evaluation, values):
+                break
             tried += below[k + 1]
+        k += 1

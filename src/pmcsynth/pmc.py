@@ -724,6 +724,9 @@ class StagedCheck:
     highest stage of its entries (0 for a row without any).  A point passes
     every stage exactly when it breaks no rule, and a failed stage fails
     every point that shares the prefix, so a scan can skip them all.
+    A stage whose parameter is the only entry it adds to a row it completes,
+    as the last entry of an interval row is, admits at most one value of
+    that parameter (see ``forced``).
     """
 
     def __init__(self, M: Pmc, order: Sequence[str]):
@@ -734,6 +737,9 @@ class StagedCheck:
         # per stage, in state order: a state, its row's entries of the stage,
         # and the keys of the row's earlier entries if the stage completes it
         self.rows: list[list[tuple]] = [[] for _ in self.params]
+        # per stage, the keys of the earlier entries of one row that the
+        # stage completes with its bare parameter alone
+        self.forcing: dict[int, list[tuple[int, int]]] = {}
         stage_of: dict[int, int] = {}
         for s in range(M.n_states()):
             split: dict[int, list[tuple[int, RationalFunction]]] = {}
@@ -745,6 +751,20 @@ class StagedCheck:
             earlier = [(s, t) for k, entries in split.items() if k < last for t, _ in entries]
             for k in split.keys() | {last}:
                 self.rows[k].append((s, split.get(k, []), earlier if k == last else None))
+            if last and len(split[last]) == 1:
+                f = split[last][0][1]
+                if f.den == P_ONE and f.num == Polynomial.var(order[last - 1]):
+                    self.forcing.setdefault(last, earlier)
+
+    def forced(self, stage: int, values: dict[tuple[int, int], Fraction]) -> Fraction | None:
+        """The one value of ``stage``'s parameter that can pass the stage,
+        or None if the stage forces none: 1 minus the earlier entries of a
+        row whose last entry is the bare parameter.  Those entries must be
+        in ``values``, as they are once the earlier stages have passed."""
+        earlier = self.forcing.get(stage)
+        if earlier is None:
+            return None
+        return 1 - sum((values[key] for key in earlier), Fraction(0))
 
     def problems(
         self, stage: int, evaluation: Evaluation, values: dict[tuple[int, int], Fraction]

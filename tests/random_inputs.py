@@ -1,4 +1,5 @@
-"""Seeded random formulas and lasso words shared by the test modules.
+"""Seeded random formulas and lasso words, and a Hypothesis strategy for
+interval chains, shared by the test modules.
 
 Kept out of ``conftest.py``: a test module that imports from ``conftest`` by
 name gets whichever conftest was imported last, which is ``perfbench``'s
@@ -7,6 +8,10 @@ when both suites run in one pytest command.
 
 import os
 import random
+from fractions import Fraction
+
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from pmcsynth.gba import elementary
 from pmcsynth.ltl import (
@@ -62,3 +67,27 @@ def random_lasso(rng: random.Random, ap=("a", "b"), max_stem: int = 4, max_loop:
     stem = tuple(letter() for _ in range(rng.randint(0, max_stem)))
     loop = tuple(letter() for _ in range(rng.randint(1, max_loop)))
     return LassoWord(stem, loop)
+
+
+QUARTER = st.integers(0, 4).map(lambda i: Fraction(i, 4))
+
+
+@st.composite
+def interval_chains(draw):
+    """Text of an .imc with one or two random interval rows of 2 or 3
+    outcomes, from r0 on to r1, the goal g and the sinks b and c."""
+    n_rows = draw(st.integers(1, 2))
+    trans = []
+    for i in range(n_rows):
+        targets = draw(st.permutations([f"r{i + 1}" if i + 1 < n_rows else "c", "g", "b"]))
+        row = [(t, sorted(draw(st.lists(QUARTER, min_size=2, max_size=2))))
+               for t in targets[: draw(st.integers(2, 3))]]
+        assume(sum(lo for _, (lo, _) in row) <= 1 <= sum(hi for _, (_, hi) in row))
+        assume(all(hi > 0 for _, (_, hi) in row))
+        trans += [f"trans r{i} -> {t} : [{lo}, {hi}];" for t, (lo, hi) in row]
+    states = [f"r{i}" for i in range(n_rows)] + ["g", "b", "c"]
+    trans += [f"trans {s} -> {s} : [1, 1];" for s in ("g", "b", "c")]
+    return "\n".join(
+        ["imc", *(f"state {s} {{{'goal' if s == 'g' else ''}}};" for s in states),
+         "init r0;", *trans]
+    )

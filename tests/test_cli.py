@@ -12,6 +12,7 @@ import pytest
 from pmcsynth import cli, eqsys, gba, product
 from pmcsynth.ltl import parse_formula
 from pmcsynth.pmc import parse_model
+from pmcsynth.ratfunc import RationalFunction
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -400,6 +401,26 @@ def test_synth_interval_model(capsys):
     assert "p_s_t=7/10" in out
     # the scan stops at the first witness, 111 combinations in
     assert "tried 111 points, 3 admitted" in out
+
+
+def test_synth_interval_grid_solves_the_last_axis_of_each_row(capsys, monkeypatch):
+    # row s forces p_s_w = 1 - p_s_t and rows t, w force their sinks to 1, so
+    # only p_s_t's 101 values are scanned, not the 10,201 points
+    calls = 0
+    evaluate = RationalFunction.evaluate
+
+    def counted(self, assignment):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, assignment)
+
+    monkeypatch.setattr(RationalFunction, "evaluate", counted)
+    code, out, _ = run(
+        capsys, "synth", "-m", INTERVAL_ROW, "-q", "P > 9/10 [ F goal ]", "--solve", "grid:101"
+    )
+    assert code == 1
+    assert "no witness on the grid (tried 10201 points, 21 admitted)" in out
+    assert calls <= 4 * 101
 
 
 def test_synth_interval_model_with_many_parameters(capsys, tmp_path):

@@ -4,8 +4,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from random_inputs import QUARTER, interval_chains
 
 from pmcsynth import product
 from pmcsynth.eqsys import (
@@ -734,32 +735,61 @@ def test_synth_grid_matches_reference_off_the_parameter_range():
     assert_scans_agree(M, "F goal", [(F(4, 5), F(1)), (F(1, 5), F(1, 5))], axes)
 
 
-_QUARTER = st.integers(0, 4).map(lambda i: F(i, 4))
+# two interval rows: r0's last entry forces p_r0_b, r1's forces p_r1_c
+TWO_ROWS = """
+imc
+state r0 {};
+state r1 {};
+state g {goal};
+state b {};
+state c {};
+init r0;
+trans r0 -> r1 : [1/4, 3/4];
+trans r0 -> b : [1/4, 3/4];
+trans r1 -> g : [0, 1];
+trans r1 -> c : [1/4, 1];
+trans g -> g : [1, 1];
+trans b -> b : [1, 1];
+trans c -> c : [1, 1];
+"""
+
+def test_synth_grid_matches_reference_on_forced_axes():
+    # P(F goal) = p_s_t; row s forces p_s_w = 1 - p_s_t, and rows t and w
+    # force their sinks' parameters to 1
+    M = imc_to_pmc(load("interval_row.imc"))
+    sinks = {"p_t_t": [F(1)], "p_w_w": [F(1)]}
+    # p_s_t = 1/2 forces p_s_w's upper end, 1/2; the witness p_s_t = 3/5
+    # forces 2/5, mid-axis: the scan stops there, before 1/2
+    axes = {"p_s_t": [F(1, 2), F(3, 5)], "p_s_w": [F(3, 10), F(2, 5), F(1, 2)], **sinks}
+    assert_scans_agree(M, "F goal", [(F(3, 5), F(1))], axes)
+    query = PltlQuery(parse_formula("F goal"), F(3, 5), F(1))
+    res = synth_grid(analyze(M, query.formula).system, query, axes, M)
+    assert (res.witness["p_s_w"], res.tried, res.admitted) == (F(2, 5), 5, 2)
+    # p_s_t = 1/5 forces 4/5, off the axis: every point is tried, none admitted
+    axes = {"p_s_t": [F(1, 5)], "p_s_w": [F(3, 10), F(1, 2)], **sinks}
+    assert_scans_agree(M, "F goal", [(F(0), F(1))], axes)
+    query = PltlQuery(parse_formula("F goal"), F(0), F(1))
+    res = synth_grid(analyze(M, query.formula).system, query, axes, M)
+    assert (res.witness, res.tried, res.admitted) == (None, 2, 0)
+    # grid:3 puts p_s_t on 1/5, 9/20 and 7/10, which force 4/5 and 11/20,
+    # both off p_s_w's axis, and 3/10, its lower end
+    assert_scans_agree(M, "F goal", [(F(1, 2), F(1)), (F(0), F(1, 2))], grid_axes(M, 3))
+    # two rows, each forcing its own axis
+    M = imc_to_pmc(parse_model(TWO_ROWS))
+    for resolution in (3, 5, 9):
+        assert_scans_agree(M, "F goal", [(F(1, 4), F(1)), (F(1, 2), F(1))], grid_axes(M, resolution))
 
 
-@st.composite
-def interval_chains(draw):
-    """Text of an .imc with one or two random interval rows of 2 or 3
-    outcomes, from r0 on to r1, the goal g and the sinks b and c."""
-    n_rows = draw(st.integers(1, 2))
-    trans = []
-    for i in range(n_rows):
-        targets = draw(st.permutations([f"r{i + 1}" if i + 1 < n_rows else "c", "g", "b"]))
-        row = [(t, sorted(draw(st.lists(_QUARTER, min_size=2, max_size=2))))
-               for t in targets[: draw(st.integers(2, 3))]]
-        assume(sum(lo for _, (lo, _) in row) <= 1 <= sum(hi for _, (_, hi) in row))
-        assume(all(hi > 0 for _, (_, hi) in row))
-        trans += [f"trans r{i} -> {t} : [{lo}, {hi}];" for t, (lo, hi) in row]
-    states = [f"r{i}" for i in range(n_rows)] + ["g", "b", "c"]
-    trans += [f"trans {s} -> {s} : [1, 1];" for s in ("g", "b", "c")]
-    return "\n".join(
-        ["imc", *(f"state {s} {{{'goal' if s == 'g' else ''}}};" for s in states),
-         "init r0;", *trans]
-    )
+def test_synth_grid_refuses_an_axis_that_repeats_a_value():
+    M = load("split_cycle.pmc")
+    query = parse_pltl("P >= 0 [ X y ]")
+    system = analyze(M, query.formula).system
+    with pytest.raises(GridError, match="eps repeats a value"):
+        synth_grid(system, query, {"eps": [F(1, 4), F(1, 4)]}, M)
 
 
 @settings(max_examples=60)
-@given(interval_chains(), st.integers(2, 5), _QUARTER)
+@given(interval_chains(), st.integers(2, 5), QUARTER)
 def test_synth_grid_matches_reference_on_random_interval_rows(text, resolution, threshold):
     M = as_pmc(text)
     assert_scans_agree(M, "F goal", [(threshold, F(1))], grid_axes(M, resolution))

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from random_inputs import interval_chains
 
 from pmcsynth.modelgen import chain_mc, crowds_like, random_mc
 from pmcsynth.pmc import (
@@ -696,6 +697,53 @@ def test_staged_check_matches_reference(case):
     assert _verdicts(StagedCheck(M, tail), tail, point) == (
         [all(verdicts[: split + 1])] + verdicts[split + 1 :]
     )
+
+
+# every axis of the forced-value test: a quarter's grid over [0, 1] and a
+# point past each end
+_QUARTERS = [Fraction(i, 4) for i in range(-1, 6)]
+
+
+def _assert_forced_value_is_the_only_pass(check, order, k, evaluation, values):
+    """Under a prefix of ``order`` whose first k stages passed, at every
+    stage that forces a value, every other value on the axis fails."""
+    if k == len(order):
+        return
+    forced = check.forced(k + 1, values)
+    for x in _QUARTERS:
+        point, point_values = {**evaluation, order[k]: x}, dict(values)
+        if check.passes(k + 1, point, point_values):
+            assert forced is None or x == forced
+            _assert_forced_value_is_the_only_pass(check, order, k + 1, point, point_values)
+
+
+@settings(max_examples=60)
+@given(interval_chains(), st.randoms(use_true_random=False))
+def test_forced_value_is_the_only_one_that_passes(text, rng):
+    M = imc_to_pmc(parse_model(text))
+    order = list(M.params)
+    rng.shuffle(order)
+    check = StagedCheck(M, order)
+    # the last entry of each row in the order, a bare parameter, forces it
+    assert len(check.forcing) == M.n_states()
+    assert check.passes(0, {}, {})
+    _assert_forced_value_is_the_only_pass(check, order, 0, {}, {})
+    # the single stage of well_defined forces nothing
+    assert StagedCheck(M, ()).forcing == {}
+
+
+def test_forced_value_needs_a_bare_parameter():
+    # p's stage completes rows s0 and s1: s1 has two entries of the stage,
+    # and s0 forces p only if its entry is p itself, not 2p; the constant
+    # row s2 completes at stage 0
+    for entry, forced in [(RationalFunction.const(2) * _P, None), (_P, Fraction(1, 2))]:
+        M = _chain(
+            [[(1, _HALF), (2, entry)], [(0, _P), (1, RF_ONE - _P)], [(0, RF_ONE)]],
+            {"p": Param("p", Fraction(0), Fraction(1))},
+        )
+        check, values = StagedCheck(M, ["p"]), {}
+        assert check.passes(0, {}, values)
+        assert check.forced(1, values) == forced
 
 
 def _reference_tokenize(text):
