@@ -53,6 +53,8 @@ import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from operator import xor
 from typing import KeysView, Mapping, Sequence
 
 from .gba import CapacityError, elementary, translate
@@ -212,8 +214,27 @@ class EquationSystem:
     # per reachable positive SCC index, one group per chain state of its
     # projection: the member nodes over that state, whose mu values sum to 1
     positives: dict[int, list[tuple[int, ...]]]
-    # reachable nodes whose value is 0: those that cannot reach a positive SCC
-    zeros: tuple[int, ...]
+
+    # A node has value 0 exactly when no positive SCC is reachable from it
+    # (the node-level form of the emptiness criterion).  Zeroing only the
+    # bottom SCCs is not enough: a non-accepting self-loop over an absorbing
+    # chain state leaves its flow row degenerate (0 = 0) even though every
+    # sibling below it is 0, so the value has to be pinned.  Both views are
+    # built on first use: classification alone reads neither.
+
+    @cached_property
+    def zero_sccs(self) -> bytearray:
+        """Per SCC index: 1 if the SCC is reachable from an initial node
+        and cannot reach a positive SCC, so its nodes' values are 0."""
+        partition = self.partition
+        # reaching() is 1 only on reachable SCCs, so xor leaves the others
+        return bytearray(map(xor, partition.reachable, partition.reaching(self.positives)))
+
+    @cached_property
+    def zeros(self) -> tuple[int, ...]:
+        """The reachable nodes whose value is 0, in SCC order."""
+        zero_sccs, comp_of = self.zero_sccs, self.partition.comp_of
+        return tuple(u for u in self.partition.order if zero_sccs[comp_of[u]])
 
 
 def build_system(
@@ -235,18 +256,7 @@ def build_system(
         for u in record.members:
             per_state.setdefault(u % ns, []).append(u)
         positives[record.index] = [tuple(per_state[s]) for s in sorted(per_state)]
-
-    # A node has value 0 exactly when no positive SCC is reachable from it
-    # (the node-level form of the emptiness criterion).  Zeroing only the
-    # bottom SCCs is not enough: a non-accepting self-loop over an absorbing
-    # chain state leaves its flow row degenerate (0 = 0) even though every
-    # sibling below it is 0, so the value has to be pinned here.
-    reaches_pos = partition.reaching(positives)
-    reachable, comp_of = partition.reachable, partition.comp_of
-    zeros = tuple(
-        u for u in partition.order if reachable[comp_of[u]] and not reaches_pos[comp_of[u]]
-    )
-    return EquationSystem(G, partition, positives, zeros)
+    return EquationSystem(G, partition, positives)
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +390,14 @@ def _solve_blocks(
     ns = G.n_mc()
     offsets, arcs = G.offsets, G.targets
     partition = system.partition
-    reachable = partition.reachable
-    zero_set = set(system.zeros)
+    reachable, zero_sccs = partition.reachable, system.zero_sccs
 
     mu: dict[int, Fraction] = {}
     for i in range(len(partition) - 1, -1, -1):  # sinks first
         if not reachable[i]:
             continue
         members = partition.members(i)
-        if members[0] in zero_set:
+        if zero_sccs[i]:
             for u in members:
                 mu[u] = Fraction(0)
             continue

@@ -9,6 +9,7 @@ the two can be tested against each other.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -136,15 +137,20 @@ def prob_always(mc: ConcreteMc, good: Iterable[int]) -> Fraction:
 
 
 def bottom_sccs(mc: ConcreteMc) -> list[frozenset[int]]:
+    """The SCCs of the chain that no transition leaves, in topological order."""
     n = len(mc.states)
-    succ_lists = [[t for t, _ in mc.succ(s)] for s in range(n)]
-    comps = tarjan(n, lambda u: succ_lists[u])
-    out = []
-    for comp in comps:
-        members = set(comp)
-        if all(t in members for u in comp for t in succ_lists[u]):
-            out.append(frozenset(comp))
-    return out
+    offsets = array("q", [0])
+    targets = array("q")
+    for s in range(n):
+        targets.extend(t for t, _ in mc.succ(s))
+        offsets.append(len(targets))
+    comp_of, order, starts = tarjan(offsets, targets)
+    bottoms = []
+    for i in range(len(starts) - 1):
+        members = order[starts[i] : starts[i + 1]]
+        if all(comp_of[t] == i for u in members for t in targets[offsets[u] : offsets[u + 1]]):
+            bottoms.append(frozenset(members))
+    return bottoms
 
 
 def prob_gf(mc: ConcreteMc, good: Iterable[int]) -> Fraction:

@@ -6,10 +6,11 @@ the chain moves s -> s' with nonzero probability and q' in T(q, L(s)),
 reading the *source* state's label (projected onto the automaton's ap set).
 
 ``scc_decompose`` returns the SCC partition as arrays over the same node
-numbering (each node's SCC, the nodes grouped by SCC, one reachability flag
-per SCC) and keeps a record only for the SCCs with a cycle: nearly every
-SCC of a product is a single node without a self-arc, and such an SCC is
-never accepting.  The condensation is read off the CSR arcs.
+numbering: each node's SCC and the nodes grouped by SCC, both straight from
+``sccs.tarjan``'s one DFS over the CSR arrays, and one reachability flag per
+SCC.  It keeps a record only for the SCCs with a cycle: nearly every SCC of
+a product is a single node without a self-arc, and such an SCC is never
+accepting.  The condensation is read off the CSR arcs.
 
 An SCC C is classified
 
@@ -42,7 +43,6 @@ from array import array
 from collections.abc import Container
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate, chain
 
 from .gba import CapacityError, Gba, RdReport, check_reverse_deterministic
 from .ltl import LassoWord
@@ -231,48 +231,41 @@ class SccPartition:
 
 
 def scc_decompose(G: ProductGraph) -> SccPartition:
-    n = G.n_nodes()
+    """``tarjan``'s partition of G, with reachability from the initial
+    nodes and a record for each SCC with a cycle."""
     offsets, targets = G.offsets, G.targets
-    comps = tarjan(n, G.succ)
-    comps.reverse()  # topological: arcs point to later components
-    comp_of = array("q", [0]) * n
-    cyclic: list[int] = []
-    for ci, comp in enumerate(comps):
-        if len(comp) > 1:
-            comp.sort()
-            cyclic.append(ci)
-            for u in comp:
-                comp_of[u] = ci
-        else:
-            u = comp[0]
-            comp_of[u] = ci
-            if u in targets[offsets[u] : offsets[u + 1]]:
-                cyclic.append(ci)
-    order = array("q", chain.from_iterable(comps))
-    starts = array("q", accumulate(map(len, comps), initial=0))
+    comp_of, order, starts = tarjan(offsets, targets)
+    n_sccs = len(starts) - 1
 
-    # every arc into a component comes from an earlier one, so one forward
-    # pass settles reachability from the initial nodes
-    reachable = bytearray(len(comps))
+    # every arc into an SCC comes from an earlier one, so one pass over the
+    # nodes in SCC order settles reachability from the initial nodes; the
+    # SCCs with a cycle are those of two or more nodes, and the single
+    # nodes with a self-arc, which the same pass finds
+    reachable = bytearray(n_sccs)
     for u in G.initial:
         reachable[comp_of[u]] = 1
-    for ci in range(len(comps)):
-        if reachable[ci]:
-            for u in comps[ci]:
-                for v in targets[offsets[u] : offsets[u + 1]]:
+    cyclic = {i for i in range(n_sccs) if starts[i + 1] - starts[i] > 1}
+    for u in order:
+        lo, hi = offsets[u], offsets[u + 1]
+        if lo != hi:
+            arcs = targets[lo:hi]
+            if reachable[comp_of[u]]:
+                for v in arcs:
                     reachable[comp_of[v]] = 1
+            if u in arcs:
+                cyclic.add(comp_of[u])
 
     ns = G.n_mc()
-    blocks = {
-        ci: SccRecord(
-            index=ci,
-            members=tuple(comps[ci]),
-            projection=frozenset(u % ns for u in comps[ci]),
+    blocks = {}
+    for i in sorted(cyclic):
+        members = tuple(order[starts[i] : starts[i + 1]])
+        blocks[i] = SccRecord(
+            index=i,
+            members=members,
+            projection=frozenset(u % ns for u in members),
             trivial=False,
-            reachable=bool(reachable[ci]),
+            reachable=bool(reachable[i]),
         )
-        for ci in cyclic
-    }
     return SccPartition(G, comp_of, order, starts, reachable, blocks)
 
 

@@ -96,8 +96,13 @@ def test_each_command_analyzes_once(capsys, monkeypatch, tmp_path):
         restore()
     capsys.readouterr()
     assert codes == [0, 0, 0, 1, 1]
+    # one SCC decomposition per analysis, timed by the tracer's binding of
+    # ``product.tarjan``, so ``sccs.tarjan_s`` cannot read 0
     analyses = [0] * len(ops)
+    decompositions = [0] * len(ops)
     for name, *_, op in tracer.spans:
         if name == "eqsys.analyze":
             analyses[op] += 1
-    assert analyses == [1] * len(ops)
+        elif name == "sccs.tarjan":
+            decompositions[op] += 1
+    assert analyses == decompositions == [1] * len(ops)

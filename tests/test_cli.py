@@ -659,6 +659,41 @@ def test_pipeline_never_reads_the_scc_view(capsys, monkeypatch, tmp_path):
     assert [code for code, *_ in expected] == [0, 1, 0, 0, 0, 0, 0, 1, 0]
 
 
+def eager_zeros(system):
+    """The zero set by the formula ``build_system`` once applied eagerly:
+    the reachable nodes whose SCC reaches no positive SCC."""
+    part = system.partition
+    reaches = part.reaching(system.positives)
+    return tuple(
+        u for u in part.order if part.reachable[part.comp_of[u]] and not reaches[part.comp_of[u]]
+    )
+
+
+def test_zero_set_is_built_only_when_read(capsys, monkeypatch, tmp_path):
+    """``classify`` builds no zero set; ``check``, ``synth -o`` and the grid
+    read the one the eager formula gives."""
+    analyze = eqsys.analyze
+    systems = []
+
+    def recording(*args, **kwargs):
+        analysis = analyze(*args, **kwargs)
+        systems.append(analysis.system)
+        return analysis
+
+    monkeypatch.setattr(eqsys, "analyze", recording)
+    for argv in PIPELINE_COMMANDS:
+        run(capsys, *(a.format(out=tmp_path / "out.smt2") for a in argv))
+    assert len(systems) == len(PIPELINE_COMMANDS)
+    for argv, system in zip(PIPELINE_COMMANDS, systems):
+        built = system.__dict__
+        if argv[0] == "classify":
+            assert "zeros" not in built and "zero_sccs" not in built, argv
+            continue
+        # check and the grid solve through the per-SCC flags, -o writes the nodes
+        assert "zero_sccs" in built and ("zeros" in built) == ("-o" in argv), argv
+        assert system.zeros and system.zeros == eager_zeros(system), argv
+
+
 def test_main_builds_its_parser_once(capsys):
     cli._parser.cache_clear()
     for _ in range(2):

@@ -1,4 +1,5 @@
-from collections import Counter, deque
+from array import array
+from collections import deque
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -65,6 +66,15 @@ def reachable(succ, u):
     return seen
 
 
+def csr(succ):
+    """The successor lists as CSR arrays (offsets, targets)."""
+    offsets, targets = [0], []
+    for vs in succ:
+        targets += vs
+        offsets.append(len(targets))
+    return array("q", offsets), array("q", targets)
+
+
 @st.composite
 def digraphs(draw):
     """Successor lists of a digraph on up to 40 nodes; self-loops and
@@ -76,36 +86,57 @@ def digraphs(draw):
 @given(digraphs())
 def test_tarjan_matches_reachability(succ):
     n = len(succ)
-    calls = Counter()
+    comp_of, order, starts = tarjan(*csr(succ))
 
-    def successors(u):
-        calls[u] += 1
-        return succ[u]
+    # order lists every node once, each SCC ascending, and comp_of agrees
+    assert sorted(order) == list(range(n))
+    assert starts[0] == 0 and starts[-1] == n
+    for i in range(len(starts) - 1):
+        members = list(order[starts[i] : starts[i + 1]])
+        assert members and members == sorted(members)
+        assert all(comp_of[u] == i for u in members)
 
-    comps = tarjan(n, successors)
-    assert calls == Counter(range(n))  # once per node
-
-    # the components partition the nodes
-    assert all(comps)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for u in comp:
-            assert u not in comp_of
-            comp_of[u] = ci
-    assert sorted(comp_of) == list(range(n))
-
-    # two nodes share a component exactly when each reaches the other
+    # two nodes share an SCC exactly when each reaches the other
     reach = [reachable(succ, u) for u in range(n)]
     for u in range(n):
         for v in range(n):
             assert (comp_of[u] == comp_of[v]) == (v in reach[u] and u in reach[v])
 
-    # every arc that leaves a component points to an earlier one
+    # every arc goes to its own SCC or to a later one
     for u in range(n):
         for v in succ[u]:
-            assert comp_of[v] <= comp_of[u]
+            assert comp_of[u] <= comp_of[v]
 
 
 @given(digraphs())
 def test_tarjan_matches_reference_order(succ):
-    assert tarjan(len(succ), succ.__getitem__) == reference_tarjan(len(succ), succ.__getitem__)
+    """The SCCs are the reference's, numbered in the reverse of the order
+    it completes them."""
+    comp_of, order, starts = tarjan(*csr(succ))
+    reference = reference_tarjan(len(succ), succ.__getitem__)[::-1]
+    assert [list(order[starts[i] : starts[i + 1]]) for i in range(len(starts) - 1)] == [
+        sorted(comp) for comp in reference
+    ]
+
+
+@given(digraphs())
+def test_tarjan_reads_successor_callables(succ):
+    """``tarjan(n, successors)``: the same SCCs as lists, in reverse
+    topological order."""
+    _, order, starts = tarjan(*csr(succ))
+    assert tarjan(len(succ), succ.__getitem__) == [
+        list(order[starts[i] : starts[i + 1]]) for i in range(len(starts) - 2, -1, -1)
+    ]
+
+
+def test_tarjan_needs_no_recursion():
+    """A path of 100,000 nodes is searched 100,000 deep: one SCC when the
+    last node points back to the first, one per node in path order when
+    it does not."""
+    n = 100_000
+    succ = [[u + 1] for u in range(n - 1)] + [[0]]
+    comp_of, order, starts = tarjan(*csr(succ))
+    assert list(starts) == [0, n] and not any(comp_of)
+    succ[-1] = []
+    comp_of, order, starts = tarjan(*csr(succ))
+    assert list(comp_of) == list(order) == list(range(n)) and list(starts) == list(range(n + 1))
