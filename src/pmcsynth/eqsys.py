@@ -17,13 +17,19 @@ this system and ``smtlib.emit_smtlib`` writes it.
 
 The system reads its arcs straight off the product's CSR arrays: the
 coefficient of the arc (q,s) -> (q',s') is P(s,s').  Concrete evaluations
-are solved exactly over Fractions, block per SCC along the condensation
-(sinks first), so a successor outside a block is already solved.  Every
-block is a sparse system of {node: coefficient} rows, eliminated in
-Markowitz order (the row with the fewest entries, then its column shared by
-the fewest rows) and finished by back substitution.  Uniqueness and
-consistency are checked per block rather than assumed, and a block whose
-fill-in would pass ``FILL_BUDGET`` entries stops with ``CapacityError``.
+are solved exactly over the integers, block per SCC along the condensation
+(sinks first), so a successor outside a block is already solved.  Chain
+state s's entries are scaled once to integers over the lcm L_s of their
+denominators, so node (q, s) has the row L_s mu(q,s) minus the numerators
+on its successors in the block, equal to the solved successors' share,
+cleared of their denominators.  Every block is a sparse system of
+{node: int} rows, eliminated fraction-free in Markowitz order (the row with
+the fewest entries, then its column shared by the fewest rows) and finished
+by back substitution over one common denominator.  Solved values are kept
+as reduced integer pairs and become Fractions once, at the end.  Uniqueness
+and consistency are checked per block rather than assumed, and a block
+whose fill-in would pass ``FILL_BUDGET`` entries stops with
+``CapacityError``.
 ``solve_concrete`` checks the evaluation with ``well_defined``, the single
 stage of ``StagedCheck``, and hands the entry values to that block solver.
 
@@ -278,22 +284,35 @@ class SolveResult:
 # Upper bound on the coefficients held while eliminating one block: the
 # active rows plus the pivot rows kept for back substitution.  The largest
 # block of crowds_like() (2,145 nodes) starts at 45,100 entries and never
-# grows past them, and its solve peaks at about 210 bytes an entry, so the
-# bound holds one block near 100 MB.  A block that would pass it stops with
-# CapacityError instead of filling memory.
+# grows past them, and its solve peaks at about 220 bytes an entry
+# (tracemalloc), so the bound holds one block near 110 MB.  A block that
+# would pass it stops with CapacityError instead of filling memory.  It
+# bounds memory, not time: long coefficients make a block slow well below
+# it.
 FILL_BUDGET = 500_000
 
 
 def _eliminate(
-    rows: list[tuple[dict[int, Fraction], Fraction]], unknowns: Sequence[int], what: str
-) -> dict[int, Fraction]:
-    """Solve the sparse system whose rows are ({unknown: coefficient}, rhs)
-    and return {unknown: value}; require a unique, consistent solution.
+    rows: list[tuple[dict[int, int], int]], unknowns: Sequence[int], what: str
+) -> tuple[dict[int, int], int]:
+    """Solve the sparse integer system whose rows are ({unknown:
+    coefficient}, rhs) and return ({unknown: numerator}, denominator), one
+    denominator d > 0 for all unknowns; require a unique, consistent
+    solution.
 
     Markowitz order: the pivot is taken from the active row with the fewest
     entries, in the column of that row which occurs in the fewest active
-    rows, so fill-in only touches the rows holding the pivot column.  Values
-    follow by back substitution in reverse pivot order.  Rows are consumed.
+    rows, so fill-in only touches the rows holding the pivot column.  The
+    elimination is fraction-free: pivot a of row p clears entry f of row r
+    by r <- (a/g) r - (f/g) p with g = gcd(a, f), and r is then divided by
+    its content, the gcd of its entries and rhs, so every row stays a
+    primitive integer row.  (Bareiss 1968 divides by the previous pivot
+    instead, which needs rows eliminated in step; Markowitz order updates
+    a row from pivots in any order.)  Each row is a nonzero multiple of
+    the row that elimination over the rationals holds, so the sparsity
+    pattern, and with it the pivot order, is the same.  Values follow by
+    back substitution in reverse pivot order, as numerators over one
+    denominator, the lcm of the values' denominators.  Rows are consumed.
     """
     col_rows: dict[int, set[int]] = {u: set() for u in unknowns}
     live = 0
@@ -306,8 +325,9 @@ def _eliminate(
     inconsistent = any(not row and b for row, b in rows)
     heap = [(len(row), r) for r, (row, _) in enumerate(rows) if row]
     heapq.heapify(heap)
-    pivots: list[tuple[int, dict[int, Fraction], Fraction]] = []
+    pivots: list[tuple[int, int, dict[int, int], int]] = []
     budget = FILL_BUDGET
+    gcd = math.gcd
     while heap:
         length, p = heapq.heappop(heap)
         prow = rows[p][0]
@@ -322,46 +342,66 @@ def _eliminate(
         c = min(prow, key=lambda j: len(col_rows[j]))
         for j in prow:
             col_rows[j].discard(p)
-        inv = 1 / Fraction(prow.pop(c))
+        a = prow.pop(c)
         live -= 1
-        for j in prow:
-            prow[j] *= inv
-        bp = rhs[p] * inv
-        pivots.append((c, prow, bp))
+        bp = rhs[p]
+        pivots.append((c, a, prow, bp))
         for r in col_rows[c]:
             row = rows[r][0]
             f = row.pop(c)
             live -= 1
+            g = gcd(a, f) if a > 0 else -gcd(a, f)
+            ar, fr = a // g, f // g  # ar > 0
+            if ar != 1:
+                for j, w in row.items():
+                    row[j] = ar * w
             for j, v in prow.items():
                 w = row.get(j)
                 if w is None:
-                    row[j] = -f * v
+                    row[j] = -fr * v
                     col_rows[j].add(r)
                     live += 1
                 else:
-                    w -= f * v
+                    w -= fr * v
                     if w:
                         row[j] = w
                     else:
                         del row[j]
                         col_rows[j].discard(r)
                         live -= 1
-            rhs[r] -= f * bp
+            b = ar * rhs[r] - fr * bp
             if row:
+                g = gcd(b, *row.values())
+                if g != 1:
+                    for j, w in row.items():
+                        row[j] = w // g
+                    b //= g
                 heapq.heappush(heap, (len(row), r))
             else:
                 active[r] = False
-                if rhs[r]:
+                if b:
                     inconsistent = True
+            rhs[r] = b
         col_rows[c] = set()
     if len(pivots) < len(col_rows):
         raise SingularSystemError(f"{what}: system does not determine all unknowns")
     if inconsistent:
         raise InconsistentSystemError(f"{what}: equations are inconsistent")
-    x: dict[int, Fraction] = {}
-    for c, prow, bp in reversed(pivots):
-        x[c] = bp - sum(v * x[j] for j, v in prow.items())
-    return x
+    # x[c] = (bp - sum_j v x[j]) / a with x[j] = num[j] / den
+    num: dict[int, int] = {}
+    den = 1
+    for c, a, prow, bp in reversed(pivots):
+        t = bp * den - sum(v * num[j] for j, v in prow.items())
+        d = a * den
+        g = gcd(t, d)
+        t, d = (t // g, d // g) if d > 0 else (-t // g, -d // g)
+        k = d // gcd(d, den)  # den becomes lcm(den, d)
+        if k != 1:
+            for j, x in num.items():
+                num[j] = k * x
+            den *= k
+        num[c] = t * (den // d)
+    return num, den
 
 
 def solve_concrete(
@@ -392,42 +432,68 @@ def _solve_blocks(
     partition = system.partition
     reachable, zero_sccs = partition.reachable, system.zero_sccs
 
-    mu: dict[int, Fraction] = {}
+    # chain state s's entries as integers over the lcm of their denominators
+    scale: dict[int, int] = {}
+    for (s, _), p in prob.items():
+        scale[s] = math.lcm(scale.get(s, 1), p.denominator)
+    weight = {st: p.numerator * (scale[st[0]] // p.denominator) for st, p in prob.items()}
+
+    # per solved node, its value as a reduced (numerator, denominator > 0)
+    mu: dict[int, tuple[int, int]] = {}
+    gcd, lcm = math.gcd, math.lcm
     for i in range(len(partition) - 1, -1, -1):  # sinks first
         if not reachable[i]:
             continue
         members = partition.members(i)
         if zero_sccs[i]:
-            for u in members:
-                mu[u] = Fraction(0)
+            mu.update(dict.fromkeys(members, (0, 1)))
             continue
-        # flow rows off the CSR slices: mu(u) - sum_{v in block} P(u,v) mu(v)
-        # = sum of P(u,v) mu(v) over the successors v already solved
+        # flow rows off the CSR slices, with w(u,v) = L_s P(s, v mod |S|):
+        # L_s mu(u) - sum_{v in block} w(u,v) mu(v) = sum of w(u,v) mu(v)
+        # over the successors v already solved, times the lcm d of their
+        # values' denominators
         rows = []
         for u in members:
             s = u % ns
-            row = {u: Fraction(1)}
-            b = Fraction(0)
+            row = {u: scale[s]}
+            solved = []
             for v in arcs[offsets[u] : offsets[u + 1]]:
-                c = prob[(s, v % ns)]
+                c = weight[(s, v % ns)]
                 value = mu.get(v)
                 if value is None:
                     row[v] = row.get(v, 0) - c
                 else:
-                    b += c * value
-            rows.append(({v: c for v, c in row.items() if c}, b))
+                    solved.append((c, value))
+            d = 1  # the lcm of the solved values' denominators
+            for _, (_, dv) in solved:
+                if d % dv:
+                    d = lcm(d, dv)
+            b = sum(c * n * (d // dv) for c, (n, dv) in solved)
+            rows.append(({v: d * c for v, c in row.items() if c}, b))
         for nodes in system.positives.get(i, ()):
-            rows.append(({u: Fraction(1) for u in nodes}, Fraction(1)))
-        mu.update(_eliminate(rows, members, f"SCC {i}"))
+            rows.append((dict.fromkeys(nodes, 1), 1))
+        num, den = _eliminate(rows, members, f"SCC {i}")
+        for u, n in num.items():
+            g = gcd(n, den)
+            mu[u] = (n // g, den // g)
 
-    for u, v in mu.items():
-        if v < 0 or v > 1:
+    for u, (n, d) in mu.items():
+        if n < 0 or n > d:
             raise SolveError(
-                f"mu{G.node_name(u)} = {v} is outside [0,1]; the system is not "
+                f"mu{G.node_name(u)} = {Fraction(n, d)} is outside [0,1]; the system is not "
                 "the one the theory promises — this is a bug, not an input error"
             )
-    target = sum((mu[u] for u in G.initial), Fraction(0))
-    return SolveResult(mu, target)
+    # most nodes share a few values, 0 and 1 above all (a check-mix pass
+    # solves 4,432 nodes to 225 distinct values): one Fraction each
+    fractions: dict[tuple[int, int], Fraction] = {}
+    values = {}
+    for u, pair in mu.items():
+        value = fractions.get(pair)
+        if value is None:
+            value = fractions[pair] = Fraction(*pair)
+        values[u] = value
+    target = sum((values[u] for u in G.initial), Fraction(0))
+    return SolveResult(values, target)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import heapq
 import itertools
+import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from random_inputs import QUARTER, interval_chains
 
-from pmcsynth import product
+from pmcsynth import eqsys, product
 from pmcsynth.eqsys import (
     GridError,
     IllDefinedEvaluationError,
@@ -16,9 +19,12 @@ from pmcsynth.eqsys import (
     PltlQuery,
     QuerySyntaxError,
     SingularSystemError,
+    SolveError,
+    SolveResult,
     SynthResult,
     _eliminate,
     _fraction_literal,
+    _solve_blocks,
     analyze,
     build_system,
     grid_axes,
@@ -27,10 +33,10 @@ from pmcsynth.eqsys import (
     synth_grid,
 )
 from pmcsynth.gba import CapacityError, translate
-from pmcsynth.ltl import TRUE, LtlSyntaxError, parse_formula
-from pmcsynth.modelgen import crowds_like, random_mc
+from pmcsynth.ltl import TRUE, LtlSyntaxError, atomic_props, parse_formula
+from pmcsynth.modelgen import chain_mc, crowds_like, random_mc
 from pmcsynth.oracle import ConcreteMc, prob_of_formula
-from pmcsynth.pmc import Imc, imc_to_pmc, parse_model
+from pmcsynth.pmc import Imc, Pmc, imc_to_pmc, lump, lumped_values, parse_model, well_defined
 from pmcsynth.ratfunc import RationalFunction
 from pmcsynth.product import build_product
 
@@ -437,6 +443,126 @@ def test_large_crowds_blocks_solve_exactly():
 # ---------------------------------------------------------------------------
 
 
+def reference_eliminate(
+    rows: list[tuple[dict[int, Fraction], Fraction]], unknowns, what: str
+) -> dict[int, Fraction]:
+    """The Fraction eliminator the integer one replaced, kept as a
+    reference: the same Markowitz order over rows of Fractions, each pivot
+    row divided by its pivot, then back substitution.  Rows are consumed."""
+    col_rows: dict[int, set[int]] = {u: set() for u in unknowns}
+    live = 0
+    for r, (row, _) in enumerate(rows):
+        for j in row:
+            col_rows[j].add(r)
+        live += len(row)
+    rhs = [b for _, b in rows]
+    active = [bool(row) for row, _ in rows]
+    inconsistent = any(not row and b for row, b in rows)
+    heap = [(len(row), r) for r, (row, _) in enumerate(rows) if row]
+    heapq.heapify(heap)
+    pivots: list[tuple[int, dict[int, Fraction], Fraction]] = []
+    budget = eqsys.FILL_BUDGET
+    while heap:
+        length, p = heapq.heappop(heap)
+        prow = rows[p][0]
+        if not active[p] or len(prow) != length:
+            continue  # a stale heap entry
+        if live > budget:
+            raise CapacityError(
+                f"{what}: elimination of a {len(col_rows)}-node block exceeds the fill "
+                f"budget of {budget} entries"
+            )
+        active[p] = False
+        c = min(prow, key=lambda j: len(col_rows[j]))
+        for j in prow:
+            col_rows[j].discard(p)
+        inv = 1 / Fraction(prow.pop(c))
+        live -= 1
+        for j in prow:
+            prow[j] *= inv
+        bp = rhs[p] * inv
+        pivots.append((c, prow, bp))
+        for r in col_rows[c]:
+            row = rows[r][0]
+            f = row.pop(c)
+            live -= 1
+            for j, v in prow.items():
+                w = row.get(j)
+                if w is None:
+                    row[j] = -f * v
+                    col_rows[j].add(r)
+                    live += 1
+                else:
+                    w -= f * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+                        col_rows[j].discard(r)
+                        live -= 1
+            rhs[r] -= f * bp
+            if row:
+                heapq.heappush(heap, (len(row), r))
+            else:
+                active[r] = False
+                if rhs[r]:
+                    inconsistent = True
+        col_rows[c] = set()
+    if len(pivots) < len(col_rows):
+        raise SingularSystemError(f"{what}: system does not determine all unknowns")
+    if inconsistent:
+        raise InconsistentSystemError(f"{what}: equations are inconsistent")
+    x: dict[int, Fraction] = {}
+    for c, prow, bp in reversed(pivots):
+        x[c] = bp - sum(v * x[j] for j, v in prow.items())
+    return x
+
+
+def reference_solve_blocks(system, prob) -> SolveResult:
+    """The block solver over Fraction rows that the integer one replaced,
+    kept as a reference: it hands each block to ``reference_eliminate``."""
+    G = system.graph
+    ns = G.n_mc()
+    offsets, arcs = G.offsets, G.targets
+    partition = system.partition
+    reachable, zero_sccs = partition.reachable, system.zero_sccs
+
+    mu: dict[int, Fraction] = {}
+    for i in range(len(partition) - 1, -1, -1):  # sinks first
+        if not reachable[i]:
+            continue
+        members = partition.members(i)
+        if zero_sccs[i]:
+            for u in members:
+                mu[u] = Fraction(0)
+            continue
+        rows = []
+        for u in members:
+            s = u % ns
+            row = {u: Fraction(1)}
+            b = Fraction(0)
+            for v in arcs[offsets[u] : offsets[u + 1]]:
+                c = prob[(s, v % ns)]
+                value = mu.get(v)
+                if value is None:
+                    row[v] = row.get(v, 0) - c
+                else:
+                    b += c * value
+            rows.append(({v: c for v, c in row.items() if c}, b))
+        for nodes in system.positives.get(i, ()):
+            rows.append(({u: Fraction(1) for u in nodes}, Fraction(1)))
+        mu.update(reference_eliminate(rows, members, f"SCC {i}"))
+
+    for u, v in mu.items():
+        if v < 0 or v > 1:
+            raise SolveError(
+                f"mu{G.node_name(u)} = {v} is outside [0,1]; the system is not "
+                "the one the theory promises — this is a bug, not an input error"
+            )
+    target = sum((mu[u] for u in G.initial), Fraction(0))
+    return SolveResult(mu, target)
+
+
 def _reference_gauss(rows: list[list[Fraction]], n_vars: int, what: str) -> list[Fraction]:
     """The dense elimination the sparse one replaced, kept as a reference:
     solve a possibly overdetermined system [A | b]; require a unique,
@@ -466,11 +592,23 @@ def _reference_gauss(rows: list[list[Fraction]], n_vars: int, what: str) -> list
 
 
 def _sparse(dense: list[list[Fraction]], n_vars: int):
-    return [({j: v for j, v in enumerate(row[:n_vars]) if v}, row[n_vars]) for row in dense]
+    """Integer rows of [A | b]: each row times the lcm of its denominators."""
+    rows = []
+    for row in dense:
+        scale = math.lcm(*(v.denominator for v in row))
+        ints = [int(v * scale) for v in row]
+        rows.append(({j: v for j, v in enumerate(ints[:n_vars]) if v}, ints[n_vars]))
+    return rows
+
+
+def _values(solution: tuple[dict[int, int], int]) -> dict[int, Fraction]:
+    num, den = solution
+    assert den > 0
+    return {u: Fraction(n, den) for u, n in num.items()}
 
 
 def _solve_sparse(rows, n_vars: int, what: str) -> list[Fraction]:
-    x = _eliminate(rows, range(n_vars), what)
+    x = _values(_eliminate(rows, range(n_vars), what))
     return [x[j] for j in range(n_vars)]
 
 
@@ -481,28 +619,35 @@ def _outcome(solve, rows, n_vars):
         return type(exc)
 
 
+def _either(solve, *args):
+    """The solution, or the type and message of the error raised."""
+    try:
+        return solve(*args)
+    except (SolveError, CapacityError) as exc:
+        return type(exc), str(exc)
+
+
 def test_eliminate_duplicate_rows_are_singular():
-    row = {0: F(1), 1: F(-1, 2)}
+    row = {0: 2, 1: -1}
     with pytest.raises(SingularSystemError, match="^SCC 7: system does not determine all unknowns$"):
-        _eliminate([(dict(row), F(1, 2)), (dict(row), F(1, 2))], range(2), "SCC 7")
+        _eliminate([(dict(row), 1), (dict(row), 1)], range(2), "SCC 7")
 
 
 def test_eliminate_contradiction_is_inconsistent():
     with pytest.raises(InconsistentSystemError, match="^SCC 3: equations are inconsistent$"):
-        _eliminate([({0: F(1)}, F(1)), ({0: F(1)}, F(2))], range(1), "SCC 3")
+        _eliminate([({0: 1}, 1), ({0: 1}, 2)], range(1), "SCC 3")
 
 
 def test_eliminate_overdetermined_consistent_system():
     # x + y = 3, x - y = 1, 2x + y = 5, and y alone = 1
-    rows = [
-        ({0: F(1), 1: F(1)}, F(3)),
-        ({0: F(1), 1: F(-1)}, F(1)),
-        ({0: F(2), 1: F(1)}, F(5)),
-        ({1: F(1)}, F(1)),
-    ]
-    x = _eliminate(rows, range(2), "SCC 0")
-    assert x == {0: F(2), 1: F(1)}
-    assert all(type(v) is Fraction for v in x.values())
+    rows = [({0: 1, 1: 1}, 3), ({0: 1, 1: -1}, 1), ({0: 2, 1: 1}, 5), ({1: 1}, 1)]
+    assert _eliminate(rows, range(2), "SCC 0") == ({0: 2, 1: 1}, 1)
+
+
+def test_eliminate_gives_one_common_denominator():
+    # 3x = 1, 2y - x = 0: x = 1/3 and y = 1/6 over the lcm 6
+    rows = [({0: 3}, 1), ({1: 2, 0: -1}, 0)]
+    assert _eliminate(rows, range(2), "SCC 0") == ({0: 2, 1: 1}, 6)
 
 
 _ENTRY = st.sampled_from([F(0)] * 4 + [F(1), F(-1), F(1, 2), F(-1, 3), F(2), F(3, 4)])
@@ -534,6 +679,148 @@ def test_eliminate_matches_dense_reference(kind, n, data):
         assert all(type(v) is Fraction for v in got)
         if kind != "inconsistent":
             assert got == x  # a unique solution is the one the system was built from
+
+
+def _both_kernels(rows: list[tuple[dict[int, int], int]], n: int, what: str):
+    """``_eliminate`` on integer rows and the reference on the same rows as
+    Fractions: each a solution as Fractions, or an error and its message.
+    ``rows`` is left as it was."""
+    fractions = [({j: F(a) for j, a in row.items()}, F(b)) for row, b in rows]
+    copy = [(dict(row), b) for row, b in rows]
+    want = _either(reference_eliminate, fractions, range(n), what)
+    got = _either(lambda *args: _values(_eliminate(*args)), copy, range(n), what)
+    return got, want
+
+
+# entries up to 2^70 in size, so that products pass any machine word
+_BIG = st.one_of(st.sampled_from([0] * 6 + [1, -1, 2, -3]), st.integers(-(2**70), 2**70))
+
+
+@given(
+    st.sampled_from(["square", "overdetermined", "deficient", "inconsistent"]),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_eliminate_matches_reference_kernel(kind, n, data):
+    m = n + data.draw(st.integers(1, 3)) if kind in ("overdetermined", "inconsistent") else n
+    A = [[data.draw(_BIG) for _ in range(n)] for _ in range(m)]
+    x = [data.draw(_BIG) for _ in range(n)]
+    if kind == "deficient":
+        # the last row repeats a multiple of the first (or is zero if alone)
+        c = data.draw(_BIG) if m > 1 else 0
+        A[-1] = [c * a for a in A[0]]
+    if data.draw(st.booleans()):
+        # a large denominator on the first unknown: it solves to x[0] / d
+        d = data.draw(st.integers(2, 2**40))
+        A = [[row[0] * d, *row[1:]] for row in A]
+        x[0] = F(x[0], d)
+    b = [sum(a * v for a, v in zip(row, x)) for row in A]
+    if kind == "inconsistent":
+        b[data.draw(st.integers(0, m - 1))] += data.draw(st.integers(1, 2**70))
+    rows = [({j: a for j, a in enumerate(row) if a}, int(rhs)) for row, rhs in zip(A, b)]
+    got, want = _both_kernels(rows, n, "SCC 5")
+    assert got == want
+    if kind == "deficient":
+        assert got[0] is SingularSystemError
+    if isinstance(got, dict):
+        assert list(got) == list(want)  # the same pivot order
+        assert all(type(v) is Fraction for v in got.values())
+        if kind != "inconsistent":
+            assert got == dict(enumerate(x))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eliminate_stops_at_the_fill_budget_where_the_reference_does(seed, monkeypatch):
+    rng = random.Random(seed)
+    for n in (4, 8, 14):
+        rows = [
+            ({j: a for j in rng.sample(range(n), 3) if (a := rng.randint(-5, 5))}, rng.randint(-9, 9))
+            for _ in range(n)
+        ]
+        # every budget up to the first that the reference gets past
+        for budget in itertools.count():
+            monkeypatch.setattr(eqsys, "FILL_BUDGET", budget)
+            got, want = _both_kernels(rows, n, "SCC 9")
+            assert got == want
+            if want != (CapacityError, f"SCC 9: elimination of a {n}-node block exceeds the "
+                        f"fill budget of {budget} entries"):
+                break
+        assert budget > 0
+
+
+def _solve_both(M, formula, evaluation):
+    """``_solve_blocks`` and the reference on one (chain, formula,
+    evaluation), set up as ``check`` sets it up."""
+    Q = lump(M, atomic_props(formula))
+    system = analyze(Q, formula).system
+    report = well_defined(M, evaluation)
+    assert report.ok
+    prob = lumped_values(Q, M, report.values)
+    return _solve_blocks(system, prob), reference_solve_blocks(system, prob)
+
+
+def _assert_same_result(got, want):
+    assert got == want
+    assert list(got.mu) == list(want.mu)
+    assert all(type(v) is Fraction for v in got.mu.values())
+    assert type(got.target) is Fraction
+
+
+@pytest.mark.parametrize("make, sizes", [(random_mc, (6, 12, 20)), (chain_mc, (20, 40))])
+def test_solve_blocks_matches_reference_kernel(make, sizes, rng):
+    texts = ["F a", "G F a", "F G a", "a U b", "G (a -> F b)", "! a U (b & X a)", "G F a & F G !b"]
+    for n in sizes:
+        for _ in range(3):
+            M = make(rng, n)
+            for text in texts:
+                got, want = _solve_both(M, parse_formula(text), {})
+                _assert_same_result(got, want)
+
+
+@given(interval_chains(), st.data())
+@settings(max_examples=40)
+def test_solve_blocks_matches_reference_kernel_on_interval_rows(text, data):
+    M = as_pmc(text)
+    axes = grid_axes(M, 5)
+    evaluation = {name: data.draw(st.sampled_from(axis)) for name, axis in axes.items()}
+    if not well_defined(M, evaluation).ok:
+        return
+    for formula in ("F goal", "! goal U goal", "G ! goal"):
+        got, want = _solve_both(M, parse_formula(formula), evaluation)
+        _assert_same_result(got, want)
+
+
+def strongly_connected_mc(rng: random.Random, n: int) -> Pmc:
+    """n states on a ring, each with two more random successors, and two
+    absorbing states g and b that each row leaks 1/64 to 3/64 into: under
+    ``F g`` the n states form one block with no normalization row, whose
+    values lie strictly between 0 and 1."""
+    states = (*(f"s{i}" for i in range(n)), "g", "b")
+    labels = (*(frozenset() for _ in range(n)), frozenset({"g"}), frozenset())
+    one = RationalFunction.const(F(1))
+    trans: dict[tuple[int, int], RationalFunction] = {(n, n): one, (n + 1, n + 1): one}
+    for s in range(n):
+        ring = (s + 1) % n
+        succs = [ring, *rng.sample([t for t in range(n) if t != ring], 2), n, n + 1]
+        leaks = [rng.randint(1, 3), rng.randint(1, 3)]
+        cuts = sorted(rng.sample(range(1, 64 - sum(leaks)), 2))
+        weights = [cuts[0], cuts[1] - cuts[0], 64 - sum(leaks) - cuts[1], *leaks]
+        for t, w in zip(succs, weights):
+            trans[(s, t)] = RationalFunction.const(F(w, 64))
+    return Pmc(states, labels, 0, {}, trans)
+
+
+@pytest.mark.parametrize("n", [60, 150])
+def test_large_block_solves_to_the_reference_kernel_exactly(n):
+    M = strongly_connected_mc(random.Random(n), n)
+    f = parse_formula("F g")
+    got, want = _solve_both(M, f, {})
+    assert max(len(r.members) for r in analyze(M, f).system.partition.sccs) == n
+    assert 0 < got.target < 1
+    _assert_same_result(got, want)
+    if n <= 60:
+        # the oracle's dense elimination takes 0.8 s here and 13 s at 150 nodes
+        assert got.target == prob_of_formula(ConcreteMc.from_pmc(M, {}), f)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,17 @@ _TWO_COPIES = (
         ("pmc\nstate s;\ninit t;\ntrans s -> s : 1;", "not declared"),
         ("pmc\nstate s;\ninit s;", "no outgoing"),
         ("pmc\nstate s;\ninit s;\ntrans s -> s : 1/2;", "sums to 1/2"),
+        # a constant row is summed over the lcm of its denominators
+        (
+            "pmc\nstate s;\nstate t;\nstate u;\ninit s;\ntrans s -> s : 1/3;\n"
+            "trans s -> t : 1/4;\ntrans s -> u : 1/6;\ntrans t -> t : 1;\ntrans u -> u : 1;",
+            "state s: constant row sums to 3/4, not 1",
+        ),
+        (
+            "pmc\nstate s;\nstate t;\ninit s;\ntrans s -> s : 1/2;\ntrans s -> t : 2/3;\n"
+            "trans t -> t : 1;",
+            "state s: constant row sums to 7/6, not 1",
+        ),
         ("pmc\nstate s;\nstate t;\ninit s;\ntrans s -> t : 0;\ntrans s -> s : 1;\ntrans t -> t : 1;", "omit it"),
         ("pmc\nstate s;\ninit s;\ntrans s -> s : 3/2;", "outside"),
         ("pmc\nstate s;\ninit s;\ntrans s -> s : 1;\ntrans s -> s : 1;", "given twice"),
