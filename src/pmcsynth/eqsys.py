@@ -15,6 +15,10 @@ every node that cannot reach such an SCC.  The probability of the property
 is the sum of mu over initial product nodes.  ``solve_concrete`` solves
 this system and ``smtlib.emit_smtlib`` writes it.
 
+A node (q',s') whose automaton state has no move on L(s') has value 0 and
+no arc enters it (see ``product``), so no flow row has a term for it, and
+it is in the system only if it is initial; the zero set then pins it.
+
 The system reads its arcs straight off the product's CSR arrays: the
 coefficient of the arc (q,s) -> (q',s') is P(s,s').  Concrete evaluations
 are solved exactly over the integers, block per SCC along the condensation

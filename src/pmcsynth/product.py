@@ -1,9 +1,16 @@
 """Product of a GBA with a (parametric) Markov chain, SCC classification.
 
 The product graph has one node per (automaton state, chain state) pair —
-all pairs, including isolated ones — and an arc (q,s) -> (q',s') whenever
-the chain moves s -> s' with nonzero probability and q' in T(q, L(s)),
-reading the *source* state's label (projected onto the automaton's ap set).
+all pairs, numbered q * |S| + s — and an arc (q,s) -> (q',s') whenever the
+chain moves s -> s' with nonzero probability, q' in T(q, L(s)) reading the
+*source* state's label (projected onto the automaton's ap set), and q' has
+a move on L(s'): T(q', L(s')) is not empty.  A node without a move has no
+arcs, value 0 and reaches nothing, so no path between other nodes passes
+through it, and leaving out the arcs into it (Couvreur, Saheb and Sutre,
+LPAR 2003, trim the product the same way) changes no SCC with a cycle, no
+verdict and no value.  Such a node is not reachable unless it is initial.
+The trim is one step: a node whose every arc went into such nodes keeps
+no arcs, and its value is 0 through the zero set.
 
 ``scc_decompose`` returns the SCC partition as arrays over the same node
 numbering: each node's SCC and the nodes grouped by SCC, both straight from
@@ -109,7 +116,8 @@ def check_product_size(nq: int, ns: int) -> None:
 
 
 def build_product(A: Gba, M: Pmc) -> ProductGraph:
-    """A x M on all state pairs, arcs in CSR form.
+    """A x M on all state pairs, arcs in CSR form, each into a node with a
+    move.
 
     Raises CapacityError before allocating anything if |Q| * |S| exceeds
     ``NODE_BUDGET``.
@@ -117,16 +125,35 @@ def build_product(A: Gba, M: Pmc) -> ProductGraph:
     nq = len(A.states)
     ns = M.n_states()
     check_product_size(nq, ns)
+    trans = A.transitions
     letters = tuple(A.letter_mask(M.labels[s]) for s in range(ns))
-    mc_succ = [[t for t, _ in M.succ(s)] for s in range(ns)]
+    mc_succ = [[(t, letters[t]) for t, _ in M.succ(s)] for s in range(ns)]
+    # per letter a, the letters b of the chain steps from an a-state to a b-state
+    steps: dict[int, set[int]] = {}
+    for s in range(ns):
+        steps.setdefault(letters[s], set()).update(b for _, b in mc_succ[s])
+    # (successor states, letter b) -> q' * ns for each q' among them with a
+    # move on b: the arcs that a chain step into a b-state keeps
+    live: dict[tuple[tuple[int, ...], int], list[int]] = {}
 
     offsets = array("q", [0])
     targets = array("q")
     for q in range(nq):
-        for s in range(ns):
-            succs = A.transitions.get((q, letters[s]), ())
+        # per letter a that q moves on, per letter b after it: the kept bases
+        moves = {}
+        for a, bs in steps.items():
+            succs = trans.get((q, a))
             if succs:
-                targets.extend([q2 * ns + t for t in mc_succ[s] for q2 in succs])
+                kept = moves[a] = {}
+                for b in bs:
+                    bases = live.get((succs, b))
+                    if bases is None:
+                        bases = live[succs, b] = [q2 * ns for q2 in succs if (q2, b) in trans]
+                    kept[b] = bases
+        for s in range(ns):
+            kept = moves.get(letters[s])
+            if kept is not None:
+                targets.extend([base + t for t, b in mc_succ[s] for base in kept[b]])
             offsets.append(len(targets))
     init = tuple(sorted(q0 * ns + M.initial for q0 in A.initial))
     return ProductGraph(A, M, letters, offsets, targets, init)

@@ -9,7 +9,9 @@ component's finish number once the component is complete.  DFS indices are
 reused as components complete, so every open index stays below every
 finish number, and one comparison tells an open node from a finished one.
 The stack of open nodes is the DFS-index order itself, so a completing
-component is the top of the stack from its root up.
+component is the top of the stack from its root up.  A node without arcs,
+met as a child or taken as a root, is a component of its own at once and
+gets no frame: most nodes of a trimmed product are such roots.
 
 Kept free of recursion on purpose: product graphs reach hundreds of
 thousands of nodes and Python's recursion limit is not negotiable there.
@@ -60,12 +62,20 @@ def tarjan(offsets, targets):
     for root in range(n):
         if rindex[root] != -1:
             continue
+        lo, hi = offsets[root], offsets[root + 1]
+        if lo == hi:  # a root without arcs is completed as such a child is
+            rindex[root] = finish
+            pos -= 1
+            order[pos] = root
+            first[finish] = pos
+            finish -= 1
+            continue
         rindex[root] = 0
         stack.append(root)
         # one (node, its DFS index, iterator over its unread arcs) triple
         # per node on the DFS path; the low-link of the node whose arcs are
         # read is kept in a local, and in rindex while a child is searched
-        work = [(root, 0, iter(targets[offsets[root] : offsets[root + 1]]))]
+        work = [(root, 0, iter(targets[lo:hi]))]
         while work:
             u, index_u, arcs = work[-1]
             low_u = rindex[u]

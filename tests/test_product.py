@@ -1,4 +1,6 @@
 import random
+from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,13 +10,15 @@ from hypothesis import strategies as st
 from pmcsynth import eqsys, product
 from pmcsynth.gba import CapacityError, elementary, make_gba, translate
 from pmcsynth.ltl import parse_formula
-from pmcsynth.modelgen import random_mc
+from pmcsynth.modelgen import chain_mc, random_mc
 from pmcsynth.pmc import parse_model
 from pmcsynth.product import (
     CompletenessBudgetError,
+    ProductGraph,
     ReverseDeterminismError,
     SccRecord,
     build_product,
+    check_product_size,
     classify_locally_positive,
     is_accepting,
     is_complete_oracle,
@@ -65,6 +69,7 @@ def test_build_product_shape():
 
 
 def test_build_product_arcs_are_exactly_the_joint_steps():
+    """The joint steps (q,s) -> (q',t) into a node (q',t) with a move."""
     M = load("loop_pair.pmc")
     A = translate(parse_formula("G F x"))
     G = build_product(A, M)
@@ -74,10 +79,25 @@ def test_build_product_arcs_are_exactly_the_joint_steps():
         for s in range(ns):
             for q2 in A.transitions.get((q, G.letters[s]), ()):
                 for t, _ in M.succ(s):
-                    expected.add((q * ns + s, q2 * ns + t))
+                    if (q2, G.letters[t]) in A.transitions:
+                        expected.add((q * ns + s, q2 * ns + t))
     actual = {(u, v) for u in range(G.n_nodes()) for v in G.succ(u)}
     assert actual == expected
     assert G.n_arcs() == len(expected)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.sampled_from(["formula", 0, 1, 3]))
+def test_every_arc_goes_into_a_node_with_a_move(seed, n, kind):
+    """A translated random formula or a random automaton, on a random chain:
+    the automaton state of every arc target moves on the target's letter."""
+    rng = random.Random(seed)
+    M = random_mc(rng, n)
+    A = translate(random_formula(rng)) if kind == "formula" else random_gba(rng, kind)
+    G = build_product(A, M)
+    ns = M.n_states()
+    for v in G.targets:
+        q2, t = divmod(v, ns)
+        assert (q2, G.letters[t]) in A.transitions
 
 
 def test_build_product_capacity(monkeypatch):
@@ -330,9 +350,20 @@ def test_bottom_projection_matches_chain_decomposition(rng):
                 _assert_bottom_projections(G, part)
                 seen.update((r.trivial, r.reachable, r.projection_is_bottom) for r in part.sccs)
     # absorbing chain states give trivial SCCs over a bottom projection
-    assert {(True, False, True), (True, True, True), (True, False, False)} <= seen
+    assert {(True, False, True), (True, False, False)} <= seen
     assert (False, True, True) in seen and (False, True, False) in seen
     _assert_bottom_projections(*loop_pair_product())
+
+    # an absorbing initial state: the tableau's initial node is reachable,
+    # and trivial over a bottom projection, since no arc enters it
+    M = parse_model("pmc\nstate s {a};\nstate t {};\ninit s;\ntrans s -> s : 1;\ntrans t -> s : 1;")
+    A = translate(parse_formula("F a"))
+    G = build_product(A, M)
+    part = scc_decompose(G)
+    _assert_bottom_projections(G, part)
+    [u0] = G.initial
+    init = part.sccs[part.comp_of[u0]]
+    assert (init.trivial, init.reachable, init.projection_is_bottom) == (True, True, True)
 
 
 def test_analyze_decomposes_once(monkeypatch):
@@ -446,3 +477,87 @@ def test_array_partition_matches_reference(seed, n):
     targets = {i for i in range(len(part)) if rng.random() < 0.1}
     full = reference_reaching(part, targets)
     assert list(part.reaching(targets)) == [v & part.reachable[i] for i, v in enumerate(full)]
+
+
+def reference_build_product(A, M):
+    """The builder before arcs into nodes without a move were left out: an
+    arc for every joint step."""
+    nq = len(A.states)
+    ns = M.n_states()
+    check_product_size(nq, ns)
+    letters = tuple(A.letter_mask(M.labels[s]) for s in range(ns))
+    mc_succ = [[t for t, _ in M.succ(s)] for s in range(ns)]
+
+    offsets = array("q", [0])
+    targets = array("q")
+    for q in range(nq):
+        for s in range(ns):
+            succs = A.transitions.get((q, letters[s]), ())
+            if succs:
+                targets.extend([q2 * ns + t for t in mc_succ[s] for q2 in succs])
+            offsets.append(len(targets))
+    init = tuple(sorted(q0 * ns + M.initial for q0 in A.initial))
+    return ProductGraph(A, M, letters, offsets, targets, init)
+
+
+def _formula(rng, ap):
+    formula = random_formula(rng, ap)
+    while not 1 <= len(elementary(formula)) <= 5:
+        formula = random_formula(rng, ap)
+    return formula
+
+
+def _trim_cases(rng):
+    """(automaton, chain, evaluations): seeded random and sparse chains with
+    random formulas, and the bundled models with random formulas over their
+    labels and with the hand-built loop automaton."""
+    for n in (2, 3, 5, 8, 12):
+        for _ in range(6):
+            yield translate(_formula(rng, ("a", "b"))), random_mc(rng, n), [{}]
+    for n in (6, 15, 30):
+        for _ in range(4):
+            yield translate(_formula(rng, ("a",))), chain_mc(rng, n), [{}]
+    labels = ("x", "y", "z", "w")
+    for name, ap in (("loop_pair.pmc", labels), ("split_cycle.pmc", labels),
+                     ("branch13.pmc", ("success",))):
+        M = load(name)
+        evaluations = [{}]
+        if M.params:
+            evaluations = [{"eps": Fraction(rng.randint(-7, 7), 16)} for _ in range(3)]
+        for _ in range(6):
+            yield translate(_formula(rng, ap)), M, evaluations
+    yield loop_automaton(), load("loop_pair.pmc"), [{}]
+
+
+def test_trimmed_product_agrees_with_the_full_product(rng):
+    """Leaving out the arcs into nodes without a move changes no SCC with a
+    cycle, no verdict and no value: it takes the arcless non-initial nodes
+    out of the reachable part, and out of the zero set."""
+    for A, M, evaluations in _trim_cases(rng):
+        G, full = build_product(A, M), reference_build_product(A, M)
+        ns = M.n_states()
+        moves = [(v // ns, G.letters[v % ns]) in A.transitions for v in range(G.n_nodes())]
+        assert G.n_nodes() == full.n_nodes() and G.initial == full.initial
+        for u in range(G.n_nodes()):
+            assert list(G.succ(u)) == [v for v in full.succ(u) if moves[v]]
+        gone = {u for u in range(G.n_nodes()) if not moves[u] and u not in G.initial}
+        for use_oracle in (False, True):
+            systems = [eqsys.build_system(g, use_oracle=use_oracle) for g in (G, full)]
+            trimmed, reference = systems
+            assert len(trimmed.partition) == len(reference.partition)
+            verdicts = [
+                {
+                    r.members: (r.reachable, r.accepting, r.complete, r.projection_is_bottom,
+                                r.locally_positive)
+                    for r in system.partition.blocks.values()
+                }
+                for system in systems
+            ]
+            assert verdicts[0] == verdicts[1], (A.states, M.states)
+            assert set(trimmed.zeros) == set(reference.zeros) - gone
+        for evaluation in evaluations:
+            got = eqsys.solve_concrete(trimmed, evaluation)
+            want = eqsys.solve_concrete(reference, evaluation)
+            assert got.target == want.target
+            assert set(got.mu) == set(want.mu) - gone
+            assert all(want.mu[u] == value for u, value in got.mu.items())
