@@ -6,8 +6,9 @@
     pmc-synth synth    -m MODEL -q QUERY [-o FILE] [--solve grid:N | --solver PATH]
 
 ``check`` and ``synth`` run on the chain lumped for the formula's atomic
-propositions (``pmc.lump``), with evaluations checked on the given chain;
-``classify`` runs on the given chain.
+propositions (``pmc.lump``); the quotient knows the chain it was lumped
+from, and evaluations are checked on that chain.  ``classify`` runs on the
+given chain.
 
 Exit codes: 0 success (and positive verdict where applicable); 1 completed
 with a negative answer (verdict false, no witness, solver unsat); 2 usage;
@@ -161,7 +162,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     check_evaluation_names(M, evaluation)
     analysis = eqsys.analyze(lump(M, atomic_props(formula)), formula)
     t0 = time.perf_counter()
-    result = eqsys.solve_concrete(analysis.system, evaluation, M)
+    result = eqsys.solve_concrete(analysis.system, evaluation)
     t_mc = time.perf_counter() - t0
     probability = _exact(result.target)
     _print_stats(_stats_row(M, analysis, t_mc), args.report)
@@ -240,7 +241,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     system = eqsys.analyze(lump(M, atomic_props(query.formula)), query.formula).system
     if args.out:
-        Path(args.out).write_text(smtlib.emit_smtlib(system, query, M))
+        Path(args.out).write_text(smtlib.emit_smtlib(system, query))
         print(f"smt: wrote {args.out}")
         if args.solver:
             proc = subprocess.run(
@@ -259,7 +260,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if axes is None:
         return 0
 
-    result = eqsys.synth_grid(system, query, axes, M)
+    result = eqsys.synth_grid(system, query, axes)
     if result.witness is None:
         print(
             f"no witness on the grid (tried {result.tried} points, "

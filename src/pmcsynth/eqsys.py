@@ -38,10 +38,10 @@ whose fill-in would pass ``FILL_BUDGET`` entries stops with
 stage of ``StagedCheck``, and hands the entry values to that block solver.
 
 The system may be built over a quotient made by ``pmc.lump``; the command
-line lumps before ``analyze``, which itself takes any chain.  Evaluations
-are then still checked on the given chain, so ``solve_concrete`` and
-``synth_grid`` take it beside the system, and the quotient's entry values
-are sums of the given chain's (``pmc.lumped_values``).
+line lumps before ``analyze``, which itself takes any chain.  A quotient
+knows its given chain (``Pmc.given``), so ``solve_concrete`` and
+``synth_grid`` check evaluations on the system chain's given chain, and
+take the quotient's entry values from ``pmc.lumped_values``.
 
 Grid synthesis walks the lattice of ``grid_axes`` with an index list, one
 parameter fixed at a time, and checks each stage with ``StagedCheck``: a
@@ -408,20 +408,16 @@ def _eliminate(
     return num, den
 
 
-def solve_concrete(
-    system: EquationSystem, evaluation: Evaluation, M: Pmc | None = None
-) -> SolveResult:
+def solve_concrete(system: EquationSystem, evaluation: Evaluation) -> SolveResult:
     """Exact solution of the system under a total evaluation: one value per
     reachable node, a model of the emitted SMT-LIB script at that point.
-    The evaluation is checked with ``well_defined`` on M, the given chain
-    whose quotient by ``pmc.lump`` the system is built over (or M itself);
-    without M, on the system's own chain."""
+    The evaluation is checked with ``well_defined`` on the given chain of
+    the system's chain (see ``pmc.lump``)."""
     Q = system.graph.pmc
-    M = Q if M is None else M
-    report = well_defined(M, evaluation)
+    report = well_defined(Q.given, evaluation)
     if not report.ok:
         raise IllDefinedEvaluationError(report.problems)
-    return _solve_blocks(system, lumped_values(Q, M, report.values))
+    return _solve_blocks(system, lumped_values(Q, report.values, evaluation))
 
 
 def _solve_blocks(
@@ -578,23 +574,23 @@ def grid_axes(M: Pmc, resolution: int) -> dict[str, list[Fraction]]:
 
 
 def synth_grid(
-    system: EquationSystem, query: PltlQuery, axes: dict[str, list[Fraction]], M: Pmc
+    system: EquationSystem, query: PltlQuery, axes: dict[str, list[Fraction]]
 ) -> SynthResult:
     """The first point of ``axes`` (see ``grid_axes``) whose probability lies
     in the query interval, in lexicographic order with the last axis
-    fastest.  Points are checked on M, the given chain whose quotient by
-    ``pmc.lump`` the system is built over (or M itself), and those that
-    are not well-defined (zero entries, row sums off 1) are skipped but
-    counted in ``tried``.  The walk (see the module docstring) keeps its
-    prefix in an index list, not on the call stack, so a model with
-    thousands of parameters scans too.  An axis that repeats a value is a
-    GridError: a forced value is looked up by its value.
+    fastest.  Points are checked on the given chain of the system's chain
+    (see ``pmc.lump``), and those that are not well-defined (zero entries,
+    row sums off 1) are skipped but counted in ``tried``.  The walk (see
+    the module docstring) keeps its prefix in an index list, not on the
+    call stack, so a model with thousands of parameters scans too.  An
+    axis that repeats a value is a GridError: a forced value is looked up
+    by its value.
     """
     Q = system.graph.pmc
     names = list(axes)
     points = list(axes.values())
-    check_evaluation_names(M, axes)
-    check = StagedCheck(M, names)
+    check_evaluation_names(Q.given, axes)
+    check = StagedCheck(Q.given, names)
     n = len(names)
     # below[k]: the number of points that share a prefix of k parameters
     below = [1] * (n + 1)
@@ -616,7 +612,7 @@ def synth_grid(
     while True:
         if k == n:
             tried += 1
-            result = _solve_blocks(system, lumped_values(Q, M, values))
+            result = _solve_blocks(system, lumped_values(Q, values, evaluation))
             admitted += 1
             if query.admits(result.target):
                 witness = {name: axes[name][i] for name, i in zip(names, index)}

@@ -31,10 +31,12 @@ a distribution.
 ``lump`` cuts a chain down to the part reachable from its initial state and
 merges bisimilar states there, for the labels cut down to a formula's
 atomic propositions.  Refinement compares function objects by identity, so
-the sharing above is what lets states merge.  The quotient records which
-given entries each of its entries sums; ``lumped_values`` turns the given
-chain's evaluated entries into the quotient's, so an evaluation is checked
-on the given chain, with its state names, and nothing is evaluated twice.
+the sharing above is what lets states merge.  A quotient knows its given
+chain, the one it was lumped from (``Pmc.given``; a chain that is not a
+quotient is its own), and an evaluation is checked on that chain, with its
+state names and its entries.  ``lumped_values`` then evaluates the
+quotient's entries, each distinct one once; each is a sum of given entries,
+so it is exact wherever the check has passed.
 
 File format (line comments with #, statements end with ';'):
 
@@ -117,12 +119,17 @@ class Pmc:
     initial: int
     params: dict[str, Param]
     trans: dict[tuple[int, int], RationalFunction]
-    # a quotient made by ``lump``: per transition, the transitions of the
-    # given chain whose entries it sums; None for any other chain
-    sums: dict[tuple[int, int], tuple[tuple[int, int], ...]] | None = None
+    # the chain ``lump`` made this quotient from; None for any other chain
+    lumped_from: Pmc | None = None
 
     def n_states(self) -> int:
         return len(self.states)
+
+    @property
+    def given(self) -> Pmc:
+        """The chain this one was lumped from, or itself if it is not a
+        quotient: the chain an evaluation is checked on."""
+        return self if self.lumped_from is None else self.lumped_from
 
     @cached_property
     def rows(self) -> list[list[tuple[int, RationalFunction]]]:
@@ -537,7 +544,8 @@ def lump(M: Pmc, ap: Iterable[str]) -> Pmc:
     so the quotient's function objects are shared as M's are.  A sum that
     is identically 0 keeps its arc: no evaluation makes all its summands
     positive, so ``well_defined`` on M rejects every evaluation that would
-    use it.  ``sums`` records the summed entries for ``lumped_values``.
+    use it.  The quotient records M's given chain (M itself unless M is a
+    quotient), so a given chain is never itself a quotient.
     """
     ap = frozenset(ap)
     seen = {M.initial}
@@ -579,20 +587,18 @@ def lump(M: Pmc, ap: Iterable[str]) -> Pmc:
         if b == len(reps):
             reps.append(live[k])
     trans: dict[tuple[int, int], RationalFunction] = {}
-    sums: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     shared: dict[tuple[int, ...], RationalFunction] = {}
     for b, r in enumerate(reps):
-        into: dict[int, list[tuple[int, RationalFunction]]] = {}
+        into: dict[int, list[RationalFunction]] = {}
         for t, f in M.rows[r]:
-            into.setdefault(block[at[t]], []).append((t, f))
-        for c, entries in into.items():
-            sums[b, c] = tuple((r, t) for t, _ in entries)
-            if len(entries) == 1:
-                trans[b, c] = entries[0][1]
+            into.setdefault(block[at[t]], []).append(f)
+        for c, fs in into.items():
+            if len(fs) == 1:
+                trans[b, c] = fs[0]
                 continue
-            key = tuple(sorted(id(f) for _, f in entries))
+            key = tuple(sorted(map(id, fs)))
             if key not in shared:
-                shared[key] = _row_sum(f for _, f in entries)
+                shared[key] = _row_sum(fs)
             trans[b, c] = shared[key]
     return Pmc(
         tuple(M.states[r] for r in reps),
@@ -600,21 +606,25 @@ def lump(M: Pmc, ap: Iterable[str]) -> Pmc:
         block[at[M.initial]],
         M.params,
         trans,
-        sums,
+        M.given,
     )
 
 
 def lumped_values(
-    Q: Pmc, M: Pmc, values: Mapping[tuple[int, int], Fraction]
+    Q: Pmc, values: Mapping[tuple[int, int], Fraction], evaluation: Evaluation
 ) -> Mapping[tuple[int, int], Fraction]:
-    """Q's entries under an evaluation, {(b, c): value}, from the evaluated
-    entries ``values`` of M: each the sum of the entries of M it lumps, or
-    ``values`` itself if Q is M (see ``lump``)."""
-    if Q is M:
+    """Q's entries under a total evaluation, {(b, c): value}, given
+    ``values``, the entries of ``Q.given`` evaluated and checked by
+    ``StagedCheck``: ``values`` itself if Q is its own given chain, and
+    otherwise each distinct entry of Q evaluated once (see ``lump``)."""
+    if Q.lumped_from is None:
         return values
-    return {
-        key: sum([values[k] for k in part[1:]], values[part[0]]) for key, part in Q.sums.items()
-    }
+    evaluation = {name: Fraction(v) for name, v in evaluation.items()}
+    value_of: dict[int, Fraction] = {}
+    for f in Q.trans.values():
+        if id(f) not in value_of:
+            value_of[id(f)] = f.evaluate(evaluation)
+    return {key: value_of[id(f)] for key, f in Q.trans.items()}
 
 
 # The number forms of evaluations and query bounds.  Fraction accepts more,

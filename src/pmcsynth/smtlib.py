@@ -8,8 +8,9 @@ rows, zeros and mu range bounds — so ``solve_concrete``'s ``mu`` is a full
 model of the mu variables; and the membership of the target sum in the
 query's probability interval.  The system may be that of a quotient made by
 ``pmc.lump``: its mu variables are then named after each block's first
-state, while the support section comes from the given chain, so the
-script's parameter models are those of the unlumped script.  That section
+state, while the parameters and the support section come from the
+quotient's given chain (``Pmc.given``), so the script's parameter models
+are those of the unlumped script.  The support section
 asserts each distinct non-constant entry positive once and each distinct
 row of entries to sum to 1 once.  ``(/ x 0)`` is not an error in SMT-LIB
 but a value a solver may choose, so each distinct non-constant denominator
@@ -42,7 +43,6 @@ from fractions import Fraction
 from typing import Mapping
 
 from .eqsys import EquationSystem, PltlQuery
-from .pmc import Pmc
 from .ratfunc import Polynomial, RationalFunction
 
 
@@ -110,14 +110,15 @@ def mu_name(system: EquationSystem, node: int) -> str:
     return f"mu_{q}.{system.graph.pmc.states[s]}"
 
 
-def emit_smtlib(system: EquationSystem, query: PltlQuery, M: Pmc) -> str:
-    """The script of the system and the query.  M is the given chain whose
-    quotient by ``pmc.lump`` the system is built over (or M itself): its
-    parameters are declared, its states' names checked, its entries
-    asserted positive and its rows to sum to 1, so the script's parameter
-    models do not depend on the lumping."""
+def emit_smtlib(system: EquationSystem, query: PltlQuery) -> str:
+    """The script of the system and the query.  The given chain M of the
+    system's chain (see ``pmc.lump``) has its parameters declared, its
+    states' names checked, its entries asserted positive and its rows to
+    sum to 1, so the script's parameter models do not depend on the
+    lumping."""
     G = system.graph
     Q = G.pmc
+    M = Q.given
     lines: list[str] = []
     out = lines.append
     out("(set-logic QF_NRA)")

@@ -99,7 +99,7 @@ def test_criterion_1(capsys):
     G = build_product(A, M)
     system = build_system(G)
 
-    one_positive = [len(system.partition.sccs[i].members) for i in system.positives] == [5]
+    one_positive = [len(system.partition.members(i)) for i in system.positives] == [5]
 
     def node(qname, sname):
         return A.states.index(qname) * M.n_states() + M.states.index(sname)
@@ -144,7 +144,7 @@ def test_criterion_2(capsys):
     A = two_loop_automaton()
     G = build_product(A, M)
     part = scc_decompose(G)
-    nontrivial = [r for r in part.sccs if not r.trivial]
+    nontrivial = list(part.blocks.values())
 
     proj_xy = frozenset({M.states.index("x"), M.states.index("y")})
     proj_zw = frozenset({M.states.index("z"), M.states.index("w")})
@@ -319,7 +319,7 @@ def test_criterion_6(capsys):
     disagreements = []
     for _, _, runs in data:
         for text, G, part, _ in runs:
-            for r in [r for r in part.sccs if not r.trivial]:
+            for r in part.blocks.values():
                 n_sccs += 1
                 a = is_complete_rd(G, part, r)
                 b = is_complete_oracle(G, r)
@@ -352,7 +352,7 @@ def test_criterion_7(capsys):
         == (F(3, 10), F(1, 2), False, False)
     )
     query = parse_pltl("P in [0, 1] [ F goal ]")
-    res = synth_grid(analyze(M, query.formula).system, query, grid_axes(M, 11), M)
+    res = synth_grid(analyze(M, query.formula).system, query, grid_axes(M, 11))
     w = res.witness
     witness_ok = (
         w is not None
@@ -417,7 +417,7 @@ def test_criterion_8(capsys):
     t0 = time.perf_counter()
     analysis = analyze(crowds, parse_formula("G F fresh"))
     classify_time = time.perf_counter() - t0
-    script = emit_smtlib(analysis.system, parse_pltl("P >= 1 [ G F fresh ]"), crowds)
+    script = emit_smtlib(analysis.system, parse_pltl("P >= 1 [ G F fresh ]"))
     forms = check_wellformed(script)
     solver = next(
         (s for s in ("z3", "cvc5", "cvc4", "yices-smt2") if shutil.which(s)), None
@@ -471,7 +471,7 @@ def test_criterion_9(capsys):
     def wellformed(system, query):
         nonlocal emitted
         emitted += 1
-        return check_wellformed(emit_smtlib(system, query, system.graph.pmc))
+        return check_wellformed(emit_smtlib(system, query))
 
     # parameterized emissions: structural validity
     M4 = load("split_cycle.pmc")

@@ -53,23 +53,32 @@ def test_tracer_counts_every_layer(capsys, monkeypatch, tmp_path):
 
 
 def test_workload_inputs_parse_and_verify(monkeypatch, tmp_path):
+    # the verifier calls program functions itself (solve_concrete,
+    # imc_to_pmc, check_wellformed): a signature change must fail here, not
+    # only as a failed benchmark run
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import verify
     import workloads
 
-    workloads.setup("synth-grid", 1, ROOT, tmp_path)
-    models = sorted(p for p in tmp_path.iterdir() if p.suffix in (".pmc", ".imc"))
-    assert models
-    for path in models:
-        parse_model(path.read_text())
-    # a witness is checked against the parameter ranges the verifier reads
-    monkeypatch.chdir(tmp_path)
-    ops = json.loads((tmp_path / "ops.json").read_text())
-    witnessed = [op for op in ops if not op["verify"]["unsat"]]
-    assert witnessed
-    for op in witnessed:
-        code, stdout = verify.run_cli(op["argv"])
-        assert verify.verify(op, {"stdout": stdout, "code": code, "error": None}, {}) is None
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert names
+    for name in names:
+        directory = tmp_path / name
+        workloads.setup(name, 1, ROOT, directory)
+        models = sorted(p for p in directory.iterdir() if p.suffix in (".pmc", ".imc"))
+        assert models, name
+        for path in models:
+            parse_model(path.read_text())
+        monkeypatch.chdir(directory)
+        ops = json.loads((directory / "ops.json").read_text())
+        checked = ops[:2]
+        if name == "synth-grid":
+            # every witness is checked against the parameter ranges the verifier reads
+            checked += [op for op in ops[2:] if not op["verify"]["unsat"]]
+        for op in checked:
+            code, stdout = verify.run_cli(op["argv"])
+            output = {"stdout": stdout, "code": code, "error": None}
+            assert verify.VERIFIERS[op["verify"]["kind"]](op, output, {}) is None, (name, op)
 
 
 def test_each_command_analyzes_once(capsys, monkeypatch, tmp_path):

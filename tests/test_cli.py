@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pmcsynth import cli, eqsys, gba, product
+from pmcsynth import cli, eqsys, gba, product, smtlib
 from pmcsynth.ltl import parse_formula
 from pmcsynth.pmc import parse_model
 from pmcsynth.ratfunc import RationalFunction
@@ -256,7 +256,7 @@ def test_check_parameter_outside_range_exit_5(capsys):
 def test_check_fill_budget_exit_4(capsys, monkeypatch):
     M = parse_model(Path(SPLIT_CYCLE).read_text())
     system = eqsys.analyze(M, parse_formula("G F y")).system
-    [block] = [r for r in system.partition.sccs if r.reachable and len(r.members) > 1]
+    [block] = [r for r in system.partition.blocks.values() if r.reachable and len(r.members) > 1]
     monkeypatch.setattr(eqsys, "FILL_BUDGET", 3)
     code, out, err = run(capsys, "check", "-m", SPLIT_CYCLE, "-f", "G F y", "-e", "eps=1/4")
     assert code == 4
@@ -786,6 +786,20 @@ def test_readme_commands_run_as_printed(capsys, monkeypatch, tmp_path):
         lines = iter(mask(out).splitlines())
         for expected in shown:
             assert expected in lines, (argv, expected)
+
+
+def test_readme_library_example_runs_as_printed(capsys, monkeypatch, tmp_path):
+    # the python block of README "Library" prints the probability, then a
+    # script that the checker accepts
+    (tmp_path / "models").symlink_to(MODELS)
+    monkeypatch.chdir(tmp_path)
+    readme = (ROOT / "README.md").read_text()
+    library = readme[readme.index("\n## Library\n") :]
+    code = library[library.index("```python\n") + 10 : library.index("\n```\n")]
+    exec(compile(code, "README.md", "exec"), {})
+    first, _, script = capsys.readouterr().out.partition("\n")
+    assert first == "1"
+    assert smtlib.check_wellformed(script)
 
 
 def test_plain_pytest_finds_the_package():

@@ -296,10 +296,10 @@ def test_build_system_shape():
     # normalization rows are keyed by locally positive SCC, one group of
     # member nodes per chain state of its projection
     assert list(system.positives) == [
-        r.index for r in system.partition.sccs if r.locally_positive and r.reachable
+        r.index for r in system.partition.blocks.values() if r.locally_positive and r.reachable
     ] != []
     for scc_index, groups in system.positives.items():
-        record = system.partition.sccs[scc_index]
+        record = system.partition.blocks[scc_index]
         assert record.locally_positive
         assert sorted(u for nodes in groups for u in nodes) == sorted(record.members)
         for nodes in groups:
@@ -310,7 +310,7 @@ def test_zeros_cannot_reach_positive_sccs():
     M, system = branch_system()
     G = system.graph
     zero_set = set(system.zeros)
-    pos_nodes = {u for i in system.positives for u in system.partition.sccs[i].members}
+    pos_nodes = {u for i in system.positives for u in system.partition.members(i)}
     # forward closure from each zero node never meets a positive SCC
     for u in list(zero_set)[:50]:
         seen, stack = {u}, [u]
@@ -334,7 +334,7 @@ def test_positivity_rows_hold_in_solution():
     M, system = branch_system()
     result = solve_concrete(system, {})
     for scc_index, groups in system.positives.items():
-        assert system.partition.sccs[scc_index].locally_positive
+        assert system.partition.blocks[scc_index].locally_positive
         for nodes in groups:
             assert len({u % system.graph.n_mc() for u in nodes}) == 1
             assert sum(result.mu[u] for u in nodes) == 1
@@ -343,8 +343,9 @@ def test_positivity_rows_hold_in_solution():
 def test_solution_covers_the_reachable_nodes():
     M, system = branch_system()
     result = solve_concrete(system, {})
+    part = system.partition
     assert result.restricted == {
-        u for r in system.partition.sccs if r.reachable for u in r.members
+        u for i in range(len(part)) if part.reachable[i] for u in part.members(i)
     }
 
 
@@ -377,13 +378,14 @@ def test_degenerate_self_loop_over_absorbing_state():
     # a self-loop over s2 whose SCC is not locally positive has no equation
     # besides 0 = 0 once its siblings vanish
     s2 = M.states.index("s2")
-    record_of = {u: r for r in system.partition.sccs for u in r.members}
+    # a node with a self-arc is in a block
+    blocks, comp_of = system.partition.blocks, system.partition.comp_of
     degenerate = [
         u
         for u in range(G.n_nodes())
         if u % M.n_states() == s2
         and u in G.succ(u)
-        and not record_of[u].locally_positive
+        and not blocks[comp_of[u]].locally_positive
     ]
     assert degenerate
     assert set(degenerate) <= set(system.zeros)
@@ -413,8 +415,9 @@ def test_no_positive_scc_means_zero():
     G = build_product(loop_automaton(), M)
     system = build_system(G)
     assert system.positives == {}
+    part = system.partition
     assert set(system.zeros) == {
-        u for r in system.partition.sccs if r.reachable for u in r.members
+        u for i in range(len(part)) if part.reachable[i] for u in part.members(i)
     }
     assert solve_concrete(system, {}).target == 0
 
@@ -433,7 +436,8 @@ def test_large_crowds_blocks_solve_exactly():
     evaluation = {name: F(1, 2) for name in M.params}
     for text, block, want in (("! observed U delivered", 300, F(1, 3)), ("G F fresh", 200, F(1))):
         system = analyze(M, parse_formula(text)).system
-        sizes = [len(r.members) for r in system.partition.sccs if r.reachable]
+        part = system.partition
+        sizes = [len(part.members(i)) for i in range(len(part)) if part.reachable[i]]
         assert max(sizes) == block
         assert solve_concrete(system, evaluation).target == want
 
@@ -755,7 +759,7 @@ def _solve_both(M, formula, evaluation):
     system = analyze(Q, formula).system
     report = well_defined(M, evaluation)
     assert report.ok
-    prob = lumped_values(Q, M, report.values)
+    prob = lumped_values(Q, report.values, evaluation)
     return _solve_blocks(system, prob), reference_solve_blocks(system, prob)
 
 
@@ -815,7 +819,8 @@ def test_large_block_solves_to_the_reference_kernel_exactly(n):
     M = strongly_connected_mc(random.Random(n), n)
     f = parse_formula("F g")
     got, want = _solve_both(M, f, {})
-    assert max(len(r.members) for r in analyze(M, f).system.partition.sccs) == n
+    part = analyze(M, f).system.partition
+    assert max(len(part.members(i)) for i in range(len(part))) == n
     assert 0 < got.target < 1
     _assert_same_result(got, want)
     if n <= 60:
@@ -840,7 +845,7 @@ def test_analyze_times_and_capacity(monkeypatch):
 def grid_synth(M, text, resolution=11):
     axes = grid_axes(M, resolution)
     query = parse_pltl(text)
-    return synth_grid(analyze(M, query.formula).system, query, axes, M)
+    return synth_grid(analyze(M, query.formula).system, query, axes)
 
 
 def test_synth_grid_finds_first_witness():
@@ -907,7 +912,7 @@ def assert_scans_agree(M, formula, bounds, axes):
     system = analyze(M, parse_formula(formula)).system
     for lo, hi in [*bounds, (F(2), F(2))]:
         query = PltlQuery(parse_formula(formula), lo, hi)
-        got = synth_grid(system, query, axes, M)
+        got = synth_grid(system, query, axes)
         assert got == reference_synth_grid(system, query, axes)
         if got.witness is not None:
             assert list(got.witness) == list(axes)
@@ -1050,13 +1055,13 @@ def test_synth_grid_matches_reference_on_forced_axes():
     axes = {"p_s_t": [F(1, 2), F(3, 5)], "p_s_w": [F(3, 10), F(2, 5), F(1, 2)], **sinks}
     assert_scans_agree(M, "F goal", [(F(3, 5), F(1))], axes)
     query = PltlQuery(parse_formula("F goal"), F(3, 5), F(1))
-    res = synth_grid(analyze(M, query.formula).system, query, axes, M)
+    res = synth_grid(analyze(M, query.formula).system, query, axes)
     assert (res.witness["p_s_w"], res.tried, res.admitted) == (F(2, 5), 5, 2)
     # p_s_t = 1/5 forces 4/5, off the axis: every point is tried, none admitted
     axes = {"p_s_t": [F(1, 5)], "p_s_w": [F(3, 10), F(1, 2)], **sinks}
     assert_scans_agree(M, "F goal", [(F(0), F(1))], axes)
     query = PltlQuery(parse_formula("F goal"), F(0), F(1))
-    res = synth_grid(analyze(M, query.formula).system, query, axes, M)
+    res = synth_grid(analyze(M, query.formula).system, query, axes)
     assert (res.witness, res.tried, res.admitted) == (None, 2, 0)
     # grid:3 puts p_s_t on 1/5, 9/20 and 7/10, which force 4/5 and 11/20,
     # both off p_s_w's axis, and 3/10, its lower end
@@ -1072,7 +1077,7 @@ def test_synth_grid_refuses_an_axis_that_repeats_a_value():
     query = parse_pltl("P >= 0 [ X y ]")
     system = analyze(M, query.formula).system
     with pytest.raises(GridError, match="eps repeats a value"):
-        synth_grid(system, query, {"eps": [F(1, 4), F(1, 4)]}, M)
+        synth_grid(system, query, {"eps": [F(1, 4), F(1, 4)]})
 
 
 @settings(max_examples=60)
@@ -1098,7 +1103,7 @@ def test_synth_grid_evaluates_each_entry_once_its_parameters_are_fixed(monkeypat
         return evaluate(self, assignment)
 
     monkeypatch.setattr(RationalFunction, "evaluate", counted)
-    res = synth_grid(system, query, grid_axes(M, 41), M)
+    res = synth_grid(system, query, grid_axes(M, 41))
     assert (res.witness, res.tried, res.admitted) == (None, 1681, 9)
     assert calls < 2 * res.tried
 
@@ -1128,7 +1133,7 @@ def test_synth_grid_evaluates_each_shared_function_once_per_stage(monkeypatch):
         return evaluate(self, assignment)
 
     monkeypatch.setattr(RationalFunction, "evaluate", counted)
-    res = synth_grid(system, parse_pltl("P < 1/2 [ F delivered ]"), grid_axes(M, 15), M)
+    res = synth_grid(system, parse_pltl("P < 1/2 [ F delivered ]"), grid_axes(M, 15))
     assert (res.witness, res.tried, res.admitted) == (None, 15, 15)
     # p/3 and 1 - p per point, and 1/3 and 1 once, at stage 0
     assert calls <= 2 * res.tried + 2

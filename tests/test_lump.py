@@ -43,7 +43,7 @@ def model_text(M: Pmc) -> str:
 def lumped_probability(M, formula, evaluation):
     """The probability as ``check`` computes it: on the quotient."""
     Q = lump(M, atomic_props(formula))
-    return solve_concrete(analyze(Q, formula).system, evaluation, M).target
+    return solve_concrete(analyze(Q, formula).system, evaluation).target
 
 
 def given_probability(M, formula, evaluation):
@@ -124,7 +124,7 @@ def test_lump_is_idempotent(chain_seed, n, copied, ap):
     assert lump(Q, ap) is Q
     # the quotient's entries are sums of the given entries of its first states
     values = well_defined(N, {}).values
-    assert lumped_values(Q, N, values) == {key: f.value() for key, f in Q.trans.items()}
+    assert lumped_values(Q, values, {}) == {key: f.value() for key, f in Q.trans.items()}
 
 
 PAIR = """pmc
@@ -148,7 +148,7 @@ def test_states_with_other_labels_in_ap_never_merge():
     Q = lump(M, {"a"})
     assert Q.states == ("s", "a", "t")
     assert Q.trans[0, 1] == RationalFunction.const(1)
-    assert Q.sums[0, 1] == ((0, 1), (0, 2))
+    assert Q.given is M
 
 
 def test_unreachable_states_are_dropped():
@@ -184,7 +184,7 @@ def test_identically_zero_sum_keeps_its_arc():
     assert Q.trans[0, 1].is_zero
     # no evaluation makes both entries positive; the message names b
     with pytest.raises(IllDefinedEvaluationError) as exc:
-        solve_concrete(analyze(Q, parse_formula("F goal")).system, {"p": F(1, 4)}, M)
+        solve_concrete(analyze(Q, parse_formula("F goal")).system, {"p": F(1, 4)})
     assert "entry s -> b evaluates to -1/4, outside [0,1]" in str(exc.value)
 
 
@@ -211,17 +211,17 @@ def test_lumped_script_has_the_unlumped_models():
     given_system = analyze(M, query.formula).system
     # the parameter and support sections come from M alone
     sections = ("; parameter ranges", "; flow equations")
-    assert _section(emit_smtlib(lumped, query, M), *sections) == _section(
-        emit_smtlib(given_system, query, M), *sections
+    assert _section(emit_smtlib(lumped, query), *sections) == _section(
+        emit_smtlib(given_system, query), *sections
     )
 
     # the solved quotient point is a model with the target pinned to it
     point = {"p": F(3, 10)}
-    result = solve_concrete(lumped, point, M)
+    result = solve_concrete(lumped, point)
     assert result.target == solve_concrete(given_system, point).target
     assignment = {mu_name(lumped, u): v for u, v in result.mu.items()} | point
     pinned = PltlQuery(query.formula, result.target, result.target)
-    script = emit_smtlib(lumped, pinned, M)
+    script = emit_smtlib(lumped, pinned)
     assert evaluate_assertions(check_wellformed(script), assignment) == []
     assert "mu_0.new0" in script and "mix1_" not in script
 
@@ -251,7 +251,7 @@ def test_lumped_script_rejects_a_point_with_a_zero_entry():
     Q = lump(M, {"goal"})
     assert Q.n_states() == 4
     for system in (analyze(Q, query.formula).system, analyze(M, query.formula).system):
-        forms = check_wellformed(emit_smtlib(system, query, M))
+        forms = check_wellformed(emit_smtlib(system, query))
         symbols = [f[1] for f in forms if f[0] == "declare-const"]
         asserts = [f[1] for f in forms if f[0] == "assert"]
         # at p = 0 the entries into c are 0: their positivity fails, whatever mu is
@@ -270,5 +270,61 @@ def test_grid_witness_is_that_of_the_given_chain(query_text):
     axes = grid_axes(M, 9)
     Q = lump(M, atomic_props(query.formula))
     assert Q is not M
-    lumped = synth_grid(analyze(Q, query.formula).system, query, axes, M)
-    assert lumped == synth_grid(analyze(M, query.formula).system, query, axes, M)
+    lumped = synth_grid(analyze(Q, query.formula).system, query, axes)
+    assert lumped == synth_grid(analyze(M, query.formula).system, query, axes)
+
+
+BRANCH_TO_ABSORBING = """pmc
+param p in [0, 1];
+state x;
+state y;
+state z;
+init x;
+trans x -> y : p;
+trans x -> z : 1 - p;
+trans y -> y : 1;
+trans z -> z : 1;
+"""
+
+
+def test_a_system_over_a_quotient_checks_the_given_chain():
+    # y and z merge for X a, and the quotient's entry x -> y is p + 1 - p = 1
+    M = parse_model(BRANCH_TO_ABSORBING)
+    query = parse_pltl("P >= 0 [ X a ]")
+    Q = lump(M, {"a"})
+    assert Q.states == ("x", "y") and Q.trans[0, 1] == RationalFunction.const(1)
+    assert Q.given is M and M.given is M
+    system = analyze(Q, query.formula).system
+    # p = 0 makes the given entry x -> y vanish, not the quotient's
+    with pytest.raises(IllDefinedEvaluationError) as exc:
+        solve_concrete(system, {"p": F(0)})
+    assert "entry x -> y evaluates to 0" in str(exc.value)
+    result = synth_grid(system, query, {"p": [F(0), F(1, 2), F(1)]})
+    assert (result.witness, result.tried, result.admitted) == ({"p": F(1, 2)}, 2, 1)
+    assert "(assert (> p 0))" in emit_smtlib(system, query).splitlines()
+
+
+TWICE = """pmc
+state s;
+state a {a, hot};
+state b {a};
+state t {t};
+state u {t};
+init s;
+trans s -> a : 1/2;
+trans s -> b : 1/2;
+trans a -> t : 1;
+trans b -> u : 1;
+trans t -> t : 1;
+trans u -> u : 1;
+"""
+
+
+def test_lumping_a_quotient_keeps_the_first_given_chain():
+    M = parse_model(TWICE)
+    Q = lump(M, {"a", "hot", "t"})  # t and u merge
+    R = lump(Q, {"a", "t"})  # then a and b
+    assert (Q.states, R.states) == (("s", "a", "b", "t"), ("s", "a", "t"))
+    assert Q.given is M and R.given is M
+    values = well_defined(M, {}).values
+    assert lumped_values(R, values, {}) == {(0, 1): 1, (1, 2): 1, (2, 2): 1}

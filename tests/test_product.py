@@ -142,8 +142,8 @@ def test_reachable_flags():
             continue
         reachable.add(u)
         stack.extend(G.succ(u))
-    for r in part.sccs:
-        assert r.reachable == any(u in reachable for u in r.members)
+    for i in range(len(part)):
+        assert bool(part.reachable[i]) == any(u in reachable for u in part.members(i))
 
 
 def test_classification_on_branching_chain():
@@ -176,7 +176,7 @@ def test_rd_and_survivor_deciders_agree_on_tableau_products(rng):
                 A = translate(parse_formula(text))
                 G = build_product(A, M)
                 part = scc_decompose(G)
-                for r in [r for r in part.sccs if not r.trivial]:
+                for r in part.blocks.values():
                     if not r.reachable:
                         continue
                     assert is_complete_rd(G, part, r) == is_complete_oracle(G, r), (
@@ -202,7 +202,7 @@ def loop_pair_product():
 
 def _scc_by_projection(G, part, names):
     want = frozenset(G.pmc.states.index(n) for n in names)
-    found = [r for r in part.sccs if not r.trivial and r.projection == want]
+    found = [r for r in part.blocks.values() if r.projection == want]
     assert len(found) == 1
     return found[0]
 
@@ -250,7 +250,7 @@ def test_is_accepting_covers_all_sets():
     # nothing is locally positive; but some SCC still satisfies both
     # acceptance sets in its cycles
     assert [r for r in pos if r.reachable] == []
-    assert any(r.accepting for r in part.sccs if not r.trivial and r.reachable is not None)
+    assert any(r.accepting for r in part.blocks.values() if r.reachable is not None)
     # classified records carry the same verdict as the standalone decider
     for r in part.sccs:
         if r.accepting is not None:

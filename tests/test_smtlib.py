@@ -348,14 +348,15 @@ def test_operator_table_matches_reference(term, x):
 
 def test_emitted_script_is_wellformed():
     M, system = system_for("split_cycle.pmc", "G F y")
-    script = emit_smtlib(system, parse_pltl("P >= 1 [ G F y ]"), M)
+    script = emit_smtlib(system, parse_pltl("P >= 1 [ G F y ]"))
     forms = check_wellformed(script)
     assert forms[0] == ["set-logic", "QF_NRA"]
     assert forms[-2] == ["check-sat"]
     assert forms[-1] == ["get-model"]
     # one declaration per parameter and per reachable product node
     decls = [f[1] for f in forms if f[0] == "declare-const"]
-    reachable = [u for r in system.partition.sccs if r.reachable for u in r.members]
+    part = system.partition
+    reachable = [u for i in range(len(part)) if part.reachable[i] for u in part.members(i)]
     assert len(reachable) < system.graph.n_nodes()
     assert sorted(decls) == sorted(list(M.params) + [mu_name(system, u) for u in reachable])
 
@@ -386,7 +387,7 @@ def test_emitted_script_is_wellformed():
 )
 def test_parameter_range_lines(model_name, formula_text, ranges):
     M, system = system_for(model_name, formula_text)
-    lines = emit_smtlib(system, parse_pltl(f"P >= 1/2 [ {formula_text} ]"), M).splitlines()
+    lines = emit_smtlib(system, parse_pltl(f"P >= 1/2 [ {formula_text} ]")).splitlines()
     start = lines.index("; parameter ranges") + 1
     assert lines[start : lines.index("; support positivity and row sums")] == ranges
 
@@ -401,7 +402,7 @@ def test_vanishing_denominator_is_excluded():
         "trans t -> t : 1;\ntrans u -> u : 1;\n"
     )
     system = analyze(M, parse_formula("F goal")).system
-    script = emit_smtlib(system, parse_pltl("P >= 1/2 [ F goal ]"), M)
+    script = emit_smtlib(system, parse_pltl("P >= 1/2 [ F goal ]"))
     lines = script.splitlines()
     guard = "(assert (not (= (+ 1 (* (- 2) p)) 0)))"
     assert lines[lines.index("; support positivity and row sums") + 1] == guard
@@ -431,7 +432,7 @@ def test_vanishing_denominator_fails_its_guard_in_the_whole_script():
     # false (not (= D 0)) guard, assertion 2 after the two parameter ranges
     M = parse_model(VANISHING)
     system = analyze(M, parse_formula("F goal")).system
-    forms = check_wellformed(emit_smtlib(system, parse_pltl("P >= 1/2 [ F goal ]"), M))
+    forms = check_wellformed(emit_smtlib(system, parse_pltl("P >= 1/2 [ F goal ]")))
     asserts = [f[1] for f in forms if f[0] == "assert"]
     assert asserts[2] == ["not", ["=", ["+", "1", ["*", ["-", "2"], "p"]], "0"]]
     symbols = [f[1] for f in forms if f[0] == "declare-const"]
@@ -445,7 +446,7 @@ def test_exact_solution_is_a_model():
     # solve a parameterized system at a concrete point, substitute the values
     # into the emitted script, and re-check every assertion arithmetically
     M, system = system_for("split_cycle.pmc", "G F y")
-    script = emit_smtlib(system, parse_pltl("P >= 1 [ G F y ]"), M)
+    script = emit_smtlib(system, parse_pltl("P >= 1 [ G F y ]"))
     forms = check_wellformed(script)
     result = solve_concrete(system, {"eps": F(1, 8)})
     assignment = {mu_name(system, u): v for u, v in result.mu.items()}
@@ -456,13 +457,13 @@ def test_exact_solution_is_a_model():
 def test_exact_solution_is_a_model_parameter_free():
     M, system = system_for("branch13.pmc", "F success")
     target = solve_concrete(system, {}).target
-    script = emit_smtlib(system, parse_pltl(f"P in [{target}, {target}] [ F success ]"), M)
+    script = emit_smtlib(system, parse_pltl(f"P in [{target}, {target}] [ F success ]"))
     forms = check_wellformed(script)
     result = solve_concrete(system, {})
     assignment = {mu_name(system, u): v for u, v in result.mu.items()}
     assert evaluate_assertions(forms, assignment) == []
     # the off-by-anything interval is refuted by the same assignment
-    wrong = emit_smtlib(system, parse_pltl("P in [2/3, 2/3] [ F success ]"), M)
+    wrong = emit_smtlib(system, parse_pltl("P in [2/3, 2/3] [ F success ]"))
     assert evaluate_assertions(check_wellformed(wrong), assignment) != []
 
 
@@ -472,7 +473,7 @@ def test_emission_marks_provably_zero_systems():
     M = parse_model((MODELS / "loop_pair.pmc").read_text())
     system = build_system(build_product(loop_automaton(), M))
     # emission reads only the query's interval, which the zero target meets
-    script = emit_smtlib(system, parse_pltl("P <= 1/2 [ G F x ]"), M)
+    script = emit_smtlib(system, parse_pltl("P <= 1/2 [ G F x ]"))
     assert "; target provably 0: no locally positive SCC" in script
     forms = check_wellformed(script)
     # all-zero assignment is a model of the degenerate system
@@ -502,7 +503,7 @@ def test_parameter_named_like_a_mu_symbol():
     )
     A = translate(parse_formula("F goal"))
     system = build_system(build_product(A, M))
-    forms = check_wellformed(emit_smtlib(system, parse_pltl("P >= 1 [ F goal ]"), M))
+    forms = check_wellformed(emit_smtlib(system, parse_pltl("P >= 1 [ F goal ]")))
     point = {"mu_0_x": F(1, 2)}
     result = solve_concrete(system, point)
     assignment = {mu_name(system, u): v for u, v in result.mu.items()}
@@ -533,12 +534,12 @@ def test_emit_check_evaluate_round_trip(model, formula_seed):
         target = result.target
         assignment = {mu_name(system, u): v for u, v in result.mu.items()} | point
 
-        forms = check_wellformed(emit_smtlib(system, PltlQuery(formula, target, target), M))
+        forms = check_wellformed(emit_smtlib(system, PltlQuery(formula, target, target)))
         assert evaluate_assertions(forms, assignment) == []
 
         # pinned anywhere else, only the target's bound is refuted
         other = target + Fraction(1, 2) if target <= Fraction(1, 2) else target - Fraction(1, 2)
-        forms = check_wellformed(emit_smtlib(system, PltlQuery(formula, other, other), M))
+        forms = check_wellformed(emit_smtlib(system, PltlQuery(formula, other, other)))
         n_asserts = sum(1 for form in forms if form[0] == "assert")
         failures = evaluate_assertions(forms, assignment)
         assert len(failures) == 1 and failures[0] >= n_asserts - 2
@@ -551,6 +552,6 @@ def test_emission_renders_each_function_object_once(monkeypatch):
     rendered = []
     render = smtlib._rf
     monkeypatch.setattr(smtlib, "_rf", lambda f: rendered.append(f) or render(f))
-    check_wellformed(emit_smtlib(system, parse_pltl("P >= 1/2 [ G F fresh ]"), M))
+    check_wellformed(emit_smtlib(system, parse_pltl("P >= 1/2 [ G F fresh ]")))
     distinct = {id(f) for f in M.trans.values()}
     assert len(rendered) <= len(distinct) < len(M.trans)
