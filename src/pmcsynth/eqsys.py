@@ -46,9 +46,12 @@ take the quotient's entry values from ``pmc.lumped_values``.
 Grid synthesis walks the lattice of ``grid_axes`` with an index list, one
 parameter fixed at a time, and checks each stage with ``StagedCheck``: a
 parameter range, an entry or a row sum is checked once the parameters it
-reads are fixed, so constant entries are checked once per scan, a function
-shared by many entries is evaluated once a stage, and a prefix that fails
-is skipped whole (its points counted as tried).  A parameter whose stage
+reads are fixed, so a function shared by many entries is evaluated once a
+stage, and a prefix that fails is skipped whole (its points counted as
+tried).  A parameter whose axis has one value, such as a point range
+[1, 1], is fixed before the walk and is no stage of it: its range, the
+entries that read only such parameters or none, and the rows they complete
+are checked once per scan, at stage 0.  A parameter whose stage
 completes a row with the parameter alone, as the last entry of an interval
 row does, can take only the value that makes the row sum to 1: the walk
 looks that value up on its axis and checks it alone, counting the axis's
@@ -582,14 +585,19 @@ def synth_grid(
     (see ``pmc.lump``), and those that are not well-defined (zero entries,
     row sums off 1) are skipped but counted in ``tried``.  The walk (see
     the module docstring) keeps its prefix in an index list, not on the
-    call stack, so a model with thousands of parameters scans too.  An
-    axis that repeats a value is a GridError: a forced value is looked up
-    by its value.
+    call stack, so a model with thousands of parameters scans too.  A
+    parameter with one value is fixed before the walk and is no stage of
+    it; it multiplies the point count by 1, so ``tried`` and ``admitted``
+    are those of the whole grid, and the witness assigns every parameter,
+    in ``axes`` order.  An axis that repeats a value is a GridError: a
+    forced value is looked up by its value.
     """
     Q = system.graph.pmc
-    names = list(axes)
-    points = list(axes.values())
     check_evaluation_names(Q.given, axes)
+    # a parameter with one value is fixed before the scan, checked at stage 0
+    evaluation = {name: axis[0] for name, axis in axes.items() if len(axis) == 1}
+    names = [name for name in axes if name not in evaluation]
+    points = [axes[name] for name in names]
     check = StagedCheck(Q.given, names)
     n = len(names)
     # below[k]: the number of points that share a prefix of k parameters
@@ -601,7 +609,6 @@ def synth_grid(
     for name, axis, index_of in zip(names, points, at):
         if len(index_of) != len(axis):
             raise GridError(f"the grid of parameter {name} repeats a value")
-    evaluation: dict[str, Fraction] = {}
     values: dict[tuple[int, int], Fraction] = {}
     if not check.passes(0, evaluation, values):
         return SynthResult(None, None, below[0], 0)
@@ -615,7 +622,7 @@ def synth_grid(
             result = _solve_blocks(system, lumped_values(Q, values, evaluation))
             admitted += 1
             if query.admits(result.target):
-                witness = {name: axes[name][i] for name, i in zip(names, index)}
+                witness = {name: evaluation[name] for name in axes}
                 return SynthResult(witness, result.target, tried, admitted)
             k -= 1
         else:

@@ -802,7 +802,8 @@ class StagedCheck:
                 v, problem = checked[id(f)]
                 if v is not None:
                     values[s, t] = v
-                    total += v
+                    if earlier is not None:
+                        total += v
                 if problem is not None:
                     yield f"entry {self.states[s]} -> {self.states[t]}{problem}"
             if earlier is not None:

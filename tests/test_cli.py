@@ -404,8 +404,9 @@ def test_synth_interval_model(capsys):
 
 
 def test_synth_interval_grid_solves_the_last_axis_of_each_row(capsys, monkeypatch):
-    # row s forces p_s_w = 1 - p_s_t and rows t, w force their sinks to 1, so
-    # only p_s_t's 101 values are scanned, not the 10,201 points
+    # row s forces p_s_w = 1 - p_s_t and p_t_t, p_w_w have one value each,
+    # fixed before the scan, so only p_s_t's 101 values are scanned, not the
+    # 10,201 points
     calls = 0
     evaluate = RationalFunction.evaluate
 
@@ -423,9 +424,11 @@ def test_synth_interval_grid_solves_the_last_axis_of_each_row(capsys, monkeypatc
     assert calls <= 4 * 101
 
 
-def test_synth_interval_model_with_many_parameters(capsys, tmp_path):
+def test_synth_interval_model_with_many_parameters(capsys, monkeypatch, tmp_path):
     # interval_row.imc's free row, then a chain of [1, 1] transitions: 1,200
-    # states, each one parameter and one axis of the grid
+    # states, each one parameter and one axis of the grid.  The 1,198 axes of
+    # one value are fixed before the scan, so each of their entries is
+    # evaluated once, not once per prefix that reaches it
     chain = [f"c{i}" for i in range(1, 1198)]
     lines = ["imc", "state s {};", "state t {goal};", "state w {};"]
     lines += [f"state {c} {{}};" for c in chain]
@@ -434,10 +437,20 @@ def test_synth_interval_model_with_many_parameters(capsys, tmp_path):
     lines += ["trans w -> w : [1, 1];"]
     model = tmp_path / "long.imc"
     model.write_text("\n".join(lines) + "\n")
+    calls = 0
+    evaluate = RationalFunction.evaluate
+
+    def counted(self, assignment):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, assignment)
+
+    monkeypatch.setattr(RationalFunction, "evaluate", counted)
     code, out, err = run(capsys, "synth", "-m", str(model), "-q", "P > 3/5 [ F goal ]")
     assert (code, err) == (0, "")
     assert "p_s_t=7/10" in out
     assert "tried 111 points, 3 admitted" in out
+    assert calls <= 1300
 
 
 def test_synth_grid_budget_exit_4(capsys, monkeypatch, tmp_path):

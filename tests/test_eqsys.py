@@ -1,3 +1,4 @@
+import collections
 import heapq
 import itertools
 import math
@@ -1072,6 +1073,55 @@ def test_synth_grid_matches_reference_on_forced_axes():
         assert_scans_agree(M, "F goal", [(F(1, 4), F(1)), (F(1, 2), F(1))], grid_axes(M, resolution))
 
 
+def test_synth_grid_matches_reference_on_a_one_value_axis_off_its_range():
+    # p_t_t = 1/2 is outside [1, 1] and leaves row t summing to 1/2: the
+    # axis is fixed before the scan, so stage 0 fails the whole grid
+    M = imc_to_pmc(load("interval_row.imc"))
+    axes = {**grid_axes(M, 5), "p_t_t": [F(1, 2)]}
+    assert_scans_agree(M, "F goal", [(F(0), F(1))], axes)
+    query = PltlQuery(parse_formula("F goal"), F(0), F(1))
+    res = synth_grid(analyze(M, query.formula).system, query, axes)
+    assert (res.witness, res.tried, res.admitted) == (None, 25, 0)
+
+
+# c's range is a point, so grid_axes gives it one value, and it is read in
+# one entry together with the scanned p
+POINT_RANGE = """
+pmc
+param c in [1/2, 1/2];
+param p in [0, 1];
+state s;
+state t {goal};
+state u;
+init s;
+trans s -> t : c*p;
+trans s -> u : 1 - c*p;
+trans t -> t : 1;
+trans u -> u : 1;
+"""
+
+
+@pytest.mark.parametrize("resolution", [3, 5, 9])
+def test_synth_grid_matches_reference_on_a_point_range_read_with_a_scanned_parameter(resolution):
+    M = parse_model(POINT_RANGE)
+    axes = grid_axes(M, resolution)
+    assert axes["c"] == [F(1, 2)]
+    assert_scans_agree(M, "F goal", [(F(1, 4), F(1)), (F(1, 2), F(1))], axes)
+
+
+def test_synth_grid_matches_reference_when_every_axis_has_one_value():
+    # the grid is one point, fixed before the scan and tried once; p_s_t =
+    # 4/5 is outside its range, so that point is not admitted
+    M = imc_to_pmc(load("interval_row.imc"))
+    query = PltlQuery(parse_formula("F goal"), F(2), F(2))
+    system = analyze(M, query.formula).system
+    for p_s_t, admitted in [(F(3, 5), 1), (F(4, 5), 0)]:
+        axes = {"p_s_t": [p_s_t], "p_s_w": [1 - p_s_t], "p_t_t": [F(1)], "p_w_w": [F(1)]}
+        assert_scans_agree(M, "F goal", [(F(1, 2), F(1))], axes)
+        res = synth_grid(system, query, axes)
+        assert (res.witness, res.tried, res.admitted) == (None, 1, admitted)
+
+
 def test_synth_grid_refuses_an_axis_that_repeats_a_value():
     M = load("split_cycle.pmc")
     query = parse_pltl("P >= 0 [ X y ]")
@@ -1088,24 +1138,26 @@ def test_synth_grid_matches_reference_on_random_interval_rows(text, resolution, 
 
 
 def test_synth_grid_evaluates_each_entry_once_its_parameters_are_fixed(monkeypatch):
-    # each point of p_s_t x p_s_w evaluates s -> w and sums row s; s -> t is
-    # evaluated once per value of p_s_t, and t -> t, w -> w only under the 9
-    # prefixes whose row s sums to 1
+    # s -> t is evaluated once per value of p_s_t; row s forces p_s_w, so
+    # s -> w is evaluated only under the 9 values of p_s_t that force a value
+    # on its axis; p_t_t and p_w_w have one value each and are fixed before
+    # the scan, so t -> t and w -> w are evaluated once
     M = imc_to_pmc(load("interval_row.imc"))
     query = parse_pltl("P > 7/10 [ F goal ]")
     system = analyze(M, query.formula).system
-    calls = 0
+    calls = collections.Counter()
     evaluate = RationalFunction.evaluate
 
     def counted(self, assignment):
-        nonlocal calls
-        calls += 1
+        calls[id(self)] += 1
         return evaluate(self, assignment)
 
     monkeypatch.setattr(RationalFunction, "evaluate", counted)
     res = synth_grid(system, query, grid_axes(M, 41))
     assert (res.witness, res.tried, res.admitted) == (None, 1681, 9)
-    assert calls < 2 * res.tried
+    per_entry = {f"{M.states[s]} -> {M.states[t]}": calls[id(f)] for (s, t), f in M.trans.items()}
+    assert per_entry == {"s -> t": 41, "s -> w": 9, "t -> t": 1, "w -> w": 1}
+    assert sum(calls.values()) == 52
 
 
 def test_synth_grid_evaluates_each_shared_function_once_per_stage(monkeypatch):
