@@ -8,25 +8,30 @@ underlying graph.  ``StagedCheck`` holds these rules, and ``well_defined`` is
 its single stage.  An IMC gives closed probability intervals per transition
 and converts to a PMC with one parameter per interval.
 
-``parse_model`` reads a file a statement at a time, keeping no list of its
-tokens or statements.  At each statement start one pattern tries the two
-forms generated models are made of, ``trans A -> B : body;`` and ``state s
-{p, q};`` with ASCII names and no comment.  Anything else is read from where
-it starts by the token stream, one regular expression read with one token of
-lookahead, which gives every error message in file order.  Each distinct
-``trans`` expression is parsed once per file, and its immutable
-``RationalFunction`` shared by every transition that has it: a body is
-looked up by its text, a new text by its tokens (whatever the spacing and
-comments), and only a new token sequence is parsed.  After the declarations,
-one loop in file order resolves the transitions of both formats: their state
+``parse_model`` reads a file in three bulk steps.  The comments are cut
+first (``#`` always starts one), so ``;`` ends every statement.  After the
+header, one ``findall`` of one statement pattern splits the file into its
+statements in file order: the two forms generated models are made of,
+``trans A -> B : body;`` and ``state s {p, q};`` with ASCII names, come as
+groups, and any other statement as its own text, which the token stream
+reads (one regular expression read with one token of lookahead, which gives
+every error message).  Each distinct ``trans`` expression is parsed once
+per file, and its immutable ``RationalFunction`` shared by every transition
+that has it: a body is looked up by its text, a new text by its tokens
+(whatever the spacing), and only a new token sequence is parsed.  After the
+declarations, the ``.pmc`` transitions are resolved in bulk: one dict of
+their keys, a repeated pair or an undeclared state seen by its size or a
+KeyError, and the value of each distinct constant entry taken once.  Only
+on a fault, and for every ``.imc`` file, one loop in file order resolves
+them one by one, so an error names the first faulty transition: its state
 names, a repeated pair (rejected whatever its expression or interval, a
 ``[0, 0]`` one too), and the format's own entry checks.  Every ``.pmc`` row
-is checked to sum to 1 as a rational function (constant rows as Fractions,
-the others by an exact symbolic sum grouped by denominator); a row whose
-entries are the same objects as those of a row already checked is not
-checked again.  ``imc_to_pmc`` rows are range constraints and are not
-checked that way.  Every ``Imc`` checks on construction that each row admits
-a distribution.
+is checked to sum to 1 as a rational function (constant rows from the
+values taken above, as Fractions, the others by an exact symbolic sum
+grouped by denominator); a row whose entries are the same objects as those
+of a row already checked is not checked again.  ``imc_to_pmc`` rows are
+range constraints and are not checked that way.  Every ``Imc`` checks on
+construction that each row admits a distribution.
 
 ``lump`` cuts a chain down to the part reachable from its initial state and
 merges bisimilar states there, for the labels cut down to a formula's
@@ -135,8 +140,10 @@ class Pmc:
     def rows(self) -> list[list[tuple[int, RationalFunction]]]:
         """Per state, its (successor, function) pairs sorted by successor."""
         lists: list[list[tuple[int, RationalFunction]]] = [[] for _ in self.states]
-        for (a, b), f in sorted(self.trans.items(), key=lambda kv: kv[0]):
+        for (a, b), f in self.trans.items():
             lists[a].append((b, f))
+        for row in lists:
+            row.sort()  # successors differ, so no function is compared
         return lists
 
     def succ(self, s: int) -> list[tuple[int, RationalFunction]]:
@@ -183,10 +190,19 @@ _TOKEN = re.compile(
 )
 
 
+_COMMENT = re.compile(r"#[^\n]*")
+
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# one statement of a text without comments, from where the last one ends:
+# the two forms generated models are made of as groups, and any other
+# statement as its text through its ';' (a lone ';' too).  Where no ';' is
+# left, the last group takes the rest of the text, which is empty at its
+# end: the pattern matches at every statement start, so findall never
+# retries it a character further on.
 _STATEMENT = re.compile(
-    rf"\s*(?:trans\s+({_NAME})\s*->\s*({_NAME})\s*:([^;#]*);"
-    rf"|state\s+({_NAME})\s*(?:\{{\s*({_NAME}(?:\s*,\s*{_NAME})*)?\s*\}})?\s*;)"
+    rf"\s*(?:trans\s+({_NAME})\s*->\s*({_NAME})\s*:([^;]*);"
+    rf"|state\s+({_NAME})\s*(?:\{{\s*({_NAME}(?:\s*,\s*{_NAME})*)?\s*\}})?\s*;"
+    rf"|([^;]*(?:;|\Z)))"
 )
 
 
@@ -254,8 +270,12 @@ def _parse_expr(tk: _Tokens, params: Mapping[str, Param]) -> RationalFunction:
         if v == "-":
             return -factor()
         if kind == "num":
+            # read as Fraction(v) reads it, without its string pattern: the
+            # whole and the decimal part converted apart, each to the limit
+            whole, _, part = v.partition(".")
+            scale = 10 ** len(part)
             try:
-                return RationalFunction.const(Fraction(v))
+                return RationalFunction.const(Fraction(int(whole) * scale + int(part or 0), scale))
             except ValueError:  # past Python's limit on digits in an int
                 digits = len(v) - v.count(".")
                 raise ModelSyntaxError(f"numeral of {digits} digits is too long") from None
@@ -300,6 +320,8 @@ def _parse_const(tk: _Tokens) -> Fraction:
 
 
 def parse_model(text: str) -> Pmc | Imc:
+    if "#" in text:  # '#' always starts a comment; then ';' ends every statement
+        text = _COMMENT.sub("", text)
     tk = _Tokens(text)
     kind = tk.ident()
     if kind not in ("pmc", "imc"):
@@ -310,31 +332,58 @@ def parse_model(text: str) -> Pmc | Imc:
     idx: dict[str, int] = {}
     labels: list[frozenset[str]] = []
     init_name: str | None = None
-    # raw transition statements, processed after all declarations are known;
-    # an entry is an expression (pmc) or an interval's ends (imc)
-    raw: list[tuple[str, str, RationalFunction | tuple[Fraction, Fraction]]] = []
+    # the transitions, resolved after all declarations are known; an entry
+    # is an expression (pmc) or an interval's ends (imc)
+    srcs: list[str] = []
+    dsts: list[str] = []
+    entries: list[RationalFunction | tuple[Fraction, Fraction]] = []
     # each distinct expression, by its tokens, parsed once and shared
     shared: dict[tuple[tuple[str, str], ...], RationalFunction] = {}
-    by_text: dict[str, RationalFunction] = {}  # the same by body text, for _STATEMENT
+    # each entry by its body text in the generated form
+    by_text: dict[str, RationalFunction | tuple[Fraction, Fraction]] = {}
 
-    pos = tk._match.start()  # where the lookahead starts, after the last token
-    while True:
-        m = _STATEMENT.match(text, pos)
-        src, dst, expr, state, props = m.groups() if m else (None,) * 5
-        if state is not None and state not in idx:
+    def entry(tail: str) -> RationalFunction | tuple[Fraction, Fraction]:
+        """A transition's entry, read from the text after its ':' through
+        its ';'."""
+        tk = _Tokens(tail)
+        if kind == "imc":
+            tk.expect("[")
+            lo = _parse_const(tk)
+            tk.expect(",")
+            hi = _parse_const(tk)
+            tk.expect("]")
+            tk.expect(";")
+            return lo, hi
+        _, body = tk.take_statement()
+        f = shared.get(body)
+        # a new body is read from where it starts; one with a bad character
+        # (None) raises on the way
+        if f is None:
+            tk = _Tokens(tail)
+            f = shared[body] = _parse_expr(tk, params)
+        tk.expect(";")
+        return f
+
+    for src, dst, body, state, props, chunk in _STATEMENT.findall(text, tk._match.start()):
+        if src:
+            e = by_text.get(body)
+            if e is None:
+                e = by_text[body] = entry(body + ";")
+            srcs.append(src)
+            dsts.append(dst)
+            entries.append(e)
+            continue
+        if state:
+            if state in idx:
+                raise ModelSyntaxError(f"state {state!r} declared twice")
             idx[state] = len(states)
             states.append(state)
             labels.append(frozenset(map(str.strip, props.split(","))) if props else frozenset())
-            pos = m.end()
             continue
-        if expr in by_text:
-            raw.append((src, dst, by_text[expr]))
-            pos = m.end()
-            continue
-        # the token stream reads the rest, a repeated state and a new body
-        tk = _Tokens(text, pos)
-        if tk.peek()[0] == "eof":
+        if not chunk:  # the end of the text
             break
+        # the token stream reads every other statement
+        tk = _Tokens(chunk)
         word = tk.ident()
         if word == "param":
             if kind == "imc":
@@ -361,49 +410,32 @@ def parse_model(text: str) -> Pmc | Imc:
             name = tk.ident()
             if name in idx:
                 raise ModelSyntaxError(f"state {name!r} declared twice")
-            props: set[str] = set()
+            labelset: set[str] = set()
             if tk.peek()[1] == "{":
                 tk.take()
                 if tk.peek()[1] != "}":
-                    props.add(tk.ident())
+                    labelset.add(tk.ident())
                     while tk.peek()[1] == ",":
                         tk.take()
-                        props.add(tk.ident())
+                        labelset.add(tk.ident())
                 tk.expect("}")
             idx[name] = len(states)
             states.append(name)
-            labels.append(frozenset(props))
+            labels.append(frozenset(labelset))
         elif word == "init":
             if init_name is not None:
                 raise ModelSyntaxError("more than one init statement")
             init_name = tk.ident()
         elif word == "trans":
-            src = tk.ident()
+            srcs.append(tk.ident())
             tk.expect("->")
-            dst = tk.ident()
+            dsts.append(tk.ident())
             tk.expect(":")
-            if kind == "imc":
-                tk.expect("[")
-                lo = _parse_const(tk)
-                tk.expect(",")
-                hi = _parse_const(tk)
-                tk.expect("]")
-                raw.append((src, dst, (lo, hi)))
-            else:
-                start, body = tk.take_statement()
-                f = shared.get(body)
-                # a new body is read from where it starts; one with a bad
-                # character (None) raises on the way
-                if f is None:
-                    tk = _Tokens(text, start)
-                    f = shared[body] = _parse_expr(tk, params)
-                raw.append((src, dst, f))
-                if expr is not None:
-                    by_text[expr] = f
+            entries.append(entry(chunk[tk._match.start():]))
+            continue  # entry() has read the ';'
         else:
             raise ModelSyntaxError(f"unknown statement {word!r}")
         tk.expect(";")
-        pos = tk._match.start()
 
     if not states:
         raise ModelSyntaxError("no states declared")
@@ -412,13 +444,38 @@ def parse_model(text: str) -> Pmc | Imc:
     if init_name not in idx:
         raise ModelSyntaxError(f"init state {init_name!r} not declared")
 
-    trans: dict[tuple[int, int], RationalFunction] = {}
+    if kind == "imc":
+        lower, upper = _resolve(srcs, dsts, entries, idx)
+        return Imc(tuple(states), tuple(labels), idx[init_name], lower, upper)
+    # the transitions in bulk, with the value of each distinct constant
+    # entry taken once; on a fault, the file-order loop names the first one
+    try:
+        trans = dict(zip([(idx[a], idx[b]) for a, b in zip(srcs, dsts)], entries))
+    except KeyError:  # an undeclared state
+        trans = {}
+    values = {id(f): f.value() for f in shared.values() if f.is_const}
+    if len(trans) < len(entries) or not all(0 < v <= 1 for v in values.values()):
+        _resolve(srcs, dsts, entries, idx)  # raises
+    pmc = Pmc(tuple(states), tuple(labels), idx[init_name], params, trans)
+    _validate_rows(pmc, values)
+    return pmc
+
+
+def _resolve(
+    srcs: Sequence[str],
+    dsts: Sequence[str],
+    entries: Sequence[RationalFunction | tuple[Fraction, Fraction]],
+    idx: Mapping[str, int],
+) -> tuple[dict[tuple[int, int], Fraction], dict[tuple[int, int], Fraction]]:
+    """Resolves the transitions in file order and raises at the first that
+    uses an undeclared state, repeats a pair or has an invalid entry; the
+    lower and upper ends of the intervals that are not certainly zero."""
     lower: dict[tuple[int, int], Fraction] = {}
     upper: dict[tuple[int, int], Fraction] = {}
     given: set[tuple[int, int]] = set()
     # a shared function is checked at the first transition that holds it
     checked: set[int] = set()
-    for src, dst, entry in raw:
+    for src, dst, entry in zip(srcs, dsts, entries):
         if src not in idx or dst not in idx:
             raise ModelSyntaxError(f"transition {src} -> {dst} uses an undeclared state")
         key = (idx[src], idx[dst])
@@ -445,13 +502,7 @@ def parse_model(text: str) -> Pmc | Imc:
                 raise ModelSyntaxError(
                     f"transition {src} -> {dst} has constant probability {v} outside [0,1]"
                 )
-        trans[key] = entry
-
-    if kind == "imc":
-        return Imc(tuple(states), tuple(labels), idx[init_name], lower, upper)
-    pmc = Pmc(tuple(states), tuple(labels), idx[init_name], params, trans)
-    _validate_rows(pmc)
-    return pmc
+    return lower, upper
 
 
 def _rows(n: int, keys: Iterable[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -462,7 +513,9 @@ def _rows(n: int, keys: Iterable[tuple[int, int]]) -> list[list[tuple[int, int]]
     return rows
 
 
-def _validate_rows(M: Pmc) -> None:
+def _validate_rows(M: Pmc, values: Mapping[int, Fraction]) -> None:
+    """Checks that every row sums to 1; ``values`` holds the value of each
+    constant entry, by the id of its function."""
     # a row's sum depends only on its entries, and shared functions make
     # many rows hold the same ones: each distinct row is checked once
     passed: set[tuple[int, ...]] = set()
@@ -470,7 +523,7 @@ def _validate_rows(M: Pmc) -> None:
         row = M.succ(s)
         if not row:
             raise ModelSyntaxError(f"state {M.states[s]} has no outgoing transition")
-        key = tuple(id(f) for _, f in row)
+        key = tuple([id(f) for _, f in row])
         if key in passed:
             continue
         # constant rows (most rows of generated models) are summed as
@@ -478,11 +531,11 @@ def _validate_rows(M: Pmc) -> None:
         # Fraction sum is built only for the message: check-mix's set-up
         # models are checked a fifth faster than with Fraction sums,
         # and three times faster than through _row_sum
-        if all(f.is_const for _, f in row):
-            values = [f.value() for _, f in row]
-            den = math.lcm(*(v.denominator for v in values))
-            if sum(v.numerator * (den // v.denominator) for v in values) != den:
-                total = sum(values, Fraction(0))
+        if all(i in values for i in key):
+            vs = [values[i] for i in key]
+            den = math.lcm(*(v.denominator for v in vs))
+            if sum(v.numerator * (den // v.denominator) for v in vs) != den:
+                total = sum(vs, Fraction(0))
                 raise ModelSyntaxError(
                     f"state {M.states[s]}: constant row sums to {total}, not 1"
                 )

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -462,8 +463,8 @@ def test_well_defined_reports_every_problem():
 
 
 def test_parse_checks_each_shared_constant_once(monkeypatch):
-    # 1,000 transitions share one parsed 1/2: its range is checked at the
-    # first of them, and the one distinct row sums it twice
+    # 1,000 transitions share one parsed 1/2: its value is taken once, for
+    # its range, and the one distinct row sums that value twice
     lines = ["pmc", *(f"state s{i};" for i in range(500)), "init s0;"]
     for i in range(500):
         lines += [f"trans s{i} -> s{(i + 1) % 500} : 1/2;", f"trans s{i} -> s{i} : 1/2;"]
@@ -472,7 +473,7 @@ def test_parse_checks_each_shared_constant_once(monkeypatch):
     monkeypatch.setattr(RationalFunction, "value", lambda f: calls.append(f) or value(f))
     M = parse_model("\n".join(lines))
     assert len(M.trans) == 1000
-    assert len(calls) <= 3
+    assert len(calls) == 1
 
 
 def test_well_defined_evaluates_each_function_once(monkeypatch):
@@ -901,7 +902,7 @@ def test_written_models_parse_back(seed, crowds):
 
 
 def _reference_parse_model(text):
-    """The token-at-a-time reader that the statement-at-a-time one replaced."""
+    """The token-at-a-time reader that the bulk one replaced."""
     tk = _Tokens(text)
     kind = tk.ident()
     if kind not in ("pmc", "imc"):
@@ -1031,7 +1032,7 @@ def _reference_parse_model(text):
     if kind == "imc":
         return Imc(tuple(states), tuple(labels), idx[init_name], lower, upper)
     pmc = Pmc(tuple(states), tuple(labels), idx[init_name], params, trans)
-    _validate_rows(pmc)
+    _validate_rows(pmc, {id(f): f.value() for f in trans.values() if f.is_const})
     return pmc
 
 
@@ -1171,6 +1172,22 @@ _COIN_HEAD = "pmc\nparam p in (0, 1);\nstate s;\nstate t;\ninit s;\n"
         ("pmc\nstate s;\ninit s;\ntrans s -> s : 1;", ("s",)),  # no final newline
         ("pmc\nstate s;\ninit s;\ntrans s -> s : 1", "expected ';', found ''"),
         ("pmc\nstate s;\ninit s;\ntrans s -> s : 1;\nstate t", "expected ';', found ''"),
+        # a lone ';' is a statement without a name
+        ("pmc\nstate s;;\ninit s;\ntrans s -> s : 1;", "expected a name, found ';'"),
+        # a state the token stream reads keeps its place between generated ones
+        (
+            "pmc\nstate a;\nstate s½ {x};\nstate b;\ninit a;\n"
+            "trans a -> s½ : 1;\ntrans s½ -> b : 1;\ntrans b -> a : 1;",
+            ("a", "s½", "b"),
+        ),
+        # a statement after a ';' in a comment in a generated body is comment
+        (
+            "pmc\nstate a;\nstate b;\ninit a;\n"
+            "trans a -> b : 1 # ; state c; trans c -> c : 1;\n;\ntrans b -> b : 1;",
+            ("a", "b"),
+        ),
+        ("pmc\nstate s;\ninit s;\ntrans s -> s : 1; # the end", ("s",)),
+        ("pmc\nstate s;\ninit s;\n\u00a0trans s -> s : 1;", ("s",)),
     ],
 )
 def test_statement_pattern_edges(text, outcome):
@@ -1181,3 +1198,88 @@ def test_statement_pattern_edges(text, outcome):
         assert result == (ModelSyntaxError, outcome)
     else:
         assert result[0] == outcome
+
+
+_SMALL = "pmc\nstate s;\ninit s;\ntrans s -> s : 1;"
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [" " * 200_000, "\n " * 100_000, "# " + "c" * 199_998],
+    ids=["spaces", "newline-space-pairs", "comment-without-newline"],
+)
+def test_trailing_text_is_read_in_linear_time(tail):
+    # the statement pattern matches at the end of the text too, so a long
+    # tail is scanned once, not once from each of its characters
+    start = time.perf_counter()
+    assert _outcome(parse_model, _SMALL + tail) == _outcome(parse_model, _SMALL)
+    assert time.perf_counter() - start < 1
+
+
+_TWO_STATES = "pmc\nparam p in (0, 1);\nstate s;\nstate t;\ninit s;\ntrans t -> s : 1;\n"
+
+
+@pytest.mark.parametrize(
+    "transitions, message",
+    [
+        (
+            ["s -> u : p", "s -> t : p", "s -> t : p", "s -> s : 1 - p"],
+            "transition s -> u uses an undeclared state",
+        ),
+        (
+            ["s -> t : p", "s -> t : p", "s -> u : p", "s -> s : 1 - p"],
+            "transition s -> t given twice",
+        ),
+        (
+            ["s -> t : 1/2", "s -> t : 1/2", "s -> s : 0"],
+            "transition s -> t given twice",
+        ),
+        (
+            ["s -> s : 0", "s -> t : 1/2", "s -> t : 1/2"],
+            "transition s -> s has probability 0; omit it instead",
+        ),
+        (
+            ["s -> s : 0", "s -> t : 3/2"],
+            "transition s -> s has probability 0; omit it instead",
+        ),
+        (
+            ["s -> t : 3/2", "s -> s : 0"],
+            "transition s -> t has constant probability 3/2 outside [0,1]",
+        ),
+    ],
+    ids=[
+        "undeclared-before-repeat",
+        "repeat-before-undeclared",
+        "repeat-before-zero",
+        "zero-before-repeat",
+        "zero-before-out-of-range",
+        "out-of-range-before-zero",
+    ],
+)
+def test_first_transition_fault_in_file_order(transitions, message):
+    # the transitions are checked in bulk; of two faults, the one named is
+    # the first in the file, as the file-order loop finds it
+    text = _TWO_STATES + "".join(f"trans {t};\n" for t in transitions)
+    result = _outcome(parse_model, text)
+    assert result == (ModelSyntaxError, message)
+    assert result == _outcome(_reference_parse_model, text)
+
+
+def test_workload_sized_models_match_reference():
+    # the mutant bases have at most 12 states; these have thousands of
+    # transitions and hundreds of distinct bodies
+    for M in [
+        crowds_like(18, 20, 3),
+        chain_mc(random.Random(1), 1100),
+        random_mc(random.Random(1), 120),
+    ]:
+        text = _pmc_text(M)
+        assert _outcome(parse_model, text) == _outcome(_reference_parse_model, text)
+
+
+@pytest.mark.parametrize(
+    "numeral", ["0", "1", "1.", "0.25", "007.500", "٣.٥", "9" * 4300 + "." + "1" * 4300]
+)
+def test_numerals_read_as_fraction_reads_them(numeral):
+    # each side of the point may hold up to Python's limit on digits in an int
+    assert _parse_expr(_Tokens(numeral), {}).value() == Fraction(numeral)
