@@ -77,6 +77,7 @@ from .pmc import (
     Pmc,
     StagedCheck,
     check_evaluation_names,
+    exact,
     lumped_values,
     parse_number,
     short_repr,
@@ -590,10 +591,14 @@ def synth_grid(
     it; it multiplies the point count by 1, so ``tried`` and ``admitted``
     are those of the whole grid, and the witness assigns every parameter,
     in ``axes`` order.  An axis that repeats a value is a GridError: a
-    forced value is looked up by its value.
+    forced value is looked up by its value.  An axis value that is not an
+    int or a Fraction is a ModelError.
     """
     Q = system.graph.pmc
     check_evaluation_names(Q.given, axes)
+    for name, axis in axes.items():
+        for value in axis:
+            exact(name, value)
     # a parameter with one value is fixed before the scan, checked at stage 0
     evaluation = {name: axis[0] for name, axis in axes.items() if len(axis) == 1}
     names = [name for name in axes if name not in evaluation]

@@ -29,9 +29,12 @@ names, a repeated pair (rejected whatever its expression or interval, a
 is checked to sum to 1 as a rational function (constant rows from the
 values taken above, as Fractions, the others by an exact symbolic sum
 grouped by denominator); a row whose entries are the same objects as those
-of a row already checked is not checked again.  ``imc_to_pmc`` rows are
-range constraints and are not checked that way.  Every ``Imc`` checks on
-construction that each row admits a distribution.
+of a row already checked is not checked again.  The chain it returns
+records that it passed (``Pmc.proven``): every row sums to 1 as a rational
+function and every constant entry lies in (0, 1], so ``StagedCheck`` checks
+neither again at an evaluation.  ``imc_to_pmc`` rows are range constraints
+and are not checked that way, and a chain built in memory is not proven.
+Every ``Imc`` checks on construction that each row admits a distribution.
 
 ``lump`` cuts a chain down to the part reachable from its initial state and
 merges bisimilar states there, for the labels cut down to a formula's
@@ -62,7 +65,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -126,6 +129,9 @@ class Pmc:
     trans: dict[tuple[int, int], RationalFunction]
     # the chain ``lump`` made this quotient from; None for any other chain
     lumped_from: Pmc | None = None
+    # set by ``parse_model`` alone: every row sums to 1 as a rational
+    # function and every constant entry lies in (0, 1]
+    proven: bool = field(default=False, init=False, compare=False, repr=False)
 
     def n_states(self) -> int:
         return len(self.states)
@@ -458,6 +464,7 @@ def parse_model(text: str) -> Pmc | Imc:
         _resolve(srcs, dsts, entries, idx)  # raises
     pmc = Pmc(tuple(states), tuple(labels), idx[init_name], params, trans)
     _validate_rows(pmc, values)
+    pmc.proven = True
     return pmc
 
 
@@ -766,16 +773,29 @@ def _entry(f: RationalFunction, evaluation: Evaluation) -> tuple[Fraction | None
     return v, None
 
 
+def exact(name: str, value: int | Fraction) -> int | Fraction:
+    """A parameter's value, if it is an int or a Fraction; a ModelError
+    naming the parameter for anything else.  A float is refused, not
+    converted: 0.1 is not 1/10."""
+    if not isinstance(value, (int, Fraction)):
+        raise ModelError(f"parameter {name!r}: {value!r} is not an int or a Fraction")
+    return value
+
+
 def well_defined(M: Pmc, evaluation: Evaluation) -> WellDefinedReport:
     """Does the total evaluation induce a genuine Markov chain on M's support?
 
-    The evaluation must assign exactly M's parameters (ModelError otherwise).
-    It is ``StagedCheck`` in a single stage, with every violation collected:
-    parameters first, then row by row each entry and the row's sum.  The
-    report carries the evaluated entries for the caller to reuse.
+    The evaluation must assign exactly M's parameters, each an int or a
+    Fraction (ModelError otherwise).  It is ``StagedCheck`` in a single
+    stage, with every violation collected: parameters first, then row by
+    row each entry and the row's sum.  On a chain ``parse_model`` proved,
+    only what an evaluation can break is checked: the parametric entries,
+    and a row's sum only where one of them has no value (see
+    ``StagedCheck``).  The report carries the evaluated entries, constant
+    ones included, for the caller to reuse.
     """
     check_evaluation_names(M, evaluation)
-    evaluation = {name: Fraction(evaluation[name]) for name in M.params}
+    evaluation = {name: Fraction(exact(name, evaluation[name])) for name in M.params}
     values: dict[tuple[int, int], Fraction] = {}
     problems = tuple(StagedCheck(M, ()).problems(0, evaluation, values))
     return WellDefinedReport(not problems, problems, values)
@@ -795,31 +815,67 @@ class StagedCheck:
     A stage whose parameter is the only entry it adds to a row it completes,
     as the last entry of an interval row is, admits at most one value of
     that parameter (see ``forced``).
+
+    On a chain ``parse_model`` proved (``Pmc.proven``), the rules that no
+    evaluation can break are left out.  Its constant entries lie in (0, 1],
+    so each distinct one is valued once, here, and stage 0 writes them all
+    into ``values``.  Its rows sum to 1 as rational functions, so wherever
+    every entry of a row has a value, those values sum to 1: a row is
+    summed only where an entry of its last stage has a vanishing
+    denominator, so that the row's message still follows the entries'.
+    A row whose entries of that stage have constant denominators is never
+    summed.  Such a row never forces a value either: a bare last parameter
+    would need its other entries to equal 1 minus it identically, and they
+    do not read it.  Chains built in memory (``imc_to_pmc``, ``modelgen``,
+    ``lump``) are checked by every rule.
     """
 
     def __init__(self, M: Pmc, order: Sequence[str]):
         position = {name: i for i, name in enumerate(order, 1)}
         self.states = M.states
+        self.proven = M.proven
         self.params = [[p for p in M.params.values() if p.name not in position]]
         self.params += [[M.params[name]] for name in order]
         # per stage, in state order: a state, its row's entries of the stage,
-        # and the keys of the row's earlier entries if the stage completes it
+        # and the keys of the row's earlier entries if the stage sums the row
         self.rows: list[list[tuple]] = [[] for _ in self.params]
         # per stage, the keys of the earlier entries of one row that the
         # stage completes with its bare parameter alone
         self.forcing: dict[int, list[tuple[int, int]]] = {}
+        # on a proven chain, the value of every constant entry
+        self.constants: dict[tuple[int, int], Fraction] = {}
+        value_of: dict[int, Fraction] = {}
         stage_of: dict[int, int] = {}
-        for s in range(M.n_states()):
+        # the functions whose denominators are not constant, which can vanish
+        may_vanish: set[int] = set()
+        for s, row in enumerate(M.rows):
             split: dict[int, list[tuple[int, RationalFunction]]] = {}
-            for t, f in M.succ(s):
-                if id(f) not in stage_of:
-                    stage_of[id(f)] = max((position.get(n, 0) for n in f.variables()), default=0)
-                split.setdefault(stage_of[id(f)], []).append((t, f))
+            earlier: list[tuple[int, int]] | None = []
+            for t, f in row:
+                k = stage_of.get(id(f))
+                if k is None:
+                    if self.proven and f.is_const:
+                        k = -1  # no stage: valued once, here
+                        value_of[id(f)] = f.value()
+                    else:
+                        k = max((position.get(n, 0) for n in f.variables()), default=0)
+                        if not f.den.is_const:
+                            may_vanish.add(id(f))
+                    stage_of[id(f)] = k
+                if k < 0:
+                    self.constants[s, t] = value_of[id(f)]
+                    earlier.append((s, t))
+                else:
+                    split.setdefault(k, []).append((t, f))
+            if self.proven and not split:
+                continue
             last = max(split, default=0)
-            earlier = [(s, t) for k, entries in split.items() if k < last for t, _ in entries]
+            earlier += [(s, t) for k, entries in split.items() if k < last for t, _ in entries]
+            if self.proven and may_vanish.isdisjoint([id(f) for _, f in split[last]]):
+                earlier = None  # the row's entries always have values
             for k in split.keys() | {last}:
                 self.rows[k].append((s, split.get(k, []), earlier if k == last else None))
-            if last and len(split[last]) == 1:
+            if not self.proven and last and len(split[last]) == 1:
                 f = split[last][0][1]
                 if f.den == P_ONE and f.num == Polynomial.var(order[last - 1]):
                     self.forcing.setdefault(last, earlier)
@@ -841,25 +897,30 @@ class StagedCheck:
         ranges, then row by row its entries and the row's sum if it completes
         the row.  Its entries are evaluated into ``values``, each function
         object once, except one whose denominator vanishes, which adds
-        nothing to the sum; the earlier stages' entries must be there."""
+        nothing to the sum; the earlier stages' entries must be there.
+        Stage 0 also writes a proven chain's constant entries there."""
+        if stage == 0:
+            values.update(self.constants)
         for p in self.params[stage]:
             v = evaluation[p.name]
             if not p.admits(v):
                 yield f"parameter {p.name} = {v} is outside its range {p.bounds_str()}"
         checked: dict[int, tuple[Fraction | None, str | None]] = {}
         for s, entries, earlier in self.rows[stage]:
-            total = Fraction(0)
+            total, defined = Fraction(0), True
             for t, f in entries:
                 if id(f) not in checked:
                     checked[id(f)] = _entry(f, evaluation)
                 v, problem = checked[id(f)]
-                if v is not None:
+                if v is None:
+                    defined = False
+                else:
                     values[s, t] = v
                     if earlier is not None:
                         total += v
                 if problem is not None:
                     yield f"entry {self.states[s]} -> {self.states[t]}{problem}"
-            if earlier is not None:
+            if earlier is not None and not (defined and self.proven):
                 total = sum((values[key] for key in earlier), total)
                 if total != 1:
                     yield f"row {self.states[s]} sums to {total}, not 1"

@@ -37,7 +37,16 @@ from pmcsynth.gba import CapacityError, translate
 from pmcsynth.ltl import TRUE, LtlSyntaxError, atomic_props, parse_formula
 from pmcsynth.modelgen import chain_mc, crowds_like, random_mc
 from pmcsynth.oracle import ConcreteMc, prob_of_formula
-from pmcsynth.pmc import Imc, Pmc, imc_to_pmc, lump, lumped_values, parse_model, well_defined
+from pmcsynth.pmc import (
+    Imc,
+    ModelError,
+    Pmc,
+    imc_to_pmc,
+    lump,
+    lumped_values,
+    parse_model,
+    well_defined,
+)
 from pmcsynth.ratfunc import RationalFunction
 from pmcsynth.product import build_product
 
@@ -429,6 +438,22 @@ def test_ill_defined_evaluation():
     system = build_system(build_product(A, M))
     with pytest.raises(IllDefinedEvaluationError):
         solve_concrete(system, {"eps": F(1, 2)})  # kills the x -> z entry
+
+
+def test_float_values_are_refused():
+    # 0.1 is not 1/10: P(X y) = 1/2 + eps is 3/5 at eps = 1/10 only
+    M = load("split_cycle.pmc")
+    query = parse_pltl("P >= 1/2 [ X y ]")
+    system = analyze(M, query.formula).system
+    with pytest.raises(ModelError, match="parameter 'eps': 0.1 is not an int or a Fraction"):
+        solve_concrete(system, {"eps": 0.1})
+    with pytest.raises(ModelError, match="parameter 'eps': 0.1 is not an int or a Fraction"):
+        synth_grid(system, query, {"eps": [F(0), 0.1]})
+    assert solve_concrete(system, {"eps": F(1, 10)}).target == F(3, 5)
+    assert synth_grid(system, query, {"eps": [F(1, 10)]}) == SynthResult(
+        {"eps": F(1, 10)}, F(3, 5), 1, 1
+    )
+    assert solve_concrete(system, {"eps": 0}).target == F(1, 2)
 
 
 def test_large_crowds_blocks_solve_exactly():

@@ -31,6 +31,8 @@ from pmcsynth.pmc import (
 )
 from pmcsynth.ratfunc import RF_ONE, RationalFunction, ZeroDenominatorError
 
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
 COIN = """
 pmc
 param p in (0, 1);
@@ -495,7 +497,8 @@ def test_well_defined_evaluates_each_function_once(monkeypatch):
     rep = well_defined(M, {"p": Fraction(1, 3)})
     assert rep.ok and len(rep.values) == len(M.trans) == 11
     assert rep.values[(0, 1)] == Fraction(1, 3) and rep.values[(4, 4)] == Fraction(2, 3)
-    assert len(calls) <= len(distinct) == 3
+    # the parsed constant 1 is valued once, not evaluated
+    assert len(distinct) == 3 and len(calls) == 2
 
 
 def _reference_entry(f, evaluation):
@@ -606,14 +609,17 @@ _P, _Q = RationalFunction.var("p"), RationalFunction.var("q")
 _HALF, _THIRD = RationalFunction.const(Fraction(1, 2)), RationalFunction.const(Fraction(1, 3))
 # the rows of a parametric chain draw from these, so rows share function
 # objects: p/(p+q) and q/(p+q) vanish at p = q = 0, (p-1)/(2p-1) and
-# p/(2p-1) at p = 1/2; the last three rows sum to 1 at few points or none
-_ROWS = (
+# p/(2p-1) at p = 1/2.  The first six rows sum to 1 identically, so a
+# model of them parses; the last three sum to 1 at few points or none
+_IDENTICAL_ROWS = (
     (_P, RF_ONE - _P),
     (_Q, RF_ONE - _Q),
     (_P / (_P + _Q), _Q / (_P + _Q)),
     ((_P - RF_ONE) / (_P + _P - RF_ONE), _P / (_P + _P - RF_ONE)),
     (_HALF, _HALF),
     (RF_ONE,),
+)
+_ROWS = _IDENTICAL_ROWS + (
     (_P, _P),
     (_HALF, _THIRD),
     (_P * _Q, _Q, _THIRD),
@@ -694,7 +700,10 @@ def _chain(rows, params):
     )
 )
 def test_staged_check_matches_reference(case):
-    M, point, order, split = case
+    _assert_staged_check_matches_reference(*case)
+
+
+def _assert_staged_check_matches_reference(M, point, order, split):
     report = well_defined(M, point)
     reference = _reference_well_defined(M, point)
     assert (report.ok, report.problems, report.values) == (
@@ -709,6 +718,94 @@ def test_staged_check_matches_reference(case):
     assert _verdicts(StagedCheck(M, tail), tail, point) == (
         [all(verdicts[: split + 1])] + verdicts[split + 1 :]
     )
+
+
+@st.composite
+def _parsed_chain_at_a_point(draw):
+    """A chain over p and q whose rows draw from ``_IDENTICAL_ROWS``,
+    written as a model text and parsed, so that ``parse_model`` has proved
+    it; a point inside or outside its ranges, a shuffled order of its
+    parameters and a position in that order."""
+    params, point, trans = {}, {}, {}
+    for x in ("p", "q"):
+        params[x], point[x] = draw(_param_at_a_point(x))
+    states = tuple(f"s{i}" for i in range(draw(st.integers(2, 4))))
+    for s in range(len(states)):
+        row = draw(st.sampled_from(_IDENTICAL_ROWS))
+        targets = draw(st.permutations(range(len(states))))
+        trans.update(((s, t), f) for t, f in zip(targets, row))
+    M = parse_model(_pmc_text(Pmc(states, tuple(frozenset() for _ in states), 0, params, trans)))
+    return M, point, draw(st.permutations(list(params))), draw(st.integers(0, len(params)))
+
+
+OUTSIDE_A_RANGE = """
+pmc
+param p in (0, 1/2];
+state s;
+state t;
+init s;
+trans s -> t : p;
+trans s -> s : 1 - p;
+trans t -> t : 1;
+"""
+
+
+@settings(max_examples=300)
+@given(_parsed_chain_at_a_point())
+# two vanishing denominators: the row's sum follows the entries' messages
+@example((parse_model(VANISHING), {"p": Fraction(1, 2)}, ["p"], 0))
+@example((parse_model(OUTSIDE_A_RANGE), {"p": Fraction(2, 3)}, ["p"], 0))
+def test_proven_chain_matches_reference(case):
+    M, point, order, split = case
+    assert M.proven
+    _assert_staged_check_matches_reference(M, point, order, split)
+    # the same chain built in memory is checked by every rule, to the same end
+    twin = Pmc(M.states, M.labels, M.initial, M.params, M.trans)
+    assert not twin.proven
+    assert well_defined(twin, point) == well_defined(M, point)
+
+
+def test_parsed_constant_chain_evaluates_nothing(monkeypatch):
+    M = parse_model(_pmc_text(random_mc(random.Random(1), 120)))
+    reference = _reference_well_defined(M, {})
+    calls = []
+    evaluate = RationalFunction.evaluate
+    monkeypatch.setattr(
+        RationalFunction, "evaluate", lambda f, a: calls.append(f) or evaluate(f, a)
+    )
+    report = well_defined(M, {})
+    assert calls == []
+    assert report.ok and report.values == reference.values
+    assert report.values.keys() == M.trans.keys()
+
+
+def _entry_keys(check):
+    """Every (s, t) that some stage of ``check`` evaluates, in table order."""
+    return [(s, t) for rows in check.rows for s, entries, _ in rows for t, _ in entries]
+
+
+def test_proven_chain_checks_only_what_an_evaluation_can_break():
+    built = crowds_like(2, 4, 2)
+    M = parse_model(_pmc_text(built))
+    check = StagedCheck(M, ["p"])
+    # no constant entry in any stage, no row summed, no value forced
+    assert not any(M.trans[key].is_const for key in _entry_keys(check))
+    assert all(earlier is None for rows in check.rows for _, _, earlier in rows)
+    assert check.forcing == {}
+    # the constants are valued once and written at stage 0
+    assert check.constants.keys() == {k for k, f in M.trans.items() if f.is_const}
+    values = {}
+    assert check.passes(0, {}, values) and values == check.constants
+    # chains built in memory keep every entry and every row sum, and an
+    # interval row's bare last entry forces its value
+    interval = imc_to_pmc(parse_model((MODELS / "interval_row.imc").read_text()))
+    for N, forcing in ((built, 0), (interval, 3)):
+        check = StagedCheck(N, list(N.params))
+        assert check.constants == {}
+        assert sorted(_entry_keys(check)) == sorted(N.trans)
+        summed = [s for rows in check.rows for s, _, earlier in rows if earlier is not None]
+        assert sorted(summed) == list(range(N.n_states()))
+        assert len(check.forcing) == forcing
 
 
 # every axis of the forced-value test: a quarter's grid over [0, 1] and a
@@ -1114,8 +1211,7 @@ def _mutant_bases():
     models += [random_mc(rng, rng.randint(2, 10), max_branching=4) for _ in range(4)]
     models += [chain_mc(rng, 12) for _ in range(2)]
     texts = [_pmc_text(M) + "\n" for M in models]
-    bundled = Path(__file__).resolve().parent.parent / "models"
-    return texts + [path.read_text() for path in sorted(bundled.iterdir())]
+    return texts + [path.read_text() for path in sorted(MODELS.iterdir())]
 
 
 # a changed character is one of these: every symbol, a digit, ASCII and
