@@ -16,8 +16,8 @@ with a negative answer (verdict false, no witness, solver unsat); 2 usage;
 was exceeded, or an exact result is too long to print; 5 numeric or semantic
 failure (ill-defined evaluation, singular system, oracle mismatch).  The
 caps are module constants, not options: ``gba.EL_BUDGET``,
-``product.NODE_BUDGET``, ``product.SURVIVOR_BUDGET``, ``eqsys.FILL_BUDGET``
-and ``eqsys.GRID_BUDGET``.
+``product.NODE_BUDGET``, ``product.SURVIVOR_BUDGET``, ``eqsys.FILL_BUDGET``,
+``eqsys.GRID_BUDGET`` and ``ratfunc.TERM_BUDGET``.
 """
 
 from __future__ import annotations

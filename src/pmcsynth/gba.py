@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .capacity import CapacityError
 from .ltl import (
     And,
     Atom,
@@ -49,10 +50,6 @@ from .sccs import tarjan
 
 class GbaError(Exception):
     pass
-
-
-class CapacityError(GbaError):
-    """A configured size cap would be exceeded; raised before any big allocation."""
 
 
 # ---------------------------------------------------------------------------

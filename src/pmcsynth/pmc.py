@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -588,14 +587,28 @@ def lump(M: Pmc, ap: Iterable[str]) -> Pmc:
     probabilistic bisimulation on the labels cut down to ``ap``; M itself if
     every state is reachable and no two merge.
 
-    The partition starts from ``label & ap`` and is refined until it is
-    stable.  A state's signature is its block and the sorted multiset of
-    (successor block, ``id`` of the entry's function object); equal
-    multisets give equal sums into every block, so the result is a
+    The partition is the coarsest one that refines ``label & ap`` and in
+    which two states of a block have the same signature: the sorted
+    multiset of (successor block, ``id`` of the entry's function object).
+    Equal multisets give equal sums into every block, so it is a
     bisimulation, though it may be finer than the coarsest one.  Bisimilar
     states give every LTL formula over ``ap`` the same probability under
     every evaluation, and the states that the initial one cannot reach give
     it none.
+
+    It is refined by splitters (Paige and Tarjan 1987; Derisavi, Hermanns
+    and Sanders 2003).  One search from the initial state finds the live
+    states and files each arc under its target.  A splitter is a block C:
+    each predecessor of C's states gets the sorted ids of its entries into
+    C, and every block splits by them, its states that C does not touch
+    staying together.  The touched states leave their block, so a split
+    costs what the splitter touches.  Every initial block is queued.  A
+    piece of a queued block is queued; of a block that is not, every piece
+    but the largest, whose ids into it are those into the block less those
+    into the other pieces.  So a state is in O(log n) splitters, and the
+    refinement takes O(m log n) for m live arcs, up to the sorting of each
+    state's ids into a splitter.  The final blocks are numbered by their
+    first state.
 
     A quotient state is named and labelled by its block's first state in
     state order, and its entry into a block is the sum of that state's
@@ -608,40 +621,80 @@ def lump(M: Pmc, ap: Iterable[str]) -> Pmc:
     quotient), so a given chain is never itself a quotient.
     """
     ap = frozenset(ap)
-    seen = {M.initial}
+    # per live state, its predecessors with the id of each entry into it;
+    # None for a state the search has not found
+    into: list[list[tuple[int, int]] | None] = [None] * M.n_states()
+    into[M.initial] = []
     stack = [M.initial]
     while stack:
-        for t, _ in M.rows[stack.pop()]:
-            if t not in seen:
-                seen.add(t)
+        s = stack.pop()
+        for t, f in M.rows[s]:
+            arcs = into[t]
+            if arcs is None:
+                arcs = into[t] = []
                 stack.append(t)
-    live = sorted(seen)
+            arcs.append((s, id(f)))
+    live = [s for s, arcs in enumerate(into) if arcs is not None]
     n = len(live)
-    # the refinement reads positions in ``live``, and function objects by id
-    at = {s: k for k, s in enumerate(live)}
-    rows = [[(at[t], id(f)) for t, f in M.rows[s]] for s in live]
-    # blocks are numbered by their first state, so a stable partition
-    # keeps its numbers
     numbers: dict = {}
-    block = [numbers.setdefault(M.labels[s] & ap, len(numbers)) for s in live]
+    block_of = [0] * M.n_states()
+    for s in live:
+        block_of[s] = numbers.setdefault(M.labels[s] & ap, len(numbers))
+    members: list[set[int]] = [set() for _ in numbers]
+    for s in live:
+        members[block_of[s]].add(s)
+    queue = list(range(len(members)))
+    queued = [True] * len(members)
+    while queue and len(members) < n:
+        c = queue.pop()
+        queued[c] = False
+        # the ids of each touched state's entries into c; a state alone in
+        # its block stays alone
+        ids: dict[int, list[int]] = {}
+        for t in members[c]:
+            for s, i in into[t]:
+                mine = ids.get(s)
+                if mine is None:
+                    if len(members[block_of[s]]) == 1:
+                        continue
+                    mine = ids[s] = []
+                mine.append(i)
+        groups: dict[int, dict[tuple[int, ...], list[int]]] = {}
+        for s, mine in ids.items():
+            mine.sort()
+            groups.setdefault(block_of[s], {}).setdefault(tuple(mine), []).append(s)
+        for b, by_ids in groups.items():
+            rest = members[b]
+            pieces = sorted(by_ids.values(), key=len)
+            if sum(map(len, pieces)) == len(rest):
+                # every state was touched: the largest group keeps the number
+                if len(pieces) == 1:
+                    continue
+                pieces.pop()
+            new = []
+            for piece in pieces:
+                rest.difference_update(piece)
+                for s in piece:
+                    block_of[s] = len(members)
+                new.append(len(members))
+                members.append(set(piece))
+                queued.append(False)
+            # a piece of a queued block is queued; of any other block,
+            # every piece but the largest, which is the remainder unless
+            # the last new piece is larger
+            if not queued[b] and len(pieces[-1]) > len(rest):
+                new[-1] = b
+            for k in new:
+                queued[k] = True
+            queue += new
+    # blocks are numbered by their first state
+    numbers = {}
+    block = [numbers.setdefault(block_of[s], len(numbers)) for s in live]
     count = len(numbers)
-    while count < n:
-        # a state alone in its block stays alone: its block is its key
-        size = Counter(block)
-        numbers = {}
-        block = [
-            numbers.setdefault(
-                (b, *sorted([(block[t], i) for t, i in rows[k]])) if size[b] > 1 else b,
-                len(numbers),
-            )
-            for k, b in enumerate(block)
-        ]
-        if len(numbers) == count:
-            break
-        count = len(numbers)
     if count == M.n_states():
         return M
 
+    at = {s: k for k, s in enumerate(live)}
     reps: list[int] = []  # per block, its first state
     for k, b in enumerate(block):
         if b == len(reps):

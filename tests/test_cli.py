@@ -1,15 +1,17 @@
 import argparse
+import math
 import os
 import re
 import shlex
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from pmcsynth import cli, eqsys, gba, product, smtlib
+from pmcsynth import cli, eqsys, gba, product, ratfunc, smtlib
 from pmcsynth.ltl import parse_formula
 from pmcsynth.pmc import parse_model
 from pmcsynth.ratfunc import RationalFunction
@@ -316,6 +318,69 @@ def test_deeply_nested_transition_exit_4(capsys, tmp_path):
     code, out, err = run(capsys, "check", "-m", str(model), "-f", "F y")
     assert (code, out) == (4, "")
     assert err == "error: input is nested too deeply\n"
+
+
+def _check_timed(capsys, path):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "-m", str(path), "-f", "F t")
+    return code, out, err, time.perf_counter() - start
+
+
+def test_product_of_many_sums_exit_4(capsys, tmp_path):
+    # (a+...+h)^L has C(L+7, 7) terms; the product that makes it from
+    # (a+...+h)^(L-1) forms 8 * C(L+6, 7) pairs.  The first L past the cap:
+    names = "abcdefgh"
+    copies = next(L for L in range(2, 30) if 8 * math.comb(L + 6, 7) > ratfunc.TERM_BUDGET)
+    pairs = 8 * math.comb(copies + 6, 7)
+
+    def model(copies: int) -> Path:
+        path = tmp_path / f"product{copies}.pmc"
+        body = "*".join([f"({'+'.join(names)})"] * copies)
+        path.write_text(
+            "pmc\n" + "".join(f"param {n} in [0, 1];\n" for n in names)
+            + f"state s;\nstate t {{t}};\ninit s;\ntrans s -> t : {body};\ntrans t -> t : 1;\n"
+        )
+        return path
+
+    code, out, err, elapsed = _check_timed(capsys, model(copies))
+    assert (code, out) == (4, "")
+    assert err == (
+        f"error: polynomial product would have up to {pairs} terms, "
+        f"above the cap of {ratfunc.TERM_BUDGET}\n"
+    )
+    assert elapsed < 1.0
+    # one copy fewer is read, and refused for its row
+    code, _, err, _ = _check_timed(capsys, model(copies - 1))
+    assert (code, err) == (3, "error: state s: row does not sum to 1\n")
+
+
+def test_row_of_many_denominators_exit_4(capsys, tmp_path):
+    # the row check sums the entries 1/(k + p_i) over the product of their
+    # denominators: the sum of j entries has a denominator of 2^j terms
+    entries = next(k for k in range(2, 40) if 2**k > ratfunc.TERM_BUDGET)
+
+    def model(k: int) -> Path:
+        path = tmp_path / f"row{k}.pmc"
+        path.write_text(
+            "\n".join(
+                ["pmc"]
+                + [f"param p{i} in [0, 1];" for i in range(k)]
+                + ["state s;", "state u0 {t};", "init s;"]
+                + [f"state u{i};" for i in range(1, k)]
+                + [f"trans s -> u{i} : 1/({k} + p{i});" for i in range(k)]
+                + [f"trans u{i} -> u{i} : 1;" for i in range(k)]
+            )
+            + "\n"
+        )
+        return path
+
+    code, out, err, elapsed = _check_timed(capsys, model(entries))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: polynomial product would have up to ")
+    assert err.endswith(f" terms, above the cap of {ratfunc.TERM_BUDGET}\n")
+    assert elapsed < 1.0
+    code, _, err, _ = _check_timed(capsys, model(entries - 1))
+    assert (code, err) == (3, "error: state s: row does not sum to 1\n")
 
 
 def test_check_product_cap_before_translate(capsys, monkeypatch):

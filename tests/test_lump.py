@@ -1,9 +1,13 @@
 """Lumping by probabilistic bisimulation (``pmc.lump``): the quotient gives
 every formula over the propositions it keeps the given chain's probability,
 ``check`` and ``synth`` run on it, and its scripts have the models of the
-unlumped scripts."""
+unlumped scripts.  The splitter refinement gives the quotient of the
+signature loop (``reference_lump``), and ``check`` grows near-linearly on a
+long chain that does not merge."""
 
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,8 +26,8 @@ from pmcsynth.eqsys import (
     synth_grid,
 )
 from pmcsynth.ltl import atomic_props, parse_formula
-from pmcsynth.modelgen import crowds_like, random_mc
-from pmcsynth.pmc import Pmc, lump, lumped_values, parse_model, well_defined
+from pmcsynth.modelgen import chain_mc, crowds_like, random_mc
+from pmcsynth.pmc import Pmc, _row_sum, lump, lumped_values, parse_model, well_defined
 from pmcsynth.ratfunc import RationalFunction
 from pmcsynth.smtlib import check_wellformed, emit_smtlib, evaluate_assertions, mu_name
 
@@ -328,3 +332,239 @@ def test_lumping_a_quotient_keeps_the_first_given_chain():
     assert Q.given is M and R.given is M
     values = well_defined(M, {}).values
     assert lumped_values(R, values, {}) == {(0, 1): 1, (1, 2): 1, (2, 2): 1}
+
+
+# ---------------------------------------------------------------------------
+# The splitter refinement against the signature loop
+# ---------------------------------------------------------------------------
+
+
+def reference_lump(M: Pmc, ap) -> Pmc:
+    """``lump`` by signature refinement: each round rebuilds every live
+    state's signature, its block and the sorted (successor block, id of the
+    entry) pairs, until the number of blocks stays.  Up to n rounds of n
+    signatures each; the quotient is built as ``lump`` builds it."""
+    ap = frozenset(ap)
+    seen = {M.initial}
+    stack = [M.initial]
+    while stack:
+        for t, _ in M.rows[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    live = sorted(seen)
+    n = len(live)
+    at = {s: k for k, s in enumerate(live)}
+    rows = [[(at[t], id(f)) for t, f in M.rows[s]] for s in live]
+    # blocks are numbered by their first state, so a stable partition
+    # keeps its numbers
+    numbers: dict = {}
+    block = [numbers.setdefault(M.labels[s] & ap, len(numbers)) for s in live]
+    count = len(numbers)
+    while count < n:
+        # a state alone in its block stays alone: its block is its key
+        size = Counter(block)
+        numbers = {}
+        block = [
+            numbers.setdefault(
+                (b, *sorted([(block[t], i) for t, i in rows[k]])) if size[b] > 1 else b,
+                len(numbers),
+            )
+            for k, b in enumerate(block)
+        ]
+        if len(numbers) == count:
+            break
+        count = len(numbers)
+    if count == M.n_states():
+        return M
+
+    reps: list[int] = []
+    for k, b in enumerate(block):
+        if b == len(reps):
+            reps.append(live[k])
+    trans = {}
+    shared = {}
+    for b, r in enumerate(reps):
+        into: dict[int, list[RationalFunction]] = {}
+        for t, f in M.rows[r]:
+            into.setdefault(block[at[t]], []).append(f)
+        for c, fs in into.items():
+            if len(fs) == 1:
+                trans[b, c] = fs[0]
+                continue
+            key = tuple(sorted(map(id, fs)))
+            if key not in shared:
+                shared[key] = _row_sum(fs)
+            trans[b, c] = shared[key]
+    return Pmc(
+        tuple(M.states[r] for r in reps),
+        tuple(M.labels[r] for r in reps),
+        block[at[M.initial]],
+        M.params,
+        trans,
+        M.given,
+    )
+
+
+def assert_same_quotient(M: Pmc, ap) -> None:
+    """``lump`` and ``reference_lump`` give the same quotient, field by field:
+    M's own function objects where an entry has one summand, and the same
+    sums, shared alike, where it has more."""
+    got, want = lump(M, ap), reference_lump(M, ap)
+    assert (got is M) == (want is M)
+    if want is M:
+        return
+    assert (got.states, got.labels, got.initial) == (want.states, want.labels, want.initial)
+    assert got.params is want.params and got.lumped_from is want.lumped_from
+    assert list(got.trans) == list(want.trans)
+    given = {id(f) for f in M.trans.values()}
+    # a sum is one object per distinct tuple of summands, on both sides
+    pairing: dict[int, int] = {}
+    for key, f in got.trans.items():
+        g = want.trans[key]
+        if id(g) in given:
+            assert f is g
+        else:
+            assert id(f) not in given
+            assert (f.num, f.den) == (g.num, g.den)
+        assert pairing.setdefault(id(f), id(g)) == id(g)
+    assert len(set(pairing.values())) == len(pairing)
+
+
+def path_text(n: int, goal_every: int = 0) -> str:
+    """A path s0 -> s1 -> ... whose states stay with 1 - p and move on with
+    p; the last state is absorbing and labelled ``g``.  With ``goal_every``
+    k, every k-th state is labelled ``g`` too, so states merge by their
+    distance to the next one."""
+    lines = ["pmc", "param p in (0, 1);"]
+    for i in range(n):
+        goal = i == n - 1 or (goal_every and i % goal_every == goal_every - 1)
+        lines.append(f"state s{i}{' {g}' if goal else ''};")
+    lines.append("init s0;")
+    for i in range(n - 1):
+        lines += [f"trans s{i} -> s{i + 1} : p;", f"trans s{i} -> s{i} : 1 - p;"]
+    lines.append(f"trans s{n - 1} -> s{n - 1} : 1;")
+    return "\n".join(lines) + "\n"
+
+
+CROSSED = """pmc
+param p in (0, 1);
+state s {a};
+state x;
+state y;
+state t;
+state u;
+init s;
+trans s -> x : 1/2;
+trans s -> y : 1/2;
+trans x -> t : p;
+trans x -> u : 1 - p;
+trans y -> t : 1 - p;
+trans y -> u : p;
+trans t -> t : 1;
+trans u -> u : 1;
+"""
+
+
+def test_entries_into_a_block_are_compared_as_multisets():
+    # x and y send p and 1 - p into the block {t, u} in opposite order
+    M = parse_model(CROSSED)
+    Q = lump(M, {"a"})
+    assert Q.states == ("s", "x", "t")
+    assert Q.trans[1, 2] == RationalFunction.const(1)
+    assert_same_quotient(M, {"a"})
+
+
+LABEL_SETS = (set(), {"a"}, {"b"}, {"a", "b"})
+CROWDS_LABEL_SETS = (
+    set(),
+    {"observed"},
+    {"fresh"},
+    {"observed", "fresh"},
+    {"observed", "delivered", "fresh"},
+)
+
+
+@pytest.mark.parametrize("first", range(0, 200, 50))
+def test_lump_is_the_reference_on_random_chains(first):
+    # each chain as built in memory (an object per entry) and as read back
+    # (an object per distinct body)
+    for seed in range(first, first + 50):
+        rng = random.Random(seed)
+        M = random_mc(rng, rng.randint(1, 40))
+        for chain in (M, parse_model(model_text(M))):
+            for ap in LABEL_SETS:
+                assert_same_quotient(chain, ap)
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 1), (2, 3, 1), (2, 4, 2), (3, 5, 2)])
+def test_lump_is_the_reference_on_crowds(shape):
+    M = crowds_like(*shape)
+    for chain in (M, parse_model(model_text(M))):
+        for ap in CROWDS_LABEL_SETS:
+            assert_same_quotient(chain, ap)
+
+
+def test_lump_is_the_reference_on_long_chains():
+    for seed in range(20):
+        M = chain_mc(random.Random(seed), 300)
+        for ap in LABEL_SETS:
+            assert_same_quotient(M, ap)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 12),
+    st.sets(st.integers(0, 11), max_size=6),
+    st.sampled_from(LABEL_SETS),
+)
+def test_lump_is_the_reference_with_copies(chain_seed, n, copied, ap):
+    M = random_mc(random.Random(chain_seed), n)
+    N = with_copies(M, {s for s in copied if s < n})
+    assert_same_quotient(N, ap)
+    assert_same_quotient(parse_model(model_text(N)), ap)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 300])
+@pytest.mark.parametrize("goal_every", [0, 1, 2, 7])
+def test_lump_is_the_reference_on_paths(n, goal_every):
+    M = parse_model(path_text(n, goal_every))
+    for ap in (set(), {"g"}):
+        assert_same_quotient(M, ap)
+
+
+def test_lump_is_the_reference_on_benchmark_shapes():
+    # the modelgen calls and sizes of the check-mix and emit-smt workloads,
+    # read back as the command line reads them
+    rng = random.Random(1)
+    for n in (20, 40, 60, 80, 100, 120):
+        for _ in range(3):
+            M = parse_model(model_text(random_mc(rng, n)))
+            for ap in LABEL_SETS:
+                assert_same_quotient(M, ap)
+    shapes = [(1, 4, 1), (2, 3, 1), (1, 6, 2), (2, 4, 2)]
+    shapes += [(18, 20, 1), (20, 20, 5), (24, 20, 3)]
+    for shape in shapes:
+        M = parse_model(model_text(crowds_like(*shape)))
+        for ap in CROWDS_LABEL_SETS:
+            assert_same_quotient(M, ap)
+
+
+def test_check_is_near_linear_on_a_path(capsys, tmp_path):
+    # nothing merges on the path, so signature refinement took one round per
+    # state: 88 times longer at ten times the size
+    def seconds(n: int, runs: int) -> float:
+        path = tmp_path / f"path{n}.pmc"
+        path.write_text(path_text(n))
+        best = float("inf")
+        for _ in range(runs):
+            start = time.perf_counter()
+            code = cli.main(["check", "-m", str(path), "-f", "F g", "-e", "p=1/2"])
+            best = min(best, time.perf_counter() - start)
+            assert code == 0
+            assert capsys.readouterr().out.endswith("probability = 1\n")
+        return best
+
+    small, large = seconds(400, 3), seconds(4000, 1)
+    assert large < 5.0
+    assert large < 40 * small, (small, large)
