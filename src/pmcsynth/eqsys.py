@@ -35,13 +35,13 @@ and consistency are checked per block rather than assumed, and a block
 whose fill-in would pass ``FILL_BUDGET`` entries stops with
 ``CapacityError``.
 ``solve_concrete`` checks the evaluation with ``well_defined``, the single
-stage of ``StagedCheck``, and hands the entry values to that block solver.
+stage of ``StagedCheck``, and hands the function values to that block solver.
 
 The system may be built over a quotient made by ``pmc.lump``; the command
 line lumps before ``analyze``, which itself takes any chain.  A quotient
 knows its given chain (``Pmc.given``), so ``solve_concrete`` and
 ``synth_grid`` check evaluations on the system chain's given chain, and
-take the quotient's entry values from ``pmc.lumped_values``.
+take the quotient's function values from ``pmc.lumped_values``.
 
 Grid synthesis walks the lattice of ``grid_axes`` with an index list, one
 parameter fixed at a time, and checks each stage with ``StagedCheck``: a
@@ -56,7 +56,7 @@ completes a row with the parameter alone, as the last entry of an interval
 row does, can take only the value that makes the row sum to 1: the walk
 looks that value up on its axis and checks it alone, counting the axis's
 other points as tried.  A point that passes goes to the block solver with
-the entry values the walk evaluated.
+the function values the walk evaluated.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import xor
-from typing import KeysView, Mapping, Sequence
+from typing import KeysView, Sequence
 
 from .gba import CapacityError, elementary, translate
 from .ltl import TRUE, LtlFormula, parse_formula
@@ -421,14 +421,12 @@ def solve_concrete(system: EquationSystem, evaluation: Evaluation) -> SolveResul
     report = well_defined(Q.given, evaluation)
     if not report.ok:
         raise IllDefinedEvaluationError(report.problems)
-    return _solve_blocks(system, lumped_values(Q, report.values, evaluation))
+    return _solve_blocks(system, lumped_values(Q, report.values))
 
 
-def _solve_blocks(
-    system: EquationSystem, prob: Mapping[tuple[int, int], Fraction]
-) -> SolveResult:
-    """The exact block solver: the system's solution under the transition
-    probabilities ``prob``, {(s, t): value} over the chain's support, which
+def _solve_blocks(system: EquationSystem, values: Sequence[Fraction]) -> SolveResult:
+    """The exact block solver: the system's solution under ``values``, the
+    value of each function of the system's chain, by function index, which
     must already satisfy the rules of ``well_defined``."""
     G = system.graph
     ns = G.n_mc()
@@ -436,11 +434,19 @@ def _solve_blocks(
     partition = system.partition
     reachable, zero_sccs = partition.reachable, system.zero_sccs
 
-    # chain state s's entries as integers over the lcm of their denominators
-    scale: dict[int, int] = {}
-    for (s, _), p in prob.items():
-        scale[s] = math.lcm(scale.get(s, 1), p.denominator)
-    weight = {st: p.numerator * (scale[st[0]] // p.denominator) for st, p in prob.items()}
+    # chain state s's entries as integers over the lcm of their denominators,
+    # read off the chain's rows arc by arc
+    M = G.pmc
+    scale = [1] * ns
+    for s in range(ns):
+        for i in M.entries[M.offsets[s] : M.offsets[s + 1]]:
+            scale[s] = math.lcm(scale[s], values[i].denominator)
+    weight: dict[tuple[int, int], int] = {}
+    s = 0
+    for k, (t, i) in enumerate(zip(M.targets, M.entries)):
+        while k >= M.offsets[s + 1]:  # row s ends before arc k
+            s += 1
+        weight[s, t] = values[i].numerator * (scale[s] // values[i].denominator)
 
     # per solved node, its value as a reduced (numerator, denominator > 0)
     mu: dict[int, tuple[int, int]] = {}
@@ -614,7 +620,7 @@ def synth_grid(
     for name, axis, index_of in zip(names, points, at):
         if len(index_of) != len(axis):
             raise GridError(f"the grid of parameter {name} repeats a value")
-    values: dict[tuple[int, int], Fraction] = {}
+    values: list[Fraction | None] = [None] * len(Q.given.functions)
     if not check.passes(0, evaluation, values):
         return SynthResult(None, None, below[0], 0)
     tried = admitted = 0
@@ -624,7 +630,7 @@ def synth_grid(
     while True:
         if k == n:
             tried += 1
-            result = _solve_blocks(system, lumped_values(Q, values, evaluation))
+            result = _solve_blocks(system, lumped_values(Q, values))
             admitted += 1
             if query.admits(result.target):
                 witness = {name: evaluation[name] for name in axes}

@@ -9,6 +9,7 @@ parameter, the shape used for the scaling and SMT-emission experiments.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -43,13 +44,14 @@ def random_mc(rng: random.Random, n_states: int, max_branching: int = 3) -> Pmc:
         frozenset(p for p in ("a", "b") if rng.random() < 0.5) for _ in range(n_states)
     )
     trans: dict[tuple[int, int], RationalFunction] = {}
+    const = functools.cache(RationalFunction.const)  # one object per value
     for s in range(n_states):
         k = rng.randint(1, max_branching)
         pool = range(s, n_states) if rng.random() < 0.5 else range(n_states)
         succs = rng.sample(pool, min(k, len(pool)))
         probs = _dyadic_row(rng, len(succs), 4)
         for t, p in zip(succs, probs):
-            trans[(s, t)] = RationalFunction.const(p)
+            trans[(s, t)] = const(p)
     return Pmc(states, labels, 0, {}, trans)
 
 
@@ -62,6 +64,7 @@ def chain_mc(rng: random.Random, n_states: int) -> Pmc:
         frozenset({"a"}) if rng.random() < 0.5 else frozenset() for _ in range(n_states)
     )
     trans: dict[tuple[int, int], RationalFunction] = {}
+    const = functools.cache(RationalFunction.const)  # one object per value
     for s in range(n_states):
         targets = {min(s + 1, n_states - 1), rng.randrange(n_states)}
         if rng.random() < 0.5:
@@ -69,7 +72,7 @@ def chain_mc(rng: random.Random, n_states: int) -> Pmc:
         targets_l = sorted(targets)
         probs = _dyadic_row(rng, len(targets_l), 3)
         for t, p in zip(targets_l, probs):
-            trans[(s, t)] = RationalFunction.const(p)
+            trans[(s, t)] = const(p)
     return Pmc(states, labels, 0, {}, trans)
 
 
@@ -96,35 +99,20 @@ def crowds_like(rounds: int = 55, members: int = 20, corrupt: int = 4) -> Pmc:
     forward = p * inv_members
     deliver = one - p
 
+    size = members + 2  # per round: new_r, its members, done_r
+    observed = [frozenset({"observed"}) if i < corrupt else frozenset() for i in range(members)]
     states: list[str] = []
     labels: list[frozenset[str]] = []
-    index: dict[str, int] = {}
-
-    def add(name: str, label: frozenset[str]) -> int:
-        index[name] = len(states)
-        states.append(name)
-        labels.append(label)
-        return index[name]
-
-    for r in range(rounds):
-        add(f"new{r}", frozenset({"fresh"}))
-        for i in range(members):
-            label = frozenset({"observed"}) if i < corrupt else frozenset()
-            add(f"mix{r}_{i}", label)
-        add(f"done{r}", frozenset({"delivered"}))
-
     trans: dict[tuple[int, int], RationalFunction] = {}
     for r in range(rounds):
-        new = index[f"new{r}"]
-        done = index[f"done{r}"]
-        for i in range(members):
-            trans[(new, index[f"mix{r}_{i}"])] = inv_members
-        for i in range(members):
-            mix = index[f"mix{r}_{i}"]
-            for j in range(members):
-                trans[(mix, index[f"mix{r}_{j}"])] = forward
+        states += [f"new{r}", *(f"mix{r}_{i}" for i in range(members)), f"done{r}"]
+        labels += [frozenset({"fresh"}), *observed, frozenset({"delivered"})]
+        new, done = r * size, r * size + members + 1
+        mixes = range(new + 1, done)
+        trans.update(dict.fromkeys([(new, mix) for mix in mixes], inv_members))
+        for mix in mixes:
+            trans.update(dict.fromkeys([(mix, other) for other in mixes], forward))
             trans[(mix, done)] = deliver
-        nxt = index[f"new{(r + 1) % rounds}"]
-        trans[(done, nxt)] = one
+        trans[(done, (r + 1) % rounds * size)] = one
     params = {"p": Param("p", Fraction(1, 10), Fraction(9, 10))}
-    return Pmc(tuple(states), tuple(labels), index["new0"], params, trans)
+    return Pmc(tuple(states), tuple(labels), 0, params, trans)

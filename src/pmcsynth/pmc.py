@@ -1,50 +1,41 @@
 """Parametric and interval Markov chains, and the model file format.
 
-A PMC stores one rational function per transition with nonzero probability;
-absent pairs are zero.  The *support* — which pairs are stored — is part of
-the model: an evaluation under which a stored entry vanishes is rejected as
+A PMC stores its rows over one table of distinct rational functions, and
+each entry is an index into it: entries equal in structure (numerator and
+denominator), however they were spelled or built, share one.  Absent pairs
+are zero.  The *support* — which pairs are stored — is part of the model:
+an evaluation under which a stored entry vanishes is rejected as
 ill-defined, so every admitted evaluation induces a chain with the same
-underlying graph.  ``StagedCheck`` holds these rules, and ``well_defined`` is
-its single stage.  An IMC gives closed probability intervals per transition
-and converts to a PMC with one parameter per interval.
+underlying graph.  ``StagedCheck`` holds these rules, and ``well_defined``
+is its single stage.  An IMC gives closed probability intervals per
+transition and converts to a PMC with one parameter per interval.
 
-``parse_model`` reads a file in three bulk steps.  The comments are cut
-first (``#`` always starts one), so ``;`` ends every statement.  After the
-header, one ``findall`` of one statement pattern splits the file into its
-statements in file order: the two forms generated models are made of,
-``trans A -> B : body;`` and ``state s {p, q};`` with ASCII names, come as
-groups, and any other statement as its own text, which the token stream
-reads (one regular expression read with one token of lookahead, which gives
-every error message).  Each distinct ``trans`` expression is parsed once
-per file, and its immutable ``RationalFunction`` shared by every transition
-that has it: a body is looked up by its text, a new text by its tokens
-(whatever the spacing), and only a new token sequence is parsed.  After the
-declarations, the ``.pmc`` transitions are resolved in bulk: one dict of
-their keys, a repeated pair or an undeclared state seen by its size or a
-KeyError, and the value of each distinct constant entry taken once.  Only
-on a fault, and for every ``.imc`` file, one loop in file order resolves
-them one by one, so an error names the first faulty transition: its state
-names, a repeated pair (rejected whatever its expression or interval, a
-``[0, 0]`` one too), and the format's own entry checks.  Every ``.pmc`` row
-is checked to sum to 1 as a rational function (constant rows from the
-values taken above, as Fractions, the others by an exact symbolic sum
-grouped by denominator); a row whose entries are the same objects as those
-of a row already checked is not checked again.  The chain it returns
-records that it passed (``Pmc.proven``): every row sums to 1 as a rational
-function and every constant entry lies in (0, 1], so ``StagedCheck`` checks
-neither again at an evaluation.  ``imc_to_pmc`` rows are range constraints
-and are not checked that way, and a chain built in memory is not proven.
-Every ``Imc`` checks on construction that each row admits a distribution.
+``parse_model`` cuts the comments first (``#`` always starts one), so ``;``
+ends every statement.  After the header, one ``findall`` of one statement
+pattern splits the file into its statements in file order: the two forms
+generated models are made of, ``trans A -> B : body;`` and ``state s {p,
+q};`` with ASCII names, come as groups, and any other statement as its own
+text, which the token stream reads (one regular expression read with one
+token of lookahead, which gives every error message).  Each distinct
+``trans`` body text is parsed once.  The ``.pmc`` transitions are then
+resolved in bulk: one dict of their keys, the chain, and the value of each
+constant function.  Only on a fault, and for every ``.imc`` file, one loop
+in file order resolves them one by one, so an error names the first faulty
+transition.  Every distinct ``.pmc`` row is checked to sum to 1 as a
+rational function, and a product past ``ratfunc.TERM_BUDGET`` names its
+transition or state.  The chain records that it passed (``Pmc.proven``), so
+``StagedCheck`` checks neither the rows nor the constant entries again.
+``imc_to_pmc`` rows are range constraints and are not checked that way, and
+a chain built in memory is not proven.  Every ``Imc`` checks on
+construction that each row admits a distribution.
 
 ``lump`` cuts a chain down to the part reachable from its initial state and
 merges bisimilar states there, for the labels cut down to a formula's
-atomic propositions.  Refinement compares function objects by identity, so
-the sharing above is what lets states merge.  A quotient knows its given
-chain, the one it was lumped from (``Pmc.given``; a chain that is not a
-quotient is its own), and an evaluation is checked on that chain, with its
-state names and its entries.  ``lumped_values`` then evaluates the
-quotient's entries, each distinct one once; each is a sum of given entries,
-so it is exact wherever the check has passed.
+atomic propositions, comparing each state's sums of entries into blocks
+(constants by value, others by structure).  A quotient knows its given
+chain, the one it was lumped from (``Pmc.given``), and an evaluation is
+checked on that chain; each quotient function is a sum of given functions,
+so ``lumped_values`` adds up their checked values.
 
 File format (line comments with #, statements end with ';'):
 
@@ -64,11 +55,15 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import accumulate, pairwise
+from types import MappingProxyType
+from typing import Iterable, Iterator, Sequence
 
+from .capacity import CapacityError
 from .ratfunc import (
     P_ONE,
     RF_ONE,
@@ -119,18 +114,41 @@ class Param:
         return f"{lo}{self.lower}, {self.upper}{hi}"
 
 
-@dataclass
 class Pmc:
-    states: tuple[str, ...]
-    labels: tuple[frozenset[str], ...]
-    initial: int
-    params: dict[str, Param]
-    trans: dict[tuple[int, int], RationalFunction]
-    # the chain ``lump`` made this quotient from; None for any other chain
-    lumped_from: Pmc | None = None
-    # set by ``parse_model`` alone: every row sums to 1 as a rational
-    # function and every constant entry lies in (0, 1]
-    proven: bool = field(default=False, init=False, compare=False, repr=False)
+    """A parametric Markov chain: rows over ``functions``, each distinct
+    function once by (numerator, denominator), interned from the {(s, t):
+    function} the constructor takes.  Row s is arcs ``offsets[s]`` to
+    ``offsets[s + 1]`` of ``targets`` (ascending) and ``entries`` (function
+    indices)."""
+
+    def __init__(
+        self, states: tuple[str, ...], labels: tuple[frozenset[str], ...], initial: int,
+        params: dict[str, Param], trans: Mapping[tuple[int, int], RationalFunction],
+    ):
+        self.states, self.labels, self.initial, self.params = states, labels, initial, params
+        # set by ``lump`` on a quotient: its given chain, and per function
+        # index the given chain's indices the function sums
+        self.lumped_from: Pmc | None = None
+        self.summands: tuple[tuple[int, ...], ...] | None = None
+        self.proven = False  # set by ``parse_model``: rows and constants checked
+        # the function of the entry before is not hashed again
+        index: dict[tuple[Polynomial, Polynomial], int] = {}
+        functions: list[RationalFunction] = []
+        rows: list[list[tuple[int, int]]] = [[] for _ in states]
+        last, i = None, 0
+        for (s, t), f in trans.items():
+            if f is not last:
+                last, i = f, index.setdefault((f.num, f.den), len(index))
+                if i == len(functions):
+                    functions.append(f)
+            rows[s].append((t, i))
+        self.functions = tuple(functions)
+        for row in rows:
+            row.sort()  # successors differ, so no index is compared
+        arcs = [arc for row in rows for arc in row]
+        self.offsets = [0, *accumulate(map(len, rows))]
+        self.targets = [t for t, _ in arcs]
+        self.entries = [i for _, i in arcs]
 
     def n_states(self) -> int:
         return len(self.states)
@@ -141,18 +159,27 @@ class Pmc:
         quotient: the chain an evaluation is checked on."""
         return self if self.lumped_from is None else self.lumped_from
 
-    @cached_property
-    def rows(self) -> list[list[tuple[int, RationalFunction]]]:
-        """Per state, its (successor, function) pairs sorted by successor."""
-        lists: list[list[tuple[int, RationalFunction]]] = [[] for _ in self.states]
-        for (a, b), f in self.trans.items():
-            lists[a].append((b, f))
-        for row in lists:
-            row.sort()  # successors differ, so no function is compared
-        return lists
+    def successors(self, s: int) -> list[int]:
+        """State s's successors, ascending."""
+        return self.targets[self.offsets[s] : self.offsets[s + 1]]
+
+    def row(self, s: int) -> Iterator[tuple[int, int]]:
+        """State s's (successor, function index) pairs, by successor."""
+        a, b = self.offsets[s], self.offsets[s + 1]
+        return zip(self.targets[a:b], self.entries[a:b])
 
     def succ(self, s: int) -> list[tuple[int, RationalFunction]]:
-        return self.rows[s]
+        """State s's (successor, function) pairs, by successor."""
+        return [(t, self.functions[i]) for t, i in self.row(s)]
+
+    @property
+    def trans(self) -> Mapping[tuple[int, int], RationalFunction]:
+        """The entries {(s, t): function} in row order, read-only; built on each read."""
+        fs, targets, entries = self.functions, self.targets, self.entries
+        rows = enumerate(pairwise(self.offsets))
+        return MappingProxyType(
+            {(s, targets[k]): fs[entries[k]] for s, (a, b) in rows for k in range(a, b)}
+        )
 
 
 @dataclass
@@ -165,7 +192,10 @@ class Imc:
 
     def __post_init__(self) -> None:
         """Every row must admit a distribution: lower sum <= 1 <= upper sum."""
-        for s, row in enumerate(_rows(len(self.states), self.upper)):
+        rows: list[list[tuple[int, int]]] = [[] for _ in self.states]
+        for key in self.upper:
+            rows[key[0]].append(key)
+        for s, row in enumerate(rows):
             if not row:
                 raise ModelSyntaxError(f"state {self.states[s]} has no outgoing transition")
             lo_sum = sum((self.lower[k] for k in row), Fraction(0))
@@ -248,26 +278,6 @@ class _Tokens:
             raise ModelSyntaxError(f"expected a name, found {short_repr(v)}")
         return v
 
-    def take_statement(self) -> tuple[int, tuple[tuple[str, str], ...] | None]:
-        """The offset where the lookahead starts, and the tokens from it up
-        to the next ';' or eof, which becomes the lookahead.  None in place
-        of the tokens if a character that starts no token comes first: the
-        stream is then spent, and one restarted at the offset meets the
-        error where a parser reaches it.  The loop is take()'s, inlined:
-        most tokens of a generated model are in trans bodies."""
-        m, t, toks = self._match, self._next, []
-        start = m.start()
-        while t[1] != ";" and t[0] != "eof":
-            toks.append(t)
-            m = next(self._matches)
-            kind = m.lastgroup
-            v = m[kind]
-            if kind == "bad" or (kind == "ident" and not (v[0].isalpha() or v[0] == "_")):
-                return start, None
-            t = (kind, v)
-        self._match, self._next = m, t
-        return start, tuple(toks)
-
 
 def _parse_expr(tk: _Tokens, params: Mapping[str, Param]) -> RationalFunction:
     def factor() -> RationalFunction:
@@ -342,14 +352,13 @@ def parse_model(text: str) -> Pmc | Imc:
     srcs: list[str] = []
     dsts: list[str] = []
     entries: list[RationalFunction | tuple[Fraction, Fraction]] = []
-    # each distinct expression, by its tokens, parsed once and shared
-    shared: dict[tuple[tuple[str, str], ...], RationalFunction] = {}
-    # each entry by its body text in the generated form
+    # each entry by its body text, the text between its ':' and its ';',
+    # parsed once in either form of statement
     by_text: dict[str, RationalFunction | tuple[Fraction, Fraction]] = {}
 
-    def entry(tail: str) -> RationalFunction | tuple[Fraction, Fraction]:
-        """A transition's entry, read from the text after its ':' through
-        its ';'."""
+    def entry(tail: str, src: str, dst: str) -> RationalFunction | tuple[Fraction, Fraction]:
+        """The entry of transition src -> dst, read from the text after its
+        ':' through its ';'."""
         tk = _Tokens(tail)
         if kind == "imc":
             tk.expect("[")
@@ -359,13 +368,10 @@ def parse_model(text: str) -> Pmc | Imc:
             tk.expect("]")
             tk.expect(";")
             return lo, hi
-        _, body = tk.take_statement()
-        f = shared.get(body)
-        # a new body is read from where it starts; one with a bad character
-        # (None) raises on the way
-        if f is None:
-            tk = _Tokens(tail)
-            f = shared[body] = _parse_expr(tk, params)
+        try:
+            f = _parse_expr(tk, params)
+        except CapacityError as exc:
+            raise CapacityError(f"transition {src} -> {dst}: {exc}") from None
         tk.expect(";")
         return f
 
@@ -373,7 +379,7 @@ def parse_model(text: str) -> Pmc | Imc:
         if src:
             e = by_text.get(body)
             if e is None:
-                e = by_text[body] = entry(body + ";")
+                e = by_text[body] = entry(body + ";", src, dst)
             srcs.append(src)
             dsts.append(dst)
             entries.append(e)
@@ -436,8 +442,12 @@ def parse_model(text: str) -> Pmc | Imc:
             tk.expect("->")
             dsts.append(tk.ident())
             tk.expect(":")
-            entries.append(entry(chunk[tk._match.start():]))
-            continue  # entry() has read the ';'
+            body, end, _ = chunk[tk._match.start():].partition(";")
+            e = by_text.get(body) if end else None
+            if e is None:  # entry() fails where the text has no ';'
+                e = by_text[body] = entry(body + end, srcs[-1], dsts[-1])
+            entries.append(e)
+            continue
         else:
             raise ModelSyntaxError(f"unknown statement {word!r}")
         tk.expect(";")
@@ -453,15 +463,17 @@ def parse_model(text: str) -> Pmc | Imc:
         lower, upper = _resolve(srcs, dsts, entries, idx)
         return Imc(tuple(states), tuple(labels), idx[init_name], lower, upper)
     # the transitions in bulk, with the value of each distinct constant
-    # entry taken once; on a fault, the file-order loop names the first one
+    # function taken once; on a fault, the file-order loop names the first one
     try:
         trans = dict(zip([(idx[a], idx[b]) for a, b in zip(srcs, dsts)], entries))
     except KeyError:  # an undeclared state
         trans = {}
-    values = {id(f): f.value() for f in shared.values() if f.is_const}
-    if len(trans) < len(entries) or not all(0 < v <= 1 for v in values.values()):
+    if len(trans) < len(entries):
         _resolve(srcs, dsts, entries, idx)  # raises
     pmc = Pmc(tuple(states), tuple(labels), idx[init_name], params, trans)
+    values = [f.value() if f.is_const else None for f in pmc.functions]
+    if not all(0 < v <= 1 for v in values if v is not None):
+        _resolve(srcs, dsts, entries, idx)  # raises
     _validate_rows(pmc, values)
     pmc.proven = True
     return pmc
@@ -479,8 +491,6 @@ def _resolve(
     lower: dict[tuple[int, int], Fraction] = {}
     upper: dict[tuple[int, int], Fraction] = {}
     given: set[tuple[int, int]] = set()
-    # a shared function is checked at the first transition that holds it
-    checked: set[int] = set()
     for src, dst, entry in zip(srcs, dsts, entries):
         if src not in idx or dst not in idx:
             raise ModelSyntaxError(f"transition {src} -> {dst} uses an undeclared state")
@@ -497,73 +507,57 @@ def _resolve(
             if hi != 0:  # a certainly-zero transition is the same as absent
                 lower[key], upper[key] = lo, hi
             continue
-        if id(entry) not in checked:
-            checked.add(id(entry))
-            v = entry.value() if entry.is_const else None
-            if v == 0:
-                raise ModelSyntaxError(
-                    f"transition {src} -> {dst} has probability 0; omit it instead"
-                )
-            if v is not None and (v < 0 or v > 1):
-                raise ModelSyntaxError(
-                    f"transition {src} -> {dst} has constant probability {v} outside [0,1]"
-                )
+        v = entry.value() if entry.is_const else None
+        if v == 0:
+            raise ModelSyntaxError(f"transition {src} -> {dst} has probability 0; omit it instead")
+        if v is not None and (v < 0 or v > 1):
+            raise ModelSyntaxError(
+                f"transition {src} -> {dst} has constant probability {v} outside [0,1]"
+            )
     return lower, upper
 
 
-def _rows(n: int, keys: Iterable[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    """The transition keys grouped by source state, each row sorted."""
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for key in sorted(keys):
-        rows[key[0]].append(key)
-    return rows
-
-
-def _validate_rows(M: Pmc, values: Mapping[int, Fraction]) -> None:
+def _validate_rows(M: Pmc, values: Sequence[Fraction | None]) -> None:
     """Checks that every row sums to 1; ``values`` holds the value of each
-    constant entry, by the id of its function."""
-    # a row's sum depends only on its entries, and shared functions make
-    # many rows hold the same ones: each distinct row is checked once
+    constant function, None for the others."""
+    # a row's sum depends only on its function indices, and shared
+    # functions make many rows hold the same ones: each is checked once
     passed: set[tuple[int, ...]] = set()
     for s in range(M.n_states()):
-        row = M.succ(s)
-        if not row:
+        key = tuple(M.entries[M.offsets[s] : M.offsets[s + 1]])
+        if not key:
             raise ModelSyntaxError(f"state {M.states[s]} has no outgoing transition")
-        key = tuple([id(f) for _, f in row])
         if key in passed:
             continue
         # constant rows (most rows of generated models) are summed as
-        # integer numerators over the lcm of their denominators, and the
-        # Fraction sum is built only for the message: check-mix's set-up
-        # models are checked a fifth faster than with Fraction sums,
-        # and three times faster than through _row_sum
-        if all(i in values for i in key):
-            vs = [values[i] for i in key]
+        # integer numerators over the lcm of their denominators
+        vs = [values[i] for i in key]
+        if all(v is not None for v in vs):
             den = math.lcm(*(v.denominator for v in vs))
             if sum(v.numerator * (den // v.denominator) for v in vs) != den:
                 total = sum(vs, Fraction(0))
                 raise ModelSyntaxError(
                     f"state {M.states[s]}: constant row sums to {total}, not 1"
                 )
-        elif _row_sum(f for _, f in row) != RF_ONE:
-            raise ModelSyntaxError(f"state {M.states[s]}: row does not sum to 1")
+        else:
+            try:
+                total = _row_sum(M.functions, key)
+            except CapacityError as exc:
+                raise CapacityError(f"state {M.states[s]}: {exc}") from None
+            if total != RF_ONE:
+                raise ModelSyntaxError(f"state {M.states[s]}: row does not sum to 1")
         passed.add(key)
 
 
-def _row_sum(fs: Iterable[RationalFunction]) -> RationalFunction:
-    """Sum of the entries, grouped by denominator.
-
-    Each distinct object is taken once, times the number of entries that
-    hold it.  Numerators over one denominator are added term by term in one
-    dict, and constant denominators join the group over 1 by scaling their
-    numerators, so a row of n entries over one denominator costs no
-    polynomial product.
-    """
-    counts: dict[int, list] = {}
-    for f in fs:
-        counts.setdefault(id(f), [f, 0])[1] += 1
+def _row_sum(functions: Sequence[RationalFunction], indices: Iterable[int]) -> RationalFunction:
+    """Sum of the functions at ``indices`` (with repeats), grouped by
+    denominator: each distinct index once, times its count.  Numerators over
+    one denominator are added term by term in one dict, and constant
+    denominators join the group over 1 by scaling their numerators, so a
+    row of n entries over one denominator costs no polynomial product."""
     groups: dict[Polynomial, dict[Monomial, Fraction]] = {}
-    for f, k in counts.values():
+    for i, k in Counter(indices).items():
+        f = functions[i]
         num, den = f.num, f.den
         scale = Fraction(k)
         if den.is_const:
@@ -587,55 +581,92 @@ def lump(M: Pmc, ap: Iterable[str]) -> Pmc:
     probabilistic bisimulation on the labels cut down to ``ap``; M itself if
     every state is reachable and no two merge.
 
-    The partition is the coarsest one that refines ``label & ap`` and in
-    which two states of a block have the same signature: the sorted
-    multiset of (successor block, ``id`` of the entry's function object).
-    Equal multisets give equal sums into every block, so it is a
-    bisimulation, though it may be finer than the coarsest one.  Bisimilar
-    states give every LTL formula over ``ap`` the same probability under
-    every evaluation, and the states that the initial one cannot reach give
-    it none.
+    The states of a block have the same labels in ``ap`` and sums of entries
+    equal in value into every block (a sum identically 0 counting as no
+    entry), so they give every LTL formula over ``ap`` the same probability
+    under every evaluation.  Sums are compared by structure, which is their
+    value for constants (1/4 + 3/4 is 1): on a chain of constants the
+    partition is the coarsest one and lumping the quotient again returns
+    it; with parametric entries it may be finer (p/(1+p) + 1/(1+p) is not 1).
 
     It is refined by splitters (Paige and Tarjan 1987; Derisavi, Hermanns
-    and Sanders 2003).  One search from the initial state finds the live
-    states and files each arc under its target.  A splitter is a block C:
-    each predecessor of C's states gets the sorted ids of its entries into
-    C, and every block splits by them, its states that C does not touch
+    and Sanders 2003).  One search from the initial state files each live
+    arc under its target.  A splitter is a block C: each state with entries
+    into C gets the number of their sum, and every block splits by them,
+    its states that C does not touch (or touches with a sum identically 0)
     staying together.  The touched states leave their block, so a split
-    costs what the splitter touches.  Every initial block is queued.  A
-    piece of a queued block is queued; of a block that is not, every piece
-    but the largest, whose ids into it are those into the block less those
-    into the other pieces.  So a state is in O(log n) splitters, and the
-    refinement takes O(m log n) for m live arcs, up to the sorting of each
-    state's ids into a splitter.  The final blocks are numbered by their
-    first state.
+    costs what the splitter touches.  Every initial block is queued; a
+    split block's pieces are queued, all of them if the block was, else all
+    but the largest, whose sums into it are those into the block less those
+    into the others.  So a state is in O(log n) splitters, and the
+    refinement takes O(m log n) for m live arcs, up to sorting and summing.
 
-    A quotient state is named and labelled by its block's first state in
-    state order, and its entry into a block is the sum of that state's
-    entries into the block.  A block pair of one entry keeps its function
-    object, and one object is built per distinct tuple of summed objects,
-    so the quotient's function objects are shared as M's are.  A sum that
-    is identically 0 keeps its arc: no evaluation makes all its summands
-    positive, so ``well_defined`` on M rejects every evaluation that would
-    use it.  The quotient records M's given chain (M itself unless M is a
-    quotient), so a given chain is never itself a quotient.
+    A quotient state is named and labelled by its block's first state (the
+    blocks are numbered by it), and its entry into a block is that state's
+    sum into it.  The quotient records M's given chain and the given
+    chain's indices each of its functions sums.  A sum identically 0 keeps
+    its arc: no evaluation makes all its summands positive, so
+    ``well_defined`` on M rejects every evaluation that would use it.  A
+    sum past ``ratfunc.TERM_BUDGET`` names the state.
     """
     ap = frozenset(ap)
-    # per live state, its predecessors with the id of each entry into it;
-    # None for a state the search has not found
+    # per live state, its predecessors with the function index of each
+    # entry into it; None for a state the search has not found
     into: list[list[tuple[int, int]] | None] = [None] * M.n_states()
     into[M.initial] = []
     stack = [M.initial]
     while stack:
         s = stack.pop()
-        for t, f in M.rows[s]:
+        for t, i in M.row(s):
             arcs = into[t]
             if arcs is None:
                 arcs = into[t] = []
                 stack.append(t)
-            arcs.append((s, id(f)))
+            arcs.append((s, i))
     live = [s for s, arcs in enumerate(into) if arcs is not None]
     n = len(live)
+
+    # A sum of two or more entries is numbered by its value if constant,
+    # else by its structure: M's index of an equal function, else a new
+    # number from len(fs) on, with its function and the tuple it sums.
+    fs = M.functions
+    zero = {i for i, f in enumerate(fs) if f.is_zero}  # the sums identically 0
+    number_of: dict[tuple[int, ...], int] = {}  # per sorted tuple of indices
+    pairs: list[tuple[int, int] | None] = []  # per function of M, if constant
+    by_key: dict[tuple, int] = {}  # by a constant's pair or a function's (num, den)
+    made: list[tuple[RationalFunction, tuple[int, ...]]] = []
+
+    def number(mine: list[int], s: int) -> int:  # state s's indices, summed once
+        mine.sort()
+        key = tuple(mine)
+        k = number_of.get(key)
+        if k is not None:
+            return k
+        if not pairs:
+            pairs.extend(f.value().as_integer_ratio() if f.is_const else None for f in fs)
+            for i, f in enumerate(fs):
+                by_key.setdefault(pairs[i] or (f.num, f.den), i)
+        f = None
+        if all(pairs[i] for i in key):  # constants as pairs of ints
+            num, den = 0, 1
+            for i in key:
+                a, b = pairs[i]
+                num, den = num * b + a * den, den * b
+            g = math.gcd(num, den)
+            kf = num // g, den // g
+        else:
+            try:
+                f = _row_sum(fs, key)
+            except CapacityError as exc:
+                raise CapacityError(f"lump: state {M.states[s]}: {exc}") from None
+            kf = f.value().as_integer_ratio() if f.is_const else (f.num, f.den)
+        k = number_of[key] = by_key.setdefault(kf, len(fs) + len(made))
+        if k == len(fs) + len(made):
+            made.append((f or RationalFunction.const(Fraction(*kf)), key))
+        if kf == (0, 1):
+            zero.add(k)
+        return k
+
     numbers: dict = {}
     block_of = [0] * M.n_states()
     for s in live:
@@ -648,24 +679,27 @@ def lump(M: Pmc, ap: Iterable[str]) -> Pmc:
     while queue and len(members) < n:
         c = queue.pop()
         queued[c] = False
-        # the ids of each touched state's entries into c; a state alone in
-        # its block stays alone
-        ids: dict[int, list[int]] = {}
+        # the function indices of each touched state's entries into c; a
+        # state alone in its block stays alone
+        indices: dict[int, list[int]] = {}
         for t in members[c]:
             for s, i in into[t]:
-                mine = ids.get(s)
+                mine = indices.get(s)
                 if mine is None:
                     if len(members[block_of[s]]) == 1:
                         continue
-                    mine = ids[s] = []
+                    mine = indices[s] = []
                 mine.append(i)
-        groups: dict[int, dict[tuple[int, ...], list[int]]] = {}
-        for s, mine in ids.items():
-            mine.sort()
-            groups.setdefault(block_of[s], {}).setdefault(tuple(mine), []).append(s)
-        for b, by_ids in groups.items():
+        # each touched state by its block and the number of its sum into
+        # c; one whose sum is identically 0 stays with the untouched states
+        groups: dict[int, dict[int, list[int]]] = {}
+        for s, mine in indices.items():
+            k = mine[0] if len(mine) == 1 else number(mine, s)
+            if k not in zero:
+                groups.setdefault(block_of[s], {}).setdefault(k, []).append(s)
+        for b, by_sum in groups.items():
             rest = members[b]
-            pieces = sorted(by_ids.values(), key=len)
+            pieces = sorted(by_sum.values(), key=len)
             if sum(map(len, pieces)) == len(rest):
                 # every state was touched: the largest group keeps the number
                 if len(pieces) == 1:
@@ -690,8 +724,7 @@ def lump(M: Pmc, ap: Iterable[str]) -> Pmc:
     # blocks are numbered by their first state
     numbers = {}
     block = [numbers.setdefault(block_of[s], len(numbers)) for s in live]
-    count = len(numbers)
-    if count == M.n_states():
+    if len(numbers) == M.n_states():
         return M
 
     at = {s: k for k, s in enumerate(live)}
@@ -700,44 +733,39 @@ def lump(M: Pmc, ap: Iterable[str]) -> Pmc:
         if b == len(reps):
             reps.append(live[k])
     trans: dict[tuple[int, int], RationalFunction] = {}
-    shared: dict[tuple[int, ...], RationalFunction] = {}
+    order: dict[int, None] = {}  # the numbers of Q's functions, as they come
     for b, r in enumerate(reps):
-        into: dict[int, list[RationalFunction]] = {}
-        for t, f in M.rows[r]:
-            into.setdefault(block[at[t]], []).append(f)
-        for c, fs in into.items():
-            if len(fs) == 1:
-                trans[b, c] = fs[0]
-                continue
-            key = tuple(sorted(map(id, fs)))
-            if key not in shared:
-                shared[key] = _row_sum(fs)
-            trans[b, c] = shared[key]
-    return Pmc(
+        into: dict[int, list[int]] = {}
+        for t, i in M.row(r):
+            into.setdefault(block[at[t]], []).append(i)
+        for c, mine in into.items():
+            k = mine[0] if len(mine) == 1 else number(mine, r)
+            order.setdefault(k)
+            trans[b, c] = fs[k] if k < len(fs) else made[k - len(fs)][0]
+    Q = Pmc(
         tuple(M.states[r] for r in reps),
         tuple(M.labels[r] for r in reps),
         block[at[M.initial]],
         M.params,
         trans,
-        M.given,
     )
+    # the constructor numbers Q's functions as they come in ``trans``
+    Q.lumped_from = M.given
+    parts = [(k,) if k < len(fs) else made[k - len(fs)][1] for k in order]
+    if M.summands is not None:
+        parts = [sum((M.summands[i] for i in key), ()) for key in parts]
+    Q.summands = tuple(parts)
+    return Q
 
 
-def lumped_values(
-    Q: Pmc, values: Mapping[tuple[int, int], Fraction], evaluation: Evaluation
-) -> Mapping[tuple[int, int], Fraction]:
-    """Q's entries under a total evaluation, {(b, c): value}, given
-    ``values``, the entries of ``Q.given`` evaluated and checked by
-    ``StagedCheck``: ``values`` itself if Q is its own given chain, and
-    otherwise each distinct entry of Q evaluated once (see ``lump``)."""
+def lumped_values(Q: Pmc, values: Sequence[Fraction]) -> Sequence[Fraction]:
+    """The values of Q's functions given ``values``, those of ``Q.given``'s
+    checked by ``StagedCheck``: ``values`` itself, or each quotient
+    function's summands added up, which is its value, so nothing is
+    evaluated again."""
     if Q.lumped_from is None:
         return values
-    evaluation = {name: Fraction(v) for name, v in evaluation.items()}
-    value_of: dict[int, Fraction] = {}
-    for f in Q.trans.values():
-        if id(f) not in value_of:
-            value_of[id(f)] = f.evaluate(evaluation)
-    return {key: value_of[id(f)] for key, f in Q.trans.items()}
+    return [sum([values[i] for i in key[1:]], values[key[0]]) for key in Q.summands]
 
 
 # The number forms of evaluations and query bounds.  Fraction accepts more,
@@ -797,8 +825,8 @@ def parse_evaluation(text: str) -> dict[str, Fraction]:
 class WellDefinedReport:
     ok: bool
     problems: tuple[str, ...]
-    # every entry that evaluated without a vanishing denominator
-    values: dict[tuple[int, int], Fraction]
+    # per function index, its value; None where the denominator vanishes
+    values: list[Fraction | None]
 
 
 def check_evaluation_names(M: Pmc, evaluation: Evaluation) -> None:
@@ -844,12 +872,12 @@ def well_defined(M: Pmc, evaluation: Evaluation) -> WellDefinedReport:
     row each entry and the row's sum.  On a chain ``parse_model`` proved,
     only what an evaluation can break is checked: the parametric entries,
     and a row's sum only where one of them has no value (see
-    ``StagedCheck``).  The report carries the evaluated entries, constant
-    ones included, for the caller to reuse.
+    ``StagedCheck``).  The report carries the value of every function,
+    constant ones included, for the caller to reuse.
     """
     check_evaluation_names(M, evaluation)
     evaluation = {name: Fraction(exact(name, evaluation[name])) for name in M.params}
-    values: dict[tuple[int, int], Fraction] = {}
+    values: list[Fraction | None] = [None] * len(M.functions)
     problems = tuple(StagedCheck(M, ()).problems(0, evaluation, values))
     return WellDefinedReport(not problems, problems, values)
 
@@ -860,100 +888,92 @@ class StagedCheck:
     split along an order of M's parameters for a scan that fixes them one
     at a time.  Parameters not in ``order`` count as fixed before the scan:
     stage 0 checks their ranges, stage k > 0 the range of ``order[k - 1]``.
-    An entry's stage is the position in ``order``, from 1, of the last
+    A function's stage is the position in ``order``, from 1, of the last
     parameter it reads (0 if none), and a row's sum is checked at the
     highest stage of its entries (0 for a row without any).  A point passes
     every stage exactly when it breaks no rule, and a failed stage fails
     every point that shares the prefix, so a scan can skip them all.
     A stage whose parameter is the only entry it adds to a row it completes,
     as the last entry of an interval row is, admits at most one value of
-    that parameter (see ``forced``).
+    that parameter (see ``forced``).  Values are kept by function index.
 
-    On a chain ``parse_model`` proved (``Pmc.proven``), the rules that no
-    evaluation can break are left out.  Its constant entries lie in (0, 1],
-    so each distinct one is valued once, here, and stage 0 writes them all
-    into ``values``.  Its rows sum to 1 as rational functions, so wherever
-    every entry of a row has a value, those values sum to 1: a row is
-    summed only where an entry of its last stage has a vanishing
-    denominator, so that the row's message still follows the entries'.
-    A row whose entries of that stage have constant denominators is never
-    summed.  Such a row never forces a value either: a bare last parameter
-    would need its other entries to equal 1 minus it identically, and they
-    do not read it.  Chains built in memory (``imc_to_pmc``, ``modelgen``,
-    ``lump``) are checked by every rule.
+    On a chain ``parse_model`` proved (``Pmc.proven``), the rules no
+    evaluation can break are left out.  Stage 0 values its constant
+    functions, which lie in (0, 1], and checks none of their entries.  Its
+    rows sum to 1 identically, so a row is summed only where an entry of its
+    last stage has a vanishing denominator, so that the row's message still
+    follows the entries'; one whose entries of that stage have constant
+    denominators is never summed and forces no value (its other entries do
+    not read the last parameter).  Chains built in memory (``imc_to_pmc``,
+    ``modelgen``, ``lump``) are checked by every rule.
     """
 
     def __init__(self, M: Pmc, order: Sequence[str]):
         position = {name: i for i, name in enumerate(order, 1)}
         self.states = M.states
+        self.functions = M.functions
         self.proven = M.proven
         self.params = [[p for p in M.params.values() if p.name not in position]]
         self.params += [[M.params[name]] for name in order]
-        # per stage, in state order: a state, its row's entries of the stage,
-        # and the keys of the row's earlier entries if the stage sums the row
+        # per function, its stage; -1 for a constant of a proven chain
+        stage_of = [
+            -1 if self.proven and f.is_const
+            else max((position.get(n, 0) for n in f.variables()), default=0)
+            for f in M.functions
+        ]
+        # the functions stage 0 values without checking their entries
+        self.valued = [i for i, k in enumerate(stage_of) if k < 0]
+        # per stage, in state order: a state, its row's (successor, function
+        # index) pairs of the stage, and the function indices of the row's
+        # earlier entries if the stage sums the row
         self.rows: list[list[tuple]] = [[] for _ in self.params]
-        # per stage, the keys of the earlier entries of one row that the
-        # stage completes with its bare parameter alone
-        self.forcing: dict[int, list[tuple[int, int]]] = {}
-        # on a proven chain, the value of every constant entry
-        self.constants: dict[tuple[int, int], Fraction] = {}
-        value_of: dict[int, Fraction] = {}
-        stage_of: dict[int, int] = {}
-        # the functions whose denominators are not constant, which can vanish
-        may_vanish: set[int] = set()
-        for s, row in enumerate(M.rows):
-            split: dict[int, list[tuple[int, RationalFunction]]] = {}
-            earlier: list[tuple[int, int]] | None = []
-            for t, f in row:
-                k = stage_of.get(id(f))
-                if k is None:
-                    if self.proven and f.is_const:
-                        k = -1  # no stage: valued once, here
-                        value_of[id(f)] = f.value()
-                    else:
-                        k = max((position.get(n, 0) for n in f.variables()), default=0)
-                        if not f.den.is_const:
-                            may_vanish.add(id(f))
-                    stage_of[id(f)] = k
+        # per stage, the function indices of the earlier entries of one row
+        # that the stage completes with its bare parameter alone
+        self.forcing: dict[int, list[int]] = {}
+        for s in range(M.n_states()):
+            split: dict[int, list[tuple[int, int]]] = {}
+            earlier: list[int] | None = []
+            for t, i in M.row(s):
+                k = stage_of[i]
                 if k < 0:
-                    self.constants[s, t] = value_of[id(f)]
-                    earlier.append((s, t))
+                    earlier.append(i)
                 else:
-                    split.setdefault(k, []).append((t, f))
+                    split.setdefault(k, []).append((t, i))
             if self.proven and not split:
                 continue
             last = max(split, default=0)
-            earlier += [(s, t) for k, entries in split.items() if k < last for t, _ in entries]
-            if self.proven and may_vanish.isdisjoint([id(f) for _, f in split[last]]):
+            earlier += [i for k, entries in split.items() if k < last for _, i in entries]
+            if self.proven and all(M.functions[i].den.is_const for _, i in split[last]):
                 earlier = None  # the row's entries always have values
             for k in split.keys() | {last}:
                 self.rows[k].append((s, split.get(k, []), earlier if k == last else None))
             if not self.proven and last and len(split[last]) == 1:
-                f = split[last][0][1]
+                f = M.functions[split[last][0][1]]
                 if f.den == P_ONE and f.num == Polynomial.var(order[last - 1]):
                     self.forcing.setdefault(last, earlier)
 
-    def forced(self, stage: int, values: dict[tuple[int, int], Fraction]) -> Fraction | None:
+    def forced(self, stage: int, values: Sequence[Fraction | None]) -> Fraction | None:
         """The one value of ``stage``'s parameter that can pass the stage,
         or None if the stage forces none: 1 minus the earlier entries of a
-        row whose last entry is the bare parameter.  Those entries must be
-        in ``values``, as they are once the earlier stages have passed."""
+        row whose last entry is the bare parameter.  Those entries must
+        have values, as they do once the earlier stages have passed."""
         earlier = self.forcing.get(stage)
         if earlier is None:
             return None
-        return 1 - sum((values[key] for key in earlier), Fraction(0))
+        return 1 - sum((values[i] for i in earlier), Fraction(0))
 
     def problems(
-        self, stage: int, evaluation: Evaluation, values: dict[tuple[int, int], Fraction]
+        self, stage: int, evaluation: Evaluation, values: list[Fraction | None]
     ) -> Iterator[str]:
         """What breaks the rules of ``stage`` under ``evaluation``: its
         ranges, then row by row its entries and the row's sum if it completes
-        the row.  Its entries are evaluated into ``values``, each function
-        object once, except one whose denominator vanishes, which adds
-        nothing to the sum; the earlier stages' entries must be there.
-        Stage 0 also writes a proven chain's constant entries there."""
+        the row.  Its functions are evaluated into ``values``, by function
+        index, each once; one whose denominator vanishes gets None and adds
+        nothing to the sum.  The earlier stages' values must be there.
+        Stage 0 also values a proven chain's constant functions."""
         if stage == 0:
-            values.update(self.constants)
+            for i in self.valued:
+                values[i] = self.functions[i].value()
         for p in self.params[stage]:
             v = evaluation[p.name]
             if not p.admits(v):
@@ -961,25 +981,24 @@ class StagedCheck:
         checked: dict[int, tuple[Fraction | None, str | None]] = {}
         for s, entries, earlier in self.rows[stage]:
             total, defined = Fraction(0), True
-            for t, f in entries:
-                if id(f) not in checked:
-                    checked[id(f)] = _entry(f, evaluation)
-                v, problem = checked[id(f)]
+            for t, i in entries:
+                if i not in checked:
+                    checked[i] = _entry(self.functions[i], evaluation)
+                    values[i] = checked[i][0]
+                v, problem = checked[i]
                 if v is None:
                     defined = False
-                else:
-                    values[s, t] = v
-                    if earlier is not None:
-                        total += v
+                elif earlier is not None:
+                    total += v
                 if problem is not None:
                     yield f"entry {self.states[s]} -> {self.states[t]}{problem}"
             if earlier is not None and not (defined and self.proven):
-                total = sum((values[key] for key in earlier), total)
+                total = sum((values[i] for i in earlier), total)
                 if total != 1:
                     yield f"row {self.states[s]} sums to {total}, not 1"
 
     def passes(
-        self, stage: int, evaluation: Evaluation, values: dict[tuple[int, int], Fraction]
+        self, stage: int, evaluation: Evaluation, values: list[Fraction | None]
     ) -> bool:
         """Does ``evaluation`` break no rule of ``stage`` (see ``problems``)?"""
         return next(self.problems(stage, evaluation, values), None) is None
@@ -989,11 +1008,10 @@ def imc_to_pmc(I: Imc) -> Pmc:
     """One closed-interval parameter per transition."""
     params: dict[str, Param] = {}
     trans: dict[tuple[int, int], RationalFunction] = {}
-    for row in _rows(I.n_states(), I.upper):
-        for (a, b) in row:
-            name = f"p_{I.states[a]}_{I.states[b]}"
-            if name in params:
-                raise ModelError(f"parameter name collision: {name}")
-            params[name] = Param(name, I.lower[(a, b)], I.upper[(a, b)])
-            trans[(a, b)] = RationalFunction.var(name)
+    for a, b in sorted(I.upper):
+        name = f"p_{I.states[a]}_{I.states[b]}"
+        if name in params:
+            raise ModelError(f"parameter name collision: {name}")
+        params[name] = Param(name, I.lower[(a, b)], I.upper[(a, b)])
+        trans[(a, b)] = RationalFunction.var(name)
     return Pmc(I.states, I.labels, I.initial, params, trans)

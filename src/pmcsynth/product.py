@@ -127,7 +127,7 @@ def build_product(A: Gba, M: Pmc) -> ProductGraph:
     check_product_size(nq, ns)
     trans = A.transitions
     letters = tuple(A.letter_mask(M.labels[s]) for s in range(ns))
-    mc_succ = [[(t, letters[t]) for t, _ in M.succ(s)] for s in range(ns)]
+    mc_succ = [[(t, letters[t]) for t in M.successors(s)] for s in range(ns)]
     # per letter a, the letters b of the chain steps from an a-state to a b-state
     steps: dict[int, set[int]] = {}
     for s in range(ns):
@@ -250,7 +250,7 @@ class SccPartition:
                     trivial=True,
                     reachable=bool(self.reachable[i]),
                     accepting=False,
-                    projection_is_bottom=all(t == s for t, _ in G.pmc.succ(s)),
+                    projection_is_bottom=all(t == s for t in G.pmc.successors(s)),
                     locally_positive=False,
                 )
             view.append(record)
@@ -443,7 +443,7 @@ def is_complete_oracle(G: ProductGraph, record: SccRecord) -> bool:
     # arcs of the chain's induced subgraph on K, as t -> list of s
     k_preds: dict[int, list[int]] = {t: [] for t in K}
     for s in K:
-        for t, _ in G.pmc.succ(s):
+        for t in G.pmc.successors(s):
             if t in K:
                 k_preds[t].append(s)
 
@@ -508,7 +508,7 @@ def classify_locally_positive(
         proj = record.projection
         bottom = closed.get(proj)
         if bottom is None:
-            bottom = closed[proj] = all(t in proj for s in proj for t, _ in G.pmc.succ(s))
+            bottom = closed[proj] = all(t in proj for s in proj for t in G.pmc.successors(s))
         record.projection_is_bottom = bottom
         record.locally_positive = False
         if record.accepting and record.projection_is_bottom:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Mapping
 
@@ -71,6 +72,12 @@ class Polynomial:
     @staticmethod
     def var(name: str) -> "Polynomial":
         return Polynomial(((((name, 1),), Fraction(1)),))
+
+    # computed once per object: ``pmc.Pmc`` interns entries by polynomials
+    _hash = cached_property(lambda self: hash(self.terms))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_zero(self) -> bool:
@@ -210,7 +217,10 @@ class RationalFunction:
     def value(self) -> Fraction:
         if not self.is_const:
             raise RatFuncError(f"rational function {self} is not constant")
-        return self.num.const_value() / self.den.const_value()
+        return self._value
+
+    # computed once per object: parsing, ``pmc.lump`` and ``StagedCheck`` read it
+    _value = cached_property(lambda self: self.num.const_value() / self.den.const_value())
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction.make(
@@ -250,9 +260,13 @@ class RationalFunction:
     __hash__ = None  # semantic equality is not hash-compatible; keyed containers must not hold these
 
     def __str__(self) -> str:
-        if self.den == P_ONE:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+        return self._text
+
+    # computed once per object: a model written out shares a few functions
+    # among all its entries
+    _text = cached_property(
+        lambda self: str(self.num) if self.den == P_ONE else f"({self.num})/({self.den})"
+    )
 
 
 RF_ZERO = RationalFunction(P_ZERO, P_ONE)

@@ -11,8 +11,8 @@ query's probability interval.  The system may be that of a quotient made by
 state, while the parameters and the support section come from the
 quotient's given chain (``Pmc.given``), so the script's parameter models
 are those of the unlumped script.  The support section
-asserts each distinct non-constant entry positive once and each distinct
-row of entries to sum to 1 once.  ``(/ x 0)`` is not an error in SMT-LIB
+asserts each distinct non-constant function positive once and each
+distinct row to sum to 1 once.  ``(/ x 0)`` is not an error in SMT-LIB
 but a value a solver may choose, so each distinct non-constant denominator
 of a transition is asserted to be nonzero.
 
@@ -147,38 +147,35 @@ def emit_smtlib(system: EquationSystem, query: PltlQuery) -> str:
         p = M.params[name]
         lines += _within(name, p.lower, p.upper, p.lower_strict, p.upper_strict)
 
-    # generated models share a few function objects among thousands of
-    # entries, and their rows repeat: each distinct non-constant entry is
-    # asserted positive once, and each distinct row to sum to 1 once
-    distinct = {id(f): f for f in M.trans.values()}
-    text_of = {i: _rf(f) for i, f in distinct.items()}
+    # generated models have a few functions among thousands of entries, and
+    # their rows repeat: each function is named and asserted positive once,
+    # and each distinct row of function indices to sum to 1 once
+    text = [_rf(f) for f in M.functions]
     out("; support positivity and row sums")
-    for den in dict.fromkeys(_poly(f.den) for f in distinct.values() if not f.den.is_const):
+    for den in dict.fromkeys(_poly(f.den) for f in M.functions if not f.den.is_const):
         out(f"(assert (not (= {den} 0)))")
     positive: set[int] = set()
-    summed: set[tuple[int, ...]] = set()
-    for row in M.rows:
-        key = tuple(id(f) for _, f in row)
-        if key in summed:
-            continue
-        summed.add(key)
-        if all(f.is_const for _, f in row):
+    rows = dict.fromkeys(tuple(M.entries[a:b]) for a, b in itertools.pairwise(M.offsets))
+    for key in rows:
+        if all(M.functions[i].is_const for i in key):
             continue
         for i in key:
-            if i not in positive and not distinct[i].is_const:
+            if i not in positive and not M.functions[i].is_const:
                 positive.add(i)
-                out(f"(assert (> {text_of[i]} 0))")
-        out(f"(assert (= {_sum([text_of[i] for i in key])} 1))")
+                out(f"(assert (> {text[i]} 0))")
+        out(f"(assert (= {_sum([text[i] for i in key])} 1))")
 
-    # the quotient's entries are M's or sums of them
-    text_of.update((id(f), _rf(f)) for f in Q.trans.values() if id(f) not in text_of)
-    out("; flow equations")
+    # the quotient's functions are M's or sums of them
+    if Q is not M:
+        text = [_rf(f) for f in Q.functions]
     ns = Q.n_states()
+    row_text = [{t: text[i] for t, i in Q.row(s)} for s in range(ns)]
+    out("; flow equations")
     for u in names:
         s = u % ns
         # build_product lays out a node's arcs grouped by chain successor
         terms = [
-            f"(* {text_of[id(Q.trans[s, t])]} {_sum([names[v] for v in group])})"
+            f"(* {row_text[s][t]} {_sum([names[v] for v in group])})"
             for t, group in itertools.groupby(G.succ(u), key=lambda v: v % ns)
         ]
         out(f"(assert (= {names[u]} {_sum(terms)}))")

@@ -344,8 +344,9 @@ def test_product_of_many_sums_exit_4(capsys, tmp_path):
 
     code, out, err, elapsed = _check_timed(capsys, model(copies))
     assert (code, out) == (4, "")
+    # the message names the transition being parsed
     assert err == (
-        f"error: polynomial product would have up to {pairs} terms, "
+        f"error: transition s -> t: polynomial product would have up to {pairs} terms, "
         f"above the cap of {ratfunc.TERM_BUDGET}\n"
     )
     assert elapsed < 1.0
@@ -376,7 +377,8 @@ def test_row_of_many_denominators_exit_4(capsys, tmp_path):
 
     code, out, err, elapsed = _check_timed(capsys, model(entries))
     assert (code, out) == (4, "")
-    assert err.startswith("error: polynomial product would have up to ")
+    # the message names the state whose row is being checked
+    assert err.startswith("error: state s: polynomial product would have up to ")
     assert err.endswith(f" terms, above the cap of {ratfunc.TERM_BUDGET}\n")
     assert elapsed < 1.0
     code, _, err, _ = _check_timed(capsys, model(entries - 1))

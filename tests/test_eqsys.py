@@ -785,8 +785,9 @@ def _solve_both(M, formula, evaluation):
     system = analyze(Q, formula).system
     report = well_defined(M, evaluation)
     assert report.ok
-    prob = lumped_values(Q, report.values, evaluation)
-    return _solve_blocks(system, prob), reference_solve_blocks(system, prob)
+    values = lumped_values(Q, report.values)
+    prob = {(s, t): values[i] for s in range(Q.n_states()) for t, i in Q.row(s)}
+    return _solve_blocks(system, values), reference_solve_blocks(system, prob)
 
 
 def _assert_same_result(got, want):
@@ -1187,8 +1188,8 @@ def test_synth_grid_evaluates_each_entry_once_its_parameters_are_fixed(monkeypat
 
 def test_synth_grid_evaluates_each_shared_function_once_per_stage(monkeypatch):
     # a crowds-shaped chain with 3 members: its 16 transitions share p/3,
-    # 1 - p, 1/3 and 1, one parsed object each, and every point of p's grid
-    # is admitted and scanned
+    # 1 - p, 1/3 and 1, one function index each, and every point of p's
+    # grid is admitted and scanned
     members = [f"m{i}" for i in range(3)]
     text = "\n".join(
         ["pmc", "param p in [1/10, 9/10];", "state new {fresh};", "state done {delivered};"]
@@ -1199,7 +1200,7 @@ def test_synth_grid_evaluates_each_shared_function_once_per_stage(monkeypatch):
         + [f"trans {m} -> done : 1 - p;" for m in members]
     )
     M = parse_model(text)
-    assert len({id(f) for f in M.trans.values()}) == 4
+    assert len(M.functions) == 4
     system = analyze(M, parse_formula("F delivered")).system
     calls = 0
     evaluate = RationalFunction.evaluate

@@ -15,7 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from random_inputs import formula_corpus
 
-from pmcsynth import cli, oracle
+from pmcsynth import cli, oracle, ratfunc
+from pmcsynth.capacity import CapacityError
 from pmcsynth.eqsys import (
     IllDefinedEvaluationError,
     PltlQuery,
@@ -27,7 +28,7 @@ from pmcsynth.eqsys import (
 )
 from pmcsynth.ltl import atomic_props, parse_formula
 from pmcsynth.modelgen import chain_mc, crowds_like, random_mc
-from pmcsynth.pmc import Pmc, _row_sum, lump, lumped_values, parse_model, well_defined
+from pmcsynth.pmc import Param, Pmc, _row_sum, lump, lumped_values, parse_model, well_defined
 from pmcsynth.ratfunc import RationalFunction
 from pmcsynth.smtlib import check_wellformed, emit_smtlib, evaluate_assertions, mu_name
 
@@ -128,7 +129,7 @@ def test_lump_is_idempotent(chain_seed, n, copied, ap):
     assert lump(Q, ap) is Q
     # the quotient's entries are sums of the given entries of its first states
     values = well_defined(N, {}).values
-    assert lumped_values(Q, values, {}) == {key: f.value() for key, f in Q.trans.items()}
+    assert lumped_values(Q, values) == [f.value() for f in Q.functions]
 
 
 PAIR = """pmc
@@ -153,6 +154,46 @@ def test_states_with_other_labels_in_ap_never_merge():
     assert Q.states == ("s", "a", "t")
     assert Q.trans[0, 1] == RationalFunction.const(1)
     assert Q.given is M
+
+
+SPELLED = """pmc
+state s;
+state x;
+state y;
+state t {t};
+init s;
+trans s -> x : 1/2;
+trans s -> y : 2/4;
+trans x -> x : 0.5;
+trans x -> t : 1/2;
+trans y -> y : 1/2;
+trans y -> t : 0.5;
+trans t -> t : 1;
+"""
+
+
+def test_entries_equal_in_value_merge_however_spelled():
+    # x and y each stay with 1/2 and move to t with 1/2, spelled apart
+    M = parse_model(SPELLED)
+    Q = lump(M, {"t"})
+    assert Q.states == ("s", "x", "t")
+    assert (Q.trans[0, 1], Q.trans[1, 1]) == (RationalFunction.const(1), RationalFunction.const(F(1, 2)))
+    formula = parse_formula("F t")
+    assert lumped_probability(M, formula, {}) == given_probability(M, formula, {}) == 1
+
+
+def test_lump_names_the_state_whose_sum_is_over_the_cap():
+    # s moves to k absorbing states, which merge, with 1/(k + p_i): the sum
+    # of j entries has a denominator of 2^j terms
+    k = next(k for k in range(2, 40) if 2**k > ratfunc.TERM_BUDGET)
+    params = {f"p{i}": Param(f"p{i}", F(0), F(1)) for i in range(k)}
+    one = RationalFunction.const(1)
+    trans = {(0, i + 1): one / (RationalFunction.const(k) + RationalFunction.var(f"p{i}")) for i in range(k)}
+    trans.update({(i + 1, i + 1): one for i in range(k)})
+    states = ("s", *(f"u{i}" for i in range(k)))
+    M = Pmc(states, (frozenset(),) * (k + 1), 0, params, trans)
+    with pytest.raises(CapacityError, match="^lump: state s: polynomial product would have up to "):
+        lump(M, set())
 
 
 def test_unreachable_states_are_dropped():
@@ -181,11 +222,13 @@ trans c -> c : 1;
 
 
 def test_identically_zero_sum_keeps_its_arc():
-    # a and b merge, and the entries of s into them sum to 0 for every p
+    # the entries of s into a and b sum to 0 for every p, which counts as
+    # no entry: s, a and b each move to c with 1 and merge, and s keeps its
+    # arc into their block
     M = parse_model(ZERO_SUM)
     Q = lump(M, {"goal"})
-    assert Q.states == ("s", "a", "c")
-    assert Q.trans[0, 1].is_zero
+    assert Q.states == ("s", "c")
+    assert Q.trans[0, 0].is_zero
     # no evaluation makes both entries positive; the message names b
     with pytest.raises(IllDefinedEvaluationError) as exc:
         solve_concrete(analyze(Q, parse_formula("F goal")).system, {"p": F(1, 4)})
@@ -292,11 +335,12 @@ trans z -> z : 1;
 
 
 def test_a_system_over_a_quotient_checks_the_given_chain():
-    # y and z merge for X a, and the quotient's entry x -> y is p + 1 - p = 1
+    # y and z merge for X a, and the entry x -> y is p + 1 - p = 1, the
+    # function of y's entry: x merges too, and its entry is 1
     M = parse_model(BRANCH_TO_ABSORBING)
     query = parse_pltl("P >= 0 [ X a ]")
     Q = lump(M, {"a"})
-    assert Q.states == ("x", "y") and Q.trans[0, 1] == RationalFunction.const(1)
+    assert Q.states == ("x",) and Q.trans[0, 0] == RationalFunction.const(1)
     assert Q.given is M and M.given is M
     system = analyze(Q, query.formula).system
     # p = 0 makes the given entry x -> y vanish, not the quotient's
@@ -330,8 +374,9 @@ def test_lumping_a_quotient_keeps_the_first_given_chain():
     R = lump(Q, {"a", "t"})  # then a and b
     assert (Q.states, R.states) == (("s", "a", "b", "t"), ("s", "a", "t"))
     assert Q.given is M and R.given is M
-    values = well_defined(M, {}).values
-    assert lumped_values(R, values, {}) == {(0, 1): 1, (1, 2): 1, (2, 2): 1}
+    values = lumped_values(R, well_defined(M, {}).values)
+    by_entry = {(s, t): values[i] for s in range(R.n_states()) for t, i in R.row(s)}
+    assert by_entry == {(0, 1): 1, (1, 2): 1, (2, 2): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -341,21 +386,32 @@ def test_lumping_a_quotient_keeps_the_first_given_chain():
 
 def reference_lump(M: Pmc, ap) -> Pmc:
     """``lump`` by signature refinement: each round rebuilds every live
-    state's signature, its block and the sorted (successor block, id of the
-    entry) pairs, until the number of blocks stays.  Up to n rounds of n
-    signatures each; the quotient is built as ``lump`` builds it."""
+    state's signature, its block and the sorted (successor block, sum)
+    pairs, the sum of its entries into the block coded by its structure and
+    left out where it is identically 0, until the number of blocks stays.
+    Up to n rounds of n signatures each; the quotient is built as ``lump``
+    builds it."""
     ap = frozenset(ap)
     seen = {M.initial}
     stack = [M.initial]
     while stack:
-        for t, _ in M.rows[stack.pop()]:
+        for t, _ in M.succ(stack.pop()):
             if t not in seen:
                 seen.add(t)
                 stack.append(t)
     live = sorted(seen)
     n = len(live)
     at = {s: k for k, s in enumerate(live)}
-    rows = [[(at[t], id(f)) for t, f in M.rows[s]] for s in live]
+    rows = [[(at[t], f) for t, f in M.succ(s)] for s in live]
+    # each distinct (numerator, denominator) pair, numbered as it comes
+    code: dict = {}
+
+    def sums(k: int, block: list[int]) -> dict[int, RationalFunction]:
+        into: dict[int, list[RationalFunction]] = {}
+        for t, f in rows[k]:
+            into.setdefault(block[t], []).append(f)
+        return {c: fs[0] if len(fs) == 1 else _row_sum(fs, range(len(fs))) for c, fs in into.items()}
+
     # blocks are numbered by their first state, so a stable partition
     # keeps its numbers
     numbers: dict = {}
@@ -364,14 +420,13 @@ def reference_lump(M: Pmc, ap) -> Pmc:
     while count < n:
         # a state alone in its block stays alone: its block is its key
         size = Counter(block)
-        numbers = {}
-        block = [
-            numbers.setdefault(
-                (b, *sorted([(block[t], i) for t, i in rows[k]])) if size[b] > 1 else b,
-                len(numbers),
-            )
+        signatures = [
+            (b, *sorted((c, code.setdefault((f.num, f.den), len(code))) for c, f in sums(k, block).items() if not f.is_zero))
+            if size[b] > 1 else b
             for k, b in enumerate(block)
         ]
+        numbers = {}
+        block = [numbers.setdefault(key, len(numbers)) for key in signatures]
         if len(numbers) == count:
             break
         count = len(numbers)
@@ -381,54 +436,33 @@ def reference_lump(M: Pmc, ap) -> Pmc:
     reps: list[int] = []
     for k, b in enumerate(block):
         if b == len(reps):
-            reps.append(live[k])
-    trans = {}
-    shared = {}
-    for b, r in enumerate(reps):
-        into: dict[int, list[RationalFunction]] = {}
-        for t, f in M.rows[r]:
-            into.setdefault(block[at[t]], []).append(f)
-        for c, fs in into.items():
-            if len(fs) == 1:
-                trans[b, c] = fs[0]
-                continue
-            key = tuple(sorted(map(id, fs)))
-            if key not in shared:
-                shared[key] = _row_sum(fs)
-            trans[b, c] = shared[key]
+            reps.append(k)
+    trans = {(b, c): f for b, k in enumerate(reps) for c, f in sums(k, block).items()}
     return Pmc(
-        tuple(M.states[r] for r in reps),
-        tuple(M.labels[r] for r in reps),
+        tuple(M.states[live[k]] for k in reps),
+        tuple(M.labels[live[k]] for k in reps),
         block[at[M.initial]],
         M.params,
         trans,
-        M.given,
     )
 
 
 def assert_same_quotient(M: Pmc, ap) -> None:
     """``lump`` and ``reference_lump`` give the same quotient, field by field:
-    M's own function objects where an entry has one summand, and the same
-    sums, shared alike, where it has more."""
+    the same rows over the same functions, equal in structure, and each
+    function of ``lump``'s quotient the sum of its summands in the given
+    chain."""
     got, want = lump(M, ap), reference_lump(M, ap)
     assert (got is M) == (want is M)
     if want is M:
         return
     assert (got.states, got.labels, got.initial) == (want.states, want.labels, want.initial)
-    assert got.params is want.params and got.lumped_from is want.lumped_from
-    assert list(got.trans) == list(want.trans)
-    given = {id(f) for f in M.trans.values()}
-    # a sum is one object per distinct tuple of summands, on both sides
-    pairing: dict[int, int] = {}
-    for key, f in got.trans.items():
-        g = want.trans[key]
-        if id(g) in given:
-            assert f is g
-        else:
-            assert id(f) not in given
-            assert (f.num, f.den) == (g.num, g.den)
-        assert pairing.setdefault(id(f), id(g)) == id(g)
-    assert len(set(pairing.values())) == len(pairing)
+    assert got.params is want.params and got.given is M.given
+    assert (got.offsets, got.targets, got.entries) == (want.offsets, want.targets, want.entries)
+    assert [(f.num, f.den) for f in got.functions] == [(g.num, g.den) for g in want.functions]
+    given = M.given.functions
+    for f, summands in zip(got.functions, got.summands, strict=True):
+        assert _row_sum(given, summands) == f
 
 
 def path_text(n: int, goal_every: int = 0) -> str:
@@ -466,12 +500,19 @@ trans u -> u : 1;
 """
 
 
-def test_entries_into_a_block_are_compared_as_multisets():
-    # x and y send p and 1 - p into the block {t, u} in opposite order
-    M = parse_model(CROSSED)
-    Q = lump(M, {"a"})
+def test_entries_into_a_block_are_compared_by_their_sum():
+    # x and y send p and 1 - p into the block {t, u} in opposite order; with
+    # t and u labelled g, x and y merge and no further
+    M = parse_model(CROSSED.replace("state t;", "state t {g};").replace("state u;", "state u {g};"))
+    Q = lump(M, {"a", "g"})
     assert Q.states == ("s", "x", "t")
     assert Q.trans[1, 2] == RationalFunction.const(1)
+    assert_same_quotient(M, {"a", "g"})
+    # unlabelled, x's entry 1 into the block is that of t and u: all four merge
+    M = parse_model(CROSSED)
+    Q = lump(M, {"a"})
+    assert Q.states == ("s", "x")
+    assert Q.trans[1, 1] == RationalFunction.const(1)
     assert_same_quotient(M, {"a"})
 
 
@@ -487,8 +528,7 @@ CROWDS_LABEL_SETS = (
 
 @pytest.mark.parametrize("first", range(0, 200, 50))
 def test_lump_is_the_reference_on_random_chains(first):
-    # each chain as built in memory (an object per entry) and as read back
-    # (an object per distinct body)
+    # each chain as built in memory and as read back
     for seed in range(first, first + 50):
         rng = random.Random(seed)
         M = random_mc(rng, rng.randint(1, 40))
@@ -566,5 +606,49 @@ def test_check_is_near_linear_on_a_path(capsys, tmp_path):
         return best
 
     small, large = seconds(400, 3), seconds(4000, 1)
+    assert large < 5.0
+    assert large < 40 * small, (small, large)
+
+
+def cascade_text(k: int) -> str:
+    """Two paths z_k -> ... -> z_0 and y_k -> ... -> y_0, each ending in an
+    absorbing state, from y_k; y_j moves to y_(j-1) and z_(j-1) with 1/2
+    each.  Nothing is labelled, so every state merges, though y_j's two
+    entries meet in one block only once y_(j-1) and z_(j-1) have."""
+    lines = ["pmc"]
+    lines += [f"state {c}{j};" for j in range(k + 1) for c in "zy"]
+    lines += [f"init y{k};", "trans z0 -> z0 : 1;", "trans y0 -> y0 : 1;"]
+    for j in range(1, k + 1):
+        lines += [f"trans z{j} -> z{j - 1} : 1;"]
+        lines += [f"trans y{j} -> y{j - 1} : 1/2;", f"trans y{j} -> z{j - 1} : 1/2;"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 40])
+def test_a_cascade_merges_in_one_refinement(k):
+    M = parse_model(cascade_text(k))
+    Q = lump(M, {"g"})
+    assert Q.states == ("z0",) and Q.trans[0, 0] == RationalFunction.const(1)
+    assert lump(Q, {"g"}) is Q
+    assert_same_quotient(M, {"g"})
+
+
+def test_check_is_near_linear_on_a_cascade(capsys, tmp_path):
+    # each merge of the cascade waits on the one below it: lumping the
+    # quotient again until nothing merges would take one pass per level
+    # and recurse as deep, where one refinement finds them all
+    def seconds(k: int, runs: int) -> float:
+        path = tmp_path / f"cascade{k}.pmc"
+        path.write_text(cascade_text(k))
+        best = float("inf")
+        for _ in range(runs):
+            start = time.perf_counter()
+            code = cli.main(["check", "-m", str(path), "-f", "F g"])
+            best = min(best, time.perf_counter() - start)
+            assert code == 0
+            assert capsys.readouterr().out.endswith("probability = 0\n")
+        return best
+
+    small, large = seconds(200, 3), seconds(2000, 1)
     assert large < 5.0
     assert large < 40 * small, (small, large)

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from random_inputs import interval_chains
 
+import pmcsynth.pmc as pmc_module
 from pmcsynth.modelgen import chain_mc, crowds_like, random_mc
 from pmcsynth.pmc import (
     Imc,
@@ -454,7 +456,7 @@ def test_well_defined_reports_every_problem():
         "entry s -> t evaluates to 3/2, outside [0,1]",
         "entry s -> u evaluates to -1/2, outside [0,1]",
     )
-    assert rep.values[(0, 1)] == Fraction(3, 2)
+    assert rep.values[_indices(M)[0, 1]] == Fraction(3, 2)
     assert well_defined(M, {"p": Fraction(0)}).problems == (
         "entry s -> t evaluates to 0 but is in the support",
     )
@@ -462,6 +464,42 @@ def test_well_defined_reports_every_problem():
         well_defined(M, {})
     with pytest.raises(ModelError, match="unknown parameter 'q'"):
         well_defined(M, {"p": Fraction(1, 3), "q": Fraction(1)})
+
+
+def test_functions_equal_in_structure_share_an_index():
+    # p/2 and 1/2*p are one function, and so are 1/2, 0.5 and 2/4
+    M = parse_model(
+        """pmc
+        param p in (0, 1);
+        state s; state t; state u; state v;
+        init s;
+        trans s -> t : p/2;
+        trans s -> s : 1 - p/2;
+        trans t -> s : 1/2*p;
+        trans t -> t : 1 - 1/2*p;
+        trans u -> s : 1/2;
+        trans u -> t : 0.5;
+        trans v -> s : 2/4;
+        trans v -> v : 1/2;
+        """
+    )
+    assert len(M.functions) == 3
+    index = _indices(M)
+    assert index[0, 1] == index[1, 0] and index[0, 0] == index[1, 1]
+    assert index[2, 0] == index[2, 1] == index[3, 0] == index[3, 3]
+
+
+def test_no_table_is_keyed_by_object_identity():
+    # functions are compared by value, through their indices: an id() call
+    # in the program would bring object identity back
+    src = Path(__file__).resolve().parent.parent / "src" / "pmcsynth"
+    calls = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\bid\(", line)
+    ]
+    assert calls == []
 
 
 def test_parse_checks_each_shared_constant_once(monkeypatch):
@@ -478,6 +516,20 @@ def test_parse_checks_each_shared_constant_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_token_stream_parses_each_body_text_once(monkeypatch):
+    # non-ASCII names leave the generated form, so the token stream reads
+    # every transition; its 100 bodies are two texts
+    lines = ["pmc", *(f"state é{i};" for i in range(50)), "init é0;"]
+    for i in range(50):
+        lines += [f"trans é{i} -> é{(i + 1) % 50} : 1/4;", f"trans é{i} -> é{i} : 3/4;"]
+    parsed = []
+    parse_expr = pmc_module._parse_expr
+    monkeypatch.setattr(pmc_module, "_parse_expr", lambda tk, params: parsed.append(1) or parse_expr(tk, params))
+    M = parse_model("\n".join(lines))
+    assert len(M.trans) == 100 and len(M.functions) == 2
+    assert len(parsed) == 2
+
+
 def test_well_defined_evaluates_each_function_once(monkeypatch):
     # five rows of p and 1 - p share two parsed functions, the last row a third
     lines = ["pmc", "param p in (0, 1);", *(f"state s{i};" for i in range(6)), "init s0;"]
@@ -485,7 +537,6 @@ def test_well_defined_evaluates_each_function_once(monkeypatch):
         lines += [f"trans s{i} -> s{i + 1} : p;", f"trans s{i} -> s{i} : 1 - p;"]
     lines.append("trans s5 -> s5 : 1;")
     M = parse_model("\n".join(lines))
-    distinct = {id(f) for f in M.trans.values()}
     calls = []
     evaluate = RationalFunction.evaluate
 
@@ -495,10 +546,11 @@ def test_well_defined_evaluates_each_function_once(monkeypatch):
 
     monkeypatch.setattr(RationalFunction, "evaluate", counting)
     rep = well_defined(M, {"p": Fraction(1, 3)})
-    assert rep.ok and len(rep.values) == len(M.trans) == 11
-    assert rep.values[(0, 1)] == Fraction(1, 3) and rep.values[(4, 4)] == Fraction(2, 3)
+    assert rep.ok and len(rep.values) == len(M.functions) == 3 and len(M.trans) == 11
+    assert rep.values[_indices(M)[0, 1]] == Fraction(1, 3)
+    assert rep.values[_indices(M)[4, 4]] == Fraction(2, 3)
     # the parsed constant 1 is valued once, not evaluated
-    assert len(distinct) == 3 and len(calls) == 2
+    assert len(calls) == 2
 
 
 def _reference_entry(f, evaluation):
@@ -517,10 +569,22 @@ def _reference_row(total):
     return None if total == 1 else f"sums to {total}, not 1"
 
 
+def _indices(M):
+    """The function index of each entry, {(s, t): index}."""
+    return {(s, t): i for s in range(M.n_states()) for t, i in M.row(s)}
+
+
+def _by_entry(M, values):
+    """Function values by function index as {(s, t): value}, without the
+    entries whose value is None."""
+    return {key: values[i] for key, i in _indices(M).items() if values[i] is not None}
+
+
 def _reference_well_defined(M, evaluation):
     """The loop that well_defined ran before it became StagedCheck's single
     stage: ranges, then row by row each entry and the row's sum, with one
-    evaluation per function object and one sum per distinct row."""
+    evaluation per distinct function and one sum per distinct row; the
+    values by entry, {(s, t): value}."""
     check_evaluation_names(M, evaluation)
     evaluation = {name: Fraction(evaluation[name]) for name in M.params}
     problems = [
@@ -534,15 +598,15 @@ def _reference_well_defined(M, evaluation):
     for s in range(M.n_states()):
         row = M.succ(s)
         for t, f in row:
-            checked = entries.get(id(f))
+            checked = entries.get((f.num, f.den))
             if checked is None:
-                checked = entries[id(f)] = _reference_entry(f, evaluation)
+                checked = entries[f.num, f.den] = _reference_entry(f, evaluation)
             v, problem = checked
             if v is not None:
                 values[(s, t)] = v
             if problem is not None:
                 problems.append(f"entry {M.states[s]} -> {M.states[t]}{problem}")
-        key = tuple(id(f) for _, f in row)
+        key = tuple((f.num, f.den) for _, f in row)
         if key in rows:
             problem = rows[key]
         else:
@@ -594,7 +658,8 @@ def _verdicts(check, order, point):
     """The verdicts of check's stages along ``order`` at ``point``, up to
     the first that fails; the parameters not in ``order`` are fixed first."""
     evaluation = {name: point[name] for name in point if name not in order}
-    values = {}
+    # the reference keeps values by entry, StagedCheck by function index
+    values = {} if isinstance(check, _ReferenceStagedCheck) else [None] * len(check.functions)
     verdicts = [check.passes(0, evaluation, values)]
     for k, name in enumerate(order, 1):
         if not verdicts[-1]:
@@ -706,7 +771,7 @@ def test_staged_check_matches_reference(case):
 def _assert_staged_check_matches_reference(M, point, order, split):
     report = well_defined(M, point)
     reference = _reference_well_defined(M, point)
-    assert (report.ok, report.problems, report.values) == (
+    assert (report.ok, report.problems, _by_entry(M, report.values)) == (
         reference.ok, reference.problems, reference.values
     )
     verdicts = _verdicts(_ReferenceStagedCheck(M, order), order, point)
@@ -762,7 +827,9 @@ def test_proven_chain_matches_reference(case):
     # the same chain built in memory is checked by every rule, to the same end
     twin = Pmc(M.states, M.labels, M.initial, M.params, M.trans)
     assert not twin.proven
-    assert well_defined(twin, point) == well_defined(M, point)
+    report, twin_report = well_defined(M, point), well_defined(twin, point)
+    assert (twin_report.ok, twin_report.problems) == (report.ok, report.problems)
+    assert _by_entry(twin, twin_report.values) == _by_entry(M, report.values)
 
 
 def test_parsed_constant_chain_evaluates_nothing(monkeypatch):
@@ -775,8 +842,8 @@ def test_parsed_constant_chain_evaluates_nothing(monkeypatch):
     )
     report = well_defined(M, {})
     assert calls == []
-    assert report.ok and report.values == reference.values
-    assert report.values.keys() == M.trans.keys()
+    assert report.ok and _by_entry(M, report.values) == reference.values
+    assert reference.values.keys() == M.trans.keys()
 
 
 def _entry_keys(check):
@@ -792,16 +859,17 @@ def test_proven_chain_checks_only_what_an_evaluation_can_break():
     assert not any(M.trans[key].is_const for key in _entry_keys(check))
     assert all(earlier is None for rows in check.rows for _, _, earlier in rows)
     assert check.forcing == {}
-    # the constants are valued once and written at stage 0
-    assert check.constants.keys() == {k for k, f in M.trans.items() if f.is_const}
-    values = {}
-    assert check.passes(0, {}, values) and values == check.constants
+    # the constants are valued at stage 0
+    constants = [f.value() if f.is_const else None for f in M.functions]
+    assert check.valued == [i for i, v in enumerate(constants) if v is not None]
+    values = [None] * len(M.functions)
+    assert check.passes(0, {}, values) and values == constants
     # chains built in memory keep every entry and every row sum, and an
     # interval row's bare last entry forces its value
     interval = imc_to_pmc(parse_model((MODELS / "interval_row.imc").read_text()))
     for N, forcing in ((built, 0), (interval, 3)):
         check = StagedCheck(N, list(N.params))
-        assert check.constants == {}
+        assert check.valued == []
         assert sorted(_entry_keys(check)) == sorted(N.trans)
         summed = [s for rows in check.rows for s, _, earlier in rows if earlier is not None]
         assert sorted(summed) == list(range(N.n_states()))
@@ -820,7 +888,7 @@ def _assert_forced_value_is_the_only_pass(check, order, k, evaluation, values):
         return
     forced = check.forced(k + 1, values)
     for x in _QUARTERS:
-        point, point_values = {**evaluation, order[k]: x}, dict(values)
+        point, point_values = {**evaluation, order[k]: x}, list(values)
         if check.passes(k + 1, point, point_values):
             assert forced is None or x == forced
             _assert_forced_value_is_the_only_pass(check, order, k + 1, point, point_values)
@@ -835,8 +903,8 @@ def test_forced_value_is_the_only_one_that_passes(text, rng):
     check = StagedCheck(M, order)
     # the last entry of each row in the order, a bare parameter, forces it
     assert len(check.forcing) == M.n_states()
-    assert check.passes(0, {}, {})
-    _assert_forced_value_is_the_only_pass(check, order, 0, {}, {})
+    assert check.passes(0, {}, [None] * len(M.functions))
+    _assert_forced_value_is_the_only_pass(check, order, 0, {}, [None] * len(M.functions))
     # the single stage of well_defined forces nothing
     assert StagedCheck(M, ()).forcing == {}
 
@@ -850,7 +918,7 @@ def test_forced_value_needs_a_bare_parameter():
             [[(1, _HALF), (2, entry)], [(0, _P), (1, RF_ONE - _P)], [(0, RF_ONE)]],
             {"p": Param("p", Fraction(0), Fraction(1))},
         )
-        check, values = StagedCheck(M, ["p"]), {}
+        check, values = StagedCheck(M, ["p"]), [None] * len(M.functions)
         assert check.passes(0, {}, values)
         assert check.forced(1, values) == forced
 
@@ -1013,8 +1081,6 @@ def _reference_parse_model(text):
     # raw transition statements, processed after all declarations are known;
     # an entry is an expression (pmc) or an interval's ends (imc)
     raw: list[tuple[str, str, RationalFunction | tuple[Fraction, Fraction]]] = []
-    # each distinct expression, by its tokens, parsed once and shared
-    shared: dict[tuple[tuple[str, str], ...], RationalFunction] = {}
 
     while tk.peek()[0] != "eof":
         word = tk.ident()
@@ -1072,14 +1138,7 @@ def _reference_parse_model(text):
                 tk.expect("]")
                 raw.append((src, dst, (lo, hi)))
             else:
-                start, body = tk.take_statement()
-                f = shared.get(body)
-                # a new body is read, with the rest of the file, from where it
-                # starts; one with a bad character (None) raises on the way
-                if f is None:
-                    tk = _Tokens(text, start)
-                    f = shared[body] = _parse_expr(tk, params)
-                raw.append((src, dst, f))
+                raw.append((src, dst, _parse_expr(tk, params)))
         else:
             raise ModelSyntaxError(f"unknown statement {word!r}")
         tk.expect(";")
@@ -1095,8 +1154,8 @@ def _reference_parse_model(text):
     lower: dict[tuple[int, int], Fraction] = {}
     upper: dict[tuple[int, int], Fraction] = {}
     given: set[tuple[int, int]] = set()
-    # a shared function is checked at the first transition that holds it
-    checked: set[int] = set()
+    # a function is checked at the first transition that holds one equal in structure
+    checked: set = set()
     for src, dst, entry in raw:
         if src not in idx or dst not in idx:
             raise ModelSyntaxError(f"transition {src} -> {dst} uses an undeclared state")
@@ -1113,8 +1172,8 @@ def _reference_parse_model(text):
             if hi != 0:  # a certainly-zero transition is the same as absent
                 lower[key], upper[key] = lo, hi
             continue
-        if entry.is_const and id(entry) not in checked:
-            checked.add(id(entry))
+        if entry.is_const and (entry.num, entry.den) not in checked:
+            checked.add((entry.num, entry.den))
             v = entry.value()
             if v == 0:
                 raise ModelSyntaxError(
@@ -1129,14 +1188,14 @@ def _reference_parse_model(text):
     if kind == "imc":
         return Imc(tuple(states), tuple(labels), idx[init_name], lower, upper)
     pmc = Pmc(tuple(states), tuple(labels), idx[init_name], params, trans)
-    _validate_rows(pmc, {id(f): f.value() for f in trans.values() if f.is_const})
+    _validate_rows(pmc, [f.value() if f.is_const else None for f in pmc.functions])
     return pmc
 
 
 def _outcome(parse, text):
-    """What a reader makes of a text: the model, with the transitions that
-    share one function object marked by the first key that holds it, or the
-    exception's type and message."""
+    """What a reader makes of a text: the model, with the transitions whose
+    functions are equal in structure marked by the first key that holds
+    one, or the exception's type and message."""
     try:
         M = parse(text)
     except Exception as exc:  # every outcome is compared, whatever it is
@@ -1149,7 +1208,10 @@ def _outcome(parse, text):
         M.labels,
         M.initial,
         M.params,
-        [(key, f.num.terms, f.den.terms, first.setdefault(id(f), key)) for key, f in M.trans.items()],
+        [
+            (key, f.num.terms, f.den.terms, first.setdefault((f.num, f.den), key))
+            for key, f in M.trans.items()
+        ],
     )
 
 

@@ -546,12 +546,31 @@ def test_emit_check_evaluate_round_trip(model, formula_seed):
 
 
 def test_emission_renders_each_function_object_once(monkeypatch):
-    # crowds_like shares four function objects among all its entries
+    # crowds_like has four distinct functions among all its entries
     M = crowds_like(3, 6, 2)
     system = build_system(build_product(translate(parse_formula("G F fresh")), M))
     rendered = []
     render = smtlib._rf
     monkeypatch.setattr(smtlib, "_rf", lambda f: rendered.append(f) or render(f))
     check_wellformed(emit_smtlib(system, parse_pltl("P >= 1/2 [ G F fresh ]")))
-    distinct = {id(f) for f in M.trans.values()}
-    assert len(rendered) <= len(distinct) < len(M.trans)
+    assert len(rendered) <= len(M.functions) < len(M.trans)
+
+
+def test_functions_spelled_apart_are_asserted_positive_once():
+    # p/2 and 1/2*p are one function, and so are 1 - p/2 and 1 - 1/2*p
+    M = parse_model(
+        """pmc
+        param p in (0, 1);
+        state s {a}; state t;
+        init s;
+        trans s -> t : p/2;
+        trans s -> s : 1 - p/2;
+        trans t -> s : 1/2*p;
+        trans t -> t : 1 - 1/2*p;
+        """
+    )
+    query = parse_pltl("P >= 1/2 [ G F a ]")
+    script = emit_smtlib(analyze(M, query.formula).system, query)
+    positive = [line for line in script.splitlines() if line.startswith("(assert (> ")]
+    assert len(positive) == len(set(positive)) == 2
+    check_wellformed(script)
