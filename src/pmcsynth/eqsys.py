@@ -22,7 +22,12 @@ it is in the system only if it is initial; the zero set then pins it.
 The system reads its arcs straight off the product's CSR arrays: the
 coefficient of the arc (q,s) -> (q',s') is P(s,s').  Concrete evaluations
 are solved exactly over the integers, block per SCC along the condensation
-(sinks first), so a successor outside a block is already solved.  Chain
+(sinks first), so a successor outside a block is already solved.  That
+order does not depend on the evaluation, so ``EquationSystem.blocks``
+lists it once per system: each reachable SCC that is not zero with its
+members' arcs, split into arcs inside the block and arcs to the blocks
+solved before it (an arc into a zero node adds nothing and is left out),
+and each run of zero SCCs as one entry.  Chain
 state s's entries are scaled once to integers over the lcm L_s of their
 denominators, so node (q, s) has the row L_s mu(q,s) minus the numerators
 on its successors in the block, equal to the solved successors' share,
@@ -35,7 +40,8 @@ and consistency are checked per block rather than assumed, and a block
 whose fill-in would pass ``FILL_BUDGET`` entries stops with
 ``CapacityError``.
 ``solve_concrete`` checks the evaluation with ``well_defined``, the single
-stage of ``StagedCheck``, and hands the function values to that block solver.
+stage of ``StagedCheck``, and hands the function values to that block
+solver, which solves every block into an empty map.
 
 The system may be built over a quotient made by ``pmc.lump``; the command
 line lumps before ``analyze``, which itself takes any chain.  A quotient
@@ -56,7 +62,14 @@ completes a row with the parameter alone, as the last entry of an interval
 row does, can take only the value that makes the row sum to 1: the walk
 looks that value up on its axis and checks it alone, counting the axis's
 other points as tried.  A point that passes goes to the block solver with
-the function values the walk evaluated.
+the function values the walk evaluated, and the blocks are staged as the
+checks are: a block's stage is the highest stage of the functions in its
+members' rows (whole rows, since a row's lcm scales all its entries; a
+quotient function's stage is the highest of its summands') and of the
+blocks it reads.  The scan keeps one map of solved values, and a point
+solves again only the blocks at or above the lowest stage changed since
+the last point solved: a block below it reads only parameters that kept
+their values, so its values still hold.
 """
 
 from __future__ import annotations
@@ -67,8 +80,9 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, pairwise
 from operator import xor
-from typing import KeysView, Sequence
+from typing import KeysView, NamedTuple, Sequence
 
 from .gba import CapacityError, elementary, translate
 from .ltl import TRUE, LtlFormula, parse_formula
@@ -221,6 +235,20 @@ def parse_pltl(text: str) -> PltlQuery:
 # ---------------------------------------------------------------------------
 
 
+class Block(NamedTuple):
+    """A reachable SCC that is not zero, as ``_solve_blocks`` solves it, or
+    a run of zero SCCs between two such SCCs of the sweep (``flow`` None),
+    whose nodes are set to 0."""
+
+    index: int  # the SCC index; -1 for a run of zero SCCs
+    members: Sequence[int]  # the SCC's nodes, or the run's
+    # per member u over chain state s: (u, s, arcs into the block, arcs to
+    # the blocks solved before it), an arc u -> v as (v, j) with j the place
+    # of v mod |S| in row s; arcs into zero nodes add nothing and are left out
+    flow: list[tuple[int, int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]] | None
+    groups: Sequence[tuple[int, ...]]  # per chain state of a positive SCC, its nodes
+
+
 @dataclass
 class EquationSystem:
     graph: ProductGraph
@@ -249,6 +277,46 @@ class EquationSystem:
         """The reachable nodes whose value is 0, in SCC order."""
         zero_sccs, comp_of = self.zero_sccs, self.partition.comp_of
         return tuple(u for u in self.partition.order if zero_sccs[comp_of[u]])
+
+    @cached_property
+    def blocks(self) -> list[Block]:
+        """The reachable SCCs along the condensation, sinks first, each
+        solved SCC a ``Block`` and each run of zero SCCs one: the order in
+        which ``_solve_blocks`` solves them, whatever the evaluation."""
+        G, partition, zero_sccs = self.graph, self.partition, self.zero_sccs
+        ns, comp_of = G.n_mc(), partition.comp_of
+        offsets, arcs = G.offsets, G.targets
+        row_at, successor = G.pmc.offsets, G.pmc.targets
+        blocks: list[Block] = []
+        zeros: list[int] = []
+        n = len(partition)
+        for i in compress(range(n - 1, -1, -1), reversed(partition.reachable)):
+            members = partition.members(i)
+            if zero_sccs[i]:
+                zeros += members
+                continue
+            if zeros:
+                blocks.append(Block(-1, zeros, None, ()))
+                zeros = []
+            flow = []
+            for u in members:
+                s = u % ns
+                base = k = row_at[s]  # u's arcs follow row s (see ``ProductGraph``)
+                inner, outer = [], []
+                for v in arcs[offsets[u] : offsets[u + 1]]:
+                    t = v % ns
+                    while successor[k] != t:
+                        k += 1
+                    c = comp_of[v]
+                    if c == i:
+                        inner.append((v, k - base))
+                    elif not zero_sccs[c]:
+                        outer.append((v, k - base))
+                flow.append((u, s, tuple(inner), tuple(outer)))
+            blocks.append(Block(i, members, flow, self.positives.get(i, ())))
+        if zeros:
+            blocks.append(Block(-1, zeros, None, ()))
+        return blocks
 
 
 def build_system(
@@ -421,78 +489,8 @@ def solve_concrete(system: EquationSystem, evaluation: Evaluation) -> SolveResul
     report = well_defined(Q.given, evaluation)
     if not report.ok:
         raise IllDefinedEvaluationError(report.problems)
-    return _solve_blocks(system, lumped_values(Q, report.values))
-
-
-def _solve_blocks(system: EquationSystem, values: Sequence[Fraction]) -> SolveResult:
-    """The exact block solver: the system's solution under ``values``, the
-    value of each function of the system's chain, by function index, which
-    must already satisfy the rules of ``well_defined``."""
-    G = system.graph
-    ns = G.n_mc()
-    offsets, arcs = G.offsets, G.targets
-    partition = system.partition
-    reachable, zero_sccs = partition.reachable, system.zero_sccs
-
-    # chain state s's entries as integers over the lcm of their denominators,
-    # read off the chain's rows arc by arc
-    M = G.pmc
-    scale = [1] * ns
-    for s in range(ns):
-        for i in M.entries[M.offsets[s] : M.offsets[s + 1]]:
-            scale[s] = math.lcm(scale[s], values[i].denominator)
-    weight: dict[tuple[int, int], int] = {}
-    s = 0
-    for k, (t, i) in enumerate(zip(M.targets, M.entries)):
-        while k >= M.offsets[s + 1]:  # row s ends before arc k
-            s += 1
-        weight[s, t] = values[i].numerator * (scale[s] // values[i].denominator)
-
-    # per solved node, its value as a reduced (numerator, denominator > 0)
     mu: dict[int, tuple[int, int]] = {}
-    gcd, lcm = math.gcd, math.lcm
-    for i in range(len(partition) - 1, -1, -1):  # sinks first
-        if not reachable[i]:
-            continue
-        members = partition.members(i)
-        if zero_sccs[i]:
-            mu.update(dict.fromkeys(members, (0, 1)))
-            continue
-        # flow rows off the CSR slices, with w(u,v) = L_s P(s, v mod |S|):
-        # L_s mu(u) - sum_{v in block} w(u,v) mu(v) = sum of w(u,v) mu(v)
-        # over the successors v already solved, times the lcm d of their
-        # values' denominators
-        rows = []
-        for u in members:
-            s = u % ns
-            row = {u: scale[s]}
-            solved = []
-            for v in arcs[offsets[u] : offsets[u + 1]]:
-                c = weight[(s, v % ns)]
-                value = mu.get(v)
-                if value is None:
-                    row[v] = row.get(v, 0) - c
-                else:
-                    solved.append((c, value))
-            d = 1  # the lcm of the solved values' denominators
-            for _, (_, dv) in solved:
-                if d % dv:
-                    d = lcm(d, dv)
-            b = sum(c * n * (d // dv) for c, (n, dv) in solved)
-            rows.append(({v: d * c for v, c in row.items() if c}, b))
-        for nodes in system.positives.get(i, ()):
-            rows.append((dict.fromkeys(nodes, 1), 1))
-        num, den = _eliminate(rows, members, f"SCC {i}")
-        for u, n in num.items():
-            g = gcd(n, den)
-            mu[u] = (n // g, den // g)
-
-    for u, (n, d) in mu.items():
-        if n < 0 or n > d:
-            raise SolveError(
-                f"mu{G.node_name(u)} = {Fraction(n, d)} is outside [0,1]; the system is not "
-                "the one the theory promises — this is a bug, not an input error"
-            )
+    _solve_blocks(system, lumped_values(Q, report.values), mu, system.blocks)
     # most nodes share a few values, 0 and 1 above all (a check-mix pass
     # solves 4,432 nodes to 225 distinct values): one Fraction each
     fractions: dict[tuple[int, int], Fraction] = {}
@@ -502,8 +500,76 @@ def _solve_blocks(system: EquationSystem, values: Sequence[Fraction]) -> SolveRe
         if value is None:
             value = fractions[pair] = Fraction(*pair)
         values[u] = value
-    target = sum((values[u] for u in G.initial), Fraction(0))
+    target = sum((values[u] for u in system.graph.initial), Fraction(0))
     return SolveResult(values, target)
+
+
+def _solve_blocks(
+    system: EquationSystem,
+    values: Sequence[Fraction],
+    mu: dict[int, tuple[int, int]],
+    blocks: Sequence[Block],
+) -> None:
+    """The exact block solver: solve ``blocks``, a subsequence of
+    ``system.blocks``, into ``mu``, which maps each solved node to its value
+    as a reduced (numerator, denominator > 0) pair.  ``values`` is the
+    value of each function of the system's chain, by function index, and
+    must satisfy the rules of ``well_defined``.  The successors outside the
+    blocks must already be in ``mu``, solved under values that agree on
+    the rows the blocks read; ``solve_concrete`` solves every block into an
+    empty map, ``synth_grid`` only the blocks whose rows a grid step
+    changed.  A value outside [0, 1] raises SolveError naming its node,
+    once every block is solved."""
+    M = system.graph.pmc
+    # per chain state s of the blocks, on first use: the lcm L_s of its
+    # entries' denominators, and its entries as integers over it
+    scaled: dict[int, tuple[int, list[int]]] = {}
+    gcd, lcm = math.gcd, math.lcm
+    bad = None  # the first node solved outside [0, 1]
+    for i, members, flow, groups in blocks:
+        if flow is None:  # a run of zero SCCs
+            mu.update(dict.fromkeys(members, (0, 1)))
+            continue
+        # per member u over chain state s, with w(u,v) = L_s P(s, v mod |S|):
+        # L_s mu(u) - sum_{v in block} w(u,v) mu(v) = sum of w(u,v) mu(v)
+        # over the successors v already solved, times the lcm d of their
+        # values' denominators
+        rows = []
+        for u, s, inner, outer in flow:
+            scale = scaled.get(s)
+            if scale is None:
+                ps = [values[i] for i in M.entries[M.offsets[s] : M.offsets[s + 1]]]
+                L = lcm(*[p.denominator for p in ps])
+                scale = scaled[s] = L, [p.numerator * (L // p.denominator) for p in ps]
+            L, weight = scale
+            row = {u: L}
+            for v, j in inner:
+                row[v] = row.get(v, 0) - weight[j]
+            d, b = 1, 0  # d: the lcm of the solved values' denominators
+            if outer:
+                solved = [(weight[j], mu[v]) for v, j in outer]
+                for _, (_, dv) in solved:
+                    if d % dv:
+                        d = lcm(d, dv)
+                b = sum(c * n * (d // dv) for c, (n, dv) in solved)
+            if d != 1 or not all(row.values()):
+                row = {v: d * c for v, c in row.items() if c}
+            rows.append((row, b))
+        for nodes in groups:
+            rows.append((dict.fromkeys(nodes, 1), 1))
+        num, den = _eliminate(rows, members, f"SCC {i}")
+        for u, n in num.items():
+            g = gcd(n, den)
+            n, d = n // g, den // g
+            if (n < 0 or n > d) and bad is None:
+                bad = u, n, d
+            mu[u] = (n, d)
+    if bad is not None:
+        u, n, d = bad
+        raise SolveError(
+            f"mu{system.graph.node_name(u)} = {Fraction(n, d)} is outside [0,1]; the system is "
+            "not the one the theory promises — this is a bug, not an input error"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +658,10 @@ def synth_grid(
     (see ``pmc.lump``), and those that are not well-defined (zero entries,
     row sums off 1) are skipped but counted in ``tried``.  The walk (see
     the module docstring) keeps its prefix in an index list, not on the
-    call stack, so a model with thousands of parameters scans too.  A
+    call stack, so a model with thousands of parameters scans too.  A point
+    that passes solves again only the blocks whose stage is at or above the
+    lowest stage changed since the last point solved, into one map kept for
+    the scan, and makes one Fraction, its probability.  A
     parameter with one value is fixed before the walk and is no stage of
     it; it multiplies the point count by 1, so ``tried`` and ``admitted``
     are those of the whole grid, and the witness assigns every parameter,
@@ -623,6 +692,31 @@ def synth_grid(
     values: list[Fraction | None] = [None] * len(Q.given.functions)
     if not check.passes(0, evaluation, values):
         return SynthResult(None, None, below[0], 0)
+
+    # A block's stage is the highest stage of the functions in its members'
+    # rows (whole rows: a row's lcm scales all its entries) and of the blocks
+    # it reads; a quotient function's is the highest of its summands'.
+    blocks = system.blocks
+    stage_of = check.stage_of
+    if Q.summands is not None:
+        stage_of = [max(stage_of[j] for j in key) for key in Q.summands]
+    row_stage = [max([0, *(stage_of[i] for i in Q.entries[a:b])]) for a, b in pairwise(Q.offsets)]
+    comp_of = system.partition.comp_of
+    stage_at: dict[int, int] = {}  # per solved SCC index, its block's stage
+    for i, _, flow, _ in blocks:
+        if flow is not None:
+            stage_at[i] = max(
+                max([row_stage[s], *(stage_at[comp_of[v]] for v, _ in outer)])
+                for _, s, _, outer in flow
+            )
+    stages = [stage_at.get(block.index, 0) for block in blocks]  # a zero run's is 0
+    # the lowest stage changed since the last solve (every stage before the
+    # first), and per value of it the blocks to solve again
+    changed = 0
+    todo: dict[int, list[Block]] = {}
+    mu: dict[int, tuple[int, int]] = {}  # the solved values, kept for the scan
+    initial = system.graph.initial
+
     tried = admitted = 0
     index = [0] * n  # the value of each parameter on the current prefix
     stop = [0] * n  # one past the last value of each parameter to try on it
@@ -630,11 +724,20 @@ def synth_grid(
     while True:
         if k == n:
             tried += 1
-            result = _solve_blocks(system, lumped_values(Q, values))
+            run = todo.get(changed)
+            if run is None:
+                run = todo[changed] = [b for b, j in zip(blocks, stages) if j >= changed]
+            _solve_blocks(system, lumped_values(Q, values), mu, run)
+            changed = n + 1
             admitted += 1
-            if query.admits(result.target):
+            n_t, d_t = 0, 1  # the target, summed over the integers
+            for u in initial:
+                n_u, d_u = mu[u]
+                n_t, d_t = n_t * d_u + n_u * d_t, d_t * d_u
+            target = Fraction(n_t, d_t)
+            if query.admits(target):
                 witness = {name: evaluation[name] for name in axes}
-                return SynthResult(witness, result.target, tried, admitted)
+                return SynthResult(witness, target, tried, admitted)
             k -= 1
         else:
             # enter parameter k: try every value, or only the one a row
@@ -657,6 +760,8 @@ def synth_grid(
                 return SynthResult(None, None, tried, admitted)
             index[k] += 1
             evaluation[names[k]] = points[k][index[k]]
+            if k < changed:
+                changed = k + 1
             if check.passes(k + 1, evaluation, values):
                 break
             tried += below[k + 1]

@@ -125,12 +125,6 @@ class Pmc:
         self, states: tuple[str, ...], labels: tuple[frozenset[str], ...], initial: int,
         params: dict[str, Param], trans: Mapping[tuple[int, int], RationalFunction],
     ):
-        self.states, self.labels, self.initial, self.params = states, labels, initial, params
-        # set by ``lump`` on a quotient: its given chain, and per function
-        # index the given chain's indices the function sums
-        self.lumped_from: Pmc | None = None
-        self.summands: tuple[tuple[int, ...], ...] | None = None
-        self.proven = False  # set by ``parse_model``: rows and constants checked
         # the function of the entry before is not hashed again
         index: dict[tuple[Polynomial, Polynomial], int] = {}
         functions: list[RationalFunction] = []
@@ -142,7 +136,34 @@ class Pmc:
                 if i == len(functions):
                     functions.append(f)
             rows[s].append((t, i))
-        self.functions = tuple(functions)
+        self._set_rows(states, labels, initial, params, tuple(functions), rows)
+
+    @classmethod
+    def from_rows(
+        cls, states: tuple[str, ...], labels: tuple[frozenset[str], ...], initial: int,
+        params: dict[str, Param], functions: tuple[RationalFunction, ...],
+        rows: list[list[tuple[int, int]]],
+    ) -> Pmc:
+        """The chain whose row s is ``rows[s]``, its (successor, index into
+        ``functions``) pairs, without interning: ``functions`` must be
+        distinct by (numerator, denominator), as the constructor leaves
+        them.  The rows are sorted in place."""
+        M = cls.__new__(cls)
+        M._set_rows(states, labels, initial, params, functions, rows)
+        return M
+
+    def _set_rows(
+        self, states: tuple[str, ...], labels: tuple[frozenset[str], ...], initial: int,
+        params: dict[str, Param], functions: tuple[RationalFunction, ...],
+        rows: list[list[tuple[int, int]]],
+    ) -> None:
+        self.states, self.labels, self.initial, self.params = states, labels, initial, params
+        # set by ``lump`` on a quotient: its given chain, and per function
+        # index the given chain's indices the function sums
+        self.lumped_from: Pmc | None = None
+        self.summands: tuple[tuple[int, ...], ...] | None = None
+        self.proven = False  # set by ``parse_model``: rows and constants checked
+        self.functions = functions
         for row in rows:
             row.sort()  # successors differ, so no index is compared
         arcs = [arc for row in rows for arc in row]
@@ -612,12 +633,14 @@ def lump(M: Pmc, ap: Iterable[str]) -> Pmc:
     ap = frozenset(ap)
     # per live state, its predecessors with the function index of each
     # entry into it; None for a state the search has not found
+    offsets, targets, entries = M.offsets, M.targets, M.entries
     into: list[list[tuple[int, int]] | None] = [None] * M.n_states()
     into[M.initial] = []
     stack = [M.initial]
     while stack:
         s = stack.pop()
-        for t, i in M.row(s):
+        a, b = offsets[s], offsets[s + 1]
+        for t, i in zip(targets[a:b], entries[a:b]):
             arcs = into[t]
             if arcs is None:
                 arcs = into[t] = []
@@ -723,33 +746,35 @@ def lump(M: Pmc, ap: Iterable[str]) -> Pmc:
             queue += new
     # blocks are numbered by their first state
     numbers = {}
-    block = [numbers.setdefault(block_of[s], len(numbers)) for s in live]
-    if len(numbers) == M.n_states():
+    reps: list[int] = []  # per block, its first state
+    for s in live:
+        block_of[s] = b = numbers.setdefault(block_of[s], len(numbers))
+        if b == len(reps):
+            reps.append(s)
+    if len(reps) == M.n_states():
         return M
 
-    at = {s: k for k, s in enumerate(live)}
-    reps: list[int] = []  # per block, its first state
-    for k, b in enumerate(block):
-        if b == len(reps):
-            reps.append(live[k])
-    trans: dict[tuple[int, int], RationalFunction] = {}
-    order: dict[int, None] = {}  # the numbers of Q's functions, as they come
-    for b, r in enumerate(reps):
+    # Q's rows, its functions numbered as they come; distinct numbers are
+    # distinct functions, so Q needs no interning
+    rows: list[list[tuple[int, int]]] = []
+    order: dict[int, int] = {}  # per number of one of Q's functions, Q's index
+    for r in reps:
         into: dict[int, list[int]] = {}
-        for t, i in M.row(r):
-            into.setdefault(block[at[t]], []).append(i)
-        for c, mine in into.items():
-            k = mine[0] if len(mine) == 1 else number(mine, r)
-            order.setdefault(k)
-            trans[b, c] = fs[k] if k < len(fs) else made[k - len(fs)][0]
-    Q = Pmc(
+        a, b = offsets[r], offsets[r + 1]
+        for t, i in zip(targets[a:b], entries[a:b]):
+            into.setdefault(block_of[t], []).append(i)
+        rows.append([
+            (c, order.setdefault(mine[0] if len(mine) == 1 else number(mine, r), len(order)))
+            for c, mine in into.items()
+        ])
+    Q = Pmc.from_rows(
         tuple(M.states[r] for r in reps),
         tuple(M.labels[r] for r in reps),
-        block[at[M.initial]],
+        block_of[M.initial],
         M.params,
-        trans,
+        tuple(fs[k] if k < len(fs) else made[k - len(fs)][0] for k in order),
+        rows,
     )
-    # the constructor numbers Q's functions as they come in ``trans``
     Q.lumped_from = M.given
     parts = [(k,) if k < len(fs) else made[k - len(fs)][1] for k in order]
     if M.summands is not None:
@@ -916,7 +941,7 @@ class StagedCheck:
         self.params = [[p for p in M.params.values() if p.name not in position]]
         self.params += [[M.params[name]] for name in order]
         # per function, its stage; -1 for a constant of a proven chain
-        stage_of = [
+        self.stage_of = stage_of = [
             -1 if self.proven and f.is_const
             else max((position.get(n, 0) for n in f.variables()), default=0)
             for f in M.functions

@@ -77,7 +77,7 @@ class ProductGraph:
     pmc: Pmc
     letters: tuple[int, ...]  # per chain state: letter mask of its label
     offsets: array  # CSR row offsets, length n_nodes + 1
-    targets: array  # CSR arc targets
+    targets: array  # CSR arc targets; node (q, s)'s follow chain row s, by successor
     initial: tuple[int, ...]
 
     def n_mc(self) -> int:

@@ -779,15 +779,16 @@ def test_eliminate_stops_at_the_fill_budget_where_the_reference_does(seed, monke
 
 
 def _solve_both(M, formula, evaluation):
-    """``_solve_blocks`` and the reference on one (chain, formula,
-    evaluation), set up as ``check`` sets it up."""
+    """``solve_concrete``, which runs ``_solve_blocks`` over every block,
+    and the reference on one (chain, formula, evaluation), set up as
+    ``check`` sets it up."""
     Q = lump(M, atomic_props(formula))
     system = analyze(Q, formula).system
     report = well_defined(M, evaluation)
     assert report.ok
     values = lumped_values(Q, report.values)
     prob = {(s, t): values[i] for s in range(Q.n_states()) for t, i in Q.row(s)}
-    return _solve_blocks(system, values), reference_solve_blocks(system, prob)
+    return solve_concrete(system, evaluation), reference_solve_blocks(system, prob)
 
 
 def _assert_same_result(got, want):
@@ -806,6 +807,21 @@ def test_solve_blocks_matches_reference_kernel(make, sizes, rng):
             for text in texts:
                 got, want = _solve_both(M, parse_formula(text), {})
                 _assert_same_result(got, want)
+
+
+def test_solve_blocks_names_the_first_node_solved_outside_the_unit_interval():
+    # p = 3/2 is no well-defined value: u, then s, solve to 3/2, and both
+    # solvers name u, the first node of the sweep outside [0, 1]
+    M = parse_model(DOWNSTREAM_FIRST)
+    system = analyze(M, parse_formula("F goal")).system
+    values = [f.evaluate({"p": F(3, 2), "q": F(1, 2)}) for f in M.functions]
+    prob = {(s, t): values[i] for s in range(M.n_states()) for t, i in M.row(s)}
+    with pytest.raises(SolveError) as got:
+        _solve_blocks(system, values, {}, system.blocks)
+    with pytest.raises(SolveError) as want:
+        reference_solve_blocks(system, prob)
+    assert str(got.value) == str(want.value)
+    assert re.match(r"mu\(.+, u\) = 3/2 is outside \[0,1\]", str(got.value))
 
 
 @given(interval_chains(), st.data())
@@ -1028,13 +1044,176 @@ trans u -> u : 1 - b;
 """
 
 
+# p, declared first, is read only by u, downstream of the initial state s;
+# q only by s's row: P(F goal) = p
+DOWNSTREAM_FIRST = """
+pmc
+param p in [1/10, 9/10];
+param q in [1/10, 9/10];
+state s;
+state u;
+state t {goal};
+state x;
+init s;
+trans s -> s : q;
+trans s -> u : 1 - q;
+trans u -> t : p;
+trans u -> x : 1 - p;
+trans t -> t : 1;
+trans x -> x : 1;
+"""
+
+# s0 reads r, s1 reads q and s2 reads p, in the order they are declared: a
+# step of r re-solves s0 alone, a step of q s1 and s0; q = 0 zeroes an entry
+THREE_STAGES = """
+pmc
+param p in [1/10, 9/10];
+param q in [0, 1];
+param r in (0, 1);
+state s0;
+state s1;
+state s2;
+state t {goal};
+state x;
+init s0;
+trans s0 -> s1 : r;
+trans s0 -> x : 1 - r;
+trans s1 -> s2 : 1 - q;
+trans s1 -> s1 : q;
+trans s2 -> t : p;
+trans s2 -> x : 1 - p;
+trans t -> t : 1;
+trans x -> x : 1;
+"""
+
+# q = 1, the last point of q's axis, makes the denominators of s's row
+# vanish: the scan fails it just after solving the points before it, and
+# the next point has a new p, read downstream in u's row; P(F goal) = q*p^2
+VANISHING_LAST = """
+pmc
+param p in (0, 1);
+param q in (0, 1];
+state s;
+state u;
+state w;
+state t {goal};
+state x;
+init s;
+trans s -> u : (q - q*q) / (1 - q);
+trans s -> w : (1 - 2*q + q*q) / (1 - q);
+trans u -> t : p*p;
+trans u -> x : 1 - p*p;
+trans w -> w : 1;
+trans t -> t : 1;
+trans x -> x : 1;
+"""
+
+
 @pytest.mark.parametrize("resolution", [3, 5, 9])
 @pytest.mark.parametrize(
-    "text", [ROW2, ROW3, VANISHING, ZERO_ENTRY], ids=["row2", "row3", "vanishing", "zero-entry"]
+    "text",
+    [ROW2, ROW3, VANISHING, ZERO_ENTRY, DOWNSTREAM_FIRST, THREE_STAGES, VANISHING_LAST],
+    ids=[
+        "row2", "row3", "vanishing", "zero-entry", "downstream-first", "three-stages",
+        "vanishing-last",
+    ],
 )
 def test_synth_grid_matches_reference_on_ill_defined_points(text, resolution):
     M = as_pmc(text)
     assert_scans_agree(M, "F goal", [(F(1, 2), F(1)), (F(9, 10), F(1))], grid_axes(M, resolution))
+
+
+def test_synth_grid_solves_no_stale_block_after_a_failed_stage():
+    # at p = 1/4 the points q = 1/4, 1/2, 3/4 give 1/64, 2/64 and 3/64 and
+    # q = 1 fails; the next point, p = 1/2 and q = 1/4, gives 4/64 only if
+    # u's block is solved again for the new p
+    M = parse_model(VANISHING_LAST)
+    axes = grid_axes(M, 5)
+    assert axes == {"p": [F(1, 4), F(1, 2), F(3, 4)], "q": [F(1, 4), F(1, 2), F(3, 4), F(1)]}
+    query = PltlQuery(parse_formula("F goal"), F(1, 16), F(1))
+    system = analyze(M, query.formula).system
+    res = synth_grid(system, query, axes)
+    assert res == SynthResult({"p": F(1, 2), "q": F(1, 4)}, F(1, 16), 5, 4)
+    assert res == reference_synth_grid(system, query, axes)
+
+
+# a1 and a2 merge, so the quotient's s -> {a1, a2} sums q/2 + q/2; u comes
+# first in the quotient, so its functions, which read p, the second
+# parameter, come first in the quotient's table, and q/2 in the given one's
+LUMPED_TWO_STAGES = """
+pmc
+param q in [1/10, 9/10];
+param p in [1/10, 9/10];
+state u;
+state a1;
+state a2;
+state s;
+state t {goal};
+state x;
+init s;
+trans s -> a1 : q/2;
+trans s -> a2 : q/2;
+trans s -> x : 1 - q;
+trans a1 -> u : 1/2;
+trans a1 -> t : 1/2;
+trans a2 -> u : 1/2;
+trans a2 -> t : 1/2;
+trans u -> t : p;
+trans u -> x : 1 - p;
+trans t -> t : 1;
+trans x -> x : 1;
+"""
+
+
+def test_synth_grid_matches_reference_on_a_lumped_quotient():
+    # the quotient's functions sum the given chain's, so their stages are
+    # those of their summands
+    M = crowds_like(2, 4, 2)
+    for formula in ("F observed", "X X observed", "G F fresh & F G !observed"):
+        Q = lump(M, atomic_props(parse_formula(formula)))
+        assert Q is not M and Q.summands is not None
+        bounds = [(F(1, 8), F(1)), (F(1, 4), F(1, 2))]
+        for resolution in (3, 7):
+            assert_scans_agree(Q, formula, bounds, grid_axes(M, resolution))
+    M = parse_model(LUMPED_TWO_STAGES)
+    Q = lump(M, {"goal"})
+    assert Q.states == ("u", "a1", "s", "t", "x")
+    assert (str(M.functions[0]), str(Q.functions[0])) == ("(q)/(2)", "p")
+    for resolution in (3, 5):
+        assert_scans_agree(Q, "F goal", [(F(1, 2), F(1)), (F(1, 10), F(1, 5))], grid_axes(M, resolution))
+
+
+@pytest.mark.parametrize("resolution", [3, 4])
+def test_synth_grid_solves_a_block_once_per_prefix_of_the_parameters_it_reads(
+    resolution, monkeypatch
+):
+    # u's row reads p, the first parameter, so u's block is solved once per
+    # value of p; s's row reads q, so s's block is solved at every point;
+    # t's positive SCC reads no parameter and is solved once
+    M = parse_model(DOWNSTREAM_FIRST)
+    query = PltlQuery(parse_formula("F goal"), F(2), F(2))
+    system = analyze(M, query.formula).system
+    axes = grid_axes(M, resolution)
+    calls = collections.Counter()
+    eliminate = eqsys._eliminate
+
+    def counted(rows, unknowns, what):
+        calls[what] += 1
+        return eliminate(rows, unknowns, what)
+
+    monkeypatch.setattr(eqsys, "_eliminate", counted)
+    res = synth_grid(system, query, axes)
+    n = resolution
+    assert (res.witness, res.tried, res.admitted) == (None, n * n, n * n)
+    part, ns = system.partition, M.n_states()
+    per_state = collections.defaultdict(set)
+    for i in range(len(part)):
+        if part.reachable[i] and not system.zero_sccs[i]:
+            for u in part.members(i):
+                per_state[M.states[u % ns]].add(calls[f"SCC {i}"])
+    assert per_state == {"s": {n * n}, "u": {n}, "t": {1}}
+    monkeypatch.setattr(eqsys, "_eliminate", eliminate)
+    assert res == reference_synth_grid(system, query, axes)
 
 
 def test_synth_grid_matches_reference_off_the_parameter_range():

@@ -5,6 +5,7 @@ unlumped scripts.  The splitter refinement gives the quotient of the
 signature loop (``reference_lump``), and ``check`` grows near-linearly on a
 long chain that does not merge."""
 
+import gc
 import random
 import time
 from collections import Counter
@@ -642,6 +643,9 @@ def test_check_is_near_linear_on_a_cascade(capsys, tmp_path):
         path.write_text(cascade_text(k))
         best = float("inf")
         for _ in range(runs):
+            # a full collection of the objects earlier tests left is no cost
+            # of the run, and one landing in the single large run fails it
+            gc.collect()
             start = time.perf_counter()
             code = cli.main(["check", "-m", str(path), "-f", "F g"])
             best = min(best, time.perf_counter() - start)
